@@ -537,22 +537,14 @@ def cmd_bound(cfg: dict, out: Path) -> int:
         if not report.stepsize_ok:
             lines.append(f"theorem={theorem} status=vacuous reason=stepsize_above_threshold")
         else:
-            L = params.L if L_eff is None else L_eff
-            gaps = data["f_val"] - cfg["f_star"]
-            violations = 0
-            for t, gap in zip(data["iter"], gaps):
-                if t < 1:
-                    continue
-                predicted = 2.0 * params.R0**2 / (params.eta * (t + 1)) + (
-                    0.0 if math.isinf(params.c)
-                    else 4.0 * L * params.R0**4 / (params.eta**2 * params.c**2 * (t + 1) ** 2)
-                )
-                if gap > predicted:
-                    violations += 1
+            checked = data["iter"] >= 1
+            gaps = data["f_val"][checked] - cfg["f_star"]
+            predicted = theory.det_convex_gap_bound(params, data["iter"][checked], L_eff)
+            violations = int(np.count_nonzero(gaps > predicted))
             failed = violations > 0
             lines.append(
                 f"theorem={theorem} predicted_final={_fmt(report.predicted)}"
-                f" checked={int((data['iter'] >= 1).sum())} violations={violations}"
+                f" checked={int(checked.sum())} violations={violations}"
                 f" status={'pass' if not failed else 'fail'}"
             )
     elif theorem == "stoch_nonconvex":

@@ -3,6 +3,13 @@
 Everything here is a pure function of its inputs; the clipping threshold
 ``c`` caps the Euclidean norm of the applied gradient and never changes
 its direction.
+
+``clip`` validates its arguments and is the public entry point. The
+iteration engine and the Monte Carlo estimators call the unchecked
+kernels ``clip_vector`` (one vector) and ``clip_rows`` (a stack of row
+vectors) instead, on inputs they have validated once up front. All three
+share the same arithmetic, so a row of ``clip_rows`` is bit-for-bit the
+``clip`` of that row.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ClipParams", "clip", "clip_coefficient", "clipped_step"]
+__all__ = ["ClipParams", "clip", "clip_coefficient", "clip_rows", "clip_vector", "clipped_step"]
 
 
 @dataclass(frozen=True)
@@ -50,17 +57,70 @@ def clip(u, c: float) -> np.ndarray:
     u = _as_vector(u)
     if not c > 0:
         raise ValueError(f"clipping threshold must be positive, got {c!r}")
-    norm = math.sqrt(float(u @ u))
+    return clip_vector(u, c)[0]
+
+
+# rescaling by c / norm can overshoot c by an ulp; norm <= c is a hard
+# contract (DP sensitivity), so such vectors are nudged strictly below 1
+# and rechecked
+_NUDGE = 1.0 - 2e-16
+
+
+def clip_vector(u: np.ndarray, c: float) -> tuple[np.ndarray, float, bool]:
+    """Unchecked kernel of :func:`clip` for a finite 1-d float vector.
+
+    Returns ``(v, v @ v, rescaled)``: the clipped vector (``u`` itself
+    when ``norm(u) <= c``), its squared norm, and whether ``norm(u) > c``.
+    """
+    sq = float(u @ u)
+    norm = math.sqrt(sq)
     if norm <= c:
-        return u
+        return u, sq, False
     v = u * (c / norm)
-    m = math.sqrt(float(v @ v))
+    sq = float(v @ v)
+    m = math.sqrt(sq)
     while m > c:
-        # float rescaling can overshoot by an ulp; norm <= c is a hard
-        # contract (DP sensitivity), so nudge strictly below 1 and retry.
-        v = v * min(c / m, 1.0 - 2e-16)
-        m = math.sqrt(float(v @ v))
-    return v
+        v = v * min(c / m, _NUDGE)
+        sq = float(v @ v)
+        m = math.sqrt(sq)
+    return v, sq, True
+
+
+def clip_rows(U: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unchecked row-wise :func:`clip` of a finite ``(k, d)`` float array.
+
+    Returns ``(V, sq, rescaled)``: a new array whose row ``i`` equals
+    ``clip(U[i], c)`` bit for bit, the squared row norms ``V[i] @ V[i]``,
+    and the mask of rows with ``norm(U[i]) > c``. Row dot products use
+    ``np.vecdot``, which reproduces the 1-d ``u @ u`` exactly.
+    """
+    sq = np.vecdot(U, U)
+    norms = np.sqrt(sq)
+    rescaled = norms > c
+    if not rescaled.any():
+        return U.copy(), sq, rescaled
+    # c / max(norm, c) is c / norm on the rescaled rows and exactly 1.0 on
+    # the others, whose bits a multiplication by 1.0 keeps
+    V = U * (c / np.maximum(norms, c))[:, None]
+    sq = np.vecdot(V, V)
+    m = np.sqrt(sq)
+    over = m > c
+    while over.any():
+        V *= np.where(over, np.minimum(c / np.maximum(m, c), _NUDGE), 1.0)[:, None]
+        sq = np.vecdot(V, V)
+        m = np.sqrt(sq)
+        over = m > c
+    return V, sq, rescaled
+
+
+def _sum_rows(V: np.ndarray) -> np.ndarray:
+    """``((V[0] + V[1]) + V[2]) + ...``: the rows of a ``(k, d)`` array summed
+    in order, bit for bit what ``k`` successive 1-d additions give."""
+    if V.shape[1] == 1:
+        # a single column reduces pairwise; accumulate keeps the order
+        return np.add.accumulate(V, axis=0)[-1]
+    # with d > 1 the reduction runs over rows in order, one add per row
+    return V.sum(axis=0)
 
 
 def clip_coefficient(u, c: float) -> float:
@@ -85,4 +145,4 @@ def clipped_step(x, g_raw, params: ClipParams) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: x has dim {x.size}, gradient has dim {g_raw.size}"
         )
-    return x - params.eta * clip(g_raw, params.c)
+    return x - params.eta * clip_vector(g_raw, params.c)[0]

@@ -6,6 +6,13 @@ the randomness consumed at step ``t`` (lane 0: gradient samples, lane 1:
 privacy noise) is a pure function of (seed, t, sample index) and never
 depends on what other steps drew. Traces record the exact-oracle gradient
 norm at every iterate, which is what the convergence statements bound.
+
+The configuration and the starting point are validated once, before the
+first step; the step loop calls only the problem's unchecked batch
+oracles (``value_and_grad``, ``sample_grads``) and the unchecked clipping
+kernels. A minibatch (B > 1) is drawn, clipped and summed as one
+``(B, dim)`` array, with the same draws and the same sequential sum as B
+one-sample calls, so traces do not depend on the batch path taken.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import clip
+from .core import _sum_rows, clip_rows, clip_vector
 from .problems import Problem
 
 __all__ = [
@@ -189,7 +196,6 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
     deterministic = method in _DETERMINISTIC
     dp = method == "dp_sgd"
     rng = None if deterministic else _StepRng(config.seed)
-    noise_scale = config.sigma_dp / math.sqrt(x.size) if dp else 0.0
 
     n_rec = len(range(0, T + 1, config.thin)) + (1 if T % config.thin else 0)
     ts = np.empty(n_rec, dtype=np.int64)
@@ -200,10 +206,10 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
     k = 0
     max_sample = 0.0
 
-    value, grad, sample_grad = problem.value, problem.grad, problem.sample_grad
+    value_and_grad = problem.value_and_grad
+    sample_grad, sample_grads = problem.sample_grad, problem.sample_grads
     for t in range(T + 1):
-        f = value(x)
-        g = grad(x)
+        f, g = value_and_grad(x)
         grad_norm = math.sqrt(float(g @ g))
         x_norm = math.sqrt(float(x @ x))
         if (
@@ -219,26 +225,26 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
 
         if t < T:
             if deterministic:
-                applied = clip(g, c)
-                frac = 1.0 if grad_norm > c else 0.0
+                applied, _, rescaled = clip_vector(g, c)
+                frac = 1.0 if rescaled else 0.0
             else:
                 gen = rng.at_step(t)
-                clipped_count = 0
-                acc = None
-                for _ in range(B):
-                    s = sample_grad(x, gen)
-                    if math.sqrt(float(s @ s)) > c:
-                        clipped_count += 1
-                    cs = clip(s, c)
-                    cs_norm = math.sqrt(float(cs @ cs))
-                    if cs_norm > max_sample:
-                        max_sample = cs_norm
-                    acc = cs.copy() if acc is None else acc + cs
-                applied = acc if B == 1 else acc / B
-                frac = clipped_count / B
+                if B == 1:
+                    # one sample stays on the 1-d kernel: a (1, dim) batch
+                    # costs more in array overhead than it saves
+                    applied, sq, rescaled = clip_vector(sample_grad(x, gen), c)
+                    frac = 1.0 if rescaled else 0.0
+                else:
+                    V, sq_rows, rescaled = clip_rows(sample_grads(x, gen, B), c)
+                    frac = int(np.count_nonzero(rescaled)) / B
+                    sq = float(sq_rows.max())
+                    applied = _sum_rows(V) / B
+                sample_norm = math.sqrt(sq)
+                if sample_norm > max_sample:
+                    max_sample = sample_norm
                 if dp:
-                    z = rng.at_step(t, lane=1).standard_normal(x.size) * noise_scale
-                    applied = applied + z
+                    noise_rng = rng.at_step(t, lane=1)
+                    applied = applied + privacy_noise(x.size, config.sigma_dp, noise_rng)
             applied_norm = math.sqrt(float(applied @ applied))
         else:
             applied_norm = 0.0

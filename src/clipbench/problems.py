@@ -4,6 +4,15 @@ Each problem exposes the exact expected objective ``value``, its exact
 gradient ``grad``, and a one-draw stochastic gradient ``sample_grad``
 that is unbiased for ``grad`` with variance bounded by ``meta.sigma_sq``.
 Problems are immutable; the caller owns all RNG state.
+
+Two batch oracles serve the iteration engine and the Monte Carlo
+estimators: ``value_and_grad`` (both exact quantities at one point) and
+``sample_grads`` (``k`` draws stacked as rows). They skip the dimension
+check that ``value`` and ``grad`` make, because their callers validate
+the point once up front. The base-class defaults are built from
+``value``, ``grad`` and ``sample_grad``, so a custom subclass needs only
+those three; the shipped problems override both batch oracles with
+vectorized versions that reproduce the one-call results bit for bit.
 """
 
 from __future__ import annotations
@@ -60,6 +69,15 @@ class Problem:
     def sample_grad(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(value(x), grad(x))`` for a point already checked by ``check_dim``."""
+        return self.value(x), self.grad(x)
+
+    def sample_grads(self, x: np.ndarray, rng: np.random.Generator, k: int) -> np.ndarray:
+        """``k`` successive ``sample_grad`` draws as the rows of a ``(k, dim)``
+        array, for a point already checked by ``check_dim``."""
+        return np.stack([self.sample_grad(x, rng) for _ in range(k)])
+
     def variance_at(self, x: np.ndarray) -> float:
         raise NotImplementedError
 
@@ -85,15 +103,19 @@ class Quadratic(Problem):
         )
 
     def value(self, x):
-        x = self.check_dim(x)
-        return 0.5 * self.L * float(x @ x)
+        return self.value_and_grad(self.check_dim(x))[0]
 
     def grad(self, x):
-        x = self.check_dim(x)
-        return self.L * x
+        return self.value_and_grad(self.check_dim(x))[1]
+
+    def value_and_grad(self, x):
+        return 0.5 * self.L * float(x @ x), self.L * x
 
     def sample_grad(self, x, rng):
-        return self.grad(x)
+        return self.L * x
+
+    def sample_grads(self, x, rng, k):
+        return np.tile(self.L * x, (k, 1))
 
     def variance_at(self, x):
         return 0.0
@@ -122,18 +144,23 @@ class BernoulliShiftQuadratic(Problem):
         )
 
     def value(self, x):
-        x = self.check_dim(x)
-        v = float(x[0])
-        return 0.5 * (self.p * (v + self.a) ** 2 + (1.0 - self.p) * v * v)
+        return self.value_and_grad(self.check_dim(x))[0]
 
     def grad(self, x):
-        x = self.check_dim(x)
-        return x + self.p * self.a
+        return self.value_and_grad(self.check_dim(x))[1]
+
+    def value_and_grad(self, x):
+        v = float(x[0])
+        f = 0.5 * (self.p * (v + self.a) ** 2 + (1.0 - self.p) * v * v)
+        return f, x + self.p * self.a
 
     def sample_grad(self, x, rng):
         if rng.random() < self.p:
             return x + self.a
         return x
+
+    def sample_grads(self, x, rng, k):
+        return np.where((rng.random(k) < self.p)[:, None], x + self.a, x)
 
     def variance_at(self, x):
         return self.meta.sigma_sq
@@ -158,15 +185,21 @@ class ChiSquareQuadratic(Problem):
         )
 
     def value(self, x):
-        x = self.check_dim(x)
-        return 0.5 * self.L * float(x @ x) + float(x.sum())
+        return self.value_and_grad(self.check_dim(x))[0]
 
     def grad(self, x):
-        x = self.check_dim(x)
-        return self.L * x + 1.0
+        return self.value_and_grad(self.check_dim(x))[1]
+
+    def value_and_grad(self, x):
+        return 0.5 * self.L * float(x @ x) + float(x.sum()), self.L * x + 1.0
 
     def sample_grad(self, x, rng):
         z = rng.standard_normal(self.meta.dim)
+        return self.L * x + z * z
+
+    def sample_grads(self, x, rng, k):
+        # one (k, dim) draw consumes the stream exactly as k draws of dim
+        z = rng.standard_normal((k, self.meta.dim))
         return self.L * x + z * z
 
     def variance_at(self, x):
@@ -174,12 +207,14 @@ class ChiSquareQuadratic(Problem):
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """The logistic function ``1 / (1 + exp(-t))``, stable in both tails."""
+    return _sigmoid_given(t, np.exp(-np.abs(t)))
+
+
+def _sigmoid_given(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    # branch-free form of the two-sided stable sigmoid, given e = exp(-|t|):
+    # 1 / (1 + e) where t >= 0 and e / (1 + e) elsewhere
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 class LogisticRegressionProblem(Problem):
@@ -217,20 +252,32 @@ class LogisticRegressionProblem(Problem):
             sigma_sq=self._row_variance(np.zeros(A.shape[1])),
         )
 
-    def _margins(self, x: np.ndarray) -> np.ndarray:
-        return self.y * (self.A @ x)
+    def _margins(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The margins ``m = y * (A @ x)`` and ``exp(-|m|)``, which both the
+        loss and the gradient are built from."""
+        m = self.y * (self.A @ x)
+        return m, np.exp(-np.abs(m))
+
+    def _value(self, x: np.ndarray, m: np.ndarray, e: np.ndarray) -> float:
+        # log(1 + exp(-m)) = max(0, -m) + log1p(exp(-|m|)), stable both tails
+        losses = np.maximum(0.0, -m) + np.log1p(e)
+        return float(losses.mean()) + 0.5 * self.lam * float(x @ x)
+
+    def _grad(self, x: np.ndarray, m: np.ndarray, e: np.ndarray) -> np.ndarray:
+        s = _sigmoid_given(-m, e)
+        return -(self.A.T @ (self.y * s)) / self.n + self.lam * x
 
     def value(self, x):
         x = self.check_dim(x)
-        m = self._margins(x)
-        # log(1 + exp(-m)) = max(0, -m) + log1p(exp(-|m|)), stable both tails
-        losses = np.maximum(0.0, -m) + np.log1p(np.exp(-np.abs(m)))
-        return float(losses.mean()) + 0.5 * self.lam * float(x @ x)
+        return self._value(x, *self._margins(x))
 
     def grad(self, x):
         x = self.check_dim(x)
-        s = _sigmoid(-self._margins(x))
-        return -(self.A.T @ (self.y * s)) / self.n + self.lam * x
+        return self._grad(x, *self._margins(x))
+
+    def value_and_grad(self, x):
+        m, e = self._margins(x)
+        return self._value(x, m, e), self._grad(x, m, e)
 
     def sample_grad(self, x, rng):
         i = int(rng.integers(self.n))
@@ -242,8 +289,21 @@ class LogisticRegressionProblem(Problem):
             s = e / (1.0 + e)
         return (-self.y[i] * s) * self.A[i] + self.lam * x
 
+    def sample_grads(self, x, rng, k):
+        idx = rng.integers(self.n, size=k)
+        rows = self.A[idx]
+        # np.vecdot reproduces each 1-d A[i] @ x; the gathered matrix-vector
+        # product A[idx] @ x does not
+        m = self.y[idx] * np.vecdot(rows, x)
+        # math.exp per draw, as in sample_grad: numpy's vectorized exp may
+        # differ from libm's in the last bit
+        e = np.array([math.exp(v) for v in np.abs(m).tolist()])
+        s = np.where(m >= 0, 1.0, e) / (1.0 + e)
+        return (-self.y[idx] * s)[:, None] * rows + self.lam * x
+
     def _row_variance(self, x: np.ndarray) -> float:
-        s = _sigmoid(-self._margins(x))
+        m, e = self._margins(x)
+        s = _sigmoid_given(-m, e)
         G = (-(self.y * s))[:, None] * self.A  # per-row gradients minus the common ridge term
         mean = G.mean(axis=0)
         return float(((G - mean) ** 2).sum(axis=1).mean())

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import clip
+from .core import _sum_rows, clip_rows
 from .problems import BernoulliShiftQuadratic, Problem
 from .optimizers import Trace
 
@@ -30,6 +30,7 @@ __all__ = [
     "ClipProbabilityReport",
     "max_stepsize",
     "bound_det_convex",
+    "det_convex_gap_bound",
     "bound_det_strongly_convex",
     "bound_stoch_nonconvex",
     "bound_dp_sgd",
@@ -172,18 +173,27 @@ def trajectory_smoothness(trace: Trace, L0: float, L1: float) -> float:
     return L0 + L1 * float(trace.grad_norms.max())
 
 
-def bound_det_convex(params: RateParams, L_override: float | None = None) -> BoundReport:
-    """Explicit suboptimality bound for deterministic clipped GD on convex f:
+def det_convex_gap_bound(params: RateParams, t, L_override: float | None = None):
+    """The explicit convex suboptimality bound after ``t`` iterations:
 
-        f(x_T) - f* <= 2 R0^2 / (eta (T+1)) + 4 L R0^4 / (eta^2 c^2 (T+1)^2)
+        f(x_t) - f* <= 2 R0^2 / (eta (t+1)) + 4 L R0^4 / (eta^2 c^2 (t+1)^2)
+
+    ``t`` may be an integer or an array of iteration counts; ``params.T``
+    is not used.
     """
     L = params.L if L_override is None else L_override
-    eta, T, R0, c = params.eta, params.T, params.R0, params.c
-    lead = 2.0 * R0**2 / (eta * (T + 1))
-    tail = 0.0 if math.isinf(c) else 4.0 * L * R0**4 / (eta**2 * c**2 * (T + 1) ** 2)
+    eta, R0, c = params.eta, params.R0, params.c
+    lead = 2.0 * R0**2 / (eta * (t + 1))
+    tail = 0.0 if math.isinf(c) else 4.0 * L * R0**4 / (eta**2 * c**2 * (t + 1) ** 2)
+    return lead + tail
+
+
+def bound_det_convex(params: RateParams, L_override: float | None = None) -> BoundReport:
+    """Explicit suboptimality bound for deterministic clipped GD on convex f
+    at the final iterate: :func:`det_convex_gap_bound` at ``t = T``."""
     return BoundReport(
         theorem="det_convex",
-        predicted=lead + tail,
+        predicted=det_convex_gap_bound(params, params.T, L_override),
         stepsize_ok=_stepsize_ok("det_convex", params),
         constants_source="paper_explicit",
     )
@@ -372,6 +382,18 @@ class ClippedGradEstimate:
     exact: bool
 
 
+# samples per Monte Carlo chunk are capped so that one (k, dim) array of
+# draws stays near 128 KB
+_MC_CHUNK_ELEMS = 16_384
+
+
+def _chunks(n_samples: int, dim: int):
+    """Chunk sizes that add up to ``n_samples``."""
+    size = max(1, _MC_CHUNK_ELEMS // dim)
+    for start in range(0, n_samples, size):
+        yield min(size, n_samples - start)
+
+
 def expected_clipped_grad(
     problem: Problem,
     x,
@@ -387,13 +409,20 @@ def expected_clipped_grad(
         return ClippedGradEstimate(np.array([val]), 0.0, exact=True)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if not c > 0:
+        raise ValueError(f"clipping threshold must be positive, got {c!r}")
+    if not np.isfinite(x).all():
+        raise ValueError("x has non-finite coordinates")
     rng = np.random.default_rng(seed)
     total = np.zeros_like(x)
     total_sq = 0.0
-    for _ in range(n_samples):
-        s = clip(problem.sample_grad(x, rng), c)
-        total += s
-        total_sq += float(s @ s)
+    for k in _chunks(n_samples, x.size):
+        V, sq, _ = clip_rows(problem.sample_grads(x, rng, k), c)
+        # sums in sample order, seeded with the running totals, so the
+        # estimate is the one-sample-at-a-time sum bit for bit
+        V[0] += total
+        total = _sum_rows(V)
+        total_sq = float(np.add.accumulate(np.concatenate(([total_sq], sq)))[-1])
     mean = total / n_samples
     var = max(total_sq / n_samples - float(mean @ mean), 0.0)
     return ClippedGradEstimate(mean, math.sqrt(var / n_samples), exact=False)
@@ -506,10 +535,8 @@ def clip_probability_bound(
         )
     rng = np.random.default_rng(seed)
     hits = 0
-    for _ in range(n_samples):
-        s = problem.sample_grad(x, rng)
-        if math.sqrt(float(s @ s)) > c:
-            hits += 1
+    for k in _chunks(n_samples, x.size):
+        hits += int(np.count_nonzero(clip_rows(problem.sample_grads(x, rng, k), c)[2]))
     freq = hits / n_samples
     se = math.sqrt(max(freq * (1.0 - freq), 1.0 / n_samples) / n_samples)
     bound = 4.0 * problem.meta.sigma_sq / c**2

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from clipbench.core import ClipParams, clip, clip_coefficient, clipped_step
+from clipbench.core import (
+    ClipParams,
+    _sum_rows,
+    clip,
+    clip_coefficient,
+    clip_rows,
+    clip_vector,
+    clipped_step,
+)
 
 
 class TestClip:
@@ -38,6 +46,80 @@ class TestClip:
             clip([1.0], 0.0)
         with pytest.raises(ValueError):
             clip([1.0], -2.0)
+
+
+def nudged_row(d, c, seed=0):
+    """A vector whose first rescale by c / norm overshoots c, so clipping
+    it takes the ulp-nudge branch."""
+    rng = np.random.default_rng(seed)
+    for _ in range(10_000):
+        u = rng.normal(size=d) * 10.0
+        v = u * (c / math.sqrt(float(u @ u)))
+        if math.sqrt(float(v @ v)) > c:
+            return u
+    raise AssertionError("no vector takes the nudge branch")
+
+
+class TestClipKernels:
+    """The unchecked kernels against the validated clip, bit for bit."""
+
+    def test_clip_vector_matches_clip(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            u = rng.normal(size=int(rng.integers(1, 8))) * 10.0 ** rng.uniform(-3, 3)
+            c = float(10.0 ** rng.uniform(-2, 2))
+            v, sq, rescaled = clip_vector(u, c)
+            assert np.array_equal(v, clip(u, c))
+            assert sq == float(v @ v)
+            assert rescaled == (math.sqrt(float(u @ u)) > c)
+
+    def test_clip_vector_returns_input_inside_ball(self):
+        u = np.array([3.0, 4.0])
+        assert clip_vector(u, 5.0)[0] is u
+
+    def test_clip_rows_matches_per_row_clip(self):
+        c = 2.5
+        rng = np.random.default_rng(6)
+        U = np.vstack([
+            np.zeros(4),                          # zero row
+            np.array([1.5, 2.0, 0.0, 0.0]),       # norm == c exactly
+            nudged_row(4, c),                     # takes the ulp-nudge branch
+            rng.normal(size=(40, 4)) * 10.0 ** rng.uniform(-2, 2, size=(40, 1)),
+        ])
+        V, sq, rescaled = clip_rows(U, c)
+        assert V is not U
+        for i, u in enumerate(U):
+            assert np.array_equal(V[i], clip(u, c)), i
+            assert sq[i] == float(V[i] @ V[i])
+            assert math.sqrt(sq[i]) <= c
+            assert rescaled[i] == (math.sqrt(float(u @ u)) > c)
+        assert not rescaled[0] and not rescaled[1] and rescaled[2]
+
+    def test_clip_rows_norm_bound_property(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            d = int(rng.integers(1, 12))
+            U = rng.normal(size=(int(rng.integers(1, 30)), d)) * 10.0 ** rng.uniform(-3, 3)
+            c = float(10.0 ** rng.uniform(-2, 2))
+            V, sq, _ = clip_rows(U, c)
+            for i in range(U.shape[0]):
+                assert math.sqrt(float(V[i] @ V[i])) <= c
+                assert np.array_equal(V[i], clip(U[i], c))
+
+    def test_sum_rows_adds_in_order(self):
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 5, 100):
+            for k in (1, 2, 9, 16, 300):
+                V = rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-6, 6, size=(k, 1))
+                acc = V[0].copy()
+                for row in V[1:]:
+                    acc = acc + row
+                assert np.array_equal(_sum_rows(V), acc), (d, k)
+
+    def test_infinite_threshold_is_identity(self):
+        U = np.array([[1e6, -2e6], [0.0, 0.0]])
+        V, _, rescaled = clip_rows(U, math.inf)
+        assert np.array_equal(V, U) and not rescaled.any()
 
 
 class TestClipCoefficient:

@@ -1,8 +1,13 @@
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+
+from clipbench import core
+from clipbench.data_ingest import bundled_dataset_path, parse_libsvm
 
 from clipbench.optimizers import (
     DivergenceError,
@@ -15,7 +20,13 @@ from clipbench.optimizers import (
     run_gd,
     _StepRng,
 )
-from clipbench.problems import BernoulliShiftQuadratic, ChiSquareQuadratic, Quadratic
+from clipbench.problems import (
+    BernoulliShiftQuadratic,
+    ChiSquareQuadratic,
+    LogisticRegressionProblem,
+    Problem,
+    Quadratic,
+)
 from clipbench.theory import build_lower_bound_small_c
 
 
@@ -23,6 +34,38 @@ def cfg(**kw):
     base = dict(method="gd", c=math.inf, eta=1.0, T=1, x0=np.array([1.0]))
     base.update(kw)
     return RunConfig(**base)
+
+
+def bundled_logistic():
+    return LogisticRegressionProblem(parse_libsvm(bundled_dataset_path().read_text()))
+
+
+def trace_digest(trace):
+    """First 16 hex digits of the sha256 of every recorded array, the final
+    point and the largest per-sample norm."""
+    arrays = (trace.iters, trace.f_vals, trace.grad_norms, trace.applied_norms,
+              trace.clipped_fracs, trace.final_point)
+    h = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+    h.update(np.float64(trace.max_per_sample_norm).tobytes())
+    return h.hexdigest()[:16]
+
+
+class OneCallOnly(Problem):
+    """Delegates value, grad and sample_grad to a shipped problem and keeps
+    the base-class batch oracles, as a custom subclass would."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.meta = inner.meta
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def grad(self, x):
+        return self.inner.grad(x)
+
+    def sample_grad(self, x, rng):
+        return self.inner.sample_grad(x, rng)
 
 
 class TestRunConfig:
@@ -114,6 +157,60 @@ class TestDeterminism:
         config = cfg(method="clipped_sgd", c=2.0, eta=0.05, T=100, seed=7)
         trace = run_clipped_sgd(prob, config)
         assert trace.final_point[0] == pytest.approx(-0.6661811074629189, abs=0)
+
+    # Frozen digests of whole traces (trace_digest). They pin the batched
+    # oracle and clipping path bit for bit: each was recorded with the
+    # one-sample-at-a-time engine that preceded the batched one.
+    def test_frozen_golden_dp_minibatch(self):
+        prob = ChiSquareQuadratic(dim=100, L=0.1)
+        config = cfg(method="dp_sgd", c=14.0, eta=1e-2, T=200, x0=np.zeros(100), B=16,
+                     sigma_dp=1.0, seed=3)
+        trace = run_dp_sgd(prob, config)
+        assert trace_digest(trace) == "7bcf5354448a5fd8"
+        assert trace.final_point[0] == -1.4639098632910394
+
+    def test_frozen_golden_logistic_minibatch(self):
+        prob = bundled_logistic()
+        config = cfg(method="clipped_sgd", c=0.05, eta=0.5, T=300, x0=np.zeros(prob.meta.dim),
+                     B=4, seed=11)
+        trace = run_clipped_sgd(prob, config)
+        assert trace_digest(trace) == "2160f6d6f804bb33"
+        assert trace.final_point[0] == 0.0878031887356725
+
+    def test_frozen_golden_logistic_one_sample(self):
+        prob = bundled_logistic()
+        config = cfg(method="sgd", c=math.inf, eta=0.5, T=200, x0=np.zeros(prob.meta.dim),
+                     seed=5)
+        assert trace_digest(run_clipped_sgd(prob, config)) == "d7d8384178f6017f"
+
+    def test_frozen_golden_logistic_clipped_gd(self):
+        prob = bundled_logistic()
+        config = cfg(method="clipped_gd", c=0.01, eta=10.0, T=200,
+                     x0=np.full(prob.meta.dim, 1.0))
+        trace = run_gd(prob, config)
+        assert trace_digest(trace) == "d8168c0818faacde"
+        assert trace.f_vals[-1] == 0.5986146076159443
+
+    def test_frozen_golden_one_dimensional_minibatch(self):
+        prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
+        config = cfg(method="dp_sgd", c=2.0, eta=0.05, T=300, B=8, sigma_dp=0.5, seed=7)
+        assert trace_digest(run_dp_sgd(prob, config)) == "0b61e17f25a46d05"
+
+    @pytest.mark.parametrize("make_problem,method,B,sigma_dp", [
+        (lambda: ChiSquareQuadratic(dim=5, L=0.2), "dp_sgd", 6, 0.7),
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), "clipped_sgd", 5, 0.0),
+        (bundled_logistic, "clipped_sgd", 4, 0.0),
+        (lambda: Quadratic(dim=3), "dp_sgd", 3, 0.2),
+    ], ids=["chi_square", "bernoulli", "logistic", "quadratic"])
+    def test_batched_engine_matches_base_class_oracles(self, make_problem, method, B, sigma_dp):
+        # the shipped vectorized oracles against the base-class defaults,
+        # which stack one-call draws
+        prob = make_problem()
+        x0 = np.full(prob.meta.dim, 0.5)
+        c = 0.05 if isinstance(prob, LogisticRegressionProblem) else 1.5
+        config = cfg(method=method, c=c, eta=0.05, T=150, x0=x0, B=B, sigma_dp=sigma_dp, seed=4)
+        fast, reference = run(prob, config), run(OneCallOnly(prob), config)
+        assert trace_digest(fast) == trace_digest(reference)
 
     def test_seed_changes_trajectory(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
@@ -258,3 +355,40 @@ class TestDivergence:
         assert run(prob, cfg(T=1)).final_point[0] == 0.0
         t = run(prob, cfg(method="dp_sgd", c=1.0, T=1, sigma_dp=0.0))
         assert t.final_point[0] == 0.0
+
+
+class TestValidationAtTheEdge:
+    """A run validates its input once, not once per step."""
+
+    @pytest.mark.parametrize("make_problem,method,B", [
+        (lambda: Quadratic(dim=2), "clipped_gd", 1),
+        (lambda: Quadratic(dim=2), "sgd", 1),
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), "clipped_sgd", 1),
+        (lambda: ChiSquareQuadratic(dim=4), "dp_sgd", 4),
+        (bundled_logistic, "clipped_gd", 1),
+        (bundled_logistic, "clipped_sgd", 3),
+    ], ids=["quadratic_gd", "quadratic_sgd", "bernoulli_sgd", "chi_square_dp", "logistic_gd",
+            "logistic_sgd"])
+    def test_validation_calls_do_not_grow_with_steps(self, monkeypatch, make_problem, method, B):
+        prob = make_problem()
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(core, "_as_vector", counting("_as_vector", core._as_vector))
+        monkeypatch.setattr(Problem, "check_dim", counting("check_dim", Problem.check_dim))
+
+        def calls(T):
+            counts.clear()
+            c = math.inf if method == "sgd" else 0.5
+            run(prob, cfg(method=method, c=c, eta=0.01, T=T, B=B,
+                          x0=np.full(prob.meta.dim, 0.3), seed=1))
+            return dict(counts)
+
+        short, long = calls(3), calls(60)
+        assert short == long
+        assert long.get("check_dim", 0) >= 1

@@ -9,6 +9,7 @@ from clipbench.problems import (
     BernoulliShiftQuadratic,
     ChiSquareQuadratic,
     LogisticRegressionProblem,
+    Problem,
     Quadratic,
 )
 
@@ -228,3 +229,92 @@ def test_bundled_recipe_matches_generator():
     again = synthesize_logistic_dataset(n=40, dim=12, nnz=4, seed=3)
     assert ds == again
     assert ds.n == 40 and ds.dim == 12
+
+
+def bundled_logistic(lam=0.0):
+    from clipbench.data_ingest import bundled_dataset_path
+
+    return LogisticRegressionProblem(parse_libsvm(bundled_dataset_path().read_text()), lam=lam)
+
+
+BATCH_PROBLEMS = ALL_PROBLEMS + [
+    ("bundled_logistic", bundled_logistic),
+    ("bundled_logistic_ridge", lambda: bundled_logistic(lam=0.01)),
+    ("chi_square_d1", lambda: ChiSquareQuadratic(dim=1, L=0.1)),
+]
+
+
+class OneCallOnly(Problem):
+    """A custom problem that defines only value, grad and sample_grad, by
+    delegating to a shipped one; the batch oracles are the base defaults."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.meta = inner.meta
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def grad(self, x):
+        return self.inner.grad(x)
+
+    def sample_grad(self, x, rng):
+        return self.inner.sample_grad(x, rng)
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+class TestBatchOracles:
+    """sample_grads and value_and_grad against the one-call oracles, bit for bit."""
+
+    @pytest.mark.parametrize("name,factory", BATCH_PROBLEMS, ids=[n for n, _ in BATCH_PROBLEMS])
+    @pytest.mark.parametrize("make_rng", [np.random.default_rng, philox], ids=["pcg64", "philox"])
+    def test_sample_grads_equal_successive_draws(self, name, factory, make_rng):
+        prob = factory()
+        point_rng = np.random.default_rng(1)
+        for k in (1, 2, 7, 64):
+            x = point_rng.normal(size=prob.meta.dim)
+            batch = prob.sample_grads(x, make_rng(k), k)
+            rng = make_rng(k)
+            one_at_a_time = np.stack([prob.sample_grad(x, rng) for _ in range(k)])
+            assert batch.shape == (k, prob.meta.dim)
+            assert np.array_equal(batch, one_at_a_time), (name, k)
+
+    @pytest.mark.parametrize("name,factory", BATCH_PROBLEMS, ids=[n for n, _ in BATCH_PROBLEMS])
+    def test_sample_grads_continue_the_stream(self, name, factory):
+        # two chunks draw exactly what one batch of their total size draws
+        prob = factory()
+        x = np.random.default_rng(2).normal(size=prob.meta.dim)
+        rng = np.random.default_rng(3)
+        chunked = np.vstack([prob.sample_grads(x, rng, 5), prob.sample_grads(x, rng, 11)])
+        assert np.array_equal(chunked, prob.sample_grads(x, np.random.default_rng(3), 16))
+
+    @pytest.mark.parametrize("name,factory", BATCH_PROBLEMS, ids=[n for n, _ in BATCH_PROBLEMS])
+    def test_value_and_grad_equals_value_grad(self, name, factory):
+        prob = factory()
+        rng = np.random.default_rng(4)
+        for scale in (0.0, 1e-3, 1.0, 30.0, 1e4):
+            x = rng.normal(size=prob.meta.dim) * scale
+            f, g = prob.value_and_grad(x)
+            assert f == prob.value(x)
+            assert np.array_equal(g, prob.grad(x))
+
+    def test_base_class_defaults(self):
+        inner = ChiSquareQuadratic(dim=4, L=0.3)
+        prob = OneCallOnly(inner)
+        x = np.array([0.5, -1.0, 2.0, 0.0])
+        f, g = prob.value_and_grad(x)
+        assert f == inner.value(x) and np.array_equal(g, inner.grad(x))
+        assert np.array_equal(
+            prob.sample_grads(x, np.random.default_rng(9), 6),
+            inner.sample_grads(x, np.random.default_rng(9), 6),
+        )
+
+    def test_logistic_sample_grads_rows_are_row_gradients(self):
+        prob = small_logistic()
+        x = np.random.default_rng(5).normal(size=prob.meta.dim)
+        rows = {tuple(prob.sample_grad(x, np.random.default_rng(s))) for s in range(200)}
+        for g in prob.sample_grads(x, np.random.default_rng(6), 50):
+            assert tuple(g) in rows

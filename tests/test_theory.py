@@ -1,10 +1,18 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from clipbench.optimizers import RunConfig, run_clipped_sgd, run_gd
-from clipbench.problems import BernoulliShiftQuadratic, ChiSquareQuadratic, Quadratic
+from clipbench.core import clip
+from clipbench.data_ingest import bundled_dataset_path, parse_libsvm
+from clipbench.problems import (
+    BernoulliShiftQuadratic,
+    ChiSquareQuadratic,
+    LogisticRegressionProblem,
+    Quadratic,
+)
 from clipbench.theory import (
     LowerBoundInstance,
     RateParams,
@@ -17,6 +25,7 @@ from clipbench.theory import (
     build_lower_bound_small_c,
     certify_smoothness,
     clip_probability_bound,
+    det_convex_gap_bound,
     dp_noise_calibration,
     exact_fixed_point,
     expected_clipped_grad,
@@ -87,6 +96,15 @@ class TestBoundDetConvex:
     def test_stepsize_gate(self):
         report = bound_det_convex(RateParams(c=1.0, eta=0.6, T=10, R0=1.0, L=1.0, L0=1.0))
         assert not report.stepsize_ok  # above 1/(2 L0)
+
+    def test_per_iterate_bound_is_the_final_bound_at_each_t(self):
+        params = RateParams(c=0.3, eta=0.5, T=40, R0=2.0, L=1.5, L0=1.5)
+        ts = np.arange(1, 41)
+        per_iterate = det_convex_gap_bound(params, ts, L_override=2.5)
+        for t, level in zip(ts, per_iterate):
+            at_t = RateParams(c=0.3, eta=0.5, T=int(t), R0=2.0, L=1.5, L0=1.5)
+            assert level == bound_det_convex(at_t, L_override=2.5).predicted
+        assert det_convex_gap_bound(params, 40) == bound_det_convex(params).predicted
 
     @pytest.mark.parametrize("c", [0.01, 0.1, 1.0])
     def test_true_upper_bound_unit_quadratic(self, c):
@@ -387,6 +405,57 @@ class TestExpectedClippedGrad:
         assert not est.exact
         assert est.value[0] < 1.0 - 5.0 * est.std_error
 
+    # Frozen digests of the Monte Carlo estimate: the first 16 hex digits of
+    # the sha256 of the value and std_error bytes, recorded with the
+    # one-sample-at-a-time loop that preceded the chunked batch path.
+    @staticmethod
+    def digest(est):
+        data = est.value.tobytes() + np.float64(est.std_error).tobytes()
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    def test_frozen_golden_chi_square(self):
+        prob = ChiSquareQuadratic(dim=100, L=0.1)
+        est = expected_clipped_grad(prob, np.full(100, -9.0), 14.0, n_samples=5000, seed=4)
+        assert self.digest(est) == "d2064031c3869379"
+        assert est.std_error == 0.18367133559725088
+
+    def test_frozen_golden_logistic(self):
+        prob = LogisticRegressionProblem(parse_libsvm(bundled_dataset_path().read_text()))
+        est = expected_clipped_grad(prob, np.zeros(prob.meta.dim), 0.05, n_samples=3000, seed=2)
+        assert self.digest(est) == "c6a185edd20b6e8d"
+
+    @pytest.mark.parametrize("make_problem,c,n_samples", [
+        (lambda: ChiSquareQuadratic(dim=1, L=0.1), 1.0, 40_000),
+        (lambda: ChiSquareQuadratic(dim=3, L=0.1), 2.0, 20_000),
+        (lambda: ChiSquareQuadratic(dim=100, L=0.1), 14.0, 700),
+        (lambda: LogisticRegressionProblem(parse_libsvm(bundled_dataset_path().read_text())),
+         0.05, 900),
+        (lambda: Quadratic(dim=2, L=3.0), 1.0, 100),
+    ], ids=["chi_square_d1", "chi_square_d3", "chi_square_d100", "logistic", "quadratic"])
+    def test_chunked_estimate_equals_one_sample_loop(self, make_problem, c, n_samples):
+        # n_samples spans several chunks and ends on a partial one
+        prob = make_problem()
+        x = np.full(prob.meta.dim, 0.25)
+        rng = np.random.default_rng(6)
+        total = np.zeros_like(x)
+        total_sq = 0.0
+        for _ in range(n_samples):
+            s = clip(prob.sample_grad(x, rng), c)
+            total += s
+            total_sq += float(s @ s)
+        mean = total / n_samples
+        std_error = math.sqrt(max(total_sq / n_samples - float(mean @ mean), 0.0) / n_samples)
+        est = expected_clipped_grad(prob, x, c, n_samples=n_samples, seed=6)
+        assert np.array_equal(est.value, mean)
+        assert est.std_error == std_error
+
+    def test_rejects_bad_threshold_and_point(self):
+        prob = ChiSquareQuadratic(dim=2)
+        with pytest.raises(ValueError):
+            expected_clipped_grad(prob, np.zeros(2), 0.0)
+        with pytest.raises(ValueError):
+            expected_clipped_grad(prob, np.array([0.0, math.nan]), 1.0)
+
     def test_monte_carlo_matches_exact_two_outcome(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
         x = np.array([-0.4])
@@ -438,6 +507,24 @@ class TestClipProbabilityBound:
         report = clip_probability_bound(prob, np.zeros(1), c=4.0, n_samples=40_000, seed=4)
         assert report.frequency == pytest.approx(inst.p, abs=5 * report.std_error)
         assert report.ok
+
+    def test_frozen_golden_chi_square(self):
+        # recorded with the one-sample-at-a-time loop
+        prob = ChiSquareQuadratic(dim=100, L=0.1)
+        report = clip_probability_bound(prob, np.full(100, -9.0), c=20.0, n_samples=5000, seed=4)
+        assert report.frequency == 0.022
+        assert report.std_error == 0.0020744155803502826
+
+    def test_chunked_count_equals_one_sample_loop(self):
+        prob = ChiSquareQuadratic(dim=3, L=0.1)
+        x = np.full(3, -9.0)
+        rng = np.random.default_rng(8)
+        hits = 0
+        for _ in range(12_000):
+            s = prob.sample_grad(x, rng)
+            hits += math.sqrt(float(s @ s)) > 4.0
+        report = clip_probability_bound(prob, x, c=4.0, n_samples=12_000, seed=8)
+        assert report.frequency == hits / 12_000
 
     def test_huge_threshold_frequency_zero(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
