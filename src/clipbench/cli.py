@@ -7,9 +7,9 @@ and gradient checks), ``bound`` (compare a trace against a predictor).
 
 Configs are flat ``key = value`` text; list values are comma-separated;
 unknown keys are errors. All outputs are deterministic functions of the
-config bytes (plus --seed-offset), byte-identical across reruns and
-thread counts. Exit codes: 0 ok, 1 config error, 2 data error,
-3 divergence, 4 certification/bound failure.
+config bytes (plus --seed-offset for ``run`` and ``sweep``) and
+byte-identical across reruns. Exit codes: 0 ok, 1 config or usage error,
+2 data error, 3 divergence, 4 certification/bound failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -298,14 +297,15 @@ def sweep_cells(
     eta_grid: Sequence[float],
     seeds: Sequence[int],
     target: float | None = None,
-    threads: int = 1,
 ) -> list[SweepRow]:
     """Run every (c, eta, seed) cell and summarize, in lexicographic order.
 
-    Diverged cells are recorded (diverged=1, stats from the partial trace)
-    and the sweep continues. When a target gradient norm is given, the
-    step size reaching it fastest (mean iterations over seeds, every seed
-    must reach it) is flagged per c; ties go to the smaller eta.
+    Cells run one after another: a thread pool timed no faster, as the
+    per-step work holds the GIL. Diverged cells are recorded (diverged=1,
+    stats from the partial trace) and the sweep continues. When a target
+    gradient norm is given, the step size reaching it fastest (mean
+    iterations over seeds, every seed must reach it) is flagged per c;
+    ties go to the smaller eta.
     """
     cells = sorted((c, eta, seed) for c in c_grid for eta in eta_grid for seed in seeds)
 
@@ -328,11 +328,7 @@ def sweep_cells(
             diverged=diverged,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, cells))
-    else:
-        rows = [one(cell) for cell in cells]
+    rows = [one(cell) for cell in cells]
 
     if target is None:
         return rows
@@ -355,13 +351,13 @@ def sweep_cells(
     ]
 
 
-def cmd_sweep(cfg: dict, out: Path, seed_offset: int = 0, threads: int = 1) -> int:
+def cmd_sweep(cfg: dict, out: Path, seed_offset: int = 0) -> int:
     _require(cfg, "method", "c", "eta", "T", "seeds")
     problem = build_problem(cfg, cfg["_dir"])
     seeds = [s + seed_offset for s in cfg["seeds"]]
     rows = sweep_cells(
         problem, cfg, cfg["c"], cfg["eta"], seeds,
-        target=cfg.get("target_grad_norm"), threads=threads,
+        target=cfg.get("target_grad_norm"),
     )
     with open(out, "w", newline="") as f:
         writer = csv.writer(f)
@@ -478,23 +474,32 @@ def _read_results_csv(path: Path) -> tuple[dict[str, np.ndarray], str]:
     """Load a trace or sweep CSV; returns (columns, kind).
 
     Sweep files reduce to their per-seed min_grad_norm column under the
-    grad_norm key.
+    grad_norm key. A non-numeric cell or a row of the wrong width is a
+    DataError naming the 1-based line.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        if header == TRACE_HEADER:
+        header = next(reader, None)
+        if header not in (TRACE_HEADER, SWEEP_HEADER):
+            raise DataError(f"{path}: unrecognized header {header}")
+        kind = "trace" if header == TRACE_HEADER else "sweep"
+        try:
             rows = [[float(v) for v in row] for row in reader]
-            if not rows:
-                raise DataError(f"{path}: empty trace")
-            arr = np.array(rows)
-            return {name: arr[:, j] for j, name in enumerate(TRACE_HEADER)}, "trace"
-        if header == SWEEP_HEADER:
-            mins = [float(row[5]) for row in reader]
-            if not mins:
-                raise DataError(f"{path}: empty sweep")
-            return {"grad_norm": np.array(mins)}, "sweep"
-        raise DataError(f"{path}: unrecognized header {header}")
+        except ValueError as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: empty {kind}")
+    # np.array raises on ragged rows; a uniform wrong width shows in the shape
+    try:
+        arr = np.array(rows)
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape[1] != len(header):
+        line, row = next((i, r) for i, r in enumerate(rows, start=2) if len(r) != len(header))
+        raise DataError(f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
+    if kind == "sweep":
+        return {"grad_norm": arr[:, SWEEP_HEADER.index("min_grad_norm")]}, kind
+    return {name: arr[:, j] for j, name in enumerate(TRACE_HEADER)}, kind
 
 
 def _rate_params(cfg: dict) -> theory.RateParams:
@@ -615,8 +620,16 @@ def cmd_bound(cfg: dict, out: Path) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError (exit 1) where argparse would
+    exit 2, the code the exit table gives to data errors."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="clipbench",
         description="clipped-gradient experiment runner and theorem checker",
     )
@@ -625,11 +638,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, type=Path)
         sp.add_argument("--out", required=True, type=Path)
-        sp.add_argument("--seed-offset", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
-    args = parser.parse_args(argv)
+        if name in ("run", "sweep"):
+            sp.add_argument("--seed-offset", type=int, default=0,
+                            help="added to every seed in the config")
+            sp.add_argument("--threads", type=int, default=1,
+                            help="accepted and ignored; cells always run serially")
 
     try:
+        args = parser.parse_args(argv)
         try:
             text = args.config.read_text()
         except OSError as exc:
@@ -639,7 +655,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(cfg, args.out, args.seed_offset)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, args.seed_offset, max(1, args.threads))
+            return cmd_sweep(cfg, args.out, args.seed_offset)
         if args.command == "fixedpoint":
             return cmd_fixedpoint(cfg, args.out)
         if args.command == "certify":

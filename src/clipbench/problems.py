@@ -217,6 +217,16 @@ def _sigmoid_given(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
+def _sigmoid_neg(m: float) -> float:
+    """``1 / (1 + exp(m))`` for one margin through libm's ``math.exp``, at its
+    limit (0.0 for m > 0, 1.0 for m < 0) where ``exp(|m|)`` overflows."""
+    try:
+        e = math.exp(abs(m))
+    except OverflowError:
+        return 0.0 if m > 0 else 1.0
+    return 1.0 / (1.0 + e) if m >= 0 else e / (1.0 + e)
+
+
 class LogisticRegressionProblem(Problem):
     """Binary logistic loss over a parsed dataset, optional ridge term.
 
@@ -282,12 +292,7 @@ class LogisticRegressionProblem(Problem):
     def sample_grad(self, x, rng):
         i = int(rng.integers(self.n))
         m = self.y[i] * float(self.A[i] @ x)
-        if m >= 0:
-            s = 1.0 / (1.0 + math.exp(m))
-        else:
-            e = math.exp(-m)
-            s = e / (1.0 + e)
-        return (-self.y[i] * s) * self.A[i] + self.lam * x
+        return (-self.y[i] * _sigmoid_neg(m)) * self.A[i] + self.lam * x
 
     def sample_grads(self, x, rng, k):
         idx = rng.integers(self.n, size=k)
@@ -297,8 +302,12 @@ class LogisticRegressionProblem(Problem):
         m = self.y[idx] * np.vecdot(rows, x)
         # math.exp per draw, as in sample_grad: numpy's vectorized exp may
         # differ from libm's in the last bit
-        e = np.array([math.exp(v) for v in np.abs(m).tolist()])
-        s = np.where(m >= 0, 1.0, e) / (1.0 + e)
+        try:
+            e = np.array([math.exp(v) for v in np.abs(m).tolist()])
+        except OverflowError:
+            s = np.array([_sigmoid_neg(v) for v in m.tolist()])
+        else:
+            s = np.where(m >= 0, 1.0, e) / (1.0 + e)
         return (-self.y[idx] * s)[:, None] * rows + self.lam * x
 
     def _row_variance(self, x: np.ndarray) -> float:

@@ -68,6 +68,69 @@ class TestConfigParsing:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
 
+class TestFlags:
+    """Each subcommand takes only the flags it reads; usage errors exit 1."""
+
+    @pytest.fixture
+    def configs(self, tmp_path):
+        paths = {
+            "run": write(tmp_path, "run.cfg", RUN_CFG),
+            "sweep": write(tmp_path, "sweep.cfg", SWEEP_CFG),
+            "fixedpoint": write(tmp_path, "fp.cfg", "mode = fixedpoint\nsigma = 1\nc = 4\n"),
+            "certify": write(tmp_path, "cert.cfg",
+                             "mode = certify\nproblem = quadratic\ndim = 1\nL = 1\n"
+                             "n_pairs = 5\nfd_points = 1\n"),
+            "bound": write(tmp_path, "bound.cfg",
+                           "mode = bound\ntheorem = dp_sgd\ntrace = trace.csv\n"
+                           "c = 0.25\neta = 1\nT = 2\nF0 = 0.5\nL0 = 1\n"),
+        }
+        assert main(["run", "--config", str(paths["run"]),
+                     "--out", str(tmp_path / "trace.csv")]) == 0
+        return paths
+
+    def invoke(self, configs, command, *flags):
+        out = configs[command].with_suffix(".out")
+        return main([command, "--config", str(configs[command]), "--out", str(out), *flags])
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_run_and_sweep_accept_threads_and_seed_offset(self, configs, command):
+        assert self.invoke(configs, command, "--threads", "1", "--seed-offset", "2") == 0
+
+    @pytest.mark.parametrize("flag", [["--threads", "1"], ["--seed-offset", "1"]],
+                             ids=["threads", "seed_offset"])
+    @pytest.mark.parametrize("command", ["fixedpoint", "certify", "bound"])
+    def test_other_commands_reject_run_flags(self, configs, command, flag, capsys):
+        assert self.invoke(configs, command) == 0
+        capsys.readouterr()
+        assert self.invoke(configs, command, *flag) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "fixedpoint", "certify", "bound"])
+    def test_unknown_flag_is_config_error(self, configs, command):
+        assert self.invoke(configs, command, "--bogus") == 1
+
+    @pytest.mark.parametrize("argv", [[], ["nope"], ["run", "--out", "o.csv"],
+                                      ["run", "--config", "r.cfg", "--out", "o.csv",
+                                       "--seed-offset", "x"]],
+                             ids=["no_command", "unknown_command", "missing_config",
+                                  "bad_int"])
+    def test_usage_errors_exit_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: clipbench")
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "fixedpoint", "certify", "bound"])
+    def test_help_exits_0_and_lists_only_read_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert "--config" in text and "--out" in text
+        reads_seed = command in ("run", "sweep")
+        assert ("--seed-offset" in text) == reads_seed
+        assert ("--threads" in text) == reads_seed
+
+
 class TestCmdRun:
     def test_trace_rows(self, tmp_path):
         cfg = write(tmp_path, "run.cfg", RUN_CFG)
@@ -102,6 +165,15 @@ class TestCmdRun:
     def test_grid_must_be_single_cell(self, tmp_path):
         cfg = write(tmp_path, "run.cfg", RUN_CFG.replace("c = 0.25", "c = 0.25, 0.5"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+
+    def test_logistic_far_start_completes(self, tmp_path):
+        # margins beyond ~709.78 overflowed math.exp in the stochastic oracles
+        cfg = write(tmp_path, "far.cfg", (
+            f"mode = run\nproblem = logistic\ndata = {bundled_dataset_path()}\n"
+            "method = clipped_sgd\nc = 1\neta = 1\nT = 5\nx0 = 5000\nseeds = 0\n"))
+        out = tmp_path / "far.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 7
 
 
 SWEEP_CFG = """\
@@ -334,6 +406,34 @@ class TestCmdBound:
         cfg = write(tmp_path, "b.cfg", (
             "mode = bound\ntheorem = det_convex\ntrace = s.csv\n"
             "c = 0.25\neta = 0.5\nT = 40\nR0 = 1\nL = 1\nL0 = 1\nf_star = 0\n"))
+        assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "b.txt")]) == 2
+
+    @pytest.mark.parametrize("text,line", [
+        ("iter,f_val,grad_norm,applied_norm,clipped_fraction\n0,1.0,0.5,0,0\n1,x,0.5,0,0\n", 3),
+        ("iter,f_val,grad_norm,applied_norm,clipped_fraction\n0,1.0,0.5,0,0\n1,0.9,0.5\n", 3),
+        ("iter,f_val,grad_norm,applied_norm,clipped_fraction\n0,1.0,0.5\n1,0.9,0.5\n", 2),
+        ("iter,f_val,grad_norm,applied_norm,clipped_fraction\n0,1.0,0.5,0,0\n\n", 3),
+        (",".join(cli.SWEEP_HEADER) + "\n4,0.05,1,0.2,0.1,0.3,-1,0,0\n4,0.05,2,0.2\n", 3),
+        (",".join(cli.SWEEP_HEADER) + "\n4,0.05,1,0.2,0.1,abc,-1,0,0\n", 2),
+    ], ids=["trace_non_numeric", "trace_short_row", "trace_all_short", "trace_blank_row",
+            "sweep_short_row", "sweep_non_numeric"])
+    def test_malformed_results_csv_is_data_error(self, tmp_path, capsys, text, line):
+        write(tmp_path, "t.csv", text)
+        cfg = write(tmp_path, "b.cfg", (
+            "mode = bound\ntheorem = stoch_nonconvex\ntrace = t.csv\n"
+            "c = 4\neta = 0.05\nT = 400\nF0 = 0.01\nL0 = 1\nsigma = 1\n"))
+        assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "b.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"t.csv: line {line}: " in err
+
+    @pytest.mark.parametrize("text", ["", "iter,f_val\n0,1\n",
+                                      "iter,f_val,grad_norm,applied_norm,clipped_fraction\n"],
+                             ids=["empty_file", "unknown_header", "no_rows"])
+    def test_headerless_or_empty_results_csv_is_data_error(self, tmp_path, text):
+        write(tmp_path, "t.csv", text)
+        cfg = write(tmp_path, "b.cfg", (
+            "mode = bound\ntheorem = stoch_nonconvex\ntrace = t.csv\n"
+            "c = 4\neta = 0.05\nT = 400\nF0 = 0.01\nL0 = 1\nsigma = 1\n"))
         assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "b.txt")]) == 2
 
     def test_dp_reported_not_asserted(self, tmp_path):

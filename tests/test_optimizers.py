@@ -196,6 +196,18 @@ class TestDeterminism:
         config = cfg(method="dp_sgd", c=2.0, eta=0.05, T=300, B=8, sigma_dp=0.5, seed=7)
         assert trace_digest(run_dp_sgd(prob, config)) == "0b61e17f25a46d05"
 
+    @pytest.mark.parametrize("B", [1, 4])
+    def test_logistic_far_start_stays_finite(self, B):
+        # the start of acceptance criterion 7, where per-row margins pass the
+        # ~709.78 at which math.exp overflows
+        prob = bundled_logistic()
+        direction = prob.A.T @ prob.y
+        x0 = 12_000.0 * direction / np.linalg.norm(direction)
+        config = cfg(method="clipped_sgd", c=1.0, eta=1.0, T=20, x0=x0, B=B, seed=0)
+        trace = run_clipped_sgd(prob, config)
+        assert trace.iters[-1] == 20
+        assert np.all(np.isfinite(trace.f_vals)) and np.all(np.isfinite(trace.applied_norms))
+
     @pytest.mark.parametrize("make_problem,method,B,sigma_dp", [
         (lambda: ChiSquareQuadratic(dim=5, L=0.2), "dp_sgd", 6, 0.7),
         (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), "clipped_sgd", 5, 0.0),

@@ -127,6 +127,32 @@ class TestLogistic:
             s = prob.sample_grad(x, rng)
             assert any(np.allclose(s, g, rtol=0, atol=1e-12) for g in row_grads)
 
+    def test_stochastic_oracles_take_the_sigmoid_limit_beyond_exp_overflow(self):
+        # margins +1e4 (row 0) and -1e4 (row 1): exp(|m|) overflows, the row
+        # gradients are -0 * a_0 and +1 * a_1, whose mean is the exact gradient
+        prob = LogisticRegressionProblem(parse_libsvm("+1 1:1\n-1 1:1\n"))
+        x = np.array([1e4])
+        rng = np.random.default_rng(0)
+        draws = [float(prob.sample_grad(x, rng)[0]) for _ in range(20)]
+        assert set(draws) == {0.0, 1.0}
+        batch = prob.sample_grads(x, np.random.default_rng(0), 20)
+        assert batch[:, 0].tolist() == draws
+        assert prob.grad(x)[0] == 0.5
+
+    def test_sample_grad_is_libm_formula_then_its_limit(self):
+        # the libm formula, written out, up to the edge of math.exp's range
+        # (about 709.78) and the sigmoid's limit beyond it
+        prob = LogisticRegressionProblem(parse_libsvm("+1 1:1\n"))
+        for m in (0.0, -0.0, 1e-9, -3.5, 36.7, -36.7, 709.78, -709.78, 709.79, -709.79):
+            if abs(m) < 709.782:
+                e = math.exp(abs(m))
+                s = 1.0 / (1.0 + e) if m >= 0 else e / (1.0 + e)
+            else:
+                s = 0.0 if m > 0 else 1.0
+            x = np.array([m])
+            assert prob.sample_grad(x, np.random.default_rng(0))[0] == -s
+            assert prob.sample_grads(x, np.random.default_rng(0), 3)[:, 0].tolist() == [-s] * 3
+
     def test_variance_at_is_exhaustive_row_variance(self):
         prob = small_logistic()
         x = np.zeros(prob.meta.dim)
