@@ -489,14 +489,10 @@ def _read_results_csv(path: Path) -> tuple[dict[str, np.ndarray], str]:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty {kind}")
-    # np.array raises on ragged rows; a uniform wrong width shows in the shape
-    try:
-        arr = np.array(rows)
-    except ValueError:
-        arr = None
-    if arr is None or arr.shape[1] != len(header):
-        line, row = next((i, r) for i, r in enumerate(rows, start=2) if len(r) != len(header))
-        raise DataError(f"{path}: line {line}: expected {len(header)} columns, got {len(row)}")
+    bad = next(((i, r) for i, r in enumerate(rows, start=2) if len(r) != len(header)), None)
+    if bad is not None:
+        raise DataError(f"{path}: line {bad[0]}: expected {len(header)} columns, got {len(bad[1])}")
+    arr = np.array(rows)
     if kind == "sweep":
         return {"grad_norm": arr[:, SWEEP_HEADER.index("min_grad_norm")]}, kind
     return {name: arr[:, j] for j, name in enumerate(TRACE_HEADER)}, kind

@@ -300,14 +300,9 @@ class LogisticRegressionProblem(Problem):
         # np.vecdot reproduces each 1-d A[i] @ x; the gathered matrix-vector
         # product A[idx] @ x does not
         m = self.y[idx] * np.vecdot(rows, x)
-        # math.exp per draw, as in sample_grad: numpy's vectorized exp may
-        # differ from libm's in the last bit
-        try:
-            e = np.array([math.exp(v) for v in np.abs(m).tolist()])
-        except OverflowError:
-            s = np.array([_sigmoid_neg(v) for v in m.tolist()])
-        else:
-            s = np.where(m >= 0, 1.0, e) / (1.0 + e)
+        # the scalar sigmoid of sample_grad per draw: numpy's vectorized exp
+        # may differ from libm's in the last bit
+        s = np.array([_sigmoid_neg(v) for v in m.tolist()])
         return (-self.y[idx] * s)[:, None] * rows + self.lam * x
 
     def _row_variance(self, x: np.ndarray) -> float:
