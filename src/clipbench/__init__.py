@@ -20,6 +20,7 @@ from .data_ingest import (
     synthesize_logistic_dataset,
 )
 from .optimizers import (
+    Cells,
     DivergenceError,
     RunConfig,
     Trace,

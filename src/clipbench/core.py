@@ -86,27 +86,34 @@ def clip_vector(u: np.ndarray, c: float) -> tuple[np.ndarray, float, bool]:
     return v, sq, True
 
 
-def clip_rows(U: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def clip_rows(U: np.ndarray, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unchecked row-wise :func:`clip` of a finite ``(k, d)`` float array.
 
-    Returns ``(V, sq, rescaled)``: a new array whose row ``i`` equals
-    ``clip(U[i], c)`` bit for bit, the squared row norms ``V[i] @ V[i]``,
-    and the mask of rows with ``norm(U[i]) > c``. Row dot products use
+    ``c`` is one positive threshold for every row, or a ``(k,)`` array of
+    per-row thresholds (``math.inf`` leaves its row unclipped). Returns
+    ``(V, sq, rescaled)``: a new array whose row ``i`` equals
+    ``clip(U[i], c[i])`` bit for bit, the squared row norms
+    ``V[i] @ V[i]``, and the mask of rows that :func:`clip_vector` would
+    rescale (``norm(U[i]) > c[i]``, or a NaN norm). Row dot products use
     ``np.vecdot``, which reproduces the 1-d ``u @ u`` exactly.
     """
     sq = np.vecdot(U, U)
     norms = np.sqrt(sq)
-    rescaled = norms > c
+    # not (norm <= c), the test clip_vector makes, so a NaN row is rescaled
+    # (to NaN) there and here alike
+    rescaled = ~(norms <= c)
     if not rescaled.any():
         return U.copy(), sq, rescaled
-    # c / max(norm, c) is c / norm on the rescaled rows and exactly 1.0 on
-    # the others, whose bits a multiplication by 1.0 keeps
-    V = U * (c / np.maximum(norms, c))[:, None]
+    # c / norm on the rescaled rows and exactly 1.0 on the others, whose
+    # bits a multiplication by 1.0 keeps
+    V = U * np.divide(c, norms, out=np.ones_like(norms), where=rescaled)[:, None]
     sq = np.vecdot(V, V)
     m = np.sqrt(sq)
     over = m > c
     while over.any():
-        V *= np.where(over, np.minimum(c / np.maximum(m, c), _NUDGE), 1.0)[:, None]
+        scale = np.divide(c, m, out=np.ones_like(m), where=over)
+        np.minimum(scale, _NUDGE, out=scale, where=over)
+        V *= scale[:, None]
         sq = np.vecdot(V, V)
         m = np.sqrt(sq)
         over = m > c
@@ -115,12 +122,13 @@ def clip_rows(U: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def _sum_rows(V: np.ndarray) -> np.ndarray:
     """``((V[0] + V[1]) + V[2]) + ...``: the rows of a ``(k, d)`` array summed
-    in order, bit for bit what ``k`` successive 1-d additions give."""
-    if V.shape[1] == 1:
+    in order, bit for bit what ``k`` successive 1-d additions give. A
+    ``(K, k, d)`` stack gives the ``(K, d)`` sums of its ``K`` blocks."""
+    if V.shape[-1] == 1:
         # a single column reduces pairwise; accumulate keeps the order
-        return np.add.accumulate(V, axis=0)[-1]
+        return np.add.accumulate(V, axis=-2)[..., -1, :]
     # with d > 1 the reduction runs over rows in order, one add per row
-    return V.sum(axis=0)
+    return V.sum(axis=-2)
 
 
 def clip_coefficient(u, c: float) -> float:

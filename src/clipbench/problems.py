@@ -5,13 +5,14 @@ gradient ``grad``, and a one-draw stochastic gradient ``sample_grad``
 that is unbiased for ``grad`` with variance bounded by ``meta.sigma_sq``.
 Problems are immutable; the caller owns all RNG state.
 
-Two batch oracles serve the iteration engine and the Monte Carlo
-estimators: ``value_and_grad`` (both exact quantities at one point) and
-``sample_grads`` (``k`` draws stacked as rows). They skip the dimension
-check that ``value`` and ``grad`` make, because their callers validate
-the point once up front. The base-class defaults are built from
-``value``, ``grad`` and ``sample_grad``, so a custom subclass needs only
-those three; the shipped problems override both batch oracles with
+Three batch oracles serve the iteration engines and the Monte Carlo
+estimators: ``value_and_grad`` (both exact quantities at one point),
+``value_and_grad_rows`` (the same at each row of a ``(K, dim)`` array of
+points) and ``sample_grads`` (``k`` draws stacked as rows). They skip the
+dimension check that ``value`` and ``grad`` make, because their callers
+validate the points once up front. The base-class defaults are built
+from ``value``, ``grad`` and ``sample_grad``, so a custom subclass needs
+only those three; the shipped problems override the batch oracles with
 vectorized versions that reproduce the one-call results bit for bit.
 """
 
@@ -73,6 +74,12 @@ class Problem:
         """``(value(x), grad(x))`` for a point already checked by ``check_dim``."""
         return self.value(x), self.grad(x)
 
+    def value_and_grad_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``value_and_grad`` at each row of a ``(K, dim)`` array of checked
+        points: the ``(K,)`` values and the ``(K, dim)`` gradients."""
+        pairs = [self.value_and_grad(x) for x in X]
+        return np.array([f for f, _ in pairs], dtype=float), np.stack([g for _, g in pairs])
+
     def sample_grads(self, x: np.ndarray, rng: np.random.Generator, k: int) -> np.ndarray:
         """``k`` successive ``sample_grad`` draws as the rows of a ``(k, dim)``
         array, for a point already checked by ``check_dim``."""
@@ -110,6 +117,9 @@ class Quadratic(Problem):
 
     def value_and_grad(self, x):
         return 0.5 * self.L * float(x @ x), self.L * x
+
+    def value_and_grad_rows(self, X):
+        return 0.5 * self.L * np.vecdot(X, X), self.L * X
 
     def sample_grad(self, x, rng):
         return self.L * x
@@ -154,6 +164,13 @@ class BernoulliShiftQuadratic(Problem):
         f = 0.5 * (self.p * (v + self.a) ** 2 + (1.0 - self.p) * v * v)
         return f, x + self.p * self.a
 
+    def value_and_grad_rows(self, X):
+        p, a = self.p, self.a
+        # float ** 2 per point, as value_and_grad: libm's pow, whose last
+        # bit np.square does not always reproduce
+        f = [0.5 * (p * (v + a) ** 2 + (1.0 - p) * v * v) for v in X[:, 0].tolist()]
+        return np.array(f), X + p * a
+
     def sample_grad(self, x, rng):
         if rng.random() < self.p:
             return x + self.a
@@ -193,6 +210,10 @@ class ChiSquareQuadratic(Problem):
     def value_and_grad(self, x):
         return 0.5 * self.L * float(x @ x) + float(x.sum()), self.L * x + 1.0
 
+    def value_and_grad_rows(self, X):
+        # row sums along axis 1 reduce each row as the 1-d sum does
+        return 0.5 * self.L * np.vecdot(X, X) + X.sum(axis=1), self.L * X + 1.0
+
     def sample_grad(self, x, rng):
         z = rng.standard_normal(self.meta.dim)
         return self.L * x + z * z
@@ -213,8 +234,9 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 def _sigmoid_given(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     # branch-free form of the two-sided stable sigmoid, given e = exp(-|t|):
-    # 1 / (1 + e) where t >= 0 and e / (1 + e) elsewhere
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    # 1 / (1 + e) where t >= 0 and e / (1 + e) elsewhere. As 0 <= e <= 1,
+    # max(e, t >= 0) is exactly that numerator, and costs less than np.where
+    return np.maximum(e, t >= 0) / (1.0 + e)
 
 
 def _sigmoid_neg(m: float) -> float:
@@ -225,6 +247,15 @@ def _sigmoid_neg(m: float) -> float:
     except OverflowError:
         return 0.0 if m > 0 else 1.0
     return 1.0 / (1.0 + e) if m >= 0 else e / (1.0 + e)
+
+
+def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``A @ x`` for one point ``X = x``, or for each row ``x`` of ``X``.
+
+    np.matmul runs one gemv per row, which reproduces the 1-d ``A @ x``
+    bit for bit; the matrix product ``X @ A.T`` does not.
+    """
+    return np.matmul(A, X[..., None])[..., 0]
 
 
 class LogisticRegressionProblem(Problem):
@@ -262,24 +293,28 @@ class LogisticRegressionProblem(Problem):
             sigma_sq=self._row_variance(np.zeros(A.shape[1])),
         )
 
-    def _margins(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The private helpers take one point x or a (K, dim) array X of points,
+    # one per row; every operation works row by row, so a row's results
+    # are bit-for-bit those of its point alone.
+
+    def _margins(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The margins ``m = y * (A @ x)`` and ``exp(-|m|)``, which both the
         loss and the gradient are built from."""
-        m = self.y * (self.A @ x)
-        return m, np.exp(-np.abs(m))
+        M = self.y * _matvec(self.A, X)
+        return M, np.exp(-np.abs(M))
 
-    def _value(self, x: np.ndarray, m: np.ndarray, e: np.ndarray) -> float:
+    def _value(self, X: np.ndarray, M: np.ndarray, E: np.ndarray) -> np.ndarray:
         # log(1 + exp(-m)) = max(0, -m) + log1p(exp(-|m|)), stable both tails
-        losses = np.maximum(0.0, -m) + np.log1p(e)
-        return float(losses.mean()) + 0.5 * self.lam * float(x @ x)
+        losses = np.maximum(0.0, -M) + np.log1p(E)
+        return losses.mean(axis=-1) + 0.5 * self.lam * np.vecdot(X, X)
 
-    def _grad(self, x: np.ndarray, m: np.ndarray, e: np.ndarray) -> np.ndarray:
-        s = _sigmoid_given(-m, e)
-        return -(self.A.T @ (self.y * s)) / self.n + self.lam * x
+    def _grad(self, X: np.ndarray, M: np.ndarray, E: np.ndarray) -> np.ndarray:
+        S = _sigmoid_given(-M, E)
+        return -_matvec(self.A.T, self.y * S) / self.n + self.lam * X
 
     def value(self, x):
         x = self.check_dim(x)
-        return self._value(x, *self._margins(x))
+        return float(self._value(x, *self._margins(x)))
 
     def grad(self, x):
         x = self.check_dim(x)
@@ -287,7 +322,11 @@ class LogisticRegressionProblem(Problem):
 
     def value_and_grad(self, x):
         m, e = self._margins(x)
-        return self._value(x, m, e), self._grad(x, m, e)
+        return float(self._value(x, m, e)), self._grad(x, m, e)
+
+    def value_and_grad_rows(self, X):
+        M, E = self._margins(X)
+        return self._value(X, M, E), self._grad(X, M, E)
 
     def sample_grad(self, x, rng):
         i = int(rng.integers(self.n))

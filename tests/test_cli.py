@@ -1,9 +1,11 @@
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from clipbench import cli
 from clipbench.cli import ConfigError, main, parse_config
+from clipbench.optimizers import Cells
 from clipbench.data_ingest import bundled_dataset_path
 
 CONFIG_DIR = Path(cli.__file__).parent / "configs"
@@ -258,6 +260,20 @@ class TestCmdSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(out4), "--threads", "4"]) == 0
         assert out1.read_bytes() == out4.read_bytes()
 
+    def test_one_lockstep_run_call_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        run = cli.run
+
+        def counting(problem, config):
+            calls.append(config)
+            return run(problem, config)
+
+        monkeypatch.setattr(cli, "run", counting)
+        cfg = write(tmp_path, "s.cfg", SWEEP_CFG)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) == 1
+        assert isinstance(calls[0], Cells) and len(calls[0].configs) == 8 and calls[0].T == 40
+
     def test_seed_offset_shifts_stream(self, tmp_path):
         cfg = write(tmp_path, "s.cfg",
                     "mode = sweep\nproblem = bernoulli_shift\na = 4\np = 0.25\n"
@@ -399,6 +415,23 @@ class TestCmdBound:
         assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
         assert "mean_min_grad_norm" in out.read_text()
 
+    def test_stoch_bound_fails_on_nan_statistic(self, tmp_path):
+        # a cell that diverges at t = 0 leaves min_grad_norm = nan; a nan
+        # mean must fail the bound, not pass every comparison
+        sweep_cfg = write(tmp_path, "s.cfg", (
+            "mode = sweep\nproblem = quadratic\ndim = 1\nL = 1.0\nmethod = gd\n"
+            "c = inf\neta = 0.5\nT = 10\nx0 = 1e300\nseeds = 0\n"))
+        sweep_out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(sweep_cfg), "--out", str(sweep_out)]) == 0
+        assert sweep_out.read_text().splitlines()[1].split(",")[5] == "nan"
+        cfg = write(tmp_path, "b.cfg", (
+            "mode = bound\ntheorem = stoch_nonconvex\ntrace = s.csv\n"
+            "c = 4\neta = 0.05\nT = 10\nF0 = 0.01\nL0 = 1\nsigma = 1\n"))
+        out = tmp_path / "b.txt"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 4
+        report = out.read_text()
+        assert "mean_min_grad_norm=nan" in report and "status=fail" in report
+
     def test_sweep_file_rejected_for_per_iteration_theorems(self, tmp_path):
         sweep_cfg = write(tmp_path, "s.cfg", SWEEP_CFG)
         sweep_out = tmp_path / "s.csv"
@@ -455,6 +488,27 @@ class TestShippedConfigs:
 
     def test_bundled_dataset_exists(self):
         assert bundled_dataset_path().exists()
+
+    # sha256 of the `clipbench sweep` output of three shipped configs,
+    # recorded with the one-cell-at-a-time sweep that preceded the lockstep
+    # engine. The logistic digests go through OpenBLAS gemv, whose
+    # summation order depends on the CPU kernel it selects (recorded on
+    # x86-64 with AVX-512, numpy 2.4.6, OpenBLAS 0.3.31); if they fail on
+    # another CPU while tests/test_lockstep.py passes, the platform
+    # changed, not the engine.
+    @pytest.mark.parametrize("name,digest", [
+        ("fig_det_constant_step",
+         "8fa2bfb151c418cbb47fea73e8be3ad3db31c11f4c530cc875cd993918e4585b"),
+        ("fig_stoch_logistic",
+         "0db18bf03f769cb831446640a0e129ae524c48fe8c51e2d03f12530af6b83ad2"),
+        ("fig_stoch_quadratic",
+         "e4584047a9a74e26cb18be514911d3e421add36d02d5675c8476d2953f3f4192"),
+    ])
+    def test_frozen_sweep_output(self, tmp_path, name, digest):
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", "--config", str(CONFIG_DIR / f"{name}.cfg"),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_stoch_quadratic_config_runs(self, tmp_path):
         out = tmp_path / "fig2.csv"

@@ -106,6 +106,37 @@ class TestClipKernels:
                 assert math.sqrt(float(V[i] @ V[i])) <= c
                 assert np.array_equal(V[i], clip(U[i], c))
 
+    def test_clip_rows_per_row_threshold_matches_clip_vector(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            k, d = int(rng.integers(1, 20)), int(rng.integers(1, 12))
+            U = rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+            c = 10.0 ** rng.uniform(-2, 2, size=k)
+            c[rng.random(k) < 0.2] = math.inf
+            V, sq, rescaled = clip_rows(U, c)
+            for i in range(k):
+                v, s, r = clip_vector(U[i], c[i])
+                assert V[i].tobytes() == v.tobytes()
+                assert sq[i] == s and rescaled[i] == r
+                assert math.sqrt(float(V[i] @ V[i])) <= c[i]
+        # the edge rows, each under its own threshold
+        U = np.vstack([np.zeros(4), [1.5, 2.0, 0.0, 0.0], nudged_row(4, 2.5), [3.0, 0, 0, 0]])
+        c = np.array([1.0, 2.5, 2.5, math.inf])
+        V, sq, rescaled = clip_rows(U, c)
+        assert list(rescaled) == [False, False, True, False]
+        for i in range(4):
+            assert V[i].tobytes() == clip_vector(U[i], c[i])[0].tobytes()
+            assert math.sqrt(sq[i]) <= c[i]
+
+    def test_clip_rows_nan_row_rescaled_as_clip_vector(self):
+        # outside the finite-input contract, a NaN row still gets the answer
+        # clip_vector gives: counted as rescaled, clipped to NaN
+        U = np.array([[1.0, math.nan], [3.0, 4.0]])
+        V, _, rescaled = clip_rows(U, np.array([2.0, 10.0]))
+        v, _, r = clip_vector(U[0], 2.0)
+        assert rescaled[0] == r and np.isnan(V[0]).all() and np.isnan(v).all()
+        assert not rescaled[1] and np.array_equal(V[1], U[1])
+
     def test_sum_rows_adds_in_order(self):
         rng = np.random.default_rng(8)
         for d in (1, 2, 5, 100):
@@ -115,6 +146,16 @@ class TestClipKernels:
                 for row in V[1:]:
                     acc = acc + row
                 assert np.array_equal(_sum_rows(V), acc), (d, k)
+
+    def test_sum_rows_of_a_stack_sums_each_block(self):
+        rng = np.random.default_rng(10)
+        for d in (1, 2, 60):
+            for k in (1, 3, 9, 17):
+                V = rng.normal(size=(5, k, d)) * 10.0 ** rng.uniform(-6, 6, size=(5, k, 1))
+                S = _sum_rows(V)
+                assert S.shape == (5, d)
+                for j in range(5):
+                    assert S[j].tobytes() == _sum_rows(V[j]).tobytes(), (d, k, j)
 
     def test_infinite_threshold_is_identity(self):
         U = np.array([[1e6, -2e6], [0.0, 0.0]])

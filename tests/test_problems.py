@@ -327,12 +327,44 @@ class TestBatchOracles:
             assert f == prob.value(x)
             assert np.array_equal(g, prob.grad(x))
 
+    @pytest.mark.parametrize("name,factory", BATCH_PROBLEMS, ids=[n for n, _ in BATCH_PROBLEMS])
+    def test_value_and_grad_rows_equals_value_and_grad_per_row(self, name, factory):
+        prob = factory()
+        rng = np.random.default_rng(7)
+        for K in (1, 2, 5, 33):
+            scales = 10.0 ** rng.uniform(-3, 4, size=(K, 1))
+            X = rng.normal(size=(K, prob.meta.dim)) * scales
+            X[0] = 0.0
+            for rows in (X, X[1::2]):  # and a subset, as after rows drop out
+                if not rows.shape[0]:
+                    continue
+                f, G = prob.value_and_grad_rows(rows)
+                assert f.shape == (rows.shape[0],) and G.shape == rows.shape
+                for i, x in enumerate(rows):
+                    fi, gi = prob.value_and_grad(x)
+                    assert np.float64(f[i]).tobytes() == np.float64(fi).tobytes(), (name, K, i)
+                    assert G[i].tobytes() == gi.tobytes(), (name, K, i)
+
+    def test_bernoulli_rows_keep_libm_pow(self):
+        # float ** 2 and x * x differ in the last bit on some points; the
+        # rows must give value_and_grad's bits on all of them
+        prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
+        X = np.random.default_rng(8).normal(size=(20_000, 1)) * 100.0
+        f, _ = prob.value_and_grad_rows(X)
+        expected = np.array([prob.value_and_grad(x)[0] for x in X])
+        assert f.tobytes() == expected.tobytes()
+
     def test_base_class_defaults(self):
         inner = ChiSquareQuadratic(dim=4, L=0.3)
         prob = OneCallOnly(inner)
         x = np.array([0.5, -1.0, 2.0, 0.0])
         f, g = prob.value_and_grad(x)
         assert f == inner.value(x) and np.array_equal(g, inner.grad(x))
+        X = np.vstack([x, -2.0 * x, np.zeros(4)])
+        f_rows, G_rows = prob.value_and_grad_rows(X)
+        assert f_rows.dtype == float and G_rows.shape == (3, 4)
+        assert np.array_equal(f_rows, [inner.value(r) for r in X])
+        assert np.array_equal(G_rows, [inner.grad(r) for r in X])
         assert np.array_equal(
             prob.sample_grads(x, np.random.default_rng(9), 6),
             inner.sample_grads(x, np.random.default_rng(9), 6),
