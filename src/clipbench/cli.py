@@ -477,19 +477,58 @@ def _read_results_csv(path: Path) -> tuple[dict[str, np.ndarray], str]:
         if header not in (TRACE_HEADER, SWEEP_HEADER):
             raise DataError(f"{path}: unrecognized header {header}")
         kind = "trace" if header == TRACE_HEADER else "sweep"
+        arr = _parse_rows(f, len(header))
+    if arr is None:
+        arr = _checked_rows(path, kind, len(header))
+    if kind == "sweep":
+        return {"grad_norm": arr[:, SWEEP_HEADER.index("min_grad_norm")]}, kind
+    return {name: arr[:, j] for j, name in enumerate(TRACE_HEADER)}, kind
+
+
+def _parse_rows(f, width: int) -> np.ndarray | None:
+    """The rest of an open CSV file as a ``(rows, width)`` float array,
+    parsed by numpy's C parser from the file's lines as they are read.
+
+    Returns None where that parse does not stand for the per-row pass of
+    :func:`_checked_rows`: it raised, the first line is blank (loadtxt
+    warns on empty input), fewer rows came back than lines went in
+    (loadtxt skips blank lines), or the rows have another width. Every
+    number loadtxt accepts, ``float`` reads to the same double.
+    """
+    first = f.readline()
+    if not first.strip():
+        return None
+    n_lines = 1
+
+    def lines():
+        nonlocal n_lines
+        yield first
+        for n_lines, line in enumerate(f, start=2):
+            yield line
+
+    try:
+        arr = np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return arr if arr.shape == (n_lines, width) else None
+
+
+def _checked_rows(path: Path, kind: str, width: int) -> np.ndarray:
+    """The data rows of a result CSV read one cell at a time, raising a
+    DataError that names the first bad line."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
         try:
             rows = [[float(v) for v in row] for row in reader]
         except ValueError as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty {kind}")
-    bad = next(((i, r) for i, r in enumerate(rows, start=2) if len(r) != len(header)), None)
+    bad = next(((i, r) for i, r in enumerate(rows, start=2) if len(r) != width), None)
     if bad is not None:
-        raise DataError(f"{path}: line {bad[0]}: expected {len(header)} columns, got {len(bad[1])}")
-    arr = np.array(rows)
-    if kind == "sweep":
-        return {"grad_norm": arr[:, SWEEP_HEADER.index("min_grad_norm")]}, kind
-    return {name: arr[:, j] for j, name in enumerate(TRACE_HEADER)}, kind
+        raise DataError(f"{path}: line {bad[0]}: expected {width} columns, got {len(bad[1])}")
+    return np.array(rows)
 
 
 def _rate_params(cfg: dict) -> theory.RateParams:

@@ -72,16 +72,17 @@ def clip_vector(u: np.ndarray, c: float) -> tuple[np.ndarray, float, bool]:
     Returns ``(v, v @ v, rescaled)``: the clipped vector (``u`` itself
     when ``norm(u) <= c``), its squared norm, and whether ``norm(u) > c``.
     """
-    sq = float(u @ u)
+    # ndarray.dot gives the bits of the 1-d ``u @ u`` at half its call cost
+    sq = float(u.dot(u))
     norm = math.sqrt(sq)
     if norm <= c:
         return u, sq, False
     v = u * (c / norm)
-    sq = float(v @ v)
+    sq = float(v.dot(v))
     m = math.sqrt(sq)
     while m > c:
         v = v * min(c / m, _NUDGE)
-        sq = float(v @ v)
+        sq = float(v.dot(v))
         m = math.sqrt(sq)
     return v, sq, True
 

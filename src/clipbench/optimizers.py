@@ -7,6 +7,17 @@ privacy noise) is a pure function of (seed, t, sample index) and never
 depends on what other steps drew. Traces record the exact-oracle gradient
 norm at every iterate, which is what the convergence statements bound.
 
+Step ``t``'s stream is numpy's Philox4x64-10 under the key ``seed mod
+2**64`` with its counter reset to ``(0, 0, t, lane)``. Philox is
+counter-based, so the first uniform of every step is one block function
+of the step's counter: once a stream has run 128 steps, a step's first
+scalar ``random()`` skips the reset and is read from a numpy-vectorized
+Philox that computes it for 4096 steps at once. Every other draw first makes the reset (replaying the
+uniform already served, if any) and then runs numpy's own method, so
+normals, integers and array draws are numpy's, bit for bit. The
+generator a step hands to ``sample_grad`` is re-armed at the next step:
+it is valid only until then.
+
 The configuration and the starting point are validated once, before the
 first step; the step loop calls only the problem's unchecked batch
 oracles (``value_and_grad``, ``sample_grads``) and the unchecked clipping
@@ -27,6 +38,7 @@ the reference: for one cell, ``(1, dim)`` arrays cost more than they save.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,31 +206,190 @@ class Trace:
         ]
 
 
+# Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+# 3", SC'11) with the Random123 multipliers and Weyl key increments that
+# numpy's Philox uses
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_MASK64 = (1 << 64) - 1
+# steps per lane whose first uniform one vectorized Philox call computes
+_CHUNK = 4096
+# first draws a generator takes through the counter reset before it builds
+# a chunk: a chunk costs about as much as this many resets, most of it in
+# fixed per-call overhead, so a short run (T = 1, say) never builds one
+_WARMUP = 128
+
+
+def _mulhilo(m: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of the 128-bit products ``m * v`` for a
+    uint64 array ``v``; the high word is built from 32-bit limbs, as uint64
+    arithmetic wraps mod 2**64."""
+    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
+    v_lo = v & 0xFFFFFFFF
+    v_hi = v >> 32
+    low_carry = m_lo * v_lo
+    low_carry >>= 32
+    t = m_hi * v_lo
+    t += low_carry
+    mid = t & 0xFFFFFFFF
+    t >>= 32
+    mid += m_lo * v_hi
+    mid >>= 32
+    hi = m_hi * v_hi
+    hi += t
+    hi += mid
+    return hi, m * v
+
+
+def _philox_uniforms(key: int, start: int, n: int, lane: int) -> list[float]:
+    """``Generator.random()`` right after ``at_step(t, lane)``, for the ``n``
+    steps ``t = start, start + 1, ...``.
+
+    numpy's Philox draws from a reset counter ``(0, 0, t, lane)`` by first
+    incrementing it, so that draw is the first word of the Philox4x64-10
+    block of counter ``(1, 0, t, lane)`` under the key ``(key, 0)``, made a
+    double as ``(word >> 11) * 2**-53``.
+    """
+    c0 = np.ones(n, dtype=np.uint64)
+    c1 = np.zeros(n, dtype=np.uint64)
+    c2 = np.arange(start, start + n, dtype=np.uint64)
+    c3 = np.full(n, lane, dtype=np.uint64)
+    for r in range(10):
+        k0 = (key + r * _PHILOX_W0) & _MASK64
+        k1 = (r * _PHILOX_W1) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        hi1 ^= c1
+        hi1 ^= k0
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    c0 >>= 11
+    return (c0 * 2.0**-53).tolist()
+
+
+# the states of a step generator within its step
+_FRESH, _SERVED, _POSITIONED = 0, 1, 2
+
+
+def _positioned(name: str):
+    draw = getattr(np.random.Generator, name)
+
+    @functools.wraps(draw)
+    def method(self, *args, **kwargs):
+        self._position()
+        return draw(self, *args, **kwargs)
+
+    return method
+
+
+@functools.cache
+def _step_generator() -> type:
+    """The class of the generator ``_StepRng.at_step`` hands out, built on
+    first use: deriving it imports numpy.random (about 6 MB and 14 ms),
+    which deterministic runs never need."""
+
+    class StepGenerator(np.random.Generator):
+        """The generator ``_StepRng.at_step`` re-arms and hands out each step.
+
+        A fresh step's first scalar ``random()`` is served from a cache of
+        vectorized Philox uniforms, one double per step, filled ``_CHUNK``
+        steps at a time per lane once ``_WARMUP`` such draws have missed
+        the cache (before that, they take the reset). Every other draw
+        method, and ``bit_generator``, first positions the bit generator
+        where the per-step counter reset puts it, replaying the served
+        word if there was one, and then runs numpy's own method: from there
+        on the step is plain numpy. Every draw is therefore the one a
+        counter reset followed by numpy's draws gives.
+        """
+
+        __slots__ = ("_bg", "_state", "_counter", "_key", "_chunks", "_uncached",
+                     "_t", "_lane", "_mode")
+
+        def __init__(self, seed: int):
+            self._key = int(seed) % (1 << 64)
+            self._bg = np.random.Philox(key=self._key)
+            super().__init__(self._bg)
+            # the counter reset: the state dict the bit generator is set from
+            # names this counter array, whose last two words _position writes
+            self._counter = np.zeros(4, dtype=np.uint64)
+            self._state = self._bg.state
+            self._state["state"]["counter"] = self._counter
+            self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+            self._chunks: dict[int, tuple[int, list[float]]] = {}
+            self._uncached = 0
+            self._t = self._lane = 0
+            self._mode = _POSITIONED
+
+        def _position(self) -> None:
+            mode = self._mode
+            if mode == _POSITIONED:
+                return
+            self._mode = _POSITIONED
+            counter = self._counter
+            counter[2] = self._t
+            counter[3] = self._lane
+            self._bg.state = self._state
+            if mode == _SERVED:
+                self._bg.random_raw()
+
+        def random(self, *args, **kwargs):
+            if self._mode == _FRESH and not (args or kwargs):
+                t, lane = self._t, self._lane
+                start, values = self._chunks.get(lane, (0, ()))
+                if 0 <= t - start < len(values):
+                    self._mode = _SERVED
+                    return values[t - start]
+                if self._uncached >= _WARMUP:
+                    values = _philox_uniforms(self._key, t, _CHUNK, lane)
+                    self._chunks[lane] = (t, values)
+                    self._mode = _SERVED
+                    return values[0]
+                self._uncached += 1
+            self._position()
+            return np.random.Generator.random(self, *args, **kwargs)
+
+        @property
+        def bit_generator(self) -> np.random.Philox:
+            self._position()
+            return self._bg
+
+    # every other public method draws (or, like spawn, reads the stream),
+    # and __reduce__ serves pickle and copy: each positions first
+    for name in dir(np.random.Generator):
+        if name not in vars(StepGenerator) and (not name.startswith("_") or name == "__reduce__"):
+            setattr(StepGenerator, name, _positioned(name))
+    return StepGenerator
+
+
 class _StepRng:
     """Counter-based per-step random streams from a single Philox key.
 
-    ``at_step(t, lane)`` resets the 256-bit counter to the start of block
-    (t, lane), so every draw is addressed by (seed, t, lane, position)
-    and replays bit-for-bit regardless of consumption elsewhere.
+    ``at_step(t, lane)`` addresses the stream of step ``t`` (lane 0:
+    gradient samples, lane 1: privacy noise): its draws are those of the
+    Philox bit generator with its 256-bit counter reset to
+    ``(0, 0, t, lane)``, so every draw is a pure function of (seed, t,
+    lane, position) and replays bit-for-bit regardless of consumption
+    elsewhere. A step's first scalar ``random()`` skips the reset and is
+    served from vectorized Philox output; any other draw makes the reset
+    first (see ``_step_generator``). ``at_step`` re-arms and returns the
+    same generator every time, so a generator it returned is valid only
+    until the next ``at_step`` call on the same ``_StepRng``.
     """
 
+    __slots__ = ("_gen",)
+
     def __init__(self, seed: int):
-        self._bg = np.random.Philox(key=int(seed) % (1 << 64))
-        self.gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
-        self._counter = np.zeros(4, dtype=np.uint64)
+        self._gen = _step_generator()(seed)
 
     def at_step(self, t: int, lane: int = 0) -> np.random.Generator:
-        state = self._state
-        counter = self._counter
-        counter[2] = t
-        counter[3] = lane
-        state["state"]["counter"] = counter
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bg.state = state
-        return self.gen
+        gen = self._gen
+        gen._t = t
+        gen._lane = lane
+        gen._mode = _FRESH
+        return gen
 
 
 def privacy_noise(dim: int, sigma_dp: float, rng: np.random.Generator) -> np.ndarray:
@@ -261,8 +432,9 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
     sample_grad, sample_grads = problem.sample_grad, problem.sample_grads
     for t in range(T + 1):
         f, g = value_and_grad(x)
-        grad_norm = math.sqrt(float(g @ g))
-        x_norm = math.sqrt(float(x @ x))
+        # ndarray.dot: the bits of the 1-d `@` at half its call cost
+        grad_norm = math.sqrt(g.dot(g))
+        x_norm = math.sqrt(x.dot(x))
         if (
             not math.isfinite(f)
             or not math.isfinite(grad_norm)
@@ -276,7 +448,7 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
 
         if t < T:
             if deterministic:
-                applied, _, rescaled = clip_vector(g, c)
+                applied, applied_sq, rescaled = clip_vector(g, c)
                 frac = 1.0 if rescaled else 0.0
             else:
                 gen = rng.at_step(t)
@@ -284,6 +456,7 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
                     # one sample stays on the 1-d kernel: a (1, dim) batch
                     # costs more in array overhead than it saves
                     applied, sq, rescaled = clip_vector(sample_grad(x, gen), c)
+                    applied_sq = sq
                     frac = 1.0 if rescaled else 0.0
                 else:
                     V, sq_rows, rescaled = clip_rows(sample_grads(x, gen, B), c)
@@ -296,7 +469,11 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
                 if dp:
                     noise_rng = rng.at_step(t, lane=1)
                     applied = applied + privacy_noise(x.size, config.sigma_dp, noise_rng)
-            applied_norm = math.sqrt(float(applied @ applied))
+                if dp or B > 1:
+                    applied_sq = applied.dot(applied)
+            # with nothing added after clipping, clip_vector's squared norm
+            # is this same applied.dot(applied)
+            applied_norm = math.sqrt(applied_sq)
         else:
             applied_norm = 0.0
             frac = 0.0

@@ -159,17 +159,22 @@ class BernoulliShiftQuadratic(Problem):
     def grad(self, x):
         return self.value_and_grad(self.check_dim(x))[1]
 
+    def _value(self, v: float) -> float:
+        # float ** 2 is libm's pow, whose last bit v * v and np.square do not
+        # always reproduce; where it overflows Python raises instead of
+        # giving IEEE's inf, which the divergence guard then stops at
+        try:
+            shifted_sq = (v + self.a) ** 2
+        except OverflowError:
+            shifted_sq = math.inf
+        return 0.5 * (self.p * shifted_sq + (1.0 - self.p) * v * v)
+
     def value_and_grad(self, x):
-        v = float(x[0])
-        f = 0.5 * (self.p * (v + self.a) ** 2 + (1.0 - self.p) * v * v)
-        return f, x + self.p * self.a
+        return self._value(float(x[0])), x + self.p * self.a
 
     def value_and_grad_rows(self, X):
-        p, a = self.p, self.a
-        # float ** 2 per point, as value_and_grad: libm's pow, whose last
-        # bit np.square does not always reproduce
-        f = [0.5 * (p * (v + a) ** 2 + (1.0 - p) * v * v) for v in X[:, 0].tolist()]
-        return np.array(f), X + p * a
+        f = [self._value(v) for v in X[:, 0].tolist()]
+        return np.array(f), X + self.p * self.a
 
     def sample_grad(self, x, rng):
         if rng.random() < self.p:

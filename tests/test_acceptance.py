@@ -13,7 +13,9 @@ import pytest
 from clipbench import cli
 from clipbench.core import clip, clip_coefficient
 from clipbench.data_ingest import bundled_dataset_path, parse_libsvm
-from clipbench.optimizers import RunConfig, privacy_noise, run_clipped_sgd, run_dp_sgd, run_gd
+from clipbench.optimizers import (
+    Cells, RunConfig, privacy_noise, run, run_clipped_sgd, run_dp_sgd, run_gd,
+)
 from clipbench.problems import (
     BernoulliShiftQuadratic,
     ChiSquareQuadratic,
@@ -70,19 +72,36 @@ def test_criterion_02_large_radius_lower_bound_exact():
     report(2, ok, f"{'; '.join(details)} [{elapsed:.2f}s]")
 
 
-def _final_quarter_floors(method, c):
-    inst = build_lower_bound_large_c(1.0, 4.0)
-    prob = inst.problem()
+def _floor_configs(method, c, eta):
+    T = int(10.0 / eta)
+    return [RunConfig(method=method, c=c, eta=eta, T=T, x0=np.zeros(1), seed=seed)
+            for seed in range(20)]
+
+
+def _final_quarter_mean(traces):
+    """Mean over seeds of each trace's mean gradient norm in its final quarter."""
+    return float(np.mean([trace.grad_norms[3 * (trace.config.T + 1) // 4:].mean()
+                          for trace in traces]))
+
+
+def _final_quarter_floors(method, c, etas=(1e-2, 1e-3, 1e-4)):
+    # the 20 seeds of each step size advance in lockstep as one batch
+    prob = build_lower_bound_large_c(1.0, 4.0).problem()
     floors = {}
-    for eta in (1e-2, 1e-3, 1e-4):
-        T = int(10.0 / eta)
-        means = []
-        for seed in range(20):
-            trace = run_clipped_sgd(prob, RunConfig(
-                method=method, c=c, eta=eta, T=T, x0=np.zeros(1), seed=seed))
-            means.append(trace.grad_norms[3 * (T + 1) // 4:].mean())
-        floors[eta] = float(np.mean(means))
+    for eta in etas:
+        results = run(prob, Cells(_floor_configs(method, c, eta)))
+        assert not any(diverged for _, diverged in results)
+        floors[eta] = _final_quarter_mean(trace for trace, _ in results)
     return floors
+
+
+@pytest.mark.parametrize("method,c", [("clipped_sgd", 4.0), ("sgd", math.inf)])
+def test_final_quarter_floors_match_per_seed_runs(method, c):
+    # the batch behind criteria 3 and 4 against one run per seed, bit for bit
+    prob = build_lower_bound_large_c(1.0, 4.0).problem()
+    per_seed = _final_quarter_mean(
+        run_clipped_sgd(prob, config) for config in _floor_configs(method, c, 1e-2))
+    assert _final_quarter_floors(method, c, etas=(1e-2,))[1e-2] == per_seed
 
 
 def test_criterion_03_bias_floor_unavoidable():

@@ -1,6 +1,7 @@
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from clipbench import cli
@@ -164,6 +165,14 @@ class TestCmdRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert len(out.read_text().splitlines()) > 1
 
+    def test_bernoulli_value_overflow_is_divergence(self, tmp_path, capsys):
+        # (x + a) ** 2 overflows a Python float at x0 = 1e200
+        cfg = write(tmp_path, "d.cfg", BERNOULLI_FAR_CFG)
+        out = tmp_path / "d.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "divergence at t=0" in capsys.readouterr().err
+        assert out.read_text().splitlines() == [",".join(cli.TRACE_HEADER)]
+
     def test_grid_must_be_single_cell(self, tmp_path):
         cfg = write(tmp_path, "run.cfg", RUN_CFG.replace("c = 0.25", "c = 0.25, 0.5"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
@@ -176,6 +185,11 @@ class TestCmdRun:
         out = tmp_path / "far.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 7
+
+
+BERNOULLI_FAR_CFG = (
+    "mode = run\nproblem = bernoulli_shift\na = 4\np = 0.25\n"
+    "method = gd\nc = inf\neta = 0.1\nT = 5\nx0 = 1e200\nseeds = 0\n")
 
 
 SWEEP_CFG = """\
@@ -194,6 +208,13 @@ target_grad_norm = 0.3
 
 
 class TestCmdSweep:
+    def test_bernoulli_value_overflow_is_a_diverged_row(self, tmp_path):
+        cfg = write(tmp_path, "s.cfg", BERNOULLI_FAR_CFG.replace("mode = run", "mode = sweep"))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        row = dict(zip(cli.SWEEP_HEADER, out.read_text().splitlines()[1].split(",")))
+        assert row["diverged"] == "1" and row["final_f"] == "nan"
+
     def test_one_cell_consistent_with_run(self, tmp_path):
         sweep_cfg = write(tmp_path, "s.cfg", SWEEP_CFG
                           .replace("c = 0.25, 0.5", "c = 0.25")
@@ -459,9 +480,28 @@ class TestCmdBound:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and f"t.csv: line {line}: " in err
 
+    @pytest.mark.parametrize("body", [
+        "0,1.5,0.5,0,0\r\n1,1e400,-nan,inf,4.9e-324\r\n",  # a trace as written, odd values
+        " 0 ,\t1.5,0.5 ,0,0\n1,2,3,4,5",  # padded cells, \n ends, none on the last row
+        "0,1.5,0.5,0,0\r1,2,3,4,5\r",  # bare \r line ends
+        "0,1_5,0.5,0,0\n",  # an underscore, which float reads and numpy does not
+        '0,"1.5",0.5,0,0\n',  # a quoted cell
+    ], ids=["odd_values", "padded", "cr_line_ends", "underscore", "quoted"])
+    def test_results_csv_columns_are_the_per_row_reading(self, tmp_path, body):
+        # numpy's parser reads the body, or hands it to the per-row pass; the
+        # columns are that pass's, bit for bit
+        path = write(tmp_path, "t.csv", ",".join(cli.TRACE_HEADER) + "\r\n" + body)
+        columns, kind = cli._read_results_csv(path)
+        reference = cli._checked_rows(path, "trace", len(cli.TRACE_HEADER))
+        assert kind == "trace" and list(columns) == cli.TRACE_HEADER
+        assert np.column_stack(list(columns.values())).tobytes() == reference.tobytes()
+
+    # numpy's loadtxt warns on input with no rows; the reader must not
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("text", ["", "iter,f_val\n0,1\n",
-                                      "iter,f_val,grad_norm,applied_norm,clipped_fraction\n"],
-                             ids=["empty_file", "unknown_header", "no_rows"])
+                                      "iter,f_val,grad_norm,applied_norm,clipped_fraction\n",
+                                      "iter,f_val,grad_norm,applied_norm,clipped_fraction\n\n"],
+                             ids=["empty_file", "unknown_header", "no_rows", "blank_row_only"])
     def test_headerless_or_empty_results_csv_is_data_error(self, tmp_path, text):
         write(tmp_path, "t.csv", text)
         cfg = write(tmp_path, "b.cfg", (

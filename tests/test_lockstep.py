@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from clipbench import optimizers
 from clipbench.data_ingest import bundled_dataset_path, parse_libsvm
 from clipbench.optimizers import Cells, DivergenceError, RunConfig, run
 from clipbench.problems import (
@@ -43,12 +44,25 @@ class NoisyQuadratic(Problem):
         return x + rng.standard_normal(x.size)
 
 
+class MixedDraws(NoisyQuadratic):
+    """A custom problem whose draws take every path of the step generator:
+    a first scalar ``random()``, which it may serve from the vectorized
+    Philox, then draws that position numpy's generator behind it."""
+
+    def sample_grad(self, x, rng):
+        u = rng.random()
+        g = x + u * rng.standard_normal(x.size)
+        g[int(rng.integers(x.size))] += rng.random()
+        return g
+
+
 PROBLEMS = {
     "quadratic": lambda: Quadratic(dim=3, L=1.0),
     "bernoulli": lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
     "chi_square": lambda: ChiSquareQuadratic(dim=6, L=0.1),
     "logistic": bundled_logistic,
     "custom": NoisyQuadratic,
+    "mixed_draws": MixedDraws,
 }
 
 # (method, B, sigma_dp)
@@ -110,6 +124,23 @@ class TestLockstepMatchesSingleRuns:
         assert len(results) == len(configs)
         for config, got in zip(configs, results):
             assert_same(got, single(problem, config))
+
+    @pytest.mark.parametrize("method,B,sigma_dp", [
+        ("sgd", 1, 0.0), ("clipped_sgd", 3, 0.0), ("dp_sgd", 1, 0.5),
+    ], ids=["sgd_B1", "clipped_sgd_B3", "dp_sgd_B1"])
+    @pytest.mark.parametrize("name", ["bernoulli", "mixed_draws"])
+    def test_served_first_draws_match_the_reset(self, monkeypatch, name, method, B, sigma_dp):
+        # cells whose every first random() of a step is served from the
+        # vectorized Philox, against single runs that take the counter reset
+        problem = PROBLEMS[name]()
+        configs = grid(problem, method, B, sigma_dp, 300, 1)
+        monkeypatch.setattr(optimizers, "_WARMUP", 10**9)
+        reference = [single(problem, config) for config in configs]
+        monkeypatch.setattr(optimizers, "_WARMUP", 0)
+        for config, want in zip(configs, reference):
+            assert_same(single(problem, config), want)
+        for got, want in zip(run(problem, Cells(configs)), reference):
+            assert_same(got, want)
 
     @pytest.mark.parametrize("method,B", [("gd", 1), ("sgd", 1), ("sgd", 3)])
     @pytest.mark.parametrize("name", list(PROBLEMS))

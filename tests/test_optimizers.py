@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import itertools
 import math
 from collections import Counter
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from clipbench import core
+from clipbench import core, optimizers
 from clipbench.data_ingest import bundled_dataset_path, parse_libsvm
 
 from clipbench.optimizers import (
@@ -18,6 +20,7 @@ from clipbench.optimizers import (
     run_clipped_sgd,
     run_dp_sgd,
     run_gd,
+    _philox_uniforms,
     _StepRng,
 )
 from clipbench.problems import (
@@ -28,6 +31,32 @@ from clipbench.problems import (
     Quadratic,
 )
 from clipbench.theory import build_lower_bound_small_c
+
+
+def reset_generator(seed, t, lane):
+    """A plain numpy generator on the Philox stream of step t: the counter
+    reset to (0, 0, t, lane) under the key seed mod 2**64."""
+    return np.random.Generator(
+        np.random.Philox(counter=[0, 0, t, lane], key=seed % 2**64))
+
+
+# draws a step may make, by name, for the step-stream tests
+STEP_DRAWS = {
+    "random": lambda g: g.random(),
+    "random5": lambda g: g.random(5),
+    "normal": lambda g: g.standard_normal(),
+    "integers": lambda g: g.integers(500),
+    "raw": lambda g: g.bit_generator.random_raw(),
+    "deepcopy": lambda g: copy.deepcopy(g).random(2),
+}
+
+
+@pytest.fixture(params=["served", "reset"])
+def first_draws(request, monkeypatch):
+    """Whether a step's first random() is served from the vectorized Philox
+    from the first step on, or always taken through the counter reset."""
+    monkeypatch.setattr(optimizers, "_WARMUP", 0 if request.param == "served" else 10**9)
+    return request.param
 
 
 def cfg(**kw):
@@ -239,6 +268,65 @@ class TestDeterminism:
         r2.at_step(0).random()
         b = r2.at_step(1).random()
         assert a == b
+
+    def test_vectorized_philox_matches_numpy(self, first_draws):
+        # a step's first random(), served from the vectorized Philox or taken
+        # through the reset, is the draw of numpy's Philox with the counter
+        # reset, for keys past 2**64 (reduced mod 2**64), both lanes and
+        # steps on both sides of a chunk boundary
+        for seed in (0, 3, 12345, 2**63 + 7, 2**64, 2**70 + 5):
+            for lane in (0, 1):
+                steps = _StepRng(seed)
+                for t in (0, 1, 4095, 4096, 4097, 10**5):
+                    want = reset_generator(seed, t, lane).random()
+                    assert steps.at_step(t, lane).random() == want
+                    assert _philox_uniforms(seed % 2**64, t, 3, lane)[0] == want
+
+    @pytest.mark.parametrize("order", list(itertools.product(STEP_DRAWS, repeat=2)) + [
+        ("random",) + rest for rest in itertools.permutations(list(STEP_DRAWS)[1:], 2)
+    ], ids="-".join)
+    def test_step_draws_match_a_counter_reset(self, order, first_draws):
+        # whatever a step draws, in whatever order, is what numpy gives after
+        # the counter reset, on a generator re-armed step after step
+        steps = _StepRng(11)
+        for t, lane in ((5, 0), (5, 1), (6, 0), (4096, 0), (4096, 1)):
+            got = steps.at_step(t, lane)
+            want = reset_generator(11, t, lane)
+            for name in order:
+                a, b = STEP_DRAWS[name](got), STEP_DRAWS[name](want)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, t, lane)
+
+    def test_short_streams_build_no_chunk(self, monkeypatch):
+        # a chunk costs about _WARMUP resets, so the first _WARMUP first
+        # draws take the reset; the next one builds a chunk that serves on
+        built = []
+        philox = optimizers._philox_uniforms
+        monkeypatch.setattr(optimizers, "_philox_uniforms",
+                            lambda *args: built.append(args[1]) or philox(*args))
+        steps = _StepRng(8)
+        for t in range(optimizers._WARMUP):
+            assert steps.at_step(t).random() == reset_generator(8, t, 0).random()
+        assert built == []
+        for t in range(optimizers._WARMUP, optimizers._WARMUP + optimizers._CHUNK + 1):
+            assert steps.at_step(t).random() == reset_generator(8, t, 0).random()
+        assert built == [optimizers._WARMUP, optimizers._WARMUP + optimizers._CHUNK]
+
+    def test_frozen_golden_across_chunks(self):
+        # a Bernoulli run past two chunk boundaries under a key past 2**64,
+        # recorded with the per-step counter reset
+        prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
+        config = cfg(method="clipped_sgd", c=2.0, eta=0.05, T=9000, seed=2**64 + 7)
+        trace = run_clipped_sgd(prob, config)
+        assert trace_digest(trace) == "e9abc876ba6c9eec"
+        assert trace.final_point[0] == -0.4163145385945131
+
+    def test_step_generator_is_a_numpy_generator(self):
+        gen = _StepRng(4).at_step(0)
+        assert isinstance(gen, np.random.Generator)
+        assert isinstance(gen.random(), float)
+        # no public method may reach numpy's generator unpositioned
+        public = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+        assert public <= set(vars(type(gen)))
 
     def test_sigma_zero_matches_gd(self):
         prob = ChiSquareQuadratic(dim=3, L=0.5)  # stochastic problem

@@ -65,6 +65,19 @@ class TestBernoulliShiftQuadratic:
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
         assert prob.variance_at(np.array([2.0])) == pytest.approx(3.0, abs=0)
 
+    def test_value_past_pow_overflow_is_inf(self):
+        # float ** 2 raises OverflowError once |x + a| passes ~1.34e154;
+        # the value is IEEE's inf there, for the divergence guard to stop at
+        prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
+        X = np.array([[1e200], [-1e300], [1e154], [2.0]])
+        f, G = prob.value_and_grad_rows(X)
+        assert f[:2].tolist() == [math.inf, math.inf]
+        assert f[2:].tolist() == [0.5 * (0.25 * (1e154 + 4.0) ** 2 + 0.75 * 1e154 * 1e154),
+                                  prob.value(np.array([2.0]))]
+        for x, fx, gx in zip(X, f, G):
+            assert prob.value(x) == prob.value_and_grad(x)[0] == fx
+            assert np.array_equal(prob.value_and_grad(x)[1], gx)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             BernoulliShiftQuadratic(a=-1.0, p=0.25)
