@@ -103,22 +103,27 @@ def clip_rows(U: np.ndarray, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # not (norm <= c), the test clip_vector makes, so a NaN row is rescaled
     # (to NaN) there and here alike
     rescaled = ~(norms <= c)
-    if not rescaled.any():
+    if not np.count_nonzero(rescaled):
         return U.copy(), sq, rescaled
     # c / norm on the rescaled rows and exactly 1.0 on the others, whose
-    # bits a multiplication by 1.0 keeps
-    V = U * np.divide(c, norms, out=np.ones_like(norms), where=rescaled)[:, None]
+    # bits a multiplication by 1.0 keeps; no other row is divided by its norm
+    V = U * _ratio(c, norms, rescaled)[:, None]
     sq = np.vecdot(V, V)
     m = np.sqrt(sq)
     over = m > c
-    while over.any():
-        scale = np.divide(c, m, out=np.ones_like(m), where=over)
-        np.minimum(scale, _NUDGE, out=scale, where=over)
-        V *= scale[:, None]
+    while np.count_nonzero(over):
+        # min(c / m, _NUDGE) on the overshooting rows, 1.0 on the others
+        V *= np.minimum(_ratio(c, m, over), np.where(over, _NUDGE, 1.0))[:, None]
         sq = np.vecdot(V, V)
         m = np.sqrt(sq)
         over = m > c
     return V, sq, rescaled
+
+
+def _ratio(num, den, mask: np.ndarray) -> np.ndarray:
+    """``num / den`` where ``mask`` holds and exactly 1.0 elsewhere, which
+    no masked ufunc (numpy's slow ``where=`` path) is needed for."""
+    return np.where(mask, num, 1.0) / np.where(mask, den, 1.0)
 
 
 def _sum_rows(V: np.ndarray) -> np.ndarray:

@@ -3,12 +3,21 @@
 Datasets are immutable after construction. Feature indices are 1-based as
 in the file format; dense materialization maps index ``i`` to column
 ``i - 1``.
+
+Malformed input raises :class:`ParseError`, whose message names the
+1-based line: an unmappable label, a feature token that is not
+``idx:val``, an index below 1 or beyond the int64 range, indices that do
+not strictly increase within a row, a non-finite value, or no data rows
+at all (line 0). The ``clipbench`` CLI reports it as a data error and
+exits 2.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -27,8 +36,12 @@ __all__ = [
     "bundled_dataset_path",
 ]
 
-_POSITIVE_LABELS = {"+1", "1"}
-_NEGATIVE_LABELS = {"-1", "0"}
+_LABELS = {"+1": 1, "1": 1, "-1": -1, "0": -1}
+_INDEX_MAX = int(np.iinfo(np.int64).max)
+# A stripped data row of the array parse: a label, then `idx:val` tokens
+# with exactly one colon; int() and float() judge the numbers when the token
+# lists convert to arrays. `\s` is the whitespace str.split splits on.
+_ROW = re.compile(r"(?:[+-]?1|0)(?:\s+[^\s:]+:[^\s:]+)*")
 
 
 class ParseError(ValueError):
@@ -53,6 +66,15 @@ class SparseRow:
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
+
+    @classmethod
+    def _unchecked(cls, indices: np.ndarray, values: np.ndarray) -> SparseRow:
+        """A row of int64 ``indices`` and float64 ``values`` that the caller
+        has checked as ``__post_init__`` would."""
+        row = object.__new__(cls)
+        object.__setattr__(row, "indices", indices)
+        object.__setattr__(row, "values", values)
+        return row
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseRow):
@@ -82,6 +104,16 @@ class Dataset:
         if self.dim < max_idx:
             raise ValueError(f"dim {self.dim} smaller than max feature index {max_idx}")
 
+    @classmethod
+    def _unchecked(cls, rows: tuple[SparseRow, ...], labels: np.ndarray, dim: int) -> Dataset:
+        """A dataset of int64 ``labels`` that the caller has checked as
+        ``__post_init__`` would."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "rows", rows)
+        object.__setattr__(ds, "labels", labels)
+        object.__setattr__(ds, "dim", dim)
+        return ds
+
     @property
     def n(self) -> int:
         return len(self.rows)
@@ -98,17 +130,19 @@ class Dataset:
     def to_dense(self) -> np.ndarray:
         """Materialize the n x dim feature matrix (float64)."""
         A = np.zeros((self.n, self.dim))
-        for i, row in enumerate(self.rows):
-            A[i, row.indices - 1] = row.values
+        sizes = [row.indices.size for row in self.rows]
+        cols = np.concatenate([row.indices for row in self.rows]) - 1
+        A[np.repeat(np.arange(self.n), sizes), cols] = np.concatenate(
+            [row.values for row in self.rows]
+        )
         return A
 
 
 def _parse_label(token: str, lineno: int) -> int:
-    if token in _POSITIVE_LABELS:
-        return 1
-    if token in _NEGATIVE_LABELS:
-        return -1
-    raise ParseError(f"line {lineno}: unmappable label {token!r} (expected +1/1/-1/0)")
+    label = _LABELS.get(token)
+    if label is None:
+        raise ParseError(f"line {lineno}: unmappable label {token!r} (expected +1/1/-1/0)")
+    return label
 
 
 def _parse_feature(token: str, lineno: int) -> tuple[int, float]:
@@ -122,6 +156,8 @@ def _parse_feature(token: str, lineno: int) -> tuple[int, float]:
         raise ParseError(f"line {lineno}: malformed feature token {token!r}") from None
     if idx < 1:
         raise ParseError(f"line {lineno}: feature index must be >= 1, got {idx}")
+    if idx > _INDEX_MAX:
+        raise ParseError(f"line {lineno}: feature index must be < 2**63, got {idx}")
     if not math.isfinite(val):
         raise ParseError(f"line {lineno}: non-finite feature value in {token!r}")
     return idx, val
@@ -131,15 +167,59 @@ def parse_libsvm(source: str | Iterable[str]) -> Dataset:
     """Parse LIBSVM text ("label idx:val idx:val ...", one sample per line).
 
     Labels +1/1 map to +1 and -1/0 map to -1; anything else is an error.
-    Blank lines and lines starting with ``#`` are skipped. Errors report
-    the offending 1-based line number.
+    Blank lines and lines starting with ``#`` are skipped. Errors raise
+    :class:`ParseError` naming the offending 1-based line.
     """
-    if isinstance(source, str):
-        source = source.splitlines()
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    ds = _parse_rows(lines)
+    return ds if ds is not None else _parse_checked(lines)
+
+
+def _parse_rows(lines: list[str]) -> Dataset | None:
+    """The data rows of ``lines`` as a Dataset, split by C string methods
+    and converted and checked as whole arrays.
+
+    Returns None where a row does not match ``_ROW``, a token does not
+    convert, or a check fails; :func:`_parse_checked` then names the bad
+    line. The arrays convert each token with ``int()``/``float()``, so odd
+    but valid tokens (``+3``, ``1_0``, Unicode digits) read as they do there.
+    """
+    data = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+    if not data or not all(map(_ROW.fullmatch, data)):
+        return None
+    heads = [s.split(None, 1) for s in data]  # [label] or [label, features]
+    tokens = " ".join([h[1] for h in heads if len(h) > 1]).replace(":", " ").split()
+    try:
+        indices = np.array(tokens[0::2], dtype=np.int64)
+        values = np.array(tokens[1::2], dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    indptr = np.zeros(len(data) + 1, dtype=np.int64)
+    np.cumsum(list(map(str.count, data, repeat(":"))), out=indptr[1:])
+    # a step from one row's last index to the next row's first is no step
+    row_start = np.zeros(indices.size, dtype=bool)
+    row_start[indptr[:-1][np.diff(indptr) > 0]] = True
+    if not (
+        (indices >= 1).all()
+        and (row_start[1:] | (np.diff(indices) > 0)).all()
+        and np.isfinite(values).all()
+    ):
+        return None
+    bounds = indptr.tolist()
+    rows = tuple(
+        SparseRow._unchecked(indices[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])
+    )
+    labels = np.array([_LABELS[h[0]] for h in heads], dtype=np.int64)
+    return Dataset._unchecked(rows, labels, int(indices.max()) if indices.size else 0)
+
+
+def _parse_checked(lines: list[str]) -> Dataset:
+    """:func:`parse_libsvm` one token at a time, raising the ParseError
+    that names the first bad line."""
     rows: list[SparseRow] = []
     labels: list[int] = []
     dim = 0
-    for lineno, line in enumerate(source, start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

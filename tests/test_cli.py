@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,16 @@ class TestConfigParsing:
                     "mode = run\nproblem = logistic\ndata = bad.libsvm\n"
                     "method = gd\nc = inf\neta = 1\nT = 1\nseeds = 0\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_index_beyond_int64_is_data_error(self, tmp_path, command, capsys):
+        write(tmp_path, "huge.libsvm", "-1 2:1\n+1 1:0.5 99999999999999999999999:1.0\n")
+        cfg = write(tmp_path, "l.cfg",
+                    f"mode = {command}\nproblem = logistic\ndata = huge.libsvm\n"
+                    "method = gd\nc = inf\neta = 1\nT = 1\nseeds = 0\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "line 2: feature index must be < 2**63" in err
 
 
 class TestFlags:
@@ -205,6 +216,43 @@ x0 = 1
 seeds = 1, 2
 target_grad_norm = 0.3
 """
+
+
+QUADRATIC_FAR_CFG = (
+    "mode = run\nproblem = quadratic\ndim = 3\n"
+    "method = gd\nc = inf\neta = 0.1\nT = 5\nx0 = 1e200\nseeds = 0\n")
+
+
+class TestOverflowIsQuiet:
+    """An iterate that overflows is reported by the divergence guard alone,
+    with no numpy RuntimeWarning above it."""
+
+    @pytest.mark.parametrize("text", [BERNOULLI_FAR_CFG, QUADRATIC_FAR_CFG],
+                             ids=["bernoulli_shift", "quadratic"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_no_runtime_warning(self, tmp_path, capsys, text, command):
+        cfg = write(tmp_path, "far.cfg", text.replace("mode = run", f"mode = {command}"))
+        out = tmp_path / "far.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        lines = out.read_text().splitlines()
+        if command == "run":
+            assert code == 3 and "divergence at t=0" in err
+            assert lines == [",".join(cli.TRACE_HEADER)]
+        else:
+            assert code == 0 and err == ""
+            row = dict(zip(cli.SWEEP_HEADER, lines[1].split(",")))
+            assert row["diverged"] == "1" and row["final_f"] == "nan"
+
+    def test_warning_state_restored_after_a_run(self, tmp_path):
+        cfg = write(tmp_path, "far.cfg", QUADRATIC_FAR_CFG)
+        before = np.geterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "far.csv")]) == 3
+        assert np.geterr() == before
 
 
 class TestCmdSweep:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,56 @@ class TestClipKernels:
         v, _, r = clip_vector(U[0], 2.0)
         assert rescaled[0] == r and np.isnan(V[0]).all() and np.isnan(v).all()
         assert not rescaled[1] and np.array_equal(V[1], U[1])
+
+    @staticmethod
+    def masked_clip_rows(U, c):
+        """clip_rows written with numpy's masked ufuncs (``where=``)."""
+        sq = np.vecdot(U, U)
+        norms = np.sqrt(sq)
+        rescaled = ~(norms <= c)
+        if not rescaled.any():
+            return U.copy(), sq, rescaled
+        V = U * np.divide(c, norms, out=np.ones_like(norms), where=rescaled)[:, None]
+        sq = np.vecdot(V, V)
+        m = np.sqrt(sq)
+        over = m > c
+        while over.any():
+            scale = np.divide(c, m, out=np.ones_like(m), where=over)
+            np.minimum(scale, 1.0 - 2e-16, out=scale, where=over)
+            V *= scale[:, None]
+            sq = np.vecdot(V, V)
+            m = np.sqrt(sq)
+            over = m > c
+        return V, sq, rescaled
+
+    def test_clip_rows_bit_equal_to_masked_ufuncs(self):
+        rng = np.random.default_rng(12)
+        cases = []
+        for _ in range(300):
+            k, d = int(rng.integers(1, 40)), int(rng.integers(1, 120))
+            U = rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+            c = 10.0 ** rng.uniform(-2, 2, size=k)
+            c[rng.random(k) < 0.2] = math.inf
+            cases += [(U, c), (U, float(c[0]) if math.isfinite(c[0]) else 1.0)]
+        edge = np.vstack([
+            np.zeros(4),                          # zero row: never divided
+            [1.5, 2.0, 0.0, 0.0],                 # norm == c
+            nudged_row(4, 2.5),                   # the nudge loop
+            [math.nan, 1.0, 0.0, 0.0],            # NaN norm: rescaled to NaN
+            [math.inf, 0.0, 0.0, 0.0],            # inf norm under an inf threshold
+            [30.0, 40.0, 0.0, 0.0],
+        ])
+        cases += [(edge, np.array([2.5, 2.5, 2.5, 2.5, math.inf, 2.5])),
+                  (edge[[0, 1, 2, 3, 5]], 2.5), (edge[:2], 2.5), (edge[[0, 4]], math.inf)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for U, c in cases:
+                got, expected = clip_rows(U, c), self.masked_clip_rows(U, c)
+                for a, b in zip(got, expected):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        V, sq, rescaled = clip_rows(edge, np.array([2.5, 2.5, 2.5, 2.5, math.inf, 2.5]))
+        assert list(rescaled) == [False, False, True, True, False, True]
+        assert np.isnan(V[3]).all() and V[4].tobytes() == edge[4].tobytes()
 
     def test_sum_rows_adds_in_order(self):
         rng = np.random.default_rng(8)
