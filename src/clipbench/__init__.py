@@ -1,6 +1,6 @@
 """Gradient-clipping optimizers and their executable convergence theory."""
 
-from .core import ClipParams, clip, clip_coefficient, clipped_step
+from .core import clip, clip_coefficient
 from .problems import (
     BernoulliShiftQuadratic,
     ChiSquareQuadratic,
@@ -24,11 +24,8 @@ from .optimizers import (
     DivergenceError,
     RunConfig,
     Trace,
-    TraceRecord,
     run,
-    run_clipped_sgd,
     run_dp_sgd,
-    run_gd,
 )
 from .theory import (
     BoundReport,

@@ -237,7 +237,7 @@ def _run_config(cfg: dict, problem: Problem, c: float, eta: float, seed: int) ->
 
 def _write_trace_csv(trace: Trace, out: Path) -> None:
     # the bytes csv.writer gives for these cells (no cell needs quoting),
-    # written from the arrays' .tolist() without a TraceRecord per row
+    # written from the arrays' .tolist()
     columns = (trace.iters, trace.f_vals, trace.grad_norms,
                trace.applied_norms, trace.clipped_fracs)
     rows = zip(*(a.tolist() for a in columns))
@@ -559,7 +559,7 @@ def cmd_bound(cfg: dict, out: Path) -> int:
         raise DataError(f"theorem {theorem!r} needs per-iteration data; got a sweep file")
     params = _rate_params(cfg)
     if cfg.get("use_trajectory_L", False):
-        L_eff = params.L0 + params.L1 * float(data["grad_norm"].max())
+        L_eff = theory.max_local_smoothness(data["grad_norm"], params.L0, params.L1)
     else:
         L_eff = None
 

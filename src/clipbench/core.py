@@ -1,4 +1,4 @@
-"""Euclidean-norm gradient clipping and the single clipped descent step.
+"""Euclidean-norm gradient clipping.
 
 Everything here is a pure function of its inputs; the clipping threshold
 ``c`` caps the Euclidean norm of the applied gradient and never changes
@@ -15,36 +15,18 @@ share the same arithmetic, so a row of ``clip_rows`` is bit-for-bit the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ClipParams", "clip", "clip_coefficient", "clip_rows", "clip_vector", "clipped_step"]
+__all__ = ["clip", "clip_coefficient", "clip_rows", "clip_vector"]
 
 
-@dataclass(frozen=True)
-class ClipParams:
-    """Clipping threshold and step size shared by one update rule.
-
-    ``c`` may be ``math.inf``, which disables clipping.
-    """
-
-    c: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError(f"clipping threshold must be positive, got {self.c!r}")
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValueError(f"step size must be positive and finite, got {self.eta!r}")
-
-
-def _as_vector(u, name: str = "u") -> np.ndarray:
+def _as_vector(u) -> np.ndarray:
     arr = np.asarray(u, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d vector, got shape {arr.shape}")
+        raise ValueError(f"u must be a non-empty 1-d vector, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has non-finite coordinates")
+        raise ValueError("u has non-finite coordinates")
     return arr
 
 
@@ -133,8 +115,10 @@ def _sum_rows(V: np.ndarray) -> np.ndarray:
     if V.shape[-1] == 1:
         # a single column reduces pairwise; accumulate keeps the order
         return np.add.accumulate(V, axis=-2)[..., -1, :]
-    # with d > 1 the reduction runs over rows in order, one add per row
-    return V.sum(axis=-2)
+    # with d > 1 the reduction runs over rows in order, one add per row. It
+    # starts from -0.0, the exact identity of IEEE addition: from numpy's
+    # default 0.0, a column of -0.0 would sum to +0.0
+    return V.sum(axis=-2, initial=-0.0)
 
 
 def clip_coefficient(u, c: float) -> float:
@@ -149,14 +133,3 @@ def clip_coefficient(u, c: float) -> float:
     if norm <= c:
         return 1.0
     return c / norm
-
-
-def clipped_step(x, g_raw, params: ClipParams) -> np.ndarray:
-    """One descent update ``x - eta * clip(g_raw, c)``."""
-    x = _as_vector(x, "x")
-    g_raw = _as_vector(g_raw, "g_raw")
-    if x.shape != g_raw.shape:
-        raise ValueError(
-            f"dimension mismatch: x has dim {x.size}, gradient has dim {g_raw.size}"
-        )
-    return x - params.eta * clip_vector(g_raw, params.c)[0]

@@ -1,4 +1,8 @@
-"""The four iteration schemes: GD, clipped GD, (clipped) SGD, and DP-SGD.
+"""The iteration schemes: GD, clipped GD, (clipped) SGD, and DP-SGD.
+
+Every scheme is the update ``x - eta * (clip_c(g) + noise)`` under a
+different gradient oracle, and :func:`run` is the one entry point for all
+of them: it takes a :class:`RunConfig`, or a :class:`Cells` batch of them.
 
 A run is a deterministic function of (problem, config): stochastic draws
 come from one Philox stream whose 256-bit counter is reset per step, so
@@ -12,11 +16,11 @@ Step ``t``'s stream is numpy's Philox4x64-10 under the key ``seed mod
 counter-based, so the first uniform of every step is one block function
 of the step's counter: once a stream has run 128 steps, a step's first
 scalar ``random()`` skips the reset and is read from a numpy-vectorized
-Philox that computes it for 4096 steps at once. Every other draw first makes the reset (replaying the
-uniform already served, if any) and then runs numpy's own method, so
-normals, integers and array draws are numpy's, bit for bit. The
-generator a step hands to ``sample_grad`` is re-armed at the next step:
-it is valid only until then.
+Philox that computes it for 4096 steps at once. Every other draw first
+makes the reset (replaying the uniform already served, if any) and then
+runs numpy's own method, so normals, integers and array draws are
+numpy's, bit for bit. The generator a step hands to ``sample_grad`` is
+re-armed at the next step: it is valid only until then.
 
 The configuration and the starting point are validated once, before the
 first step; the step loop calls only the problem's unchecked batch
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +58,9 @@ __all__ = [
     "DivergenceError",
     "RunConfig",
     "Cells",
-    "TraceRecord",
     "Trace",
     "privacy_noise",
     "run",
-    "run_gd",
-    "run_clipped_sgd",
     "run_dp_sgd",
 ]
 
@@ -91,6 +93,8 @@ class RunConfig:
     ``c`` must be ``math.inf`` exactly for the unclipped methods and a
     finite positive threshold for the clipped/DP ones. ``thin`` > 1
     records every thin-th iterate (the final one is always kept).
+    ``T``, ``B``, ``seed`` and ``thin`` are integers (Python or numpy),
+    stored as Python ints.
     """
 
     method: str
@@ -106,6 +110,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        for name in ("T", "B", "seed", "thin"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.method in _UNCLIPPED:
             if not math.isinf(self.c):
                 raise ValueError(f"{self.method} requires c = inf, got {self.c!r}")
@@ -171,22 +181,15 @@ class Cells:
         return self._configs[0].T
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One recorded iterate: objective, exact gradient norm, the norm of
-    the update actually applied at this step, and the fraction of
-    per-sample gradients that were clipped (0 after the final iterate)."""
-
-    t: int
-    f_val: float
-    grad_norm: float
-    applied_norm: float
-    clipped_fraction: float
-
-
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Per-iteration record of one run, stored as parallel arrays."""
+    """Per-iteration record of one run, stored as parallel arrays.
+
+    Row ``k`` holds recorded iterate ``iters[k]``: the objective, the exact
+    gradient norm, the norm of the update applied at that step and the
+    fraction of per-sample gradients that were clipped (both 0 at the
+    final iterate, where no update follows).
+    """
 
     config: RunConfig
     iters: np.ndarray
@@ -200,16 +203,6 @@ class Trace:
     @property
     def min_grad_norm(self) -> float:
         return float(self.grad_norms.min())
-
-    @property
-    def records(self) -> list[TraceRecord]:
-        return [
-            TraceRecord(int(t), float(f), float(g), float(a), float(cf))
-            for t, f, g, a, cf in zip(
-                self.iters, self.f_vals, self.grad_norms,
-                self.applied_norms, self.clipped_fracs,
-            )
-        ]
 
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
@@ -403,7 +396,18 @@ def privacy_noise(dim: int, sigma_dp: float, rng: np.random.Generator) -> np.nda
     return rng.standard_normal(dim) * (sigma_dp / math.sqrt(dim))
 
 
+def _recorded_iters(T: int, thin: int) -> list[int]:
+    """The iterations a run of ``T`` steps records, in order: every
+    ``thin``-th one, and always the last."""
+    iters = list(range(0, T + 1, thin))
+    if T % thin:
+        iters.append(T)
+    return iters
+
+
 def _partial_trace(config, ts, fs, gs, aps, cfs, k, x, max_sample) -> Trace:
+    """The trace of the first ``k`` records: a finished run's, or the one a
+    ``DivergenceError`` carries."""
     return Trace(
         config=config,
         iters=ts[:k].copy(),
@@ -426,12 +430,9 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
     dp = method == "dp_sgd"
     rng = None if deterministic else _StepRng(config.seed)
 
-    n_rec = len(range(0, T + 1, config.thin)) + (1 if T % config.thin else 0)
-    ts = np.empty(n_rec, dtype=np.int64)
-    fs = np.empty(n_rec)
-    gs = np.empty(n_rec)
-    aps = np.empty(n_rec)
-    cfs = np.empty(n_rec)
+    recorded = _recorded_iters(T, config.thin)
+    ts = np.array(recorded, dtype=np.int64)
+    fs, gs, aps, cfs = (np.empty(ts.size) for _ in range(4))
     k = 0
     max_sample = 0.0
 
@@ -485,8 +486,7 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
             applied_norm = 0.0
             frac = 0.0
 
-        if t % config.thin == 0 or t == T:
-            ts[k] = t
+        if t == recorded[k]:
             fs[k] = f
             gs[k] = grad_norm
             aps[k] = applied_norm
@@ -496,11 +496,7 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
         if t < T:
             x = x - eta * applied
 
-    return Trace(
-        config=config,
-        iters=ts, f_vals=fs, grad_norms=gs, applied_norms=aps, clipped_fracs=cfs,
-        final_point=x, max_per_sample_norm=max_sample,
-    )
+    return _partial_trace(config, ts, fs, gs, aps, cfs, k, x, max_sample)
 
 
 @_quiet_overflow
@@ -519,18 +515,19 @@ def _run_cells(problem: Problem, cells: Cells) -> list[tuple[Trace, bool]]:
     first = configs[0]
     X = np.stack([config.x0 for config in configs])
     problem.check_dim(X[0])
-    method, T, B, thin = first.method, first.T, first.B, first.thin
+    method, T, B = first.method, first.T, first.B
     deterministic = method in _DETERMINISTIC
     dp = method == "dp_sgd"
     dim = X.shape[1]
     c = np.array([config.c for config in configs])
+    c_rows = np.repeat(c, B)  # the threshold of each of the K * B samples
     eta = np.array([config.eta for config in configs])[:, None]
     rngs = None if deterministic else [_StepRng(config.seed) for config in configs]
 
-    n_rec = len(range(0, T + 1, thin)) + (1 if T % thin else 0)
+    recorded = _recorded_iters(T, first.thin)
+    ts = np.array(recorded, dtype=np.int64)
     K = len(configs)
-    ts = np.empty(n_rec, dtype=np.int64)
-    fs, gs, aps, cfs = (np.empty((n_rec, K)) for _ in range(4))
+    fs, gs, aps, cfs = (np.empty((ts.size, K)) for _ in range(4))
     max_sample = np.zeros(K)
     active = np.arange(K)
     results: list = [None] * K
@@ -550,17 +547,16 @@ def _run_cells(problem: Problem, cells: Cells) -> list[tuple[Trace, bool]]:
         f, G = value_and_grad_rows(X)
         grad_norm = np.sqrt(np.vecdot(G, G))
         x_norm = np.sqrt(np.vecdot(X, X))
-        bad = (
-            ~np.isfinite(f)
-            | ~np.isfinite(grad_norm)
-            | (np.abs(f) > DIVERGENCE_LIMIT)
-            | (x_norm > DIVERGENCE_LIMIT)
-        )
-        if bad.any():
-            finish(np.flatnonzero(bad), diverged=True)
-            keep = ~bad
+        # the single run's guard, row by row: a NaN f fails |f| <= limit,
+        # and a NaN or infinite gradient norm fails < inf
+        keep = np.abs(f) <= DIVERGENCE_LIMIT
+        keep &= grad_norm < math.inf
+        keep &= ~(x_norm > DIVERGENCE_LIMIT)
+        if not keep.all():
+            finish(np.flatnonzero(~keep), diverged=True)
             active, X, G, f, grad_norm = active[keep], X[keep], G[keep], f[keep], grad_norm[keep]
             c, eta = c[keep], eta[keep]
+            c_rows = np.repeat(c, B)
             if not active.size:
                 break
 
@@ -571,32 +567,30 @@ def _run_cells(problem: Problem, cells: Cells) -> list[tuple[Trace, bool]]:
             else:
                 gens = [rngs[i].at_step(t) for i in active]
                 if B == 1:
+                    # sample_grad, as the single run draws one sample: a
+                    # Bernoulli sample keeps its served uniform
                     U = np.stack([sample_grad(x, gen) for x, gen in zip(X, gens)])
-                    applied, sq, rescaled = clip_rows(U, c)
-                    applied_sq = sq
-                    frac = rescaled.astype(float)
                 else:
                     U = np.concatenate([sample_grads(x, gen, B) for x, gen in zip(X, gens)])
-                    V, sq, rescaled = clip_rows(U, np.repeat(c, B))
-                    frac = np.count_nonzero(rescaled.reshape(-1, B), axis=1) / B
-                    sq = sq.reshape(-1, B).max(axis=1)
-                    applied = _sum_rows(V.reshape(-1, B, dim)) / B
+                V, sq, rescaled = clip_rows(U, c_rows)
+                frac = rescaled.reshape(-1, B).sum(axis=1) / B
+                # the in-order sum of one row is that row, bit for bit
+                applied = _sum_rows(V.reshape(-1, B, dim)) / B
                 # fmax keeps the running maximum where a norm is NaN, as the
                 # single run's `>` test does
-                max_sample[active] = np.fmax(max_sample[active], np.sqrt(sq))
+                max_sample[active] = np.fmax(max_sample[active],
+                                             np.sqrt(sq.reshape(-1, B).max(axis=1)))
                 if dp:
                     noise = [privacy_noise(dim, first.sigma_dp, rngs[i].at_step(t, lane=1))
                              for i in active]
                     applied = applied + np.stack(noise)
-                if dp or B > 1:
-                    applied_sq = np.vecdot(applied, applied)
+                applied_sq = np.vecdot(applied, applied)
             applied_norm = np.sqrt(applied_sq)
         else:
             applied_norm = 0.0
             frac = 0.0
 
-        if t % thin == 0 or t == T:
-            ts[k] = t
+        if t == recorded[k]:
             fs[k, active] = f
             gs[k, active] = grad_norm
             aps[k, active] = applied_norm
@@ -611,31 +605,28 @@ def _run_cells(problem: Problem, cells: Cells) -> list[tuple[Trace, bool]]:
     return results
 
 
-def run_gd(problem: Problem, config: RunConfig) -> Trace:
-    """Deterministic (clipped) gradient descent on the exact gradient."""
-    if config.method not in _DETERMINISTIC:
-        raise ValueError(f"run_gd handles gd/clipped_gd, got {config.method!r}")
-    return _run(problem, config)
-
-
-def run_clipped_sgd(problem: Problem, config: RunConfig) -> Trace:
-    """(Clipped) SGD: each of the B per-sample gradients is clipped before
-    averaging, matching the per-sample sensitivity discipline of DP-SGD."""
-    if config.method not in ("sgd", "clipped_sgd"):
-        raise ValueError(f"run_clipped_sgd handles sgd/clipped_sgd, got {config.method!r}")
-    return _run(problem, config)
-
-
 def run_dp_sgd(problem: Problem, config: RunConfig) -> Trace:
-    """Minibatch SGD with per-sample clipping plus spherical Gaussian noise
-    of total variance sigma_dp^2 added to the averaged update."""
+    """:func:`run` for a ``dp_sgd`` configuration, which it checks: minibatch
+    SGD with per-sample clipping plus spherical Gaussian noise of total
+    variance sigma_dp^2 added to the averaged update.
+
+    Kept for the benchmark's chi-square workload (``bench/workloads.py``),
+    which calls it; it goes when that benchmark next changes.
+    """
     if config.method != "dp_sgd":
         raise ValueError(f"run_dp_sgd handles dp_sgd, got {config.method!r}")
     return _run(problem, config)
 
 
 def run(problem: Problem, config: RunConfig | Cells) -> Trace | list[tuple[Trace, bool]]:
-    """Dispatch on config.method.
+    """Run ``config.method`` from ``config.x0`` and return its trace.
+
+    The deterministic methods step along the exact gradient. The stochastic
+    ones clip each of the ``B`` per-sample gradients before averaging them
+    (the per-sample sensitivity discipline of DP-SGD), and ``dp_sgd`` adds
+    spherical Gaussian noise of total variance ``sigma_dp**2`` to the
+    average. Raises :class:`DivergenceError`, which carries the partial
+    trace, when the iterate or the objective leaves the divergence guard.
 
     Given a :class:`Cells` batch instead, run every cell in lockstep and
     return one ``(trace, diverged)`` pair per cell, in input order: the
@@ -644,8 +635,4 @@ def run(problem: Problem, config: RunConfig | Cells) -> Trace | list[tuple[Trace
     """
     if isinstance(config, Cells):
         return _run_cells(problem, config)
-    if config.method in _DETERMINISTIC:
-        return run_gd(problem, config)
-    if config.method == "dp_sgd":
-        return run_dp_sgd(problem, config)
-    return run_clipped_sgd(problem, config)
+    return _run(problem, config)

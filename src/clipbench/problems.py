@@ -232,11 +232,6 @@ class ChiSquareQuadratic(Problem):
         return self.meta.sigma_sq
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    """The logistic function ``1 / (1 + exp(-t))``, stable in both tails."""
-    return _sigmoid_given(t, np.exp(-np.abs(t)))
-
-
 def _sigmoid_given(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     # branch-free form of the two-sided stable sigmoid, given e = exp(-|t|):
     # 1 / (1 + e) where t >= 0 and e / (1 + e) elsewhere. As 0 <= e <= 1,
@@ -252,6 +247,25 @@ def _sigmoid_neg(m: float) -> float:
     except OverflowError:
         return 0.0 if m > 0 else 1.0
     return 1.0 / (1.0 + e) if m >= 0 else e / (1.0 + e)
+
+
+def _aligned(A: np.ndarray) -> np.ndarray:
+    """``A`` if it is C-ordered and starts on a 64-byte boundary, else a
+    copy that is.
+
+    Where malloc places a large array depends on what the process
+    allocated before it, and OpenBLAS's matrix-vector products are slower
+    on a feature matrix that is not 32-byte aligned, with the same bits:
+    an 18-cell lockstep logistic sweep took 0.205-0.211 s against 0.177 s
+    (OpenBLAS 0.3.31, x86-64).
+    """
+    if A.flags.c_contiguous and A.ctypes.data % 64 == 0:
+        return A
+    buf = np.empty(A.nbytes + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    out = buf[start:start + A.nbytes].view(A.dtype).reshape(A.shape)
+    out[...] = A
+    return out
 
 
 def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -288,7 +302,7 @@ class LogisticRegressionProblem(Problem):
             A = A / np.where(norms > 0, norms, 1.0)[:, None]
         if add_intercept:
             A = np.hstack([A, np.ones((A.shape[0], 1))])
-        self.A = A
+        self.A = A = _aligned(A)
         self.y = dataset.labels.astype(float)
         self.n = A.shape[0]
         self.lam = float(lam)

@@ -42,6 +42,7 @@ __all__ = [
     "certify_smoothness",
     "clip_probability_bound",
     "dp_noise_calibration",
+    "max_local_smoothness",
     "trajectory_smoothness",
 ]
 
@@ -167,10 +168,17 @@ def _stepsize_ok(theorem: str, p: RateParams) -> bool:
     return p.eta <= max_stepsize(theorem, p.L0, p.L1, p.c)
 
 
+def max_local_smoothness(grad_norms, L0: float, L1: float) -> float:
+    """``max_t (L0 + L1 * grad_norms[t])``: the largest local smoothness
+    constant of an (L0, L1)-smooth function along recorded gradient norms."""
+    return L0 + L1 * float(np.max(grad_norms))
+
+
 def trajectory_smoothness(trace: Trace, L0: float, L1: float) -> float:
-    """Trajectory-local smoothness max_t (L0 + L1 * grad_norm_t), usable in
-    place of the global L in the convex/strongly-convex/DP predictors."""
-    return L0 + L1 * float(trace.grad_norms.max())
+    """Trajectory-local smoothness :func:`max_local_smoothness` of a trace's
+    gradient norms, usable in place of the global L in the convex,
+    strongly convex and DP predictors."""
+    return max_local_smoothness(trace.grad_norms, L0, L1)
 
 
 def det_convex_gap_bound(params: RateParams, t, L_override: float | None = None):
@@ -404,15 +412,15 @@ def expected_clipped_grad(
     """E[clip_c(stochastic gradient at x)], whose zeros are the clipped-SGD
     fixed points. Exact for the two-outcome problem, Monte Carlo otherwise."""
     x = problem.check_dim(np.asarray(x, dtype=float))
+    if not c > 0:
+        raise ValueError(f"clipping threshold must be positive, got {c!r}")
+    if not np.isfinite(x).all():
+        raise ValueError("x has non-finite coordinates")
     if isinstance(problem, BernoulliShiftQuadratic):
         val = _expected_clipped_scalar(problem, float(x[0]), c)
         return ClippedGradEstimate(np.array([val]), 0.0, exact=True)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not c > 0:
-        raise ValueError(f"clipping threshold must be positive, got {c!r}")
-    if not np.isfinite(x).all():
-        raise ValueError("x has non-finite coordinates")
     rng = np.random.default_rng(seed)
     total = np.zeros_like(x)
     total_sq = 0.0

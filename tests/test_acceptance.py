@@ -14,7 +14,7 @@ from clipbench import cli
 from clipbench.core import clip, clip_coefficient
 from clipbench.data_ingest import bundled_dataset_path, parse_libsvm
 from clipbench.optimizers import (
-    Cells, RunConfig, privacy_noise, run, run_clipped_sgd, run_dp_sgd, run_gd,
+    Cells, RunConfig, privacy_noise, run,
 )
 from clipbench.problems import (
     BernoulliShiftQuadratic,
@@ -100,7 +100,7 @@ def test_final_quarter_floors_match_per_seed_runs(method, c):
     # the batch behind criteria 3 and 4 against one run per seed, bit for bit
     prob = build_lower_bound_large_c(1.0, 4.0).problem()
     per_seed = _final_quarter_mean(
-        run_clipped_sgd(prob, config) for config in _floor_configs(method, c, 1e-2))
+        run(prob, config) for config in _floor_configs(method, c, 1e-2))
     assert _final_quarter_floors(method, c, etas=(1e-2,))[1e-2] == per_seed
 
 
@@ -139,8 +139,8 @@ def test_criterion_05_convex_bound_zero_tolerance():
         L = prob.meta.L
         for c in (0.01, 0.1, 1.0):
             eta = 1.0 / (2.0 * (prob.meta.L0 + c * prob.meta.L1))
-            trace = run_gd(prob, RunConfig(method="clipped_gd", c=c, eta=eta,
-                                           T=10_000, x0=x0))
+            trace = run(prob, RunConfig(method="clipped_gd", c=c, eta=eta,
+                                        T=10_000, x0=x0))
             tp1 = trace.iters + 1.0
             bounds = 2.0 * r0**2 / (eta * tp1) + 4.0 * L * r0**4 / (eta**2 * c**2 * tp1**2)
             gaps = trace.f_vals - f_star
@@ -153,8 +153,8 @@ def test_criterion_05_convex_bound_zero_tolerance():
 
 def test_criterion_06_footnote_schedule_exact():
     t0 = time.time()
-    trace = run_gd(Quadratic(dim=1, L=1.0),
-                   RunConfig(method="clipped_gd", c=0.25, eta=1.0, T=2, x0=np.array([1.0])))
+    trace = run(Quadratic(dim=1, L=1.0),
+                RunConfig(method="clipped_gd", c=0.25, eta=1.0, T=2, x0=np.array([1.0])))
     x2 = abs(trace.final_point[0])
     ok = x2 == 0.5 and x2 >= 0.5
     elapsed = time.time() - t0
@@ -197,8 +197,8 @@ def test_criterion_07_tuned_threshold_sweep_on_bundled_dataset():
 def test_criterion_08_dp_sensitivity_and_noise_scale():
     t0 = time.time()
     prob = ChiSquareQuadratic(dim=10, L=0.1)
-    trace = run_dp_sgd(prob, RunConfig(method="dp_sgd", c=1.0, eta=0.01, T=1000,
-                                       B=8, sigma_dp=1.0, x0=np.zeros(10), seed=5))
+    trace = run(prob, RunConfig(method="dp_sgd", c=1.0, eta=0.01, T=1000,
+                                B=8, sigma_dp=1.0, x0=np.zeros(10), seed=5))
     ok = trace.max_per_sample_norm <= 1.0
 
     rng = np.random.default_rng(0)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clipbench import cli
+from clipbench import cli, theory
 from clipbench.cli import ConfigError, main, parse_config
 from clipbench.optimizers import Cells
 from clipbench.data_ingest import bundled_dataset_path
@@ -428,6 +428,19 @@ class TestCmdBound:
         out = tmp_path / "b.txt"
         assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
         assert "violations=0" in out.read_text()
+
+    def test_trajectory_L_is_the_largest_local_smoothness(self, tmp_path):
+        trace = self.make_trace(tmp_path, eta=0.4)
+        cfg = write(tmp_path, "b.cfg", (
+            "mode = bound\ntheorem = det_convex\ntrace = trace.csv\n"
+            "c = 0.25\neta = 0.4\nT = 300\nR0 = 1\nL = 1\nL0 = 1\nL1 = 0.5\nf_star = 0\n"
+            "use_trajectory_L = true\n"))
+        out = tmp_path / "b.txt"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        grad_norms = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=2)
+        params = theory.RateParams(c=0.25, eta=0.4, T=300, R0=1.0, L=1.0, L0=1.0, L1=0.5)
+        report = theory.bound_det_convex(params, L_override=1.0 + 0.5 * float(grad_norms.max()))
+        assert f"predicted_final={cli._fmt(report.predicted)} " in out.read_text()
 
     def test_stepsize_gate_reports_vacuous(self, tmp_path):
         trace = self.make_trace(tmp_path, eta=0.6)

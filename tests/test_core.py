@@ -6,13 +6,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from clipbench.core import (
-    ClipParams,
     _sum_rows,
     clip,
     clip_coefficient,
     clip_rows,
     clip_vector,
-    clipped_step,
 )
 
 
@@ -193,10 +191,13 @@ class TestClipKernels:
         for d in (1, 2, 5, 100):
             for k in (1, 2, 9, 16, 300):
                 V = rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-6, 6, size=(k, 1))
+                if k % 2:
+                    # 1-d additions sum a column of -0.0 to -0.0
+                    V[:, -1] = -0.0
                 acc = V[0].copy()
                 for row in V[1:]:
                     acc = acc + row
-                assert np.array_equal(_sum_rows(V), acc), (d, k)
+                assert _sum_rows(V).tobytes() == acc.tobytes(), (d, k)
 
     def test_sum_rows_of_a_stack_sums_each_block(self):
         rng = np.random.default_rng(10)
@@ -226,34 +227,6 @@ class TestClipCoefficient:
             u = rng.normal(size=4) * 10.0 ** rng.integers(-2, 3)
             c = float(rng.uniform(0.1, 5.0))
             assert_allclose(clip(u, c), clip_coefficient(u, c) * u, rtol=1e-15, atol=0)
-
-
-class TestClippedStep:
-    def test_clipped_update(self):
-        params = ClipParams(c=2.0, eta=0.1)
-        assert_allclose(
-            clipped_step([3.0, 4.0], [3.0, 4.0], params), [2.88, 3.84], rtol=0, atol=1e-15
-        )
-
-    def test_zero_gradient_fixed_point(self):
-        params = ClipParams(c=7.0, eta=0.3)
-        assert np.array_equal(clipped_step([1.0], [0.0], params), [1.0])
-
-    def test_unclipped_update(self):
-        out = clipped_step([1.0], [0.5], ClipParams(c=2.0, eta=1.0))
-        assert_allclose(out, [0.5], rtol=0, atol=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            clipped_step([1.0, 2.0], [1.0], ClipParams(c=1.0, eta=1.0))
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            ClipParams(c=-1.0, eta=1.0)
-        with pytest.raises(ValueError):
-            ClipParams(c=1.0, eta=0.0)
-        with pytest.raises(ValueError):
-            ClipParams(c=1.0, eta=math.inf)
 
 
 class TestClipProperties:

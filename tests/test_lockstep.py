@@ -181,6 +181,47 @@ class TestLockstepMatchesSingleRuns:
         for config, got in zip(configs, results):
             assert_same(got, single(problem, config))
 
+    @pytest.mark.parametrize("method,B", [("sgd", 1), ("clipped_sgd", 1), ("sgd", 3)])
+    def test_signed_zero_start(self, method, B):
+        # on the quadratic a -0.0 coordinate draws a -0.0 gradient component,
+        # and x - eta * g leaves -0.0 there only if that component is +0.0:
+        # the lockstep sum of a cell's samples must keep the sign of zero
+        problem = Quadratic(dim=3, L=1.0)
+        x0s = [np.array([-0.0, 1.0, -0.0]), np.array([2.0, -0.0, -0.0])]
+        configs = grid(problem, method, B, 0.0, 5, 1, seeds=(1, 2), x0s=x0s)
+        for config, got in zip(configs, run(problem, Cells(configs))):
+            assert_same(got, single(problem, config))
+        assert not np.signbit(single(problem, configs[0])[0].final_point[0])
+
+    @pytest.mark.parametrize("grad_of", ["identity", "zero"])
+    def test_guard_on_a_finite_value_at_a_nan_point(self, grad_of):
+        # f stays 0 while a NaN draw makes the iterate NaN. With grad = x the
+        # NaN gradient norm trips the guard; with grad = 0 nothing does, as
+        # a NaN norm of x is not past the limit: in single runs and here alike
+        class FlatValue(NoisyQuadratic):
+            def value(self, x):
+                return 0.0
+
+            def grad(self, x):
+                return x.copy() if grad_of == "identity" else np.zeros_like(x)
+
+            def sample_grad(self, x, rng):
+                g = x + rng.standard_normal(x.size)
+                if rng.random() < 0.1:
+                    g[0] = math.nan
+                return g
+
+        problem = FlatValue()
+        configs = grid(problem, "sgd", 1, 0.0, 40, 1, seeds=(1, 2, 3, 4))
+        results = run(problem, Cells(configs))
+        if grad_of == "identity":
+            assert all(d for _, d in results)
+        else:
+            assert not any(d for _, d in results)
+            assert any(np.isnan(t.final_point).any() for t, _ in results)
+        for config, got in zip(configs, results):
+            assert_same(got, single(problem, config))
+
     def test_all_cells_diverge(self):
         problem = Quadratic(dim=2)
         configs = [RunConfig(method="gd", c=math.inf, eta=eta, T=500, x0=np.ones(2))

@@ -17,9 +17,7 @@ from clipbench.optimizers import (
     Trace,
     privacy_noise,
     run,
-    run_clipped_sgd,
     run_dp_sgd,
-    run_gd,
     _philox_uniforms,
     _StepRng,
 )
@@ -127,6 +125,15 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             cfg(x0=np.array([np.nan]))
 
+    @pytest.mark.parametrize("name", ["T", "B", "seed", "thin"])
+    def test_counts_must_be_integers(self, name):
+        for bad in (10.0, 2.0, 1.7, "3", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                cfg(method="sgd", **{name: bad})
+        # numpy integers are accepted and stored as Python ints
+        config = cfg(method="sgd", **{name: np.int64(3)})
+        assert type(getattr(config, name)) is int and getattr(config, name) == 3
+
     def test_x0_is_frozen_copy(self):
         x0 = np.array([1.0, 2.0])
         config = cfg(x0=x0, T=0)
@@ -138,21 +145,21 @@ class TestRunConfig:
 
 class TestRunGd:
     def test_unit_quadratic_newton_step(self):
-        trace = run_gd(Quadratic(), cfg(eta=1.0, T=1))
+        trace = run(Quadratic(), cfg(eta=1.0, T=1))
         assert trace.final_point[0] == 0.0
         assert list(trace.grad_norms) == [1.0, 0.0]
 
     def test_clipped_footnote_schedule(self):
         # f(x) = x^2/2 from x0=1 with c=1/4: two clipped unit-direction
         # steps of length 1/4 land exactly on 1/2
-        trace = run_gd(Quadratic(), cfg(method="clipped_gd", c=0.25, eta=1.0, T=2))
+        trace = run(Quadratic(), cfg(method="clipped_gd", c=0.25, eta=1.0, T=2))
         assert trace.final_point[0] == 0.5
         assert list(trace.grad_norms) == [1.0, 0.75, 0.5]
         assert list(trace.clipped_fracs) == [1.0, 1.0, 0.0]
 
     def test_zero_gradient_start_is_constant(self):
         prob = ChiSquareQuadratic(dim=3, L=0.5)
-        trace = run_gd(prob, cfg(x0=prob.meta.x_star, T=5))
+        trace = run(prob, cfg(x0=prob.meta.x_star, T=5))
         assert (trace.grad_norms == 0.0).all()
         assert_allclose(trace.final_point, prob.meta.x_star, rtol=0, atol=0)
 
@@ -161,21 +168,17 @@ class TestRunGd:
         prob = ChiSquareQuadratic(dim=4, L=0.5)
         for c in (0.01, 0.1, 1.0):
             eta = 1.0 / (2.0 * prob.meta.L0)
-            trace = run_gd(prob, cfg(method="clipped_gd", c=c, eta=eta, T=200,
-                                     x0=np.full(4, 3.0)))
+            trace = run(prob, cfg(method="clipped_gd", c=c, eta=eta, T=200,
+                                  x0=np.full(4, 3.0)))
             assert (np.diff(trace.f_vals) <= 1e-12).all()
-
-    def test_wrong_method_rejected(self):
-        with pytest.raises(ValueError):
-            run_gd(Quadratic(), cfg(method="sgd"))
 
 
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
         config = cfg(method="clipped_sgd", c=2.0, eta=0.05, T=500, seed=123)
-        t1 = run_clipped_sgd(prob, config)
-        t2 = run_clipped_sgd(prob, config)
+        t1 = run(prob, config)
+        t2 = run(prob, config)
         assert np.array_equal(t1.f_vals, t2.f_vals)
         assert np.array_equal(t1.grad_norms, t2.grad_norms)
         assert np.array_equal(t1.final_point, t2.final_point)
@@ -184,7 +187,7 @@ class TestDeterminism:
         # guards the (seed, step, lane) stream layout across releases
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
         config = cfg(method="clipped_sgd", c=2.0, eta=0.05, T=100, seed=7)
-        trace = run_clipped_sgd(prob, config)
+        trace = run(prob, config)
         assert trace.final_point[0] == pytest.approx(-0.6661811074629189, abs=0)
 
     # Frozen digests of whole traces (trace_digest). They pin the batched
@@ -194,7 +197,7 @@ class TestDeterminism:
         prob = ChiSquareQuadratic(dim=100, L=0.1)
         config = cfg(method="dp_sgd", c=14.0, eta=1e-2, T=200, x0=np.zeros(100), B=16,
                      sigma_dp=1.0, seed=3)
-        trace = run_dp_sgd(prob, config)
+        trace = run(prob, config)
         assert trace_digest(trace) == "7bcf5354448a5fd8"
         assert trace.final_point[0] == -1.4639098632910394
 
@@ -202,7 +205,7 @@ class TestDeterminism:
         prob = bundled_logistic()
         config = cfg(method="clipped_sgd", c=0.05, eta=0.5, T=300, x0=np.zeros(prob.meta.dim),
                      B=4, seed=11)
-        trace = run_clipped_sgd(prob, config)
+        trace = run(prob, config)
         assert trace_digest(trace) == "2160f6d6f804bb33"
         assert trace.final_point[0] == 0.0878031887356725
 
@@ -210,20 +213,20 @@ class TestDeterminism:
         prob = bundled_logistic()
         config = cfg(method="sgd", c=math.inf, eta=0.5, T=200, x0=np.zeros(prob.meta.dim),
                      seed=5)
-        assert trace_digest(run_clipped_sgd(prob, config)) == "d7d8384178f6017f"
+        assert trace_digest(run(prob, config)) == "d7d8384178f6017f"
 
     def test_frozen_golden_logistic_clipped_gd(self):
         prob = bundled_logistic()
         config = cfg(method="clipped_gd", c=0.01, eta=10.0, T=200,
                      x0=np.full(prob.meta.dim, 1.0))
-        trace = run_gd(prob, config)
+        trace = run(prob, config)
         assert trace_digest(trace) == "d8168c0818faacde"
         assert trace.f_vals[-1] == 0.5986146076159443
 
     def test_frozen_golden_one_dimensional_minibatch(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
         config = cfg(method="dp_sgd", c=2.0, eta=0.05, T=300, B=8, sigma_dp=0.5, seed=7)
-        assert trace_digest(run_dp_sgd(prob, config)) == "0b61e17f25a46d05"
+        assert trace_digest(run(prob, config)) == "0b61e17f25a46d05"
 
     @pytest.mark.parametrize("B", [1, 4])
     def test_logistic_far_start_stays_finite(self, B):
@@ -233,7 +236,7 @@ class TestDeterminism:
         direction = prob.A.T @ prob.y
         x0 = 12_000.0 * direction / np.linalg.norm(direction)
         config = cfg(method="clipped_sgd", c=1.0, eta=1.0, T=20, x0=x0, B=B, seed=0)
-        trace = run_clipped_sgd(prob, config)
+        trace = run(prob, config)
         assert trace.iters[-1] == 20
         assert np.all(np.isfinite(trace.f_vals)) and np.all(np.isfinite(trace.applied_norms))
 
@@ -255,8 +258,8 @@ class TestDeterminism:
 
     def test_seed_changes_trajectory(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
-        t1 = run_clipped_sgd(prob, cfg(method="clipped_sgd", c=2.0, eta=0.05, T=200, seed=1))
-        t2 = run_clipped_sgd(prob, cfg(method="clipped_sgd", c=2.0, eta=0.05, T=200, seed=2))
+        t1 = run(prob, cfg(method="clipped_sgd", c=2.0, eta=0.05, T=200, seed=1))
+        t2 = run(prob, cfg(method="clipped_sgd", c=2.0, eta=0.05, T=200, seed=2))
         assert not np.array_equal(t1.f_vals, t2.f_vals)
 
     def test_step_rng_is_consumption_independent(self):
@@ -316,7 +319,7 @@ class TestDeterminism:
         # recorded with the per-step counter reset
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
         config = cfg(method="clipped_sgd", c=2.0, eta=0.05, T=9000, seed=2**64 + 7)
-        trace = run_clipped_sgd(prob, config)
+        trace = run(prob, config)
         assert trace_digest(trace) == "e9abc876ba6c9eec"
         assert trace.final_point[0] == -0.4163145385945131
 
@@ -335,18 +338,18 @@ class TestDeterminism:
         # deterministic one bitwise
         config_sgd = cfg(method="clipped_sgd", c=0.3, eta=0.2, T=50, x0=np.ones(3))
         config_gd = cfg(method="clipped_gd", c=0.3, eta=0.2, T=50, x0=np.ones(3))
-        t_sgd = run_clipped_sgd(det, config_sgd)
-        t_gd = run_gd(det, config_gd)
+        t_sgd = run(det, config_sgd)
+        t_gd = run(det, config_gd)
         assert np.array_equal(t_sgd.final_point, t_gd.final_point)
         assert np.array_equal(t_sgd.f_vals, t_gd.f_vals)
         assert prob.meta.sigma_sq > 0  # chi-square kept stochastic above
 
     def test_huge_threshold_reduces_to_unclipped(self):
         prob = ChiSquareQuadratic(dim=3, L=0.5)
-        t_clip = run_clipped_sgd(prob, cfg(method="clipped_sgd", c=1e308, eta=0.1,
-                                           T=100, x0=np.ones(3), seed=5))
-        t_plain = run_clipped_sgd(prob, cfg(method="sgd", c=math.inf, eta=0.1,
-                                            T=100, x0=np.ones(3), seed=5))
+        t_clip = run(prob, cfg(method="clipped_sgd", c=1e308, eta=0.1,
+                               T=100, x0=np.ones(3), seed=5))
+        t_plain = run(prob, cfg(method="sgd", c=math.inf, eta=0.1,
+                                T=100, x0=np.ones(3), seed=5))
         assert np.array_equal(t_clip.final_point, t_plain.final_point)
         assert np.array_equal(t_clip.f_vals, t_plain.f_vals)
         assert t_clip.clipped_fracs.max() == 0.0
@@ -364,7 +367,7 @@ class TestClippedSgd:
         updates = np.empty(n)
         eta = 0.5
         for seed in range(n):
-            trace = run_clipped_sgd(
+            trace = run(
                 prob, cfg(method="clipped_sgd", c=2.0, eta=eta, T=1, x0=x_star, seed=seed)
             )
             updates[seed] = (trace.final_point[0] - inst.x_fixed) / -eta
@@ -374,7 +377,7 @@ class TestClippedSgd:
     def test_displacement_bounded_by_eta_c(self):
         prob = BernoulliShiftQuadratic(a=8.0, p=0.1)
         config = cfg(method="clipped_sgd", c=0.7, eta=0.3, T=300, seed=3)
-        trace = run_clipped_sgd(prob, config)
+        trace = run(prob, config)
         # applied update norms are recorded per step (last record is 0)
         assert (trace.applied_norms <= 0.7 * (1 + 1e-12)).all()
 
@@ -382,35 +385,43 @@ class TestClippedSgd:
         prob = ChiSquareQuadratic(dim=10, L=0.1)
         config = cfg(method="clipped_sgd", c=1.5, eta=0.01, T=200, B=4,
                      x0=np.zeros(10), seed=11)
-        trace = run_clipped_sgd(prob, config)
+        trace = run(prob, config)
         assert trace.max_per_sample_norm <= 1.5
         assert trace.clipped_fracs[:-1].max() > 0  # chi-square tails do get clipped
         assert set(np.round(trace.clipped_fracs * 4).astype(int)) <= {0, 1, 2, 3, 4}
 
     def test_trace_shape_and_min(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
-        trace = run_clipped_sgd(prob, cfg(method="clipped_sgd", c=2.0, eta=0.1, T=25))
+        trace = run(prob, cfg(method="clipped_sgd", c=2.0, eta=0.1, T=25))
         assert list(trace.iters) == list(range(26))
         assert trace.min_grad_norm == trace.grad_norms.min()
-        recs = trace.records
-        assert len(recs) == 26
-        assert recs[0].t == 0 and recs[-1].t == 25
-        assert recs[-1].applied_norm == 0.0 and recs[-1].clipped_fraction == 0.0
+        for name in ("f_vals", "grad_norms", "applied_norms", "clipped_fracs"):
+            assert len(getattr(trace, name)) == 26
+        assert trace.iters[0] == 0 and trace.iters[-1] == 25
+        assert trace.applied_norms[-1] == 0.0 and trace.clipped_fracs[-1] == 0.0
 
     def test_thinning_keeps_final(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
-        trace = run_clipped_sgd(prob, cfg(method="clipped_sgd", c=2.0, eta=0.1,
-                                          T=10, thin=4))
+        trace = run(prob, cfg(method="clipped_sgd", c=2.0, eta=0.1,
+                              T=10, thin=4))
         assert list(trace.iters) == [0, 4, 8, 10]
 
 
 class TestDpSgd:
+    def test_run_dp_sgd_is_run_for_dp_sgd_only(self):
+        prob = ChiSquareQuadratic(dim=3, L=0.5)
+        config = cfg(method="dp_sgd", c=1.0, eta=0.1, T=30, B=2, sigma_dp=0.5,
+                     x0=np.ones(3), seed=4)
+        assert trace_digest(run_dp_sgd(prob, config)) == trace_digest(run(prob, config))
+        with pytest.raises(ValueError):
+            run_dp_sgd(prob, cfg(method="sgd"))
+
     def test_zero_noise_matches_clipped_sgd(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
-        t_dp = run_dp_sgd(prob, cfg(method="dp_sgd", c=2.0, eta=0.05, T=200,
-                                    sigma_dp=0.0, seed=21))
-        t_cl = run_clipped_sgd(prob, cfg(method="clipped_sgd", c=2.0, eta=0.05,
-                                         T=200, seed=21))
+        t_dp = run(prob, cfg(method="dp_sgd", c=2.0, eta=0.05, T=200,
+                             sigma_dp=0.0, seed=21))
+        t_cl = run(prob, cfg(method="clipped_sgd", c=2.0, eta=0.05,
+                             T=200, seed=21))
         assert np.array_equal(t_dp.final_point, t_cl.final_point)
         assert np.array_equal(t_dp.f_vals, t_cl.f_vals)
 
@@ -425,13 +436,13 @@ class TestDpSgd:
         prob = ChiSquareQuadratic(dim=10, L=0.1)
         config = cfg(method="dp_sgd", c=1.0, eta=0.01, T=1000, B=8,
                      sigma_dp=0.5, x0=np.zeros(10), seed=2)
-        trace = run_dp_sgd(prob, config)
+        trace = run(prob, config)
         assert trace.max_per_sample_norm <= 1.0
 
     def test_noise_actually_perturbs(self):
         prob = Quadratic(dim=2)
-        t = run_dp_sgd(prob, cfg(method="dp_sgd", c=1.0, eta=0.1, T=20,
-                                 sigma_dp=1.0, x0=np.ones(2)))
+        t = run(prob, cfg(method="dp_sgd", c=1.0, eta=0.1, T=20,
+                          sigma_dp=1.0, x0=np.ones(2)))
         assert t.applied_norms[:-1].max() > 0.0
         assert not np.array_equal(t.final_point, np.zeros(2))
 
@@ -441,13 +452,13 @@ class TestDivergence:
         prob = Quadratic(dim=1, L=1.0)
         config = cfg(method="gd", c=math.inf, eta=3.0, T=200, x0=np.array([1.0]))
         with pytest.raises(DivergenceError) as exc_info:
-            run_gd(prob, config)
+            run(prob, config)
         partial = exc_info.value.trace
         assert isinstance(partial, Trace)
         assert partial.iters.size > 0
         assert partial.iters.size < 201
         # clipping the same run keeps it bounded
-        clipped = run_gd(prob, cfg(method="clipped_gd", c=0.5, eta=3.0, T=200))
+        clipped = run(prob, cfg(method="clipped_gd", c=0.5, eta=3.0, T=200))
         assert math.isfinite(clipped.f_vals[-1])
 
     def test_dispatcher(self):

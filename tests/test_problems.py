@@ -109,6 +109,23 @@ class TestChiSquareQuadratic:
 
 
 class TestLogistic:
+    @pytest.mark.parametrize("options", [{}, {"add_intercept": True}, {"normalize_rows": True}])
+    def test_feature_matrix_is_aligned_and_alignment_keeps_bits(self, options):
+        ds = synthesize_logistic_dataset(n=37, dim=11, seed=3)
+        prob = LogisticRegressionProblem(ds, **options)
+        assert prob.A.ctypes.data % 64 == 0 and prob.A.flags.c_contiguous
+        X = np.random.default_rng(2).normal(size=(5, prob.meta.dim))
+        f, G = prob.value_and_grad_rows(X)
+        for offset in (8, 16, 24, 32, 48):
+            # the same matrix at every other 8-byte offset from a 64-byte boundary
+            buf = np.empty(prob.A.nbytes + 128, dtype=np.uint8)
+            start = -buf.ctypes.data % 64 + offset
+            A = buf[start:start + prob.A.nbytes].view(np.float64).reshape(prob.A.shape)
+            A[...] = prob.A
+            prob.A = A
+            f2, G2 = prob.value_and_grad_rows(X)
+            assert f2.tobytes() == f.tobytes() and G2.tobytes() == G.tobytes(), offset
+
     def test_value_at_zero_is_log2(self):
         prob = small_logistic()
         assert prob.value(np.zeros(prob.meta.dim)) == pytest.approx(math.log(2.0), abs=1e-15)

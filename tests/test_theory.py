@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from clipbench.optimizers import RunConfig, run_clipped_sgd, run_gd
+from clipbench.optimizers import RunConfig, run
 from clipbench.core import clip
 from clipbench.data_ingest import bundled_dataset_path, parse_libsvm
 from clipbench.problems import (
@@ -30,6 +30,7 @@ from clipbench.theory import (
     exact_fixed_point,
     expected_clipped_grad,
     max_stepsize,
+    max_local_smoothness,
     trajectory_smoothness,
 )
 
@@ -112,7 +113,7 @@ class TestBoundDetConvex:
         prob = Quadratic(dim=1, L=1.0)
         eta = 1.0 / (2.0 * prob.meta.L0)
         config = RunConfig(method="clipped_gd", c=c, eta=eta, T=2000, x0=np.array([1.0]))
-        trace = run_gd(prob, config)
+        trace = run(prob, config)
         for t, f in zip(trace.iters, trace.f_vals):
             if t < 1:
                 continue
@@ -130,13 +131,13 @@ class TestBoundDetConvex:
         )
         prob = LogisticRegressionProblem(parse_libsvm(text), lam=0.1)
         x0 = np.zeros(prob.meta.dim)
-        oracle = run_gd(prob, RunConfig(method="gd", c=math.inf, eta=1.0 / prob.meta.L,
-                                        T=4000, x0=x0))
+        oracle = run(prob, RunConfig(method="gd", c=math.inf, eta=1.0 / prob.meta.L,
+                                     T=4000, x0=x0))
         f_star = float(oracle.f_vals[-1])
         r0 = float(np.linalg.norm(x0 - oracle.final_point))
         eta = 1.0 / (2.0 * prob.meta.L0)
         c = 0.05
-        trace = run_gd(prob, RunConfig(method="clipped_gd", c=c, eta=eta, T=1500, x0=x0))
+        trace = run(prob, RunConfig(method="clipped_gd", c=c, eta=eta, T=1500, x0=x0))
         for t, f in zip(trace.iters, trace.f_vals):
             if t < 1:
                 continue
@@ -152,7 +153,7 @@ class TestBoundDetConvex:
         x0 = np.zeros(3)
         r0 = float(np.linalg.norm(x0 - prob.meta.x_star))
         c = 0.2
-        trace = run_gd(prob, RunConfig(method="clipped_gd", c=c, eta=eta, T=3000, x0=x0))
+        trace = run(prob, RunConfig(method="clipped_gd", c=c, eta=eta, T=3000, x0=x0))
         for t, f in zip(trace.iters, trace.f_vals):
             if t < 1:
                 continue
@@ -189,8 +190,8 @@ class TestBoundDetStronglyConvex:
         for c in (0.05, 0.5):
             params = RateParams(c=c, eta=eta, T=10, R0=1.0, L=1.0, L0=1.0, mu=1.0)
             predicted = bound_det_strongly_convex(params, epsilon).predicted
-            trace = run_gd(prob, RunConfig(method="clipped_gd", c=c, eta=eta,
-                                           T=int(predicted) + 1, x0=np.array([1.0])))
+            trace = run(prob, RunConfig(method="clipped_gd", c=c, eta=eta,
+                                        T=int(predicted) + 1, x0=np.array([1.0])))
             dist_sq = (trace.f_vals - 0.0) * 2.0  # R^2 = 2 f / mu on this problem
             achieved = int(trace.iters[np.nonzero(dist_sq <= epsilon)[0][0]])
             assert achieved <= predicted
@@ -239,7 +240,7 @@ class TestBoundStochNonconvex:
         assert report.regime == "large_c" and report.stepsize_ok
         stats = []
         for seed in range(20):
-            trace = run_clipped_sgd(prob, RunConfig(
+            trace = run(prob, RunConfig(
                 method="clipped_sgd", c=4.0, eta=eta, T=T, x0=np.zeros(1), seed=seed))
             stats.append(trace.grad_norms.mean())
         assert np.mean(stats) <= report.predicted
@@ -253,7 +254,7 @@ class TestBoundStochNonconvex:
         assert report.regime == "small_c" and report.stepsize_ok
         mins = []
         for seed in range(20):
-            trace = run_clipped_sgd(prob, RunConfig(
+            trace = run(prob, RunConfig(
                 method="clipped_sgd", c=c, eta=eta, T=T, x0=np.zeros(100), seed=seed))
             mins.append(trace.min_grad_norm)
         assert np.mean(mins) <= report.predicted
@@ -449,12 +450,22 @@ class TestExpectedClippedGrad:
         assert np.array_equal(est.value, mean)
         assert est.std_error == std_error
 
-    def test_rejects_bad_threshold_and_point(self):
-        prob = ChiSquareQuadratic(dim=2)
-        with pytest.raises(ValueError):
-            expected_clipped_grad(prob, np.zeros(2), 0.0)
-        with pytest.raises(ValueError):
-            expected_clipped_grad(prob, np.array([0.0, math.nan]), 1.0)
+    @pytest.mark.parametrize("make_problem", [
+        lambda: ChiSquareQuadratic(dim=2),
+        lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
+    ], ids=["monte_carlo", "exact"])
+    def test_rejects_bad_threshold_and_point(self, make_problem):
+        # the exact two-outcome path rejects what the Monte Carlo path does
+        prob = make_problem()
+        x = np.zeros(prob.meta.dim)
+        for c in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                expected_clipped_grad(prob, x, c)
+        for bad in (math.nan, math.inf, -math.inf):
+            x_bad = x.copy()
+            x_bad[-1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                expected_clipped_grad(prob, x_bad, 1.0)
 
     def test_monte_carlo_matches_exact_two_outcome(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
@@ -588,9 +599,10 @@ class TestBoundDpSgd:
 class TestTrajectorySmoothness:
     def test_max_over_trace(self):
         prob = Quadratic(dim=1, L=1.0)
-        trace = run_gd(prob, RunConfig(method="gd", c=math.inf, eta=0.5, T=3,
-                                       x0=np.array([2.0])))
+        trace = run(prob, RunConfig(method="gd", c=math.inf, eta=0.5, T=3,
+                                    x0=np.array([2.0])))
         assert trajectory_smoothness(trace, L0=0.5, L1=0.25) == 0.5 + 0.25 * 2.0
+        assert max_local_smoothness(trace.grad_norms, 0.5, 0.25) == 0.5 + 0.25 * 2.0
 
     def test_override_tightens_convex_bound(self):
         params = RateParams(c=1.0, eta=0.1, T=10, R0=1.0, L=10.0, L0=1.0)
