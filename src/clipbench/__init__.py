@@ -12,7 +12,6 @@ from .problems import (
 from .data_ingest import (
     Dataset,
     ParseError,
-    SparseRow,
     estimate_L,
     parse_libsvm,
     serialize_libsvm,

@@ -8,8 +8,9 @@ and gradient checks), ``bound`` (compare a trace against a predictor).
 Configs are flat ``key = value`` text; list values are comma-separated;
 unknown keys are errors. All outputs are deterministic functions of the
 config bytes (plus --seed-offset for ``run`` and ``sweep``) and
-byte-identical across reruns. Exit codes: 0 ok, 1 config or usage error,
-2 data error, 3 divergence, 4 certification/bound failure.
+byte-identical across reruns. Exit codes: 0 ok, 1 config or usage error
+(a value the problem, run or theorem rejects included), 2 data error, 3
+divergence, 4 certification/bound failure.
 """
 
 from __future__ import annotations
@@ -216,20 +217,17 @@ def _build_x0(cfg: dict, problem: Problem) -> np.ndarray:
 
 
 def _run_config(cfg: dict, problem: Problem, c: float, eta: float, seed: int) -> RunConfig:
-    try:
-        return RunConfig(
-            method=cfg["method"],
-            c=c,
-            eta=eta,
-            T=cfg["T"],
-            x0=_build_x0(cfg, problem),
-            B=cfg.get("B", 1),
-            sigma_dp=cfg.get("sigma_dp", 0.0),
-            seed=seed,
-            thin=cfg.get("thin", 1),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(
+        method=cfg["method"],
+        c=c,
+        eta=eta,
+        T=cfg["T"],
+        x0=_build_x0(cfg, problem),
+        B=cfg.get("B", 1),
+        sigma_dp=cfg.get("sigma_dp", 0.0),
+        seed=seed,
+        thin=cfg.get("thin", 1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +531,13 @@ def _checked_rows(path: Path, kind: str, width: int) -> np.ndarray:
 
 def _rate_params(cfg: dict) -> theory.RateParams:
     _require(cfg, "c", "eta", "T")
-    try:
-        return theory.RateParams(
-            c=cfg["c"], eta=cfg["eta"], T=cfg["T"],
-            F0=cfg.get("F0", 0.0), R0=cfg.get("R0", 0.0),
-            L0=cfg.get("L0", 0.0), L1=cfg.get("L1", 0.0), L=cfg.get("L", 0.0),
-            mu=cfg.get("mu", 0.0), sigma=cfg.get("sigma", 0.0),
-            B=cfg.get("B", 1), sigma_dp=cfg.get("sigma_dp", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return theory.RateParams(
+        c=cfg["c"], eta=cfg["eta"], T=cfg["T"],
+        F0=cfg.get("F0", 0.0), R0=cfg.get("R0", 0.0),
+        L0=cfg.get("L0", 0.0), L1=cfg.get("L1", 0.0), L=cfg.get("L", 0.0),
+        mu=cfg.get("mu", 0.0), sigma=cfg.get("sigma", 0.0),
+        B=cfg.get("B", 1), sigma_dp=cfg.get("sigma_dp", 0.0),
+    )
 
 
 def cmd_bound(cfg: dict, out: Path) -> int:
@@ -693,13 +688,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "certify":
             return cmd_certify(cfg, args.out)
         return cmd_bound(cfg, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # a ConfigError, a value the problem, run or theorem rejects, or a
+        # file that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

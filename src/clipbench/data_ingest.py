@@ -1,8 +1,11 @@
 """LIBSVM-format dataset parsing and dataset-level smoothness estimates.
 
-Datasets are immutable after construction. Feature indices are 1-based as
-in the file format; dense materialization maps index ``i`` to column
-``i - 1``.
+A :class:`Dataset` holds its rows in CSR form, as three flat arrays: row
+``i`` stores the 1-based feature indices ``indices[indptr[i]:indptr[i +
+1]]``, strictly increasing, with their ``values``; ``labels[i]`` is +1 or
+-1. Datasets are immutable after construction, and the constructor checks
+these rules on the whole arrays. Dense materialization maps index ``i`` to
+column ``i - 1``.
 
 Malformed input raises :class:`ParseError`, whose message names the
 1-based line: an unmappable label, a feature token that is not
@@ -25,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "ParseError",
-    "SparseRow",
     "Dataset",
     "parse_libsvm",
     "serialize_libsvm",
@@ -42,6 +44,8 @@ _INDEX_MAX = int(np.iinfo(np.int64).max)
 # with exactly one colon; int() and float() judge the numbers when the token
 # lists convert to arrays. `\s` is the whitespace str.split splits on.
 _ROW = re.compile(r"(?:[+-]?1|0)(?:\s+[^\s:]+:[^\s:]+)*")
+# The arrays of a Dataset and the dtype each is stored as.
+_ARRAYS = {"indptr": np.int64, "indices": np.int64, "values": np.float64, "labels": np.int64}
 
 
 class ParseError(ValueError):
@@ -49,92 +53,60 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class SparseRow:
-    """One sparse feature row: strictly increasing 1-based indices."""
+class Dataset:
+    """Parsed dataset: CSR feature rows plus +/-1 labels.
 
+    ``indptr`` (n + 1 int64 offsets from 0 to the number of stored values)
+    delimits each row's slice of ``indices`` (int64, 1-based, strictly
+    increasing within a row) and ``values`` (finite float64). ``dim`` is
+    at least the largest index.
+    """
+
+    indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=float)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise ValueError("indices and values must be 1-d and the same length")
-        if idx.size and (idx[0] < 1 or np.any(np.diff(idx) <= 0)):
-            raise ValueError("indices must be strictly increasing and >= 1")
-        if not np.isfinite(val).all():
-            raise ValueError("feature values must be finite")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-    @classmethod
-    def _unchecked(cls, indices: np.ndarray, values: np.ndarray) -> SparseRow:
-        """A row of int64 ``indices`` and float64 ``values`` that the caller
-        has checked as ``__post_init__`` would."""
-        row = object.__new__(cls)
-        object.__setattr__(row, "indices", indices)
-        object.__setattr__(row, "values", values)
-        return row
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseRow):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices) and np.array_equal(
-            self.values, other.values
-        )
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Parsed dataset: sparse rows plus +/-1 labels."""
-
-    rows: tuple[SparseRow, ...]
     labels: np.ndarray
     dim: int
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "labels", labels)
-        if len(self.rows) != labels.size or len(self.rows) < 1:
-            raise ValueError("need one label per row and at least one row")
+        for name, dtype in _ARRAYS.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        indptr, indices, values, labels = (getattr(self, name) for name in _ARRAYS)
+        if labels.ndim != 1 or labels.size < 1 or indptr.shape != (labels.size + 1,):
+            raise ValueError("need one label per row, at least one row, and n + 1 row offsets")
+        if indices.ndim != 1 or indices.shape != values.shape:
+            raise ValueError("indices and values must be 1-d and the same length")
+        sizes = np.diff(indptr)
+        if indptr[0] != 0 or indptr[-1] != indices.size or (sizes < 0).any():
+            raise ValueError("indptr must rise from 0 to the number of stored values")
+        # a step from one row's last index to the next row's first is no step
+        row_start = np.zeros(indices.size, dtype=bool)
+        row_start[indptr[:-1][sizes > 0]] = True
+        if not ((indices >= 1).all() and (row_start[1:] | (np.diff(indices) > 0)).all()):
+            raise ValueError("indices must be strictly increasing within a row and >= 1")
+        if not np.isfinite(values).all():
+            raise ValueError("feature values must be finite")
         if not np.isin(labels, (-1, 1)).all():
             raise ValueError("labels must be +1 or -1")
-        max_idx = max((int(r.indices[-1]) for r in self.rows if r.indices.size), default=0)
+        max_idx = int(indices.max()) if indices.size else 0
         if self.dim < max_idx:
             raise ValueError(f"dim {self.dim} smaller than max feature index {max_idx}")
 
-    @classmethod
-    def _unchecked(cls, rows: tuple[SparseRow, ...], labels: np.ndarray, dim: int) -> Dataset:
-        """A dataset of int64 ``labels`` that the caller has checked as
-        ``__post_init__`` would."""
-        ds = object.__new__(cls)
-        object.__setattr__(ds, "rows", rows)
-        object.__setattr__(ds, "labels", labels)
-        object.__setattr__(ds, "dim", dim)
-        return ds
-
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.labels.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and np.array_equal(self.labels, other.labels)
-            and self.rows == other.rows
+        return self.dim == other.dim and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAYS
         )
 
     def to_dense(self) -> np.ndarray:
         """Materialize the n x dim feature matrix (float64)."""
         A = np.zeros((self.n, self.dim))
-        sizes = [row.indices.size for row in self.rows]
-        cols = np.concatenate([row.indices for row in self.rows]) - 1
-        A[np.repeat(np.arange(self.n), sizes), cols] = np.concatenate(
-            [row.values for row in self.rows]
-        )
+        A[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices - 1] = self.values
         return A
 
 
@@ -177,56 +149,43 @@ def parse_libsvm(source: str | Iterable[str]) -> Dataset:
 
 def _parse_rows(lines: list[str]) -> Dataset | None:
     """The data rows of ``lines`` as a Dataset, split by C string methods
-    and converted and checked as whole arrays.
+    and converted as whole arrays, which the Dataset constructor checks.
 
     Returns None where a row does not match ``_ROW``, a token does not
-    convert, or a check fails; :func:`_parse_checked` then names the bad
-    line. The arrays convert each token with ``int()``/``float()``, so odd
-    but valid tokens (``+3``, ``1_0``, Unicode digits) read as they do there.
+    convert, or the constructor rejects the arrays; :func:`_parse_checked`
+    then names the bad line. The arrays convert each token with
+    ``int()``/``float()``, so odd but valid tokens (``+3``, ``1_0``,
+    Unicode digits) read as they do there.
     """
     data = [s for s in map(str.strip, lines) if s and s[0] != "#"]
     if not data or not all(map(_ROW.fullmatch, data)):
         return None
     heads = [s.split(None, 1) for s in data]  # [label] or [label, features]
     tokens = " ".join([h[1] for h in heads if len(h) > 1]).replace(":", " ").split()
+    indptr = np.zeros(len(data) + 1, dtype=np.int64)
+    np.cumsum(list(map(str.count, data, repeat(":"))), out=indptr[1:])
+    labels = np.array([_LABELS[h[0]] for h in heads], dtype=np.int64)
     try:
         indices = np.array(tokens[0::2], dtype=np.int64)
         values = np.array(tokens[1::2], dtype=np.float64)
+        return Dataset(indptr, indices, values, labels, int(indices.max()) if indices.size else 0)
     except (ValueError, OverflowError):
         return None
-    indptr = np.zeros(len(data) + 1, dtype=np.int64)
-    np.cumsum(list(map(str.count, data, repeat(":"))), out=indptr[1:])
-    # a step from one row's last index to the next row's first is no step
-    row_start = np.zeros(indices.size, dtype=bool)
-    row_start[indptr[:-1][np.diff(indptr) > 0]] = True
-    if not (
-        (indices >= 1).all()
-        and (row_start[1:] | (np.diff(indices) > 0)).all()
-        and np.isfinite(values).all()
-    ):
-        return None
-    bounds = indptr.tolist()
-    rows = tuple(
-        SparseRow._unchecked(indices[a:b], values[a:b]) for a, b in zip(bounds, bounds[1:])
-    )
-    labels = np.array([_LABELS[h[0]] for h in heads], dtype=np.int64)
-    return Dataset._unchecked(rows, labels, int(indices.max()) if indices.size else 0)
 
 
 def _parse_checked(lines: list[str]) -> Dataset:
     """:func:`parse_libsvm` one token at a time, raising the ParseError
     that names the first bad line."""
-    rows: list[SparseRow] = []
+    indptr = [0]
+    indices: list[int] = []
+    values: list[float] = []
     labels: list[int] = []
-    dim = 0
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         tokens = stripped.split()
         labels.append(_parse_label(tokens[0], lineno))
-        indices = []
-        values = []
         prev = 0
         for token in tokens[1:]:
             idx, val = _parse_feature(token, lineno)
@@ -237,20 +196,21 @@ def _parse_checked(lines: list[str]) -> Dataset:
             prev = idx
             indices.append(idx)
             values.append(val)
-        rows.append(SparseRow(np.array(indices, dtype=np.int64), np.array(values)))
-        dim = max(dim, prev)
-    if not rows:
+        indptr.append(len(indices))
+    if not labels:
         raise ParseError("line 0: no data rows found")
-    return Dataset(tuple(rows), np.array(labels, dtype=np.int64), dim)
+    return Dataset(np.array(indptr), np.array(indices, dtype=np.int64),
+                   np.array(values, dtype=np.float64), np.array(labels), max(indices, default=0))
 
 
 def serialize_libsvm(ds: Dataset) -> str:
     """Inverse of :func:`parse_libsvm`; values use shortest round-trip decimals."""
-    lines = []
-    for row, label in zip(ds.rows, ds.labels):
-        parts = ["+1" if label > 0 else "-1"]
-        parts.extend(f"{int(idx)}:{float(val)!r}" for idx, val in zip(row.indices, row.values))
-        lines.append(" ".join(parts))
+    features = [f"{idx}:{val!r}" for idx, val in zip(ds.indices.tolist(), ds.values.tolist())]
+    bounds = ds.indptr.tolist()
+    lines = [
+        " ".join(["+1" if label > 0 else "-1", *features[a:b]])
+        for label, a, b in zip(ds.labels.tolist(), bounds, bounds[1:])
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -296,8 +256,13 @@ def subsample(ds: Dataset, k: int, seed: int) -> Dataset:
         raise ValueError(f"k must be in [1, {ds.n}], got {k}")
     rng = np.random.default_rng(seed)
     picked = np.sort(rng.choice(ds.n, size=k, replace=False))
-    rows = tuple(ds.rows[i] for i in picked)
-    return Dataset(rows, ds.labels[picked], ds.dim)
+    keep = np.zeros(ds.n, dtype=bool)
+    keep[picked] = True
+    sizes = np.diff(ds.indptr)
+    stored = np.repeat(keep, sizes)
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(sizes[picked], out=indptr[1:])
+    return Dataset(indptr, ds.indices[stored], ds.values[stored], ds.labels[picked], ds.dim)
 
 
 def synthesize_logistic_dataset(
@@ -328,13 +293,16 @@ def synthesize_logistic_dataset(
     for i in range(n):
         k = max(1, min(dim, int(rng.poisson(nnz))))
         idx = np.sort(rng.choice(dim, size=k, replace=False)) + 1
-        rows.append(SparseRow(idx, np.full(k, float(value_scale))))
+        rows.append(idx)
         margins[i] = w_true[idx - 1].sum() + rng.normal(0.0, 0.5)
     threshold = np.quantile(margins, 1.0 - pos_frac)
     labels = np.where(margins > threshold, 1, -1)
     flips = rng.random(n) < flip
     labels = np.where(flips, -labels, labels)
-    return Dataset(tuple(rows), labels.astype(np.int64), dim)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([idx.size for idx in rows], out=indptr[1:])
+    indices = np.concatenate(rows)
+    return Dataset(indptr, indices, np.full(indices.size, float(value_scale)), labels, dim)
 
 
 def bundled_dataset_path() -> Path:

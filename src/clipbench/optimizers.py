@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -94,7 +95,9 @@ class RunConfig:
     finite positive threshold for the clipped/DP ones. ``thin`` > 1
     records every thin-th iterate (the final one is always kept).
     ``T``, ``B``, ``seed`` and ``thin`` are integers (Python or numpy),
-    stored as Python ints.
+    stored as Python ints; ``c``, ``eta`` and ``sigma_dp`` are real
+    scalars (Python or numpy), stored as Python floats, so a float32
+    argument runs in float64 on every path.
     """
 
     method: str
@@ -116,6 +119,11 @@ class RunConfig:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("c", "eta", "sigma_dp"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.method in _UNCLIPPED:
             if not math.isinf(self.c):
                 raise ValueError(f"{self.method} requires c = inf, got {self.c!r}")

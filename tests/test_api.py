@@ -31,6 +31,7 @@ def test_package_provides_what_the_benchmark_reads():
     ("core", "ClipParams"),
     ("core", "clipped_step"),
     ("problems", "_sigmoid"),
+    ("data_ingest", "SparseRow"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"clipbench.{module}"), name)
@@ -39,3 +40,7 @@ def test_removed_names_are_gone(module, name):
 
 def test_trace_has_no_records_view():
     assert not hasattr(clipbench.optimizers.Trace, "records")
+
+
+def test_dataset_has_no_rows_view():
+    assert not hasattr(clipbench.parse_libsvm("+1 1:1\n-1 2:1"), "rows")

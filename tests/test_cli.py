@@ -32,6 +32,8 @@ x0 = 1
 seeds = 0
 """
 
+CLIPPED_GD = "method = clipped_gd\nc = 0.25\neta = 1\nT = 2\n"
+
 
 class TestConfigParsing:
     def test_key_value_lists_and_comments(self):
@@ -80,6 +82,29 @@ class TestConfigParsing:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "line 2: feature index must be < 2**63" in err
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("run", "problem = quadratic\ndim = 0\n" + CLIPPED_GD, "need dim >= 1 and L > 0"),
+        ("run", "problem = bernoulli_shift\na = -1\np = 0.25\n" + CLIPPED_GD,
+         "shift a must be positive"),
+        ("run", f"problem = logistic\ndata = {bundled_dataset_path()}\nsubsample_k = 0\n"
+         + CLIPPED_GD, "k must be in [1, 500], got 0"),
+        ("run", f"problem = logistic\ndata = {bundled_dataset_path()}\nlambda = -1\n"
+         + CLIPPED_GD, "ridge weight must be nonnegative"),
+        ("run", "problem = quadratic\nL = nan\n" + CLIPPED_GD, "need dim >= 1 and L > 0"),
+        ("fixedpoint", "sigma = nan\nc = 4\n", "construction needs sigma > 0"),
+        ("bound", "theorem = stoch_nonconvex\ntrace = trace.csv\nc = 0.25\neta = 1\nT = 2\n"
+         "F0 = 0.5\n", "degenerate smoothness"),
+    ], ids=["dim_0", "a_negative", "subsample_k_0", "lambda_negative", "L_nan",
+            "sigma_nan", "bound_without_L0_L1"])
+    def test_out_of_range_value_is_config_error(self, tmp_path, command, text, message, capsys):
+        # every rejected value reaches main as a ValueError: reported, not raised
+        assert main(["run", "--config", str(write(tmp_path, "ok.cfg", RUN_CFG)),
+                     "--out", str(tmp_path / "trace.csv")]) == 0
+        cfg = write(tmp_path, "bad.cfg", f"mode = {command}\n{text}")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
 
 class TestFlags:

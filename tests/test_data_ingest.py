@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,6 @@ from numpy.testing import assert_allclose
 from clipbench.data_ingest import (
     Dataset,
     ParseError,
-    SparseRow,
     _parse_checked,
     _parse_rows,
     bundled_dataset_path,
@@ -18,13 +19,26 @@ from clipbench.data_ingest import (
 )
 
 
+def from_rows(rows, labels, dim):
+    """A Dataset from a list of (indices, values) rows."""
+    indptr = np.cumsum([0] + [len(idx) for idx, _ in rows])
+    indices = np.concatenate([np.asarray(idx, dtype=np.int64) for idx, _ in rows] + [[]])
+    values = np.concatenate([np.asarray(val, dtype=float) for _, val in rows] + [[]])
+    return Dataset(indptr, indices, values, labels, dim)
+
+
+def row(ds, i):
+    """Row ``i`` of ``ds`` as (indices, values) lists."""
+    a, b = ds.indptr[i], ds.indptr[i + 1]
+    return ds.indices[a:b].tolist(), ds.values[a:b].tolist()
+
+
 class TestParse:
     def test_single_row(self):
         ds = parse_libsvm("+1 3:1 7:0.5")
         assert ds.n == 1 and ds.dim == 7
         assert ds.labels[0] == 1
-        assert list(ds.rows[0].indices) == [3, 7]
-        assert list(ds.rows[0].values) == [1.0, 0.5]
+        assert row(ds, 0) == ([3, 7], [1.0, 0.5])
 
     def test_two_rows(self):
         ds = parse_libsvm("-1 1:2\n+1 2:1")
@@ -41,7 +55,7 @@ class TestParse:
 
     def test_empty_feature_row(self):
         ds = parse_libsvm("+1\n-1 2:1")
-        assert ds.rows[0].indices.size == 0 and ds.dim == 2
+        assert row(ds, 0) == ([], []) and ds.dim == 2
 
     def test_nonincreasing_indices_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -73,9 +87,9 @@ class TestParse:
         for _ in range(50):
             k = int(rng.integers(0, 6))
             idx = np.sort(rng.choice(30, size=k, replace=False)) + 1
-            rows.append(SparseRow(idx, rng.normal(size=k)))
+            rows.append((idx, rng.normal(size=k)))
             labels.append(int(rng.choice([-1, 1])))
-        ds = Dataset(tuple(rows), np.array(labels), 30)
+        ds = from_rows(rows, np.array(labels), 30)
         assert parse_libsvm(serialize_libsvm(ds)) == ds
 
     def test_bundled_file_parses(self):
@@ -88,14 +102,11 @@ class TestParse:
 def assert_same_dataset(got, expected):
     """Bit-for-bit equality, dtypes and shapes included."""
     assert got.dim == expected.dim and got.n == expected.n
-    assert got.labels.dtype == expected.labels.dtype == np.int64
-    assert got.labels.tobytes() == expected.labels.tobytes()
-    for a, b in zip(got.rows, expected.rows):
-        assert a.indices.dtype == b.indices.dtype == np.int64
-        assert a.values.dtype == b.values.dtype == np.float64
-        assert a.indices.shape == b.indices.shape
-        assert a.indices.tobytes() == b.indices.tobytes()
-        assert a.values.tobytes() == b.values.tobytes()
+    for name, dtype in [("indptr", np.int64), ("indices", np.int64),
+                        ("values", np.float64), ("labels", np.int64)]:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype == dtype, name
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def random_dataset(n, dim, seed):
@@ -105,8 +116,8 @@ def random_dataset(n, dim, seed):
     for _ in range(n):
         k = int(rng.integers(0, 13))
         idx = np.sort(rng.choice(dim, size=k, replace=False)) + 1
-        rows.append(SparseRow(idx, rng.normal(size=k) * 10.0 ** rng.uniform(-8, 8, size=k)))
-    return Dataset(tuple(rows), rng.choice([-1, 1], size=n), dim)
+        rows.append((idx, rng.normal(size=k) * 10.0 ** rng.uniform(-8, 8, size=k)))
+    return from_rows(rows, rng.choice([-1, 1], size=n), dim)
 
 
 class TestVectorizedParse:
@@ -157,12 +168,12 @@ class TestVectorizedParse:
         lines = [f"+1 1:1{sep}2:2", "-1 3:1"]
         ds = parse_libsvm(lines)
         assert_same_dataset(ds, _parse_checked(lines))
-        assert list(ds.rows[0].indices) == [1, 2]
+        assert row(ds, 0)[0] == [1, 2]
 
     def test_odd_tokens_give_their_values(self):
         ds = parse_libsvm("+1 +3:1_0 1_1:.5\n0 \u0663\u0664:1e-3")
-        assert list(ds.rows[0].indices) == [3, 11] and list(ds.rows[0].values) == [10.0, 0.5]
-        assert list(ds.rows[1].indices) == [34] and list(ds.rows[1].values) == [1e-3]
+        assert row(ds, 0) == ([3, 11], [10.0, 0.5])
+        assert row(ds, 1) == ([34], [1e-3])
         assert list(ds.labels) == [1, -1] and ds.dim == 34
 
     def test_iterable_of_lines_with_newlines(self):
@@ -203,19 +214,18 @@ class TestVectorizedParse:
             parse_libsvm(text)
         assert str(exc.value) == message
 
-    def test_parsed_rows_pass_their_own_checks(self):
+    def test_parsed_arrays_pass_the_constructor_checks(self):
         ds = parse_libsvm(serialize_libsvm(random_dataset(200, 40, seed=8)))
-        for row in ds.rows:
-            assert SparseRow(row.indices, row.values) == row
-        assert Dataset(ds.rows, ds.labels, ds.dim) == ds
+        assert Dataset(ds.indptr, ds.indices, ds.values, ds.labels, ds.dim) == ds
 
 
 class TestToDense:
     @staticmethod
     def row_loop(ds):
         A = np.zeros((ds.n, ds.dim))
-        for i, row in enumerate(ds.rows):
-            A[i, row.indices - 1] = row.values
+        for i in range(ds.n):
+            indices, values = row(ds, i)
+            A[i, np.array(indices, dtype=np.int64) - 1] = values
         return A
 
     @pytest.mark.parametrize("make", [
@@ -261,10 +271,8 @@ class TestEstimateL:
             n, d = int(rng.integers(3, 9)), int(rng.integers(1, 6))
             A = rng.normal(size=(n, d))
             y = rng.choice([-1.0, 1.0], size=n)
-            rows = tuple(
-                SparseRow(np.arange(1, d + 1), A[i]) for i in range(n)
-            )
-            ds = Dataset(rows, y.astype(np.int64), d)
+            ds = Dataset(np.arange(0, n * d + 1, d), np.tile(np.arange(1, d + 1), n),
+                         A.ravel(), y.astype(np.int64), d)
             L = estimate_L(ds)
             for _ in range(5):
                 x = rng.normal(size=d)
@@ -300,24 +308,62 @@ class TestSubsample:
             subsample(ds, 2, seed=0)
 
 
-class TestValidation:
-    def test_sparse_row_checks(self):
-        with pytest.raises(ValueError):
-            SparseRow(np.array([2, 1]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            SparseRow(np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            SparseRow(np.array([1]), np.array([np.nan]))
+# a valid base: row 1 is empty, and the index drops from 3 to 2 across rows
+BASE = dict(indptr=[0, 2, 2, 3], indices=[1, 3, 2], values=[1.0, 2.0, 3.0],
+            labels=[1, -1, 1], dim=3)
 
-    def test_dataset_checks(self):
-        row = SparseRow(np.array([3]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            Dataset((row,), np.array([2]), 3)
-        with pytest.raises(ValueError):
-            Dataset((row,), np.array([1]), 2)  # dim below max index
-        with pytest.raises(ValueError):
-            Dataset((), np.array([], dtype=np.int64), 0)
+
+class TestValidation:
+    def test_index_may_drop_across_a_row_boundary(self):
+        ds = Dataset(**BASE)
+        assert ds.n == 3 and [row(ds, i)[0] for i in range(3)] == [[1, 3], [], [2]]
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(indptr=[1, 2, 2, 3]), "indptr must rise from 0"),
+        (dict(indptr=[0, 2, 1, 3]), "indptr must rise from 0"),
+        (dict(indptr=[0, 2, 3]), "n \\+ 1 row offsets"),
+        (dict(indptr=[0, 2, 2, 2]), "indptr must rise from 0"),
+        (dict(indices=[0, 3, 2]), "strictly increasing within a row and >= 1"),
+        (dict(indices=[3, 3, 2]), "strictly increasing within a row and >= 1"),
+        (dict(indices=[3, 1, 2]), "strictly increasing within a row and >= 1"),
+        (dict(values=[1.0, np.nan, 3.0]), "feature values must be finite"),
+        (dict(labels=[1, 2, 1]), "labels must be \\+1 or -1"),
+        (dict(dim=2), "dim 2 smaller than max feature index 3"),
+        (dict(indptr=[0], indices=[], values=[], labels=[], dim=0), "at least one row"),
+    ], ids=["indptr_start", "indptr_decreases", "indptr_length", "indptr_end",
+            "index_zero", "index_repeated", "index_decreasing", "nan_value",
+            "bad_label", "dim_below_max_index", "zero_rows"])
+    def test_constructor_rejects(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(**{**BASE, **change})
 
     def test_to_dense(self):
         ds = parse_libsvm("+1 2:3\n-1 1:1 3:2")
         assert_allclose(ds.to_dense(), [[0, 3, 0], [1, 0, 2]], rtol=0, atol=0)
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("make, digests", [
+    (lambda: parse_libsvm(bundled_dataset_path().read_text()), (
+        "b47c407236f2ce07ccaddf1cab1b73d5280cecab5dc94588b26311f447beca87",
+        "70a3901486abcc6ab0d90aab0c18b44bbb08a042acafb8640c12dc303870963e",
+        "724483c658013c2e99c4340d74974b174cefa377193598a5dc5ca91b4e6baa92",
+        "e9e2bfc08f5bc4ebf9142d6ee500b607157c29982718fe44acdb46da98936565",
+    )),
+    (lambda: synthesize_logistic_dataset(n=20000, dim=200), (
+        "108ab49bb3b96a791cdf39a2e117465dfbec0ceeee3c76026c48bcc91fe778e6",
+        "ed977e161b4a894227ac33cbe09d80cbf0e4b944b7ab1f32b3bf95e5967b8d6d",
+        "a2d1e14082ad20824c976ed43347208e23aaad8ccd631e680c2e8eec43e45bed",
+        "1fe9e357a62bbcb293426609b2289f7fdf610d7b22a5437a93866e3bbafe4e50",
+    )),
+], ids=["bundled", "synthesized_20000"])
+def test_frozen_digests(make, digests):
+    # sha256 of to_dense(), serialize_libsvm, and subsample(ds, 137, seed=3)
+    # serialized and densified, as the row-object Dataset gave them
+    ds = make()
+    sub = subsample(ds, 137, seed=3)
+    assert (sha256(ds.to_dense().tobytes()), sha256(serialize_libsvm(ds).encode()),
+            sha256(serialize_libsvm(sub).encode()), sha256(sub.to_dense().tobytes())) == digests

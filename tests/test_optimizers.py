@@ -134,6 +134,27 @@ class TestRunConfig:
         config = cfg(method="sgd", **{name: np.int64(3)})
         assert type(getattr(config, name)) is int and getattr(config, name) == 3
 
+    @pytest.mark.parametrize("name", ["c", "eta", "sigma_dp"])
+    def test_rates_must_be_real_scalars(self, name):
+        for bad in ("1", "0", None, np.array([0.1, 0.2]), np.array(0.5)):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+                cfg(**{"method": "dp_sgd", "c": 1.0, name: bad})
+        # numpy scalars are accepted and stored as Python floats
+        config = cfg(**{"method": "dp_sgd", "c": 1.0, name: np.float32(0.5)})
+        assert type(getattr(config, name)) is float and getattr(config, name) == 0.5
+
+    def test_float32_rates_give_one_run_on_both_engines(self):
+        # stored as float64, a float32 c and eta cannot put the single run
+        # in float32 arithmetic while the lockstep run builds float64 arrays
+        problem = Quadratic(dim=3)
+        config = cfg(method="clipped_gd", c=np.float32(0.3), eta=np.float32(0.7), T=20,
+                     x0=np.array([1.0, -2.0, 0.5]))
+        single = run(problem, config)
+        [(cell, diverged)] = run(problem, optimizers.Cells([config]))
+        assert not diverged
+        for name in ("iters", "f_vals", "grad_norms", "applied_norms", "clipped_fracs"):
+            assert getattr(single, name).tobytes() == getattr(cell, name).tobytes(), name
+
     def test_x0_is_frozen_copy(self):
         x0 = np.array([1.0, 2.0])
         config = cfg(x0=x0, T=0)
