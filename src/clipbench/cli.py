@@ -6,9 +6,11 @@ bias-floor constructions over (sigma, c) grids), ``certify`` (smoothness
 and gradient checks), ``bound`` (compare a trace against a predictor).
 
 Configs are flat ``key = value`` text; list values are comma-separated;
-unknown keys are errors. All outputs are deterministic functions of the
-config bytes (plus --seed-offset for ``run`` and ``sweep``) and
-byte-identical across reruns. Exit codes: 0 ok, 1 config or usage error
+unknown keys are errors, and so are keys that the chosen problem, method
+or theorem does not read. A left-out key that feeds a library parameter
+is not passed, so the library's signature owns its default. All outputs
+are deterministic functions of the config bytes (plus --seed-offset for
+``run`` and ``sweep``) and byte-identical across reruns. Exit codes: 0 ok, 1 config or usage error
 (a value the problem, run or theorem rejects included), 2 data error, 3
 divergence, 4 certification/bound failure.
 """
@@ -128,11 +130,11 @@ _PROBLEM_KEYS = {
 _RUN_KEYS = {
     "method": str, "c": _to_float_list, "eta": _to_float_list, "T": _to_int,
     "B": _to_int, "sigma_dp": _to_float, "seeds": _to_int_list,
-    "x0": _to_float_list, "thin": _to_int, "target_grad_norm": _to_float,
+    "x0": _to_float_list, "thin": _to_int,
 }
 _SCHEMAS: dict[str, dict[str, Callable]] = {
     "run": {"mode": str, **_PROBLEM_KEYS, **_RUN_KEYS},
-    "sweep": {"mode": str, **_PROBLEM_KEYS, **_RUN_KEYS},
+    "sweep": {"mode": str, **_PROBLEM_KEYS, **_RUN_KEYS, "target_grad_norm": _to_float},
     "fixedpoint": {"mode": str, "sigma": _to_float_list, "c": _to_float_list},
     "certify": {
         "mode": str, **_PROBLEM_KEYS, "L0": _to_float, "L1": _to_float,
@@ -170,39 +172,61 @@ def _require(cfg: dict, *keys: str) -> None:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
 
+# the parameter a config key sets, where the two names differ
+_PARAMS = {"lambda": "lam", "intercept": "add_intercept", "normalize": "normalize_rows"}
+
+
+def _given(cfg: dict, keys: Sequence[str]) -> dict:
+    """The keyword arguments for those of ``keys`` that the config sets.
+    A key it leaves out is not passed, so the callee's signature owns
+    every default."""
+    return {_PARAMS.get(key, key): cfg[key] for key in keys if key in cfg}
+
+
 # ---------------------------------------------------------------------------
 # problem construction
+
+# each problem's constructor and the config keys it takes as parameters
+_PROBLEMS: dict[str, tuple[Callable[..., Problem], tuple[str, ...]]] = {
+    "quadratic": (Quadratic, ("dim", "L")),
+    "bernoulli_shift": (BernoulliShiftQuadratic, ("a", "p")),
+    "chi_square": (ChiSquareQuadratic, ("dim", "L")),
+    "logistic": (LogisticRegressionProblem, ("lambda", "intercept", "normalize")),
+}
+# the keys the logistic problem reads to load its dataset
+_DATA_KEYS = ("data", "subsample_k", "subsample_seed")
+
 
 def build_problem(cfg: dict, config_dir: Path) -> Problem:
     _require(cfg, "problem")
     name = cfg["problem"]
-    if name == "quadratic":
-        return Quadratic(dim=cfg.get("dim", 1), L=cfg.get("L", 1.0))
+    if name not in _PROBLEMS:
+        raise ConfigError(f"unknown problem {name!r}")
+    make, keys = _PROBLEMS[name]
+    reads = {"problem", *keys, *(_DATA_KEYS if name == "logistic" else ())}
+    stray = [key for key in _PROBLEM_KEYS if key in cfg and key not in reads]
+    if stray:
+        raise ConfigError(f"problem {name!r} does not read {', '.join(map(repr, stray))}")
+    if "subsample_seed" in cfg and "subsample_k" not in cfg:
+        raise ConfigError("key 'subsample_seed' is read only with subsample_k")
     if name == "bernoulli_shift":
         _require(cfg, "a", "p")
-        return BernoulliShiftQuadratic(a=cfg["a"], p=cfg["p"])
-    if name == "chi_square":
-        return ChiSquareQuadratic(dim=cfg.get("dim", 100), L=cfg.get("L", 0.1))
-    if name == "logistic":
-        _require(cfg, "data")
-        path = Path(cfg["data"])
-        if not path.is_absolute():
-            path = config_dir / path
-        if not path.exists():
-            raise DataError(f"dataset file not found: {path}")
-        try:
-            ds = data_ingest.parse_libsvm(path.read_text().splitlines())
-        except ParseError as exc:
-            raise DataError(f"{path}: {exc}") from None
-        if "subsample_k" in cfg:
-            ds = data_ingest.subsample(ds, cfg["subsample_k"], cfg.get("subsample_seed", 0))
-        return LogisticRegressionProblem(
-            ds,
-            lam=cfg.get("lambda", 0.0),
-            add_intercept=cfg.get("intercept", False),
-            normalize_rows=cfg.get("normalize", False),
-        )
-    raise ConfigError(f"unknown problem {name!r}")
+    args = _given(cfg, keys)
+    if name != "logistic":
+        return make(**args)
+    _require(cfg, "data")
+    path = Path(cfg["data"])
+    if not path.is_absolute():
+        path = config_dir / path
+    if not path.exists():
+        raise DataError(f"dataset file not found: {path}")
+    try:
+        ds = data_ingest.parse_libsvm(path.read_text().splitlines())
+    except ParseError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if "subsample_k" in cfg:
+        ds = data_ingest.subsample(ds, cfg["subsample_k"], cfg.get("subsample_seed", 0))
+    return make(ds, **args)
 
 
 def _build_x0(cfg: dict, problem: Problem) -> np.ndarray:
@@ -218,15 +242,8 @@ def _build_x0(cfg: dict, problem: Problem) -> np.ndarray:
 
 def _run_config(cfg: dict, problem: Problem, c: float, eta: float, seed: int) -> RunConfig:
     return RunConfig(
-        method=cfg["method"],
-        c=c,
-        eta=eta,
-        T=cfg["T"],
-        x0=_build_x0(cfg, problem),
-        B=cfg.get("B", 1),
-        sigma_dp=cfg.get("sigma_dp", 0.0),
-        seed=seed,
-        thin=cfg.get("thin", 1),
+        method=cfg["method"], c=c, eta=eta, T=cfg["T"], x0=_build_x0(cfg, problem),
+        seed=seed, **_given(cfg, ("B", "sigma_dp", "thin")),
     )
 
 
@@ -440,10 +457,7 @@ def cmd_certify(cfg: dict, out: Path) -> int:
         lines.append(f"gradient_check point={i} rel_err={_fmt(rel)} status={'pass' if ok else 'fail'}")
 
     cert = theory.certify_smoothness(
-        problem, L0, L1,
-        n_pairs=cfg.get("n_pairs", 200),
-        radius_scale=scale,
-        seed=seed,
+        problem, L0, L1, radius_scale=scale, seed=seed, **_given(cfg, ("n_pairs",)),
     )
     lines.append(
         f"smoothness L0={_fmt(L0)} L1={_fmt(L1)} pairs={cert.n_pairs}"
@@ -533,16 +547,16 @@ def _rate_params(cfg: dict) -> theory.RateParams:
     _require(cfg, "c", "eta", "T")
     return theory.RateParams(
         c=cfg["c"], eta=cfg["eta"], T=cfg["T"],
-        F0=cfg.get("F0", 0.0), R0=cfg.get("R0", 0.0),
-        L0=cfg.get("L0", 0.0), L1=cfg.get("L1", 0.0), L=cfg.get("L", 0.0),
-        mu=cfg.get("mu", 0.0), sigma=cfg.get("sigma", 0.0),
-        B=cfg.get("B", 1), sigma_dp=cfg.get("sigma_dp", 0.0),
+        **_given(cfg, ("F0", "R0", "L0", "L1", "L", "mu", "sigma", "B", "sigma_dp")),
     )
 
 
 def cmd_bound(cfg: dict, out: Path) -> int:
     _require(cfg, "theorem", "trace")
     theorem = cfg["theorem"]
+    if theorem == "stoch_nonconvex" and cfg.get("use_trajectory_L", False):
+        raise ConfigError("use_trajectory_L = true does not apply to theorem"
+                          " 'stoch_nonconvex', whose bound takes no smoothness override")
     trace_path = Path(cfg["trace"])
     if not trace_path.is_absolute():
         trace_path = cfg["_dir"] / trace_path
@@ -558,88 +572,74 @@ def cmd_bound(cfg: dict, out: Path) -> int:
     else:
         L_eff = None
 
-    lines = []
-    failed = False
     if theorem == "det_convex":
         _require(cfg, "f_star", "R0")
         report = theory.bound_det_convex(params, L_override=L_eff)
-        if not report.stepsize_ok:
-            lines.append(f"theorem={theorem} status=vacuous reason=stepsize_above_threshold")
-        else:
-            checked = data["iter"] >= 1
-            gaps = data["f_val"][checked] - cfg["f_star"]
-            predicted = theory.det_convex_gap_bound(params, data["iter"][checked], L_eff)
-            violations = int(np.count_nonzero(gaps > predicted))
-            failed = violations > 0
-            lines.append(
-                f"theorem={theorem} predicted_final={_fmt(report.predicted)}"
-                f" checked={int(checked.sum())} violations={violations}"
-                f" status={'pass' if not failed else 'fail'}"
-            )
     elif theorem == "stoch_nonconvex":
         report = theory.bound_stoch_nonconvex(params)
-        if not report.stepsize_ok:
-            lines.append(f"theorem={theorem} status=vacuous reason=stepsize_above_threshold")
-        else:
-            if is_sweep:
-                # sweep rows carry per-seed min gradient norms; their mean is
-                # below the average-norm bound as well, so one check serves
-                # both regimes
-                statistic = float(data["grad_norm"].mean())
-                stat_name = "mean_min_grad_norm"
-            elif report.regime == "small_c":
-                statistic = float(data["grad_norm"].min())
-                stat_name = "min_grad_norm"
-            else:
-                statistic = float(data["grad_norm"].mean())
-                stat_name = "mean_grad_norm"
-            # a NaN statistic (a cell that diverged before its first record)
-            # fails rather than passing every comparison
-            failed = not statistic <= report.predicted
-            lines.append(
-                f"theorem={theorem} regime={report.regime} {stat_name}={_fmt(statistic)}"
-                f" predicted={_fmt(report.predicted)} status={'pass' if not failed else 'fail'}"
-            )
     elif theorem == "det_strongly_convex":
         _require(cfg, "f_star", "R0", "mu", "epsilon")
         report = theory.bound_det_strongly_convex(params, cfg["epsilon"], L_override=L_eff)
-        if not report.stepsize_ok:
-            lines.append(f"theorem={theorem} status=vacuous reason=stepsize_above_threshold")
-        else:
-            # distance proxy from strong convexity: R_t^2 <= 2 (f_t - f*) / mu
-            proxy = 2.0 * (data["f_val"] - cfg["f_star"]) / params.mu
-            hits = np.nonzero(proxy <= cfg["epsilon"])[0]
-            achieved = int(data["iter"][hits[0]]) if hits.size else -1
-            if achieved < 0:
-                if data["iter"][-1] < report.predicted:
-                    lines.append(
-                        f"theorem={theorem} predicted={_fmt(report.predicted)}"
-                        f" status=inconclusive reason=trace_shorter_than_prediction"
-                    )
-                else:
-                    failed = True
-                    lines.append(
-                        f"theorem={theorem} predicted={_fmt(report.predicted)}"
-                        f" achieved=never status=fail"
-                    )
-            else:
-                failed = achieved > report.predicted
-                lines.append(
-                    f"theorem={theorem} predicted={_fmt(report.predicted)}"
-                    f" achieved={achieved} status={'pass' if not failed else 'fail'}"
-                )
     elif theorem == "dp_sgd":
         report = theory.bound_dp_sgd(params, L_override=L_eff)
-        lines.append(
-            f"theorem={theorem} predicted={_fmt(report.predicted)}"
-            f" mean_grad_norm={_fmt(float(data['grad_norm'].mean()))}"
-            f" status=reported constants=order_of_magnitude"
-        )
     else:
         raise ConfigError(
             f"unknown theorem {theorem!r} (det_nonconvex is stoch_nonconvex with sigma = 0)"
         )
-    out.write_text("\n".join(lines) + "\n")
+
+    failed = False
+    if theorem == "dp_sgd":
+        # reported whatever the step size: dp_sgd asserts nothing
+        line = (f"theorem={theorem} predicted={_fmt(report.predicted)}"
+                f" mean_grad_norm={_fmt(float(data['grad_norm'].mean()))}"
+                f" status=reported constants=order_of_magnitude")
+    elif not report.stepsize_ok:
+        line = f"theorem={theorem} status=vacuous reason=stepsize_above_threshold"
+    elif theorem == "det_convex":
+        checked = data["iter"] >= 1
+        gaps = data["f_val"][checked] - cfg["f_star"]
+        predicted = theory.det_convex_gap_bound(params, data["iter"][checked], L_eff)
+        violations = int(np.count_nonzero(gaps > predicted))
+        failed = violations > 0
+        line = (f"theorem={theorem} predicted_final={_fmt(report.predicted)}"
+                f" checked={int(checked.sum())} violations={violations}"
+                f" status={'pass' if not failed else 'fail'}")
+    elif theorem == "stoch_nonconvex":
+        if is_sweep:
+            # sweep rows carry per-seed min gradient norms; their mean is
+            # below the average-norm bound as well, so one check serves
+            # both regimes
+            statistic = float(data["grad_norm"].mean())
+            stat_name = "mean_min_grad_norm"
+        elif report.regime == "small_c":
+            statistic = float(data["grad_norm"].min())
+            stat_name = "min_grad_norm"
+        else:
+            statistic = float(data["grad_norm"].mean())
+            stat_name = "mean_grad_norm"
+        # a NaN statistic (a cell that diverged before its first record)
+        # fails rather than passing every comparison
+        failed = not statistic <= report.predicted
+        line = (f"theorem={theorem} regime={report.regime} {stat_name}={_fmt(statistic)}"
+                f" predicted={_fmt(report.predicted)} status={'pass' if not failed else 'fail'}")
+    else:
+        # distance proxy from strong convexity: R_t^2 <= 2 (f_t - f*) / mu
+        proxy = 2.0 * (data["f_val"] - cfg["f_star"]) / params.mu
+        hits = np.nonzero(proxy <= cfg["epsilon"])[0]
+        achieved = int(data["iter"][hits[0]]) if hits.size else -1
+        if achieved < 0:
+            if data["iter"][-1] < report.predicted:
+                line = (f"theorem={theorem} predicted={_fmt(report.predicted)}"
+                        f" status=inconclusive reason=trace_shorter_than_prediction")
+            else:
+                failed = True
+                line = (f"theorem={theorem} predicted={_fmt(report.predicted)}"
+                        f" achieved=never status=fail")
+        else:
+            failed = achieved > report.predicted
+            line = (f"theorem={theorem} predicted={_fmt(report.predicted)}"
+                    f" achieved={achieved} status={'pass' if not failed else 'fail'}")
+    out.write_text(line + "\n")
     return EXIT_CHECK if failed else EXIT_OK
 
 

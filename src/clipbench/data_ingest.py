@@ -18,6 +18,7 @@ exits 2.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from itertools import repeat
@@ -59,7 +60,8 @@ class Dataset:
     ``indptr`` (n + 1 int64 offsets from 0 to the number of stored values)
     delimits each row's slice of ``indices`` (int64, 1-based, strictly
     increasing within a row) and ``values`` (finite float64). ``dim`` is
-    at least the largest index.
+    an integer (Python or numpy, stored as a Python int) at least the
+    largest index.
     """
 
     indptr: np.ndarray
@@ -69,6 +71,10 @@ class Dataset:
     dim: int
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "dim", operator.index(self.dim))
+        except TypeError:
+            raise ValueError(f"dim must be an integer, got {self.dim!r}") from None
         for name, dtype in _ARRAYS.items():
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         indptr, indices, values, labels = (getattr(self, name) for name in _ARRAYS)

@@ -32,7 +32,7 @@ one-sample calls, so traces do not depend on the batch path taken.
 ``run`` also takes a :class:`Cells` batch of configurations that share
 everything but ``c``, ``eta``, ``seed`` and ``x0``, and advances all of
 them in lockstep as one ``(cells, dim)`` iterate array: one
-``value_and_grad_rows`` call, one ``clip_rows`` call with a per-row
+``value_and_grad`` call on the stack, one ``clip_rows`` call with a per-row
 threshold and one update per step. Each cell keeps its own Philox stream
 and draws its samples and noise as a single run would, and every batched
 operation works row by row, so each cell's trace is bit-for-bit the one
@@ -92,7 +92,8 @@ class RunConfig:
     """Parameters of one optimization run.
 
     ``c`` must be ``math.inf`` exactly for the unclipped methods and a
-    finite positive threshold for the clipped/DP ones. ``thin`` > 1
+    finite positive threshold for the clipped/DP ones; ``B`` > 1 needs a
+    stochastic method and ``sigma_dp`` > 0 needs ``dp_sgd``. ``thin`` > 1
     records every thin-th iterate (the final one is always kept).
     ``T``, ``B``, ``seed`` and ``thin`` are integers (Python or numpy),
     stored as Python ints; ``c``, ``eta`` and ``sigma_dp`` are real
@@ -136,6 +137,9 @@ class RunConfig:
             raise ValueError(f"iteration budget must be >= 0, got {self.T!r}")
         if self.B < 1:
             raise ValueError(f"minibatch size must be >= 1, got {self.B!r}")
+        if self.B != 1 and self.method in _DETERMINISTIC:
+            raise ValueError(f"B = {self.B} is only valid for the stochastic methods;"
+                             f" {self.method} steps along the exact gradient")
         if self.sigma_dp < 0 or not math.isfinite(self.sigma_dp):
             raise ValueError(f"DP noise scale must be finite and >= 0, got {self.sigma_dp!r}")
         if self.sigma_dp > 0 and self.method != "dp_sgd":
@@ -458,7 +462,8 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
             or x_norm > DIVERGENCE_LIMIT
         ):
             raise DivergenceError(
-                f"divergence at t={t}: f={f!r}, |x|={x_norm!r} (limit {DIVERGENCE_LIMIT:g})",
+                f"divergence at t={t}: f={float(f)!r}, |x|={x_norm!r}"
+                f" (limit {DIVERGENCE_LIMIT:g})",
                 _partial_trace(config, ts, fs, gs, aps, cfs, k, x, max_sample),
             )
 
@@ -549,10 +554,10 @@ def _run_cells(problem: Problem, cells: Cells) -> list[tuple[Trace, bool]]:
                 float(max_sample[i]),
             ), diverged)
 
-    value_and_grad_rows = problem.value_and_grad_rows
+    value_and_grad = problem.value_and_grad
     sample_grad, sample_grads = problem.sample_grad, problem.sample_grads
     for t in range(T + 1):
-        f, G = value_and_grad_rows(X)
+        f, G = value_and_grad(X)
         grad_norm = np.sqrt(np.vecdot(G, G))
         x_norm = np.sqrt(np.vecdot(X, X))
         # the single run's guard, row by row: a NaN f fails |f| <= limit,

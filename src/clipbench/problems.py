@@ -5,15 +5,18 @@ gradient ``grad``, and a one-draw stochastic gradient ``sample_grad``
 that is unbiased for ``grad`` with variance bounded by ``meta.sigma_sq``.
 Problems are immutable; the caller owns all RNG state.
 
-Three batch oracles serve the iteration engines and the Monte Carlo
-estimators: ``value_and_grad`` (both exact quantities at one point),
-``value_and_grad_rows`` (the same at each row of a ``(K, dim)`` array of
-points) and ``sample_grads`` (``k`` draws stacked as rows). They skip the
-dimension check that ``value`` and ``grad`` make, because their callers
-validate the points once up front. The base-class defaults are built
-from ``value``, ``grad`` and ``sample_grad``, so a custom subclass needs
-only those three; the shipped problems override the batch oracles with
-vectorized versions that reproduce the one-call results bit for bit.
+Two batch oracles serve the iteration engines and the Monte Carlo
+estimators. ``value_and_grad`` is the one exact oracle: at a point it
+returns ``(value, grad)``, and at a ``(K, dim)`` stack of points the
+``(K,)`` values and ``(K, dim)`` gradients, each row bit-for-bit what its
+point gives alone. ``sample_grads`` returns ``k`` draws stacked as rows.
+Both skip the dimension check, because their callers validate the points
+once up front; ``value`` and ``grad`` are ``check_dim`` plus
+``value_and_grad``. A custom subclass defines either ``value`` and
+``grad``, from which the base ``value_and_grad`` is built (called at a
+point, stacked over rows), or a shape-generic ``value_and_grad``; with
+``sample_grad`` that is all it needs. The shipped problems override the
+batch oracles with vectorized versions.
 """
 
 from __future__ import annotations
@@ -62,23 +65,27 @@ class Problem:
     meta: ProblemMeta
 
     def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
+        return float(self.value_and_grad(self.check_dim(x))[0])
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.value_and_grad(self.check_dim(x))[1]
 
     def sample_grad(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(value(x), grad(x))`` for a point already checked by ``check_dim``."""
-        return self.value(x), self.grad(x)
-
-    def value_and_grad_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``value_and_grad`` at each row of a ``(K, dim)`` array of checked
-        points: the ``(K,)`` values and the ``(K, dim)`` gradients."""
-        pairs = [self.value_and_grad(x) for x in X]
-        return np.array([f for f, _ in pairs], dtype=float), np.stack([g for _, g in pairs])
+    def value_and_grad(self, X: np.ndarray):
+        """``(value, grad)`` at a point already checked by ``check_dim``, or
+        the ``(K,)`` values and ``(K, dim)`` gradients at the rows of a
+        ``(K, dim)`` stack of such points."""
+        cls = type(self)
+        if cls.value is Problem.value or cls.grad is Problem.grad:
+            # each of the base methods is defined by the other
+            raise NotImplementedError(f"{cls.__name__} defines neither value_and_grad"
+                                      " nor value and grad")
+        if X.ndim == 1:
+            return self.value(X), self.grad(X)
+        return (np.array([self.value(x) for x in X], dtype=float),
+                np.stack([self.grad(x) for x in X]))
 
     def sample_grads(self, x: np.ndarray, rng: np.random.Generator, k: int) -> np.ndarray:
         """``k`` successive ``sample_grad`` draws as the rows of a ``(k, dim)``
@@ -109,16 +116,7 @@ class Quadratic(Problem):
             f_star=0.0, x_star=np.zeros(dim),
         )
 
-    def value(self, x):
-        return self.value_and_grad(self.check_dim(x))[0]
-
-    def grad(self, x):
-        return self.value_and_grad(self.check_dim(x))[1]
-
-    def value_and_grad(self, x):
-        return 0.5 * self.L * float(x @ x), self.L * x
-
-    def value_and_grad_rows(self, X):
+    def value_and_grad(self, X):
         return 0.5 * self.L * np.vecdot(X, X), self.L * X
 
     def sample_grad(self, x, rng):
@@ -153,12 +151,6 @@ class BernoulliShiftQuadratic(Problem):
             f_star=0.5 * sigma_sq, x_star=np.array([-p * a]),
         )
 
-    def value(self, x):
-        return self.value_and_grad(self.check_dim(x))[0]
-
-    def grad(self, x):
-        return self.value_and_grad(self.check_dim(x))[1]
-
     def _value(self, v: float) -> float:
         # float ** 2 is libm's pow, whose last bit v * v and np.square do not
         # always reproduce; where it overflows Python raises instead of
@@ -169,12 +161,12 @@ class BernoulliShiftQuadratic(Problem):
             shifted_sq = math.inf
         return 0.5 * (self.p * shifted_sq + (1.0 - self.p) * v * v)
 
-    def value_and_grad(self, x):
-        return self._value(float(x[0])), x + self.p * self.a
-
-    def value_and_grad_rows(self, X):
-        f = [self._value(v) for v in X[:, 0].tolist()]
-        return np.array(f), X + self.p * self.a
+    def value_and_grad(self, X):
+        if X.ndim == 1:
+            f = self._value(float(X[0]))
+        else:
+            f = np.array([self._value(v) for v in X[:, 0].tolist()])
+        return f, X + self.p * self.a
 
     def sample_grad(self, x, rng):
         if rng.random() < self.p:
@@ -206,18 +198,9 @@ class ChiSquareQuadratic(Problem):
             f_star=-dim / (2.0 * L), x_star=-self._ones / L,
         )
 
-    def value(self, x):
-        return self.value_and_grad(self.check_dim(x))[0]
-
-    def grad(self, x):
-        return self.value_and_grad(self.check_dim(x))[1]
-
-    def value_and_grad(self, x):
-        return 0.5 * self.L * float(x @ x) + float(x.sum()), self.L * x + 1.0
-
-    def value_and_grad_rows(self, X):
-        # row sums along axis 1 reduce each row as the 1-d sum does
-        return 0.5 * self.L * np.vecdot(X, X) + X.sum(axis=1), self.L * X + 1.0
+    def value_and_grad(self, X):
+        # row sums along the last axis reduce each row as the 1-d sum does
+        return 0.5 * self.L * np.vecdot(X, X) + X.sum(axis=-1), self.L * X + 1.0
 
     def sample_grad(self, x, rng):
         z = rng.standard_normal(self.meta.dim)
@@ -339,11 +322,7 @@ class LogisticRegressionProblem(Problem):
         x = self.check_dim(x)
         return self._grad(x, *self._margins(x))
 
-    def value_and_grad(self, x):
-        m, e = self._margins(x)
-        return float(self._value(x, m, e)), self._grad(x, m, e)
-
-    def value_and_grad_rows(self, X):
+    def value_and_grad(self, X):
         M, E = self._margins(X)
         return self._value(X, M, E), self._grad(X, M, E)
 

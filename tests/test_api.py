@@ -44,3 +44,10 @@ def test_trace_has_no_records_view():
 
 def test_dataset_has_no_rows_view():
     assert not hasattr(clipbench.parse_libsvm("+1 1:1\n-1 2:1"), "rows")
+
+
+def test_problems_have_one_exact_oracle():
+    # value_and_grad takes a point or a stack of points; the separate
+    # stack oracle value_and_grad_rows is gone
+    for name in clipbench.problems.__all__:
+        assert not hasattr(getattr(clipbench.problems, name), "value_and_grad_rows"), name

@@ -33,6 +33,10 @@ seeds = 0
 """
 
 CLIPPED_GD = "method = clipped_gd\nc = 0.25\neta = 1\nT = 2\n"
+BERNOULLI = "problem = bernoulli_shift\na = 4\np = 0.25\n"
+LOGISTIC = f"problem = logistic\ndata = {bundled_dataset_path()}\n"
+STOCH_BOUND = ("theorem = stoch_nonconvex\ntrace = trace.csv\nc = 0.25\neta = 1\nT = 2\n"
+               "F0 = 0.5\nL0 = 1\n")
 
 
 class TestConfigParsing:
@@ -95,16 +99,45 @@ class TestConfigParsing:
         ("fixedpoint", "sigma = nan\nc = 4\n", "construction needs sigma > 0"),
         ("bound", "theorem = stoch_nonconvex\ntrace = trace.csv\nc = 0.25\neta = 1\nT = 2\n"
          "F0 = 0.5\n", "degenerate smoothness"),
+        # a key that nothing reads is rejected by name, not silently ignored
+        ("run", BERNOULLI + CLIPPED_GD + "dim = 5\n", "does not read 'dim'"),
+        ("run", BERNOULLI + CLIPPED_GD + "lambda = 3\n", "does not read 'lambda'"),
+        ("run", BERNOULLI + CLIPPED_GD + "data = nowhere.libsvm\n", "does not read 'data'"),
+        ("run", BERNOULLI + CLIPPED_GD + "subsample_seed = 4\n",
+         "does not read 'subsample_seed'"),
+        ("run", BERNOULLI + CLIPPED_GD + "target_grad_norm = 1\n",
+         "unknown key 'target_grad_norm' for mode 'run'"),
+        ("run", BERNOULLI + CLIPPED_GD + "B = 64\n", "B = 64 is only valid for the stochastic"),
+        ("run", LOGISTIC + CLIPPED_GD + "subsample_seed = 4\n",
+         "'subsample_seed' is read only with subsample_k"),
+        ("sweep", "problem = quadratic\na = 4\n" + CLIPPED_GD + "seeds = 0\n",
+         "problem 'quadratic' does not read 'a'"),
+        ("certify", "problem = chi_square\np = 0.25\n", "problem 'chi_square' does not read 'p'"),
+        ("bound", STOCH_BOUND + "use_trajectory_L = true\n", "use_trajectory_L = true does not"),
     ], ids=["dim_0", "a_negative", "subsample_k_0", "lambda_negative", "L_nan",
-            "sigma_nan", "bound_without_L0_L1"])
+            "sigma_nan", "bound_without_L0_L1", "unread_dim", "unread_lambda", "unread_data",
+            "unread_subsample_seed", "unread_target_grad_norm", "unread_B",
+            "subsample_seed_without_k", "sweep_unread_a", "certify_unread_p",
+            "unread_use_trajectory_L"])
     def test_out_of_range_value_is_config_error(self, tmp_path, command, text, message, capsys):
-        # every rejected value reaches main as a ValueError: reported, not raised
+        # every rejected value or unread key reaches main as a ValueError:
+        # reported, not raised
         assert main(["run", "--config", str(write(tmp_path, "ok.cfg", RUN_CFG)),
                      "--out", str(tmp_path / "trace.csv")]) == 0
         cfg = write(tmp_path, "bad.cfg", f"mode = {command}\n{text}")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.txt")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    @pytest.mark.parametrize("command, text", [
+        ("run", LOGISTIC + "subsample_k = 50\nsubsample_seed = 4\n" + CLIPPED_GD),
+        ("bound", STOCH_BOUND + "use_trajectory_L = false\n"),
+    ], ids=["subsample_seed_with_k", "use_trajectory_L_false"])
+    def test_keys_read_pass_the_unread_key_checks(self, tmp_path, command, text):
+        assert main(["run", "--config", str(write(tmp_path, "ok.cfg", RUN_CFG)),
+                     "--out", str(tmp_path / "trace.csv")]) == 0
+        cfg = write(tmp_path, "good.cfg", f"mode = {command}\n{text}")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.txt")]) == 0
 
 
 class TestFlags:

@@ -330,12 +330,22 @@ class TestValidation:
         (dict(labels=[1, 2, 1]), "labels must be \\+1 or -1"),
         (dict(dim=2), "dim 2 smaller than max feature index 3"),
         (dict(indptr=[0], indices=[], values=[], labels=[], dim=0), "at least one row"),
+        (dict(dim=3.5), "dim must be an integer, got 3.5"),
+        (dict(dim=3.0), "dim must be an integer, got 3.0"),
+        (dict(dim=None), "dim must be an integer, got None"),
+        (dict(dim="3"), "dim must be an integer, got '3'"),
     ], ids=["indptr_start", "indptr_decreases", "indptr_length", "indptr_end",
             "index_zero", "index_repeated", "index_decreasing", "nan_value",
-            "bad_label", "dim_below_max_index", "zero_rows"])
+            "bad_label", "dim_below_max_index", "zero_rows", "dim_fraction", "dim_float",
+            "dim_none", "dim_str"])
     def test_constructor_rejects(self, change, message):
         with pytest.raises(ValueError, match=message):
             Dataset(**{**BASE, **change})
+
+    def test_numpy_integer_dim_is_stored_as_int(self):
+        ds = Dataset(**{**BASE, "dim": np.int64(4)})
+        assert type(ds.dim) is int and ds.dim == 4
+        assert ds.to_dense().shape == (3, 4)
 
     def test_to_dense(self):
         ds = parse_libsvm("+1 2:3\n-1 1:1 3:2")

@@ -44,6 +44,18 @@ class NoisyQuadratic(Problem):
         return x + rng.standard_normal(x.size)
 
 
+class StackOracle(Problem):
+    """A custom problem that defines its exact oracle once, as a
+    ``value_and_grad`` that takes a point or a stack of points, beside
+    ``sample_grad``: the formulas of ``NoisyQuadratic``."""
+
+    __init__ = NoisyQuadratic.__init__
+    sample_grad = NoisyQuadratic.sample_grad
+
+    def value_and_grad(self, X):
+        return 0.5 * np.vecdot(X, X), X.copy()
+
+
 class MixedDraws(NoisyQuadratic):
     """A custom problem whose draws take every path of the step generator:
     a first scalar ``random()``, which it may serve from the vectorized
@@ -62,6 +74,7 @@ PROBLEMS = {
     "chi_square": lambda: ChiSquareQuadratic(dim=6, L=0.1),
     "logistic": bundled_logistic,
     "custom": NoisyQuadratic,
+    "stack_oracle": StackOracle,
     "mixed_draws": MixedDraws,
 }
 

@@ -113,6 +113,14 @@ class TestRunConfig:
             cfg(method="clipped_sgd", c=1.0, sigma_dp=0.5)
         cfg(method="dp_sgd", c=1.0, sigma_dp=0.5)  # fine
 
+    def test_minibatch_only_for_stochastic(self):
+        for method, c in (("gd", math.inf), ("clipped_gd", 1.0)):
+            with pytest.raises(ValueError, match=f"^B = 2 is only valid for the stochastic"
+                                                 f" methods; {method} steps"):
+                cfg(method=method, c=c, B=2)
+            cfg(method=method, c=c, B=1)  # fine
+        cfg(method="sgd", B=2)  # fine
+
     def test_misc_validation(self):
         with pytest.raises(ValueError):
             cfg(method="nope")
@@ -481,6 +489,24 @@ class TestDivergence:
         # clipping the same run keeps it bounded
         clipped = run(prob, cfg(method="clipped_gd", c=0.5, eta=3.0, T=200))
         assert math.isfinite(clipped.f_vals[-1])
+
+    @pytest.mark.parametrize("make_problem", [
+        lambda: Quadratic(dim=3),
+        lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
+        lambda: ChiSquareQuadratic(dim=3),
+        bundled_logistic,
+    ], ids=["quadratic", "bernoulli", "chi_square", "logistic"])
+    def test_message_holds_python_floats(self, make_problem):
+        # the exact oracles return an np.float64 value, whose numpy 2 repr
+        # np.float64(...) would reach the CLI's stderr
+        prob = make_problem()
+        x0 = np.full(prob.meta.dim, 1e13)
+        with pytest.raises(DivergenceError) as exc_info:
+            run(prob, cfg(method="gd", c=math.inf, eta=0.1, T=5, x0=x0))
+        f = prob.value(x0)
+        assert str(exc_info.value) == (
+            f"divergence at t=0: f={f!r}, |x|={math.sqrt(x0 @ x0)!r} (limit 1e+12)")
+        assert "np." not in str(exc_info.value)
 
     def test_dispatcher(self):
         prob = Quadratic()

@@ -10,6 +10,7 @@ from clipbench.problems import (
     ChiSquareQuadratic,
     LogisticRegressionProblem,
     Problem,
+    ProblemMeta,
     Quadratic,
 )
 
@@ -70,7 +71,7 @@ class TestBernoulliShiftQuadratic:
         # the value is IEEE's inf there, for the divergence guard to stop at
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
         X = np.array([[1e200], [-1e300], [1e154], [2.0]])
-        f, G = prob.value_and_grad_rows(X)
+        f, G = prob.value_and_grad(X)
         assert f[:2].tolist() == [math.inf, math.inf]
         assert f[2:].tolist() == [0.5 * (0.25 * (1e154 + 4.0) ** 2 + 0.75 * 1e154 * 1e154),
                                   prob.value(np.array([2.0]))]
@@ -115,7 +116,7 @@ class TestLogistic:
         prob = LogisticRegressionProblem(ds, **options)
         assert prob.A.ctypes.data % 64 == 0 and prob.A.flags.c_contiguous
         X = np.random.default_rng(2).normal(size=(5, prob.meta.dim))
-        f, G = prob.value_and_grad_rows(X)
+        f, G = prob.value_and_grad(X)
         for offset in (8, 16, 24, 32, 48):
             # the same matrix at every other 8-byte offset from a 64-byte boundary
             buf = np.empty(prob.A.nbytes + 128, dtype=np.uint8)
@@ -123,7 +124,7 @@ class TestLogistic:
             A = buf[start:start + prob.A.nbytes].view(np.float64).reshape(prob.A.shape)
             A[...] = prob.A
             prob.A = A
-            f2, G2 = prob.value_and_grad_rows(X)
+            f2, G2 = prob.value_and_grad(X)
             assert f2.tobytes() == f.tobytes() and G2.tobytes() == G.tobytes(), offset
 
     def test_value_at_zero_is_log2(self):
@@ -318,6 +319,16 @@ class OneCallOnly(Problem):
         return self.inner.sample_grad(x, rng)
 
 
+class VectorOracle(Problem):
+    """A custom problem that defines only the exact oracle, for a point or a
+    stack: ``f(x) = norm(x)^2 / 2`` in two dimensions."""
+
+    meta = ProblemMeta(dim=2, L0=1.0, L1=0.0, L=1.0, mu=1.0, sigma_sq=0.0)
+
+    def value_and_grad(self, X):
+        return 0.5 * np.vecdot(X, X), X.copy()
+
+
 def philox(seed):
     return np.random.Generator(np.random.Philox(seed))
 
@@ -354,11 +365,13 @@ class TestBatchOracles:
         for scale in (0.0, 1e-3, 1.0, 30.0, 1e4):
             x = rng.normal(size=prob.meta.dim) * scale
             f, g = prob.value_and_grad(x)
-            assert f == prob.value(x)
+            # a Python float: the repr of an np.float64 would reach the
+            # CLI's reports and messages as np.float64(...)
+            assert f == prob.value(x) and type(prob.value(x)) is float
             assert np.array_equal(g, prob.grad(x))
 
     @pytest.mark.parametrize("name,factory", BATCH_PROBLEMS, ids=[n for n, _ in BATCH_PROBLEMS])
-    def test_value_and_grad_rows_equals_value_and_grad_per_row(self, name, factory):
+    def test_value_and_grad_stack_equals_value_and_grad_per_row(self, name, factory):
         prob = factory()
         rng = np.random.default_rng(7)
         for K in (1, 2, 5, 33):
@@ -368,7 +381,7 @@ class TestBatchOracles:
             for rows in (X, X[1::2]):  # and a subset, as after rows drop out
                 if not rows.shape[0]:
                     continue
-                f, G = prob.value_and_grad_rows(rows)
+                f, G = prob.value_and_grad(rows)
                 assert f.shape == (rows.shape[0],) and G.shape == rows.shape
                 for i, x in enumerate(rows):
                     fi, gi = prob.value_and_grad(x)
@@ -376,11 +389,11 @@ class TestBatchOracles:
                     assert G[i].tobytes() == gi.tobytes(), (name, K, i)
 
     def test_bernoulli_rows_keep_libm_pow(self):
-        # float ** 2 and x * x differ in the last bit on some points; the
-        # rows must give value_and_grad's bits on all of them
+        # float ** 2 and x * x differ in the last bit on some points; a
+        # stack must give each point's bits on all of them
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
         X = np.random.default_rng(8).normal(size=(20_000, 1)) * 100.0
-        f, _ = prob.value_and_grad_rows(X)
+        f, _ = prob.value_and_grad(X)
         expected = np.array([prob.value_and_grad(x)[0] for x in X])
         assert f.tobytes() == expected.tobytes()
 
@@ -391,7 +404,7 @@ class TestBatchOracles:
         f, g = prob.value_and_grad(x)
         assert f == inner.value(x) and np.array_equal(g, inner.grad(x))
         X = np.vstack([x, -2.0 * x, np.zeros(4)])
-        f_rows, G_rows = prob.value_and_grad_rows(X)
+        f_rows, G_rows = prob.value_and_grad(X)
         assert f_rows.dtype == float and G_rows.shape == (3, 4)
         assert np.array_equal(f_rows, [inner.value(r) for r in X])
         assert np.array_equal(G_rows, [inner.grad(r) for r in X])
@@ -399,6 +412,37 @@ class TestBatchOracles:
             prob.sample_grads(x, np.random.default_rng(9), 6),
             inner.sample_grads(x, np.random.default_rng(9), 6),
         )
+
+    def test_value_and_grad_alone_is_enough(self):
+        # value and grad are check_dim plus the subclass's value_and_grad,
+        # which also serves stacks
+        prob = VectorOracle()
+        x = np.array([3.0, -4.0])
+        assert prob.value(x) == 12.5 and type(prob.value(x)) is float
+        assert np.array_equal(prob.grad([3, -4]), x)
+        for call in (prob.value, prob.grad):
+            for bad in (np.ones(3), np.ones((2, 2))):
+                with pytest.raises(ValueError, match="problem dimension is 2"):
+                    call(bad)
+        f, G = prob.value_and_grad(np.vstack([x, -2.0 * x, np.zeros(2)]))
+        assert f.tolist() == [12.5, 50.0, 0.0]
+        assert np.array_equal(G, [x, -2.0 * x, np.zeros(2)])
+
+    def test_no_exact_oracle_is_not_implemented(self):
+        # the base value, grad and value_and_grad are defined by one another:
+        # a subclass that defines none of them must not recurse forever
+        class NoOracle(Problem):
+            meta = VectorOracle.meta
+
+        class ValueOnly(NoOracle):
+            def value(self, x):
+                return 0.0
+
+        x = np.zeros(2)
+        for call in (NoOracle().value, NoOracle().grad, NoOracle().value_and_grad,
+                     ValueOnly().grad, ValueOnly().value_and_grad):
+            with pytest.raises(NotImplementedError, match="defines neither value_and_grad"):
+                call(x)
 
     def test_logistic_sample_grads_rows_are_row_gradients(self):
         prob = small_logistic()
