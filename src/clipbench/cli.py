@@ -543,6 +543,18 @@ def _checked_rows(path: Path, kind: str, width: int) -> np.ndarray:
     return np.array(rows)
 
 
+# the keys every theorem reads: what to check and against which run
+_BOUND_KEYS = ("mode", "theorem", "trace", "c", "eta", "T", "use_trajectory_L")
+# the other keys each theorem reads: the smoothness constants of its
+# step-size gate and the inputs of its bound
+_THEOREM_KEYS: dict[str, tuple[str, ...]] = {
+    "det_convex": ("L0", "L1", "L", "R0", "f_star"),
+    "det_strongly_convex": ("L0", "L1", "L", "R0", "f_star", "mu", "epsilon"),
+    "stoch_nonconvex": ("L0", "L1", "F0", "sigma"),
+    "dp_sgd": ("L0", "L1", "F0", "sigma", "B", "sigma_dp"),
+}
+
+
 def _rate_params(cfg: dict) -> theory.RateParams:
     _require(cfg, "c", "eta", "T")
     return theory.RateParams(
@@ -554,6 +566,14 @@ def _rate_params(cfg: dict) -> theory.RateParams:
 def cmd_bound(cfg: dict, out: Path) -> int:
     _require(cfg, "theorem", "trace")
     theorem = cfg["theorem"]
+    if theorem not in _THEOREM_KEYS:
+        raise ConfigError(
+            f"unknown theorem {theorem!r} (det_nonconvex is stoch_nonconvex with sigma = 0)"
+        )
+    reads = {*_BOUND_KEYS, *_THEOREM_KEYS[theorem]}
+    stray = [key for key in _SCHEMAS["bound"] if key in cfg and key not in reads]
+    if stray:
+        raise ConfigError(f"theorem {theorem!r} does not read {', '.join(map(repr, stray))}")
     if theorem == "stoch_nonconvex" and cfg.get("use_trajectory_L", False):
         raise ConfigError("use_trajectory_L = true does not apply to theorem"
                           " 'stoch_nonconvex', whose bound takes no smoothness override")
@@ -580,12 +600,8 @@ def cmd_bound(cfg: dict, out: Path) -> int:
     elif theorem == "det_strongly_convex":
         _require(cfg, "f_star", "R0", "mu", "epsilon")
         report = theory.bound_det_strongly_convex(params, cfg["epsilon"], L_override=L_eff)
-    elif theorem == "dp_sgd":
-        report = theory.bound_dp_sgd(params, L_override=L_eff)
     else:
-        raise ConfigError(
-            f"unknown theorem {theorem!r} (det_nonconvex is stoch_nonconvex with sigma = 0)"
-        )
+        report = theory.bound_dp_sgd(params, L_override=L_eff)
 
     failed = False
     if theorem == "dp_sgd":

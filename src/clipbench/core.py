@@ -6,10 +6,12 @@ its direction.
 
 ``clip`` validates its arguments and is the public entry point. The
 iteration engine and the Monte Carlo estimators call the unchecked
-kernels ``clip_vector`` (one vector) and ``clip_rows`` (a stack of row
-vectors) instead, on inputs they have validated once up front. All three
-share the same arithmetic, so a row of ``clip_rows`` is bit-for-bit the
-``clip`` of that row.
+kernels ``clip_vector`` (one vector), ``clip_rows`` (a stack of row
+vectors) and ``clip_float`` (the one coordinate of a one-dimensional
+vector, as a Python float) instead, on inputs they have validated once up
+front. All four share the same arithmetic, so a row of ``clip_rows`` is
+bit-for-bit the ``clip`` of that row, and ``clip_float(u, c)`` the one
+coordinate of ``clip(np.array([u]), c)``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import numpy as np
 
-__all__ = ["clip", "clip_coefficient", "clip_rows", "clip_vector"]
+__all__ = ["clip", "clip_coefficient", "clip_float", "clip_rows", "clip_vector"]
 
 
 def _as_vector(u) -> np.ndarray:
@@ -65,6 +67,29 @@ def clip_vector(u: np.ndarray, c: float) -> tuple[np.ndarray, float, bool]:
     while m > c:
         v = v * min(c / m, _NUDGE)
         sq = float(v.dot(v))
+        m = math.sqrt(sq)
+    return v, sq, True
+
+
+def clip_float(u: float, c: float) -> tuple[float, float, bool]:
+    """:func:`clip_vector` of the vector ``[u]``, on Python floats.
+
+    Returns ``(v, v * v, rescaled)``, bit for bit the one coordinate of
+    ``clip_vector(np.array([u]), c)``, its squared norm and its flag: IEEE
+    ``*``, ``/`` and ``sqrt`` give Python floats the bits numpy gives
+    one-element arrays, and a one-element ``dot`` is ``u * u``. It skips
+    the array overhead that is all the cost of a one-dimensional clip.
+    """
+    sq = u * u
+    norm = math.sqrt(sq)
+    if norm <= c:
+        return u, sq, False
+    v = u * (c / norm)
+    sq = v * v
+    m = math.sqrt(sq)
+    while m > c:
+        v = v * min(c / m, _NUDGE)
+        sq = v * v
         m = math.sqrt(sq)
     return v, sq, True
 

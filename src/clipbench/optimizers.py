@@ -29,6 +29,17 @@ kernels. A minibatch (B > 1) is drawn, clipped and summed as one
 ``(B, dim)`` array, with the same draws and the same sequential sum as B
 one-sample calls, so traces do not depend on the batch path taken.
 
+A one-dimensional single run steps on Python floats: its iterate, exact
+gradient, clipped sample and update are floats, the oracles get a fresh
+one-element array of the iterate each step and the engine reads their
+results back with ``.item()``, squares with ``v * v`` and clips with
+``core.clip_float``. A minibatch or DP noise is still drawn, clipped and
+summed as an array and then read as a float. The bits do not change: IEEE
+``+ - * /`` and ``sqrt`` give Python floats the bits numpy gives
+one-element arrays, and a one-element ``dot`` is ``u * u``. What goes is
+numpy's per-call overhead, which is all the cost of a one-element
+operation.
+
 ``run`` also takes a :class:`Cells` batch of configurations that share
 everything but ``c``, ``eta``, ``seed`` and ``x0``, and advances all of
 them in lockstep as one ``(cells, dim)`` iterate array: one
@@ -50,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _sum_rows, clip_rows, clip_vector
+from .core import _sum_rows, clip_float, clip_rows, clip_vector
 from .problems import Problem
 
 __all__ = [
@@ -432,6 +443,14 @@ def _partial_trace(config, ts, fs, gs, aps, cfs, k, x, max_sample) -> Trace:
     )
 
 
+def _same(v):
+    return v
+
+
+def _as_point(v: float) -> np.ndarray:
+    return np.array((v,))
+
+
 @_quiet_overflow
 def _run(problem: Problem, config: RunConfig) -> Trace:
     x = config.x0.astype(float)
@@ -441,6 +460,19 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
     deterministic = method in _DETERMINISTIC
     dp = method == "dp_sgd"
     rng = None if deterministic else _StepRng(config.seed)
+    dim = x.size
+
+    # How the loop holds a vector, chosen once: `point(x)` is the oracles'
+    # argument, `read` turns an array the step returns into the loop's
+    # vector, `dot(v, v)` is a squared norm and `clip` the clipping kernel.
+    # In one dimension the loop's vectors are Python floats, with the bits
+    # of one-element arrays and without numpy's per-call overhead.
+    if dim == 1:
+        x = x.item()
+        point, read, dot, clip = _as_point, np.ndarray.item, operator.mul, clip_float
+    else:
+        # ndarray.dot: the bits of the 1-d `@` at half its call cost
+        point, read, dot, clip = _same, _same, np.ndarray.dot, clip_vector
 
     recorded = _recorded_iters(T, config.thin)
     ts = np.array(recorded, dtype=np.int64)
@@ -451,10 +483,11 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
     value_and_grad = problem.value_and_grad
     sample_grad, sample_grads = problem.sample_grad, problem.sample_grads
     for t in range(T + 1):
-        f, g = value_and_grad(x)
-        # ndarray.dot: the bits of the 1-d `@` at half its call cost
-        grad_norm = math.sqrt(g.dot(g))
-        x_norm = math.sqrt(x.dot(x))
+        xp = point(x)
+        f, g = value_and_grad(xp)
+        g = read(g)
+        grad_norm = math.sqrt(dot(g, g))
+        x_norm = math.sqrt(dot(x, x))
         if (
             not math.isfinite(f)
             or not math.isfinite(grad_norm)
@@ -464,36 +497,36 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
             raise DivergenceError(
                 f"divergence at t={t}: f={float(f)!r}, |x|={x_norm!r}"
                 f" (limit {DIVERGENCE_LIMIT:g})",
-                _partial_trace(config, ts, fs, gs, aps, cfs, k, x, max_sample),
+                _partial_trace(config, ts, fs, gs, aps, cfs, k, point(x), max_sample),
             )
 
         if t < T:
             if deterministic:
-                applied, applied_sq, rescaled = clip_vector(g, c)
+                applied, applied_sq, rescaled = clip(g, c)
                 frac = 1.0 if rescaled else 0.0
             else:
                 gen = rng.at_step(t)
                 if B == 1:
                     # one sample stays on the 1-d kernel: a (1, dim) batch
                     # costs more in array overhead than it saves
-                    applied, sq, rescaled = clip_vector(sample_grad(x, gen), c)
+                    applied, sq, rescaled = clip(read(sample_grad(xp, gen)), c)
                     applied_sq = sq
                     frac = 1.0 if rescaled else 0.0
                 else:
-                    V, sq_rows, rescaled = clip_rows(sample_grads(x, gen, B), c)
+                    V, sq_rows, rescaled = clip_rows(sample_grads(xp, gen, B), c)
                     frac = int(np.count_nonzero(rescaled)) / B
                     sq = float(sq_rows.max())
-                    applied = _sum_rows(V) / B
+                    applied = read(_sum_rows(V) / B)
                 sample_norm = math.sqrt(sq)
                 if sample_norm > max_sample:
                     max_sample = sample_norm
                 if dp:
                     noise_rng = rng.at_step(t, lane=1)
-                    applied = applied + privacy_noise(x.size, config.sigma_dp, noise_rng)
+                    applied = applied + read(privacy_noise(dim, config.sigma_dp, noise_rng))
                 if dp or B > 1:
-                    applied_sq = applied.dot(applied)
-            # with nothing added after clipping, clip_vector's squared norm
-            # is this same applied.dot(applied)
+                    applied_sq = dot(applied, applied)
+            # with nothing added after clipping, the clip kernel's squared
+            # norm is this same dot(applied, applied)
             applied_norm = math.sqrt(applied_sq)
         else:
             applied_norm = 0.0
@@ -509,7 +542,7 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
         if t < T:
             x = x - eta * applied
 
-    return _partial_trace(config, ts, fs, gs, aps, cfs, k, x, max_sample)
+    return _partial_trace(config, ts, fs, gs, aps, cfs, k, point(x), max_sample)
 
 
 @_quiet_overflow

@@ -341,10 +341,12 @@ def build_lower_bound_large_c(sigma: float, c: float) -> LowerBoundInstance:
     return _instance(sigma, c, a, p, guarantee=sigma**2 / (6.0 * c))
 
 
-# Clipping in one dimension, kept beside core.clip because the closed-form
-# fixed points need it to return exactly +-c: clip_vector on [v] rescales
-# by c / |v| and lands one ulp off +-c on some inputs (926 of 20 000
-# normal v with c uniform in [0.1, 3]).
+# Clipping in one dimension, kept apart from core's kernels because the
+# closed-form fixed points need it to return exactly +-c. The engine's
+# one-dimensional clip, core.clip_float, is clip_vector's arithmetic on one
+# coordinate: it rescales by c / |v| and lands one ulp off +-c on some
+# inputs (926 of 20 000 normal v with c uniform in [0.1, 3]), and a run's
+# bits depend on it doing so.
 def _clip_scalar(v: float, c: float) -> float:
     if v > c:
         return c

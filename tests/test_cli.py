@@ -628,6 +628,39 @@ class TestCmdBound:
             "c = 4\neta = 0.05\nT = 400\nF0 = 0.01\nL0 = 1\nsigma = 1\n"))
         assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "b.txt")]) == 2
 
+    # the inputs each theorem reads beyond c, eta and T, and keys it does not
+    @pytest.mark.parametrize("theorem,keys,unread", [
+        ("det_convex", "R0 = 1\nL = 1\nL0 = 1\nf_star = 0\n",
+         ["F0 = 2", "mu = 2", "sigma = 3", "sigma_dp = 5", "B = 64", "epsilon = 1"]),
+        ("det_strongly_convex", "R0 = 1\nL = 1\nL0 = 1\nmu = 1\nepsilon = 0.001\nf_star = 0\n",
+         ["F0 = 2", "sigma = 3", "sigma_dp = 5", "B = 64"]),
+        ("stoch_nonconvex", "F0 = 0.5\nL0 = 1\nsigma = 1\n",
+         ["R0 = 1", "L = 1", "mu = 2", "sigma_dp = 5", "B = 64", "epsilon = 1", "f_star = 0"]),
+        ("dp_sgd", "F0 = 0.5\nL0 = 1\nsigma = 0\nsigma_dp = 1\nB = 4\n",
+         ["R0 = 1", "L = 1", "mu = 2", "epsilon = 1", "f_star = 0"]),
+    ], ids=["det_convex", "det_strongly_convex", "stoch_nonconvex", "dp_sgd"])
+    def test_key_the_theorem_does_not_read_is_config_error(self, tmp_path, capsys, theorem,
+                                                           keys, unread):
+        self.make_trace(tmp_path)
+        base = (f"mode = bound\ntheorem = {theorem}\ntrace = trace.csv\n"
+                f"c = 0.25\neta = 0.5\nT = 300\n{keys}")
+        out = tmp_path / "b.txt"
+        assert main(["bound", "--config", str(write(tmp_path, "b.cfg", base)),
+                     "--out", str(out)]) in (0, 4)
+        capsys.readouterr()
+        for line in unread:
+            key = line.split(" = ")[0]
+            cfg = write(tmp_path, "b.cfg", base + line + "\n")
+            assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"config error: theorem {theorem!r} does not read {key!r}\n"
+        cfg = write(tmp_path, "b.cfg", base + "".join(line + "\n" for line in unread))
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 1
+        given = {line.split(" = ")[0] for line in unread}
+        named = [key for key in cli._SCHEMAS["bound"] if key in given]
+        assert capsys.readouterr().err.endswith(
+            f" does not read {', '.join(map(repr, named))}\n")
+
     def test_dp_reported_not_asserted(self, tmp_path):
         trace = self.make_trace(tmp_path)
         cfg = write(tmp_path, "b.cfg", (

@@ -9,6 +9,7 @@ from clipbench.core import (
     _sum_rows,
     clip,
     clip_coefficient,
+    clip_float,
     clip_rows,
     clip_vector,
 )
@@ -71,6 +72,35 @@ class TestClipKernels:
             assert np.array_equal(v, clip(u, c))
             assert sq == float(v @ v)
             assert rescaled == (math.sqrt(float(u @ u)) > c)
+
+    def test_clip_float_matches_clip_vector_of_one_coordinate(self):
+        rng = np.random.default_rng(11)
+        n = 20_000
+        us = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-150, 150, size=n)
+        cs = 10.0 ** rng.uniform(-150, 150, size=n)
+        pairs = list(zip(us.tolist(), cs.tolist()))
+        # the rescale by c / |u| overshoots c on these, which takes the nudge loop
+        nudged = [(u, c) for u, c in pairs if abs(u * (c / abs(u))) > c]
+        assert nudged
+        tiny = 5e-324
+        for c in (1.0, 2.5, tiny, 1e-300, 1e300, math.inf):
+            pairs += [(0.0, c), (-0.0, c), (c, c), (-c, c), (tiny, c), (-tiny, c),
+                      (2.2250738585072009e-308, c), (1e-160, c), (1e160, c), (-1e200, c),
+                      (math.inf, c), (-math.inf, c), (math.nan, c)]
+        pairs += [(tiny, tiny / 2), (3 * tiny, tiny), (1e-310, 1e-320)]
+        rescaled_any = 0
+        for u, c in pairs:
+            with np.errstate(all="ignore"):
+                want, want_sq, want_flag = clip_vector(np.array([u]), c)
+            v, sq, flag = clip_float(u, c)
+            assert type(v) is float and type(sq) is float, (u, c)
+            assert np.float64(v).tobytes() == want[0].tobytes(), (u, c)
+            assert np.float64(sq).tobytes() == np.float64(want_sq).tobytes(), (u, c)
+            assert flag is want_flag, (u, c)
+            rescaled_any += flag
+        assert 0 < rescaled_any < len(pairs)
+        for u, c in nudged:
+            assert abs(clip_float(u, c)[0]) <= c
 
     def test_clip_vector_returns_input_inside_ball(self):
         u = np.array([3.0, 4.0])

@@ -76,6 +76,12 @@ PROBLEMS = {
     "custom": NoisyQuadratic,
     "stack_oracle": StackOracle,
     "mixed_draws": MixedDraws,
+    # a one-dimensional single run steps on Python floats, and the lockstep
+    # engine on (cells, 1) arrays
+    "quadratic_1d": lambda: Quadratic(dim=1, L=1.0),
+    "chi_square_1d": lambda: ChiSquareQuadratic(dim=1, L=0.1),
+    "custom_1d": lambda: NoisyQuadratic(dim=1),
+    "mixed_draws_1d": lambda: MixedDraws(dim=1),
 }
 
 # (method, B, sigma_dp)
@@ -141,7 +147,7 @@ class TestLockstepMatchesSingleRuns:
     @pytest.mark.parametrize("method,B,sigma_dp", [
         ("sgd", 1, 0.0), ("clipped_sgd", 3, 0.0), ("dp_sgd", 1, 0.5),
     ], ids=["sgd_B1", "clipped_sgd_B3", "dp_sgd_B1"])
-    @pytest.mark.parametrize("name", ["bernoulli", "mixed_draws"])
+    @pytest.mark.parametrize("name", ["bernoulli", "mixed_draws", "mixed_draws_1d"])
     def test_served_first_draws_match_the_reset(self, monkeypatch, name, method, B, sigma_dp):
         # cells whose every first random() of a step is served from the
         # vectorized Philox, against single runs that take the counter reset
@@ -205,6 +211,27 @@ class TestLockstepMatchesSingleRuns:
         for config, got in zip(configs, run(problem, Cells(configs))):
             assert_same(got, single(problem, config))
         assert not np.signbit(single(problem, configs[0])[0].final_point[0])
+
+    @pytest.mark.parametrize("method,B,sigma_dp", METHODS,
+                             ids=[f"{m}_B{b}" for m, b, _ in METHODS])
+    @pytest.mark.parametrize("name", ["bernoulli", "quadratic_1d", "chi_square_1d",
+                                      "custom_1d", "mixed_draws_1d"])
+    def test_one_dimensional_signed_zero_start(self, name, method, B, sigma_dp):
+        # the float steps of a one-dimensional single run hand back the same
+        # (1,) float64 final point as the array engine, the sign of a zero
+        # included; a run of no steps returns its -0.0 start as it is
+        problem = PROBLEMS[name]()
+        x0s = [np.array([-0.0]), np.array([-0.0])]
+        configs = grid(problem, method, B, sigma_dp, 6, 1, seeds=(1, 2), x0s=x0s)
+        for config, got in zip(configs, run(problem, Cells(configs))):
+            want = single(problem, config)
+            assert_same(got, want)
+            point = want[0].final_point
+            assert point.shape == (1,) and point.dtype == np.float64
+        still = single(problem, RunConfig(method=method, c=configs[0].c, eta=0.1, T=0,
+                                          x0=x0s[0], B=B, sigma_dp=sigma_dp))[0]
+        assert still.final_point.dtype == np.float64 and still.final_point.shape == (1,)
+        assert np.signbit(still.final_point[0]) and still.final_point[0] == 0.0
 
     @pytest.mark.parametrize("grad_of", ["identity", "zero"])
     def test_guard_on_a_finite_value_at_a_nan_point(self, grad_of):
