@@ -29,26 +29,27 @@ kernels. A minibatch (B > 1) is drawn, clipped and summed as one
 ``(B, dim)`` array, with the same draws and the same sequential sum as B
 one-sample calls, so traces do not depend on the batch path taken.
 
-A one-dimensional single run steps on Python floats: its iterate, exact
-gradient, clipped sample and update are floats, the oracles get a fresh
-one-element array of the iterate each step and the engine reads their
-results back with ``.item()``, squares with ``v * v`` and clips with
-``core.clip_float``. A minibatch or DP noise is still drawn, clipped and
-summed as an array and then read as a float. The bits do not change: IEEE
-``+ - * /`` and ``sqrt`` give Python floats the bits numpy gives
-one-element arrays, and a one-element ``dot`` is ``u * u``. What goes is
-numpy's per-call overhead, which is all the cost of a one-element
-operation.
+One step loop runs every configuration, holding its vectors in one of
+three representations chosen once per run from the number of cells K and
+the dimension d:
 
-``run`` also takes a :class:`Cells` batch of configurations that share
-everything but ``c``, ``eta``, ``seed`` and ``x0``, and advances all of
-them in lockstep as one ``(cells, dim)`` iterate array: one
-``value_and_grad`` call on the stack, one ``clip_rows`` call with a per-row
-threshold and one update per step. Each cell keeps its own Philox stream
-and draws its samples and noise as a single run would, and every batched
-operation works row by row, so each cell's trace is bit-for-bit the one
-``run`` gives for its configuration alone. The single-run engine stays
-the reference: for one cell, ``(1, dim)`` arrays cost more than they save.
+- a float (K = 1, d = 1): the iterate, gradients and update are Python
+  floats, the oracles get a fresh one-element array of the iterate and the
+  loop reads their results back with ``.item()``, squares with ``v * v``
+  and clips with ``core.clip_float``. IEEE ``+ - * /`` and ``sqrt`` give
+  Python floats the bits numpy gives one-element arrays, so this only
+  drops numpy's per-call overhead, which is all the cost of a step here.
+- a vector (K = 1, d > 1): 1-d arrays and ``core.clip_vector``.
+- a row stack (K > 1): a :class:`Cells` batch as one ``(cells, dim)``
+  iterate array, with one stacked ``value_and_grad`` call, ``np.vecdot``
+  norms and one ``clip_rows`` call with per-row thresholds per step. A
+  cell that trips the divergence guard leaves with its partial trace and
+  its row is dropped.
+
+The guard, recording, clipping and update are written once; each
+representation keeps its own draw block, and every cell draws from its
+own Philox stream. Batched operations work row by row, so a cell's trace
+is bit-for-bit the one it gives alone; a one-cell batch is a single run.
 """
 
 from __future__ import annotations
@@ -225,7 +226,8 @@ class Trace:
 
     @property
     def min_grad_norm(self) -> float:
-        return float(self.grad_norms.min())
+        """The smallest recorded gradient norm, or NaN if nothing was recorded."""
+        return float(self.grad_norms.min()) if self.grad_norms.size else math.nan
 
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
@@ -419,28 +421,15 @@ def privacy_noise(dim: int, sigma_dp: float, rng: np.random.Generator) -> np.nda
     return rng.standard_normal(dim) * (sigma_dp / math.sqrt(dim))
 
 
-def _recorded_iters(T: int, thin: int) -> list[int]:
-    """The iterations a run of ``T`` steps records, in order: every
-    ``thin``-th one, and always the last."""
-    iters = list(range(0, T + 1, thin))
-    if T % thin:
-        iters.append(T)
-    return iters
+def _partial_trace(config, ts, k, records, x, max_sample) -> Trace:
+    """The trace of the first ``k`` of a run's ``(4, len(ts))`` records: a
+    finished run's, or the one a ``DivergenceError`` carries."""
+    return Trace(config, ts[:k].copy(), *(a[:k].copy() for a in records), x.copy(), max_sample)
 
 
-def _partial_trace(config, ts, fs, gs, aps, cfs, k, x, max_sample) -> Trace:
-    """The trace of the first ``k`` records: a finished run's, or the one a
-    ``DivergenceError`` carries."""
-    return Trace(
-        config=config,
-        iters=ts[:k].copy(),
-        f_vals=fs[:k].copy(),
-        grad_norms=gs[:k].copy(),
-        applied_norms=aps[:k].copy(),
-        clipped_fracs=cfs[:k].copy(),
-        final_point=x.copy(),
-        max_per_sample_norm=max_sample,
-    )
+def _divergence(t: int, f, x_norm) -> str:
+    return (f"divergence at t={t}: f={float(f)!r}, |x|={float(x_norm)!r}"
+            f" (limit {DIVERGENCE_LIMIT:g})")
 
 
 def _same(v):
@@ -452,82 +441,141 @@ def _as_point(v: float) -> np.ndarray:
 
 
 @_quiet_overflow
-def _run(problem: Problem, config: RunConfig) -> Trace:
-    x = config.x0.astype(float)
-    problem.check_dim(x)
-    method = config.method
-    c, eta, T, B = config.c, config.eta, config.T, config.B
+def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, str | None]]:
+    """The step loop: every configuration of ``configs``, which share all
+    but ``c``, ``eta``, ``seed`` and ``x0``, from its ``x0``.
+
+    Returns one ``(trace, message)`` pair per configuration, in input
+    order: ``message`` describes the divergence that stopped the run, and
+    is None for a run that finished. It raises no ``DivergenceError``.
+    """
+    first = configs[0]
+    problem.check_dim(first.x0)
+    method, T, B, sigma_dp = first.method, first.T, first.B, first.sigma_dp
     deterministic = method in _DETERMINISTIC
     dp = method == "dp_sgd"
-    rng = None if deterministic else _StepRng(config.seed)
-    dim = x.size
+    rngs = None if deterministic else [_StepRng(config.seed) for config in configs]
+    K, dim = len(configs), first.x0.size
+    stack = K > 1
 
-    # How the loop holds a vector, chosen once: `point(x)` is the oracles'
-    # argument, `read` turns an array the step returns into the loop's
-    # vector, `dot(v, v)` is a squared norm and `clip` the clipping kernel.
-    # In one dimension the loop's vectors are Python floats, with the bits
-    # of one-element arrays and without numpy's per-call overhead.
-    if dim == 1:
-        x = x.item()
-        point, read, dot, clip = _as_point, np.ndarray.item, operator.mul, clip_float
+    # The representation, chosen once: `point(X)` is the oracles' argument,
+    # `read` turns an array the step returns into the loop's vector, `dot(v,
+    # v)` is a squared norm and `clip` the clipping kernel. A row stack keeps
+    # a threshold and a step size per row, and `active` maps rows to cells.
+    if stack:
+        X = np.stack([config.x0 for config in configs])
+        c = np.array([config.c for config in configs])
+        c_rows = np.repeat(c, B)  # the threshold of each of the K * B samples
+        eta = np.array([config.eta for config in configs])[:, None]
+        point, read, dot, sqrt, clip = _same, _same, np.vecdot, np.sqrt, clip_rows
+        max_sample = np.zeros(K)
+        active = np.arange(K)
+        results: list = [None] * K
     else:
-        # ndarray.dot: the bits of the 1-d `@` at half its call cost
-        point, read, dot, clip = _same, _same, np.ndarray.dot, clip_vector
+        c, eta = first.c, first.eta
+        rng = None if deterministic else rngs[0]
+        max_sample = 0.0
+        if dim == 1:
+            X = first.x0.item()
+            point, read, dot, sqrt, clip = (_as_point, np.ndarray.item, operator.mul,
+                                            math.sqrt, clip_float)
+        else:
+            # ndarray.dot: the bits of the 1-d `@` at half its call cost
+            X = first.x0.astype(float)
+            point, read, dot, sqrt, clip = _same, _same, np.ndarray.dot, math.sqrt, clip_vector
 
-    recorded = _recorded_iters(T, config.thin)
+    # the recorded iterations: every thin-th one, and always the last
+    recorded = list(range(0, T + 1, first.thin))
+    if T % first.thin:
+        recorded.append(T)
     ts = np.array(recorded, dtype=np.int64)
-    fs, gs, aps, cfs = (np.empty(ts.size) for _ in range(4))
+    # one column per row of X; a single run writes through 1-d views, whose
+    # scalar stores cost less
+    records = np.empty((4, ts.size, K))
+    fs, gs, aps, cfs = records if stack else records[:, :, 0]
     k = 0
-    max_sample = 0.0
+    message = None
 
     value_and_grad = problem.value_and_grad
     sample_grad, sample_grads = problem.sample_grad, problem.sample_grads
     for t in range(T + 1):
-        xp = point(x)
-        f, g = value_and_grad(xp)
-        g = read(g)
-        grad_norm = math.sqrt(dot(g, g))
-        x_norm = math.sqrt(dot(x, x))
-        if (
-            not math.isfinite(f)
-            or not math.isfinite(grad_norm)
-            or abs(f) > DIVERGENCE_LIMIT
-            or x_norm > DIVERGENCE_LIMIT
-        ):
-            raise DivergenceError(
-                f"divergence at t={t}: f={float(f)!r}, |x|={x_norm!r}"
-                f" (limit {DIVERGENCE_LIMIT:g})",
-                _partial_trace(config, ts, fs, gs, aps, cfs, k, point(x), max_sample),
-            )
+        xp = point(X)
+        f, G = value_and_grad(xp)
+        G = read(G)
+        grad_norm = sqrt(dot(G, G))
+        x_norm = sqrt(dot(X, X))
+        # the divergence guard: a NaN f fails |f| <= limit, and a NaN or
+        # infinite gradient norm fails < inf
+        if stack:
+            keep = np.abs(f) <= DIVERGENCE_LIMIT
+            keep &= grad_norm < math.inf
+            keep &= ~(x_norm > DIVERGENCE_LIMIT)
+            if not keep.all():
+                for r in np.flatnonzero(~keep):
+                    i = active[r]
+                    results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r], X[r],
+                                                 float(max_sample[r])),
+                                  _divergence(t, f[r], x_norm[r]))
+                active, X, G, f, grad_norm, c, eta, max_sample = (
+                    a[keep] for a in (active, X, G, f, grad_norm, c, eta, max_sample))
+                fs, gs, aps, cfs = records = records[:, :, keep]
+                c_rows = np.repeat(c, B)
+                if not active.size:
+                    break
+        elif not (abs(f) <= DIVERGENCE_LIMIT and grad_norm < math.inf
+                  and not x_norm > DIVERGENCE_LIMIT):
+            message = _divergence(t, f, x_norm)
+            break
 
         if t < T:
             if deterministic:
-                applied, applied_sq, rescaled = clip(g, c)
-                frac = 1.0 if rescaled else 0.0
+                applied, applied_sq, rescaled = clip(G, c)
+                frac = rescaled * 1.0
             else:
-                gen = rng.at_step(t)
-                if B == 1:
-                    # one sample stays on the 1-d kernel: a (1, dim) batch
-                    # costs more in array overhead than it saves
-                    applied, sq, rescaled = clip(read(sample_grad(xp, gen)), c)
-                    applied_sq = sq
-                    frac = 1.0 if rescaled else 0.0
+                # each representation draws in its own way; `top` is the
+                # largest squared norm of a cell's clipped samples
+                if stack:
+                    gens = [rngs[i].at_step(t) for i in active]
+                    if B == 1:
+                        # sample_grad, as a single run draws one sample: a
+                        # Bernoulli sample keeps its served uniform
+                        U = np.stack([sample_grad(x, gen) for x, gen in zip(X, gens)])
+                    else:
+                        U = np.concatenate([sample_grads(x, gen, B) for x, gen in zip(X, gens)])
+                    V, sq, rescaled = clip_rows(U, c_rows)
+                    frac = rescaled.reshape(-1, B).sum(axis=1) / B
+                    # the in-order sum of one row is that row, bit for bit
+                    applied = _sum_rows(V.reshape(-1, B, dim)) / B
+                    top = sq.reshape(-1, B).max(axis=1)
+                    # fmax keeps the running maximum where a norm is NaN, as
+                    # the `>` test below does
+                    max_sample = np.fmax(max_sample, np.sqrt(top))
+                    if dp:
+                        noise = np.stack([privacy_noise(dim, sigma_dp, rngs[i].at_step(t, lane=1))
+                                          for i in active])
                 else:
-                    V, sq_rows, rescaled = clip_rows(sample_grads(xp, gen, B), c)
-                    frac = int(np.count_nonzero(rescaled)) / B
-                    sq = float(sq_rows.max())
-                    applied = read(_sum_rows(V) / B)
-                sample_norm = math.sqrt(sq)
-                if sample_norm > max_sample:
-                    max_sample = sample_norm
+                    gen = rng.at_step(t)
+                    if B == 1:
+                        # one sample stays on the 1-d kernel: a (1, dim) batch
+                        # costs more in array overhead than it saves
+                        applied, top, rescaled = clip(read(sample_grad(xp, gen)), c)
+                        frac = 1.0 if rescaled else 0.0
+                    else:
+                        V, sq, rescaled = clip_rows(sample_grads(xp, gen, B), c)
+                        frac = int(np.count_nonzero(rescaled)) / B
+                        top = float(sq.max())
+                        applied = read(_sum_rows(V) / B)
+                    sample_norm = math.sqrt(top)
+                    if sample_norm > max_sample:
+                        max_sample = sample_norm
+                    if dp:
+                        noise = read(privacy_noise(dim, sigma_dp, rng.at_step(t, lane=1)))
                 if dp:
-                    noise_rng = rng.at_step(t, lane=1)
-                    applied = applied + read(privacy_noise(dim, config.sigma_dp, noise_rng))
-                if dp or B > 1:
-                    applied_sq = dot(applied, applied)
-            # with nothing added after clipping, the clip kernel's squared
-            # norm is this same dot(applied, applied)
-            applied_norm = math.sqrt(applied_sq)
+                    applied = applied + noise
+                # one clipped sample with nothing added: the clip kernel's
+                # squared norm is this same dot(applied, applied)
+                applied_sq = top if B == 1 and not dp else dot(applied, applied)
+            applied_norm = sqrt(applied_sq)
         else:
             applied_norm = 0.0
             frac = 0.0
@@ -540,128 +588,27 @@ def _run(problem: Problem, config: RunConfig) -> Trace:
             k += 1
 
         if t < T:
-            x = x - eta * applied
-
-    return _partial_trace(config, ts, fs, gs, aps, cfs, k, point(x), max_sample)
-
-
-@_quiet_overflow
-def _run_cells(problem: Problem, cells: Cells) -> list[tuple[Trace, bool]]:
-    """The lockstep engine: ``_run`` on every cell at once.
-
-    Row ``r`` of the ``(K, dim)`` iterate ``X`` belongs to cell
-    ``active[r]``; a cell that trips the divergence guard leaves with the
-    partial trace its ``DivergenceError`` would carry, and its row is
-    dropped. Every batched operation (stacked gemv in the oracle,
-    ``np.vecdot`` norms, per-row clipping, elementwise updates) computes
-    each row as the one-cell operation does, so dropping rows leaves the
-    other cells' bits alone.
-    """
-    configs = cells.configs
-    first = configs[0]
-    X = np.stack([config.x0 for config in configs])
-    problem.check_dim(X[0])
-    method, T, B = first.method, first.T, first.B
-    deterministic = method in _DETERMINISTIC
-    dp = method == "dp_sgd"
-    dim = X.shape[1]
-    c = np.array([config.c for config in configs])
-    c_rows = np.repeat(c, B)  # the threshold of each of the K * B samples
-    eta = np.array([config.eta for config in configs])[:, None]
-    rngs = None if deterministic else [_StepRng(config.seed) for config in configs]
-
-    recorded = _recorded_iters(T, first.thin)
-    ts = np.array(recorded, dtype=np.int64)
-    K = len(configs)
-    fs, gs, aps, cfs = (np.empty((ts.size, K)) for _ in range(4))
-    max_sample = np.zeros(K)
-    active = np.arange(K)
-    results: list = [None] * K
-    k = 0
-
-    def finish(rows, diverged: bool) -> None:
-        for r in rows:
-            i = active[r]
-            results[i] = (_partial_trace(
-                configs[i], ts, fs[:, i], gs[:, i], aps[:, i], cfs[:, i], k, X[r],
-                float(max_sample[i]),
-            ), diverged)
-
-    value_and_grad = problem.value_and_grad
-    sample_grad, sample_grads = problem.sample_grad, problem.sample_grads
-    for t in range(T + 1):
-        f, G = value_and_grad(X)
-        grad_norm = np.sqrt(np.vecdot(G, G))
-        x_norm = np.sqrt(np.vecdot(X, X))
-        # the single run's guard, row by row: a NaN f fails |f| <= limit,
-        # and a NaN or infinite gradient norm fails < inf
-        keep = np.abs(f) <= DIVERGENCE_LIMIT
-        keep &= grad_norm < math.inf
-        keep &= ~(x_norm > DIVERGENCE_LIMIT)
-        if not keep.all():
-            finish(np.flatnonzero(~keep), diverged=True)
-            active, X, G, f, grad_norm = active[keep], X[keep], G[keep], f[keep], grad_norm[keep]
-            c, eta = c[keep], eta[keep]
-            c_rows = np.repeat(c, B)
-            if not active.size:
-                break
-
-        if t < T:
-            if deterministic:
-                applied, applied_sq, rescaled = clip_rows(G, c)
-                frac = rescaled.astype(float)
-            else:
-                gens = [rngs[i].at_step(t) for i in active]
-                if B == 1:
-                    # sample_grad, as the single run draws one sample: a
-                    # Bernoulli sample keeps its served uniform
-                    U = np.stack([sample_grad(x, gen) for x, gen in zip(X, gens)])
-                else:
-                    U = np.concatenate([sample_grads(x, gen, B) for x, gen in zip(X, gens)])
-                V, sq, rescaled = clip_rows(U, c_rows)
-                frac = rescaled.reshape(-1, B).sum(axis=1) / B
-                # the in-order sum of one row is that row, bit for bit
-                applied = _sum_rows(V.reshape(-1, B, dim)) / B
-                # fmax keeps the running maximum where a norm is NaN, as the
-                # single run's `>` test does
-                max_sample[active] = np.fmax(max_sample[active],
-                                             np.sqrt(sq.reshape(-1, B).max(axis=1)))
-                if dp:
-                    noise = [privacy_noise(dim, first.sigma_dp, rngs[i].at_step(t, lane=1))
-                             for i in active]
-                    applied = applied + np.stack(noise)
-                applied_sq = np.vecdot(applied, applied)
-            applied_norm = np.sqrt(applied_sq)
-        else:
-            applied_norm = 0.0
-            frac = 0.0
-
-        if t == recorded[k]:
-            fs[k, active] = f
-            gs[k, active] = grad_norm
-            aps[k, active] = applied_norm
-            cfs[k, active] = frac
-            k += 1
-
-        if t < T:
             X = X - eta * applied
 
-    if active.size:
-        finish(range(active.size), diverged=False)
+    if not stack:
+        return [(_partial_trace(first, ts, k, records[:, :, 0], point(X), max_sample), message)]
+    for r, i in enumerate(active):
+        results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r], X[r],
+                                     float(max_sample[r])), None)
     return results
 
 
 def run_dp_sgd(problem: Problem, config: RunConfig) -> Trace:
-    """:func:`run` for a ``dp_sgd`` configuration, which it checks: minibatch
+    """:func:`run` for one ``dp_sgd`` configuration, which it checks: minibatch
     SGD with per-sample clipping plus spherical Gaussian noise of total
-    variance sigma_dp^2 added to the averaged update.
-
-    Kept for the benchmark's chi-square workload (``bench/workloads.py``),
-    which calls it; it goes when that benchmark next changes.
+    variance sigma_dp^2 added to the averaged update, through the same step
+    loop as every run. Kept for the benchmark's chi-square workload
+    (``bench/workloads.py``), which calls it; it goes when that benchmark
+    next changes.
     """
     if config.method != "dp_sgd":
         raise ValueError(f"run_dp_sgd handles dp_sgd, got {config.method!r}")
-    return _run(problem, config)
+    return run(problem, config)
 
 
 def run(problem: Problem, config: RunConfig | Cells) -> Trace | list[tuple[Trace, bool]]:
@@ -680,5 +627,8 @@ def run(problem: Problem, config: RunConfig | Cells) -> Trace | list[tuple[Trace
     diverged, the partial trace its ``DivergenceError`` carries.
     """
     if isinstance(config, Cells):
-        return _run_cells(problem, config)
-    return _run(problem, config)
+        return [(trace, message is not None) for trace, message in _run(problem, config.configs)]
+    [(trace, message)] = _run(problem, (config,))
+    if message is not None:
+        raise DivergenceError(message, trace)
+    return trace

@@ -12,6 +12,8 @@ classes are asserted as hard bounds by the checkers.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,9 +86,18 @@ class RateParams:
     sigma_dp: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("T", "B"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         for name in ("F0", "R0", "L0", "L1", "L", "mu", "sigma", "sigma_dp"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            # a NaN or infinite input would give a NaN or infinite prediction,
+            # which `bound` would report as a failed or passed check
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if not self.c > 0:
             raise ValueError(f"clipping threshold must be positive, got {self.c!r}")
         if not (self.eta > 0 and math.isfinite(self.eta)):

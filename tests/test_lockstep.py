@@ -1,6 +1,12 @@
-"""The lockstep engine (``run`` on a ``Cells`` batch) against the single-run
-reference engine, bit for bit on every recorded array, the final point,
-the largest per-sample norm and the divergence outcome."""
+"""``run`` on a ``Cells`` batch against ``run`` on each of its
+configurations alone, bit for bit on every recorded array, the final point,
+the largest per-sample norm and the divergence outcome.
+
+The step loop holds a batch of K > 1 cells as a row stack and a single run
+(K = 1) as a float or a vector, so these tests compare the K > 1 and K = 1
+representations of one loop; a one-cell batch takes the K = 1 path, and
+the tests that take a ``batch`` parameter check that it matches too.
+"""
 
 import functools
 import math
@@ -105,6 +111,17 @@ def single(problem, config):
         return exc.trace, True
 
 
+# how `batched` runs a list of configurations: as one lockstep batch, or
+# each as a one-cell batch
+BATCHES = ["lockstep", "one_cell"]
+
+
+def batched(problem, configs, batch):
+    if batch == "lockstep":
+        return run(problem, Cells(configs))
+    return [run(problem, Cells([config]))[0] for config in configs]
+
+
 def assert_same(got, want):
     (trace, diverged), (ref, ref_diverged) = got, want
     assert diverged == ref_diverged
@@ -136,10 +153,11 @@ class TestLockstepMatchesSingleRuns:
     @pytest.mark.parametrize("method,B,sigma_dp", METHODS,
                              ids=[f"{m}_B{b}" for m, b, _ in METHODS])
     @pytest.mark.parametrize("name", list(PROBLEMS))
-    def test_every_cell_bit_identical(self, name, method, B, sigma_dp, T, thin):
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_every_cell_bit_identical(self, batch, name, method, B, sigma_dp, T, thin):
         problem = PROBLEMS[name]()
         configs = grid(problem, method, B, sigma_dp, T, thin)
-        results = run(problem, Cells(configs))
+        results = batched(problem, configs, batch)
         assert len(results) == len(configs)
         for config, got in zip(configs, results):
             assert_same(got, single(problem, config))
@@ -161,18 +179,20 @@ class TestLockstepMatchesSingleRuns:
         for got, want in zip(run(problem, Cells(configs)), reference):
             assert_same(got, want)
 
-    @pytest.mark.parametrize("method,B", [("gd", 1), ("sgd", 1), ("sgd", 3)])
+    @pytest.mark.parametrize("method,B,sigma_dp", METHODS,
+                             ids=[f"{m}_B{b}" for m, b, _ in METHODS])
     @pytest.mark.parametrize("name", list(PROBLEMS))
-    def test_diverging_cells_leave_the_others_untouched(self, name, method, B):
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_diverging_cells_leave_the_others_untouched(self, batch, name, method, B, sigma_dp):
         problem = PROBLEMS[name]()
         dim = problem.meta.dim
         # eta = 3 (and 30 on the flat chi-square) blows the quadratics up
         # geometrically; eta = 1e14 carries any iterate past the guard in a
-        # step; a start at 1e13 trips it at t = 0
+        # step, clipped or not; a start at 1e13 trips it at t = 0
         etas = (0.05, 3.0, 30.0, 1e14)
         x0s = [np.full(dim, 0.5), np.full(dim, 1e13), np.full(dim, -0.25)]
-        configs = grid(problem, method, B, 0.0, 60, 1, etas=etas, seeds=(1, 2, 3), x0s=x0s)
-        results = run(problem, Cells(configs))
+        configs = grid(problem, method, B, sigma_dp, 60, 1, etas=etas, seeds=(1, 2, 3), x0s=x0s)
+        results = batched(problem, configs, batch)
         diverged_at = [int(t.iters.size) for t, d in results if d]
         assert 0 in diverged_at  # the far start
         assert any(0 < k < 61 for k in diverged_at)  # mid-run

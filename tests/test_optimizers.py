@@ -508,6 +508,15 @@ class TestDivergence:
             f"divergence at t=0: f={f!r}, |x|={math.sqrt(x0 @ x0)!r} (limit 1e+12)")
         assert "np." not in str(exc_info.value)
 
+    def test_trace_diverged_at_the_start_has_nan_min_grad_norm(self):
+        # a start past the guard records nothing; the minimum over no
+        # records is NaN, as sweep rows report it, not numpy's zero-size error
+        with pytest.raises(DivergenceError) as exc_info:
+            run(Quadratic(dim=2), cfg(method="gd", c=math.inf, T=5, x0=np.full(2, 1e13)))
+        partial = exc_info.value.trace
+        assert partial.iters.size == 0
+        assert math.isnan(partial.min_grad_norm)
+
     def test_dispatcher(self):
         prob = Quadratic()
         assert run(prob, cfg(T=1)).final_point[0] == 0.0

@@ -619,3 +619,20 @@ class TestRateParamsValidation:
             RateParams(c=0.0, eta=0.1, T=10)
         with pytest.raises(ValueError):
             RateParams(c=1.0, eta=0.1, T=0)
+
+    @pytest.mark.parametrize("name", ["F0", "R0", "L0", "L1", "L", "mu", "sigma", "sigma_dp"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_inputs_rejected(self, name, value):
+        # a NaN or infinite input would make a NaN or infinite prediction
+        with pytest.raises(ValueError, match=name):
+            RateParams(c=1.0, eta=0.1, T=10, **{name: value})
+
+    @pytest.mark.parametrize("name,value", [("T", 2.5), ("B", 2.0), ("T", "10")])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RateParams(**{"c": 1.0, "eta": 0.1, "T": 10, name: value})
+
+    def test_integer_counts_and_unclipped_threshold_accepted(self):
+        params = RateParams(c=math.inf, eta=0.1, T=np.int64(10), B=np.int32(4), F0=1.0)
+        assert type(params.T) is int and type(params.B) is int
+        assert (params.T, params.B, params.c) == (10, 4, math.inf)
