@@ -12,15 +12,16 @@ depends on what other steps drew. Traces record the exact-oracle gradient
 norm at every iterate, which is what the convergence statements bound.
 
 Step ``t``'s stream is numpy's Philox4x64-10 under the key ``seed mod
-2**64`` with its counter reset to ``(0, 0, t, lane)``. Philox is
-counter-based, so the first uniform of every step is one block function
-of the step's counter: once a stream has run 128 steps, a step's first
-scalar ``random()`` skips the reset and is read from a numpy-vectorized
-Philox that computes it for 4096 steps at once. Every other draw first
-makes the reset (replaying the uniform already served, if any) and then
-runs numpy's own method, so normals, integers and array draws are
-numpy's, bit for bit. The generator a step hands to ``sample_grad`` is
-re-armed at the next step: it is valid only until then.
+2**64`` with its counter reset to ``(0, 0, t, lane)``, and the generator
+a step hands to ``sample_grad`` is numpy's own, re-armed at the next step:
+it is valid only until then. Philox is counter-based, so the first
+uniform of every step is one block function of the step's counter. A run
+decides once whether to serve its samples from that: when the problem
+defines ``sample_grad_at`` (a sample that is a function of one uniform),
+the method is stochastic, ``B == 1`` and ``T >= 128``, it computes the
+uniforms of all its K cells for ``4096 // K`` steps at a time (at least
+one) with a numpy-vectorized Philox and hands them to ``sample_grad_at``,
+with no reset. Every other draw takes the reset.
 
 The configuration and the starting point are validated once, before the
 first step; the step loop calls only the problem's unchecked batch
@@ -54,7 +55,6 @@ is bit-for-bit the one it gives alone; a one-cell batch is a single run.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -238,11 +238,13 @@ _PHILOX_M1 = 0xCA5A826395121157
 _PHILOX_W0 = 0x9E3779B97F4A7C15
 _PHILOX_W1 = 0xBB67AE8584CAA73B
 _MASK64 = (1 << 64) - 1
-# steps per lane whose first uniform one vectorized Philox call computes
+# uniforms per block a served run computes: a block covers `_CHUNK // K`
+# steps of all K cells, so its arrays stay small (numpy's Philox throughput
+# halves once they leave the cache, at 20 cells x 4096 steps)
 _CHUNK = 4096
-# first draws a generator takes through the counter reset before it builds
-# a chunk: a chunk costs about as much as this many resets, most of it in
-# fixed per-call overhead, so a short run (T = 1, say) never builds one
+# the shortest run that is served: a block costs about as much as this many
+# counter resets, most of it in fixed per-call overhead, so a short run (T =
+# 1, say) takes the resets
 _WARMUP = 128
 
 
@@ -267,21 +269,25 @@ def _mulhilo(m: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, m * v
 
 
-def _philox_uniforms(key: int, start: int, n: int, lane: int) -> list[float]:
+def _philox_uniforms(keys, start: int, n: int, lane: int) -> np.ndarray:
     """``Generator.random()`` right after ``at_step(t, lane)``, for the ``n``
-    steps ``t = start, start + 1, ...``.
+    steps ``t = start, start + 1, ...`` (columns) of the stream of each seed
+    in ``keys`` (rows), as a ``(len(keys), n)`` array.
 
     numpy's Philox draws from a reset counter ``(0, 0, t, lane)`` by first
     incrementing it, so that draw is the first word of the Philox4x64-10
-    block of counter ``(1, 0, t, lane)`` under the key ``(key, 0)``, made a
-    double as ``(word >> 11) * 2**-53``.
+    block of counter ``(1, 0, t, lane)`` under the key ``(seed mod 2**64,
+    0)``, made a double as ``(word >> 11) * 2**-53``.
     """
-    c0 = np.ones(n, dtype=np.uint64)
-    c1 = np.zeros(n, dtype=np.uint64)
-    c2 = np.arange(start, start + n, dtype=np.uint64)
-    c3 = np.full(n, lane, dtype=np.uint64)
+    key = np.array([k % (1 << 64) for k in keys], dtype=np.uint64)[:, None]
+    shape = (key.size, n)
+    c0 = np.ones(shape, dtype=np.uint64)
+    c1 = np.zeros(shape, dtype=np.uint64)
+    c2 = np.tile(np.arange(start, start + n, dtype=np.uint64), (key.size, 1))
+    c3 = np.full(shape, lane, dtype=np.uint64)
     for r in range(10):
-        k0 = (key + r * _PHILOX_W0) & _MASK64
+        # uint64 array arithmetic wraps mod 2**64
+        k0 = key + (r * _PHILOX_W0 & _MASK64)
         k1 = (r * _PHILOX_W1) & _MASK64
         hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
         hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
@@ -291,129 +297,40 @@ def _philox_uniforms(key: int, start: int, n: int, lane: int) -> list[float]:
         hi0 ^= k1
         c0, c1, c2, c3 = hi1, lo1, hi0, lo0
     c0 >>= 11
-    return (c0 * 2.0**-53).tolist()
-
-
-# the states of a step generator within its step
-_FRESH, _SERVED, _POSITIONED = 0, 1, 2
-
-
-def _positioned(name: str):
-    draw = getattr(np.random.Generator, name)
-
-    @functools.wraps(draw)
-    def method(self, *args, **kwargs):
-        self._position()
-        return draw(self, *args, **kwargs)
-
-    return method
-
-
-@functools.cache
-def _step_generator() -> type:
-    """The class of the generator ``_StepRng.at_step`` hands out, built on
-    first use: deriving it imports numpy.random (about 6 MB and 14 ms),
-    which deterministic runs never need."""
-
-    class StepGenerator(np.random.Generator):
-        """The generator ``_StepRng.at_step`` re-arms and hands out each step.
-
-        A fresh step's first scalar ``random()`` is served from a cache of
-        vectorized Philox uniforms, one double per step, filled ``_CHUNK``
-        steps at a time per lane once ``_WARMUP`` such draws have missed
-        the cache (before that, they take the reset). Every other draw
-        method, and ``bit_generator``, first positions the bit generator
-        where the per-step counter reset puts it, replaying the served
-        word if there was one, and then runs numpy's own method: from there
-        on the step is plain numpy. Every draw is therefore the one a
-        counter reset followed by numpy's draws gives.
-        """
-
-        __slots__ = ("_bg", "_state", "_counter", "_key", "_chunks", "_uncached",
-                     "_t", "_lane", "_mode")
-
-        def __init__(self, seed: int):
-            self._key = int(seed) % (1 << 64)
-            self._bg = np.random.Philox(key=self._key)
-            super().__init__(self._bg)
-            # the counter reset: the state dict the bit generator is set from
-            # names this counter array, whose last two words _position writes
-            self._counter = np.zeros(4, dtype=np.uint64)
-            self._state = self._bg.state
-            self._state["state"]["counter"] = self._counter
-            self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-            self._chunks: dict[int, tuple[int, list[float]]] = {}
-            self._uncached = 0
-            self._t = self._lane = 0
-            self._mode = _POSITIONED
-
-        def _position(self) -> None:
-            mode = self._mode
-            if mode == _POSITIONED:
-                return
-            self._mode = _POSITIONED
-            counter = self._counter
-            counter[2] = self._t
-            counter[3] = self._lane
-            self._bg.state = self._state
-            if mode == _SERVED:
-                self._bg.random_raw()
-
-        def random(self, *args, **kwargs):
-            if self._mode == _FRESH and not (args or kwargs):
-                t, lane = self._t, self._lane
-                start, values = self._chunks.get(lane, (0, ()))
-                if 0 <= t - start < len(values):
-                    self._mode = _SERVED
-                    return values[t - start]
-                if self._uncached >= _WARMUP:
-                    values = _philox_uniforms(self._key, t, _CHUNK, lane)
-                    self._chunks[lane] = (t, values)
-                    self._mode = _SERVED
-                    return values[0]
-                self._uncached += 1
-            self._position()
-            return np.random.Generator.random(self, *args, **kwargs)
-
-        @property
-        def bit_generator(self) -> np.random.Philox:
-            self._position()
-            return self._bg
-
-    # every other public method draws (or, like spawn, reads the stream),
-    # and __reduce__ serves pickle and copy: each positions first
-    for name in dir(np.random.Generator):
-        if name not in vars(StepGenerator) and (not name.startswith("_") or name == "__reduce__"):
-            setattr(StepGenerator, name, _positioned(name))
-    return StepGenerator
+    return c0 * 2.0**-53
 
 
 class _StepRng:
     """Counter-based per-step random streams from a single Philox key.
 
     ``at_step(t, lane)`` addresses the stream of step ``t`` (lane 0:
-    gradient samples, lane 1: privacy noise): its draws are those of the
-    Philox bit generator with its 256-bit counter reset to
+    gradient samples, lane 1: privacy noise): it resets the 256-bit counter
+    of the Philox bit generator under the key ``seed mod 2**64`` to
     ``(0, 0, t, lane)``, so every draw is a pure function of (seed, t,
     lane, position) and replays bit-for-bit regardless of consumption
-    elsewhere. A step's first scalar ``random()`` skips the reset and is
-    served from vectorized Philox output; any other draw makes the reset
-    first (see ``_step_generator``). ``at_step`` re-arms and returns the
-    same generator every time, so a generator it returned is valid only
-    until the next ``at_step`` call on the same ``_StepRng``.
+    elsewhere. It re-arms and returns the same numpy ``Generator`` every
+    time, so a generator it returned is valid only until the next
+    ``at_step`` call on the same ``_StepRng``.
     """
 
-    __slots__ = ("_gen",)
+    __slots__ = ("_bg", "_gen", "_counter", "_state")
 
     def __init__(self, seed: int):
-        self._gen = _step_generator()(seed)
+        self._bg = np.random.Philox(key=int(seed) % (1 << 64))
+        self._gen = np.random.Generator(self._bg)
+        # the state dict the bit generator is reset from names this counter
+        # array, whose last two words at_step writes
+        self._counter = np.zeros(4, dtype=np.uint64)
+        self._state = self._bg.state
+        self._state["state"]["counter"] = self._counter
+        self._state.update(buffer_pos=4, has_uint32=0, uinteger=0)
 
     def at_step(self, t: int, lane: int = 0) -> np.random.Generator:
-        gen = self._gen
-        gen._t = t
-        gen._lane = lane
-        gen._mode = _FRESH
-        return gen
+        counter = self._counter
+        counter[2] = t
+        counter[3] = lane
+        self._bg.state = self._state
+        return self._gen
 
 
 def privacy_noise(dim: int, sigma_dp: float, rng: np.random.Generator) -> np.ndarray:
@@ -454,8 +371,17 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
     method, T, B, sigma_dp = first.method, first.T, first.B, first.sigma_dp
     deterministic = method in _DETERMINISTIC
     dp = method == "dp_sgd"
-    rngs = None if deterministic else [_StepRng(config.seed) for config in configs]
     K, dim = len(configs), first.x0.size
+    # decided once per run: a one-sample run of a problem with the
+    # one-uniform hook (looked up on the instance) long enough to pay for a
+    # block is served its uniforms, for all cells at once, from one Philox
+    # block per `chunk` steps; every other draw takes the counter reset
+    sample_grad_at = problem.sample_grad_at
+    served = sample_grad_at is not None and not deterministic and B == 1 and T >= _WARMUP
+    chunk = max(1, _CHUNK // K)
+    keys = [config.seed for config in configs]
+    rngs = (None if deterministic or served and not dp
+            else [_StepRng(seed) for seed in keys])
     stack = K > 1
 
     # The representation, chosen once: `point(X)` is the oracles' argument,
@@ -473,7 +399,7 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
         results: list = [None] * K
     else:
         c, eta = first.c, first.eta
-        rng = None if deterministic else rngs[0]
+        rng = rngs[0] if rngs else None
         max_sample = 0.0
         if dim == 1:
             X = first.x0.item()
@@ -532,16 +458,23 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
                 applied, applied_sq, rescaled = clip(G, c)
                 frac = rescaled * 1.0
             else:
+                if served and not t % chunk:
+                    # the block's rows are the cells in input order
+                    block = _philox_uniforms(keys, t, min(chunk, T - t), 0)
+                    if not stack:
+                        block = block[0].tolist()
                 # each representation draws in its own way; `top` is the
                 # largest squared norm of a cell's clipped samples
                 if stack:
-                    gens = [rngs[i].at_step(t) for i in active]
-                    if B == 1:
-                        # sample_grad, as a single run draws one sample: a
-                        # Bernoulli sample keeps its served uniform
-                        U = np.stack([sample_grad(x, gen) for x, gen in zip(X, gens)])
+                    if served:
+                        U = sample_grad_at(X, block[active, t % chunk])
+                    elif B == 1:
+                        # sample_grad, as a single run draws one sample
+                        U = np.stack([sample_grad(x, rngs[i].at_step(t))
+                                      for x, i in zip(X, active)])
                     else:
-                        U = np.concatenate([sample_grads(x, gen, B) for x, gen in zip(X, gens)])
+                        U = np.concatenate([sample_grads(x, rngs[i].at_step(t), B)
+                                            for x, i in zip(X, active)])
                     V, sq, rescaled = clip_rows(U, c_rows)
                     frac = rescaled.reshape(-1, B).sum(axis=1) / B
                     # the in-order sum of one row is that row, bit for bit
@@ -554,14 +487,15 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
                         noise = np.stack([privacy_noise(dim, sigma_dp, rngs[i].at_step(t, lane=1))
                                           for i in active])
                 else:
-                    gen = rng.at_step(t)
                     if B == 1:
                         # one sample stays on the 1-d kernel: a (1, dim) batch
                         # costs more in array overhead than it saves
-                        applied, top, rescaled = clip(read(sample_grad(xp, gen)), c)
+                        g = (sample_grad_at(X, block[t % chunk]) if served
+                             else read(sample_grad(xp, rng.at_step(t))))
+                        applied, top, rescaled = clip(g, c)
                         frac = 1.0 if rescaled else 0.0
                     else:
-                        V, sq, rescaled = clip_rows(sample_grads(xp, gen, B), c)
+                        V, sq, rescaled = clip_rows(sample_grads(xp, rng.at_step(t), B), c)
                         frac = int(np.count_nonzero(rescaled)) / B
                         top = float(sq.max())
                         applied = read(_sum_rows(V) / B)

@@ -17,6 +17,17 @@ once up front; ``value`` and ``grad`` are ``check_dim`` plus
 point, stacked over rows), or a shape-generic ``value_and_grad``; with
 ``sample_grad`` that is all it needs. The shipped problems override the
 batch oracles with vectorized versions.
+
+A problem whose sample is a function of one uniform may also define the
+hook ``sample_grad_at(X, u)``: the sample for the uniform ``u`` that
+``rng.random()`` gives, at a point (a Python float or a 1-d array) for a
+float ``u``, or at the rows of a ``(K, dim)`` stack for ``(K,)`` uniforms,
+each row bit-for-bit what its point gives alone. Its ``sample_grad`` is
+then ``sample_grad_at(x, rng.random())``. The engine serves a long
+one-sample run's uniforms to the hook from one vectorized Philox block
+instead of resetting a stream every step; a problem without the hook
+(``sample_grad_at = None``, the default) always takes the reset. Of the
+shipped problems only ``BernoulliShiftQuadratic`` defines it.
 """
 
 from __future__ import annotations
@@ -63,6 +74,9 @@ class Problem:
     """Oracle interface; subclasses fill in the actual formulas."""
 
     meta: ProblemMeta
+
+    # the optional one-uniform sample hook (see the module docstring)
+    sample_grad_at = None
 
     def value(self, x: np.ndarray) -> float:
         return float(self.value_and_grad(self.check_dim(x))[0])
@@ -168,13 +182,16 @@ class BernoulliShiftQuadratic(Problem):
             f = np.array([self._value(v) for v in X[:, 0].tolist()])
         return f, X + self.p * self.a
 
+    def sample_grad_at(self, X, u):
+        if isinstance(u, float):
+            return X + self.a if u < self.p else X
+        return np.where((u < self.p)[:, None], X + self.a, X)
+
     def sample_grad(self, x, rng):
-        if rng.random() < self.p:
-            return x + self.a
-        return x
+        return self.sample_grad_at(x, rng.random())
 
     def sample_grads(self, x, rng, k):
-        return np.where((rng.random(k) < self.p)[:, None], x + self.a, x)
+        return self.sample_grad_at(x, rng.random(k))
 
     def variance_at(self, x):
         return self.meta.sigma_sq

@@ -63,9 +63,9 @@ class StackOracle(Problem):
 
 
 class MixedDraws(NoisyQuadratic):
-    """A custom problem whose draws take every path of the step generator:
-    a first scalar ``random()``, which it may serve from the vectorized
-    Philox, then draws that position numpy's generator behind it."""
+    """A custom problem that mixes draws in a step: a first scalar
+    ``random()``, as a Bernoulli sample's, then normals and integers. It
+    defines no ``sample_grad_at``, so it always takes the counter reset."""
 
     def sample_grad(self, x, rng):
         u = rng.random()
@@ -147,6 +147,40 @@ def grid(problem, method, B, sigma_dp, T, thin, etas=(0.01, 0.2), seeds=(1, 2), 
     ]
 
 
+def diverging_grid(problem, method, B, sigma_dp):
+    # eta = 3 (and 30 on the flat chi-square) blows the quadratics up
+    # geometrically; eta = 1e14 carries any iterate past the guard in a
+    # step, clipped or not; a start at 1e13 trips it at t = 0
+    dim = problem.meta.dim
+    etas = (0.05, 3.0, 30.0, 1e14)
+    x0s = [np.full(dim, 0.5), np.full(dim, 1e13), np.full(dim, -0.25)]
+    return grid(problem, method, B, sigma_dp, 60, 1, etas=etas, seeds=(1, 2, 3), x0s=x0s)
+
+
+# how a served run's blocks fall on its steps, as (T, steps per block):
+# below the shortest served T, so no block; at it, with the shipped
+# `_CHUNK` (None), one block cut to T steps; blocks that end on the last
+# step; a short last block; one step per block
+SERVED_BLOCKS = {
+    "short": (optimizers._WARMUP - 1, None),
+    "one_block": (optimizers._WARMUP, None),
+    "exact": (30, 6),
+    "ragged": (30, 7),
+    "one_step": (12, 1),
+}
+
+# seeds below 2**63, and past 2**63 and 2**64, which the block and the
+# counter reset both reduce mod 2**64
+SERVED_KEYS = {"small": (1, 2), "large": (2**63 + 7, 2**64 + 5)}
+
+
+def assert_diverged_spread(results):
+    diverged_at = [int(t.iters.size) for t, d in results if d]
+    assert 0 in diverged_at  # the far start
+    assert any(0 < k < 61 for k in diverged_at)  # mid-run
+    assert any(not d for _, d in results)
+
+
 class TestLockstepMatchesSingleRuns:
     @pytest.mark.parametrize("T,thin", [(25, 1), (25, 4), (0, 1)],
                              ids=["every_step", "thinned", "no_steps"])
@@ -167,8 +201,8 @@ class TestLockstepMatchesSingleRuns:
     ], ids=["sgd_B1", "clipped_sgd_B3", "dp_sgd_B1"])
     @pytest.mark.parametrize("name", ["bernoulli", "mixed_draws", "mixed_draws_1d"])
     def test_served_first_draws_match_the_reset(self, monkeypatch, name, method, B, sigma_dp):
-        # cells whose every first random() of a step is served from the
-        # vectorized Philox, against single runs that take the counter reset
+        # with every run served that can be (Bernoulli at B = 1), against
+        # single runs that take the counter reset
         problem = PROBLEMS[name]()
         configs = grid(problem, method, B, sigma_dp, 300, 1)
         monkeypatch.setattr(optimizers, "_WARMUP", 10**9)
@@ -185,20 +219,70 @@ class TestLockstepMatchesSingleRuns:
     @pytest.mark.parametrize("batch", BATCHES)
     def test_diverging_cells_leave_the_others_untouched(self, batch, name, method, B, sigma_dp):
         problem = PROBLEMS[name]()
-        dim = problem.meta.dim
-        # eta = 3 (and 30 on the flat chi-square) blows the quadratics up
-        # geometrically; eta = 1e14 carries any iterate past the guard in a
-        # step, clipped or not; a start at 1e13 trips it at t = 0
-        etas = (0.05, 3.0, 30.0, 1e14)
-        x0s = [np.full(dim, 0.5), np.full(dim, 1e13), np.full(dim, -0.25)]
-        configs = grid(problem, method, B, sigma_dp, 60, 1, etas=etas, seeds=(1, 2, 3), x0s=x0s)
+        configs = diverging_grid(problem, method, B, sigma_dp)
         results = batched(problem, configs, batch)
-        diverged_at = [int(t.iters.size) for t, d in results if d]
-        assert 0 in diverged_at  # the far start
-        assert any(0 < k < 61 for k in diverged_at)  # mid-run
-        assert any(not d for _, d in results)
+        assert_diverged_spread(results)
         for config, got in zip(configs, results):
             assert_same(got, single(problem, config))
+
+    @pytest.mark.parametrize("method,B,sigma_dp", [
+        ("sgd", 1, 0.0), ("clipped_sgd", 1, 0.0), ("dp_sgd", 1, 0.5),
+    ], ids=["sgd_B1", "clipped_sgd_B1", "dp_sgd_B1"])
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_served_cells_diverge_across_block_refills(self, monkeypatch, batch, method, B,
+                                                      sigma_dp):
+        # Bernoulli cells served from blocks of 7 steps while cells drop out:
+        # every row left must read its own cell's uniforms after each refill,
+        # against single runs that take the counter reset
+        problem = PROBLEMS["bernoulli"]()
+        configs = diverging_grid(problem, method, B, sigma_dp)
+        monkeypatch.setattr(optimizers, "_WARMUP", 10**9)
+        reference = [single(problem, config) for config in configs]
+        monkeypatch.setattr(optimizers, "_WARMUP", 0)
+        # a block holds _CHUNK // K steps of K cells
+        monkeypatch.setattr(optimizers, "_CHUNK", 7 * len(configs) if batch == "lockstep" else 7)
+        results = batched(problem, configs, batch)
+        assert_diverged_spread(results)
+        for got, want in zip(results, reference):
+            assert_same(got, want)
+
+    @pytest.mark.parametrize("keys", list(SERVED_KEYS))
+    @pytest.mark.parametrize("blocks", list(SERVED_BLOCKS))
+    @pytest.mark.parametrize("method,B,sigma_dp", [
+        ("sgd", 1, 0.0), ("clipped_sgd", 1, 0.0), ("dp_sgd", 1, 0.5),
+    ], ids=["sgd_B1", "clipped_sgd_B1", "dp_sgd_B1"])
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_served_blocks_match_the_reset(self, monkeypatch, batch, method, B, sigma_dp,
+                                           blocks, keys):
+        # Bernoulli runs however their blocks fall on the steps, against
+        # single runs that take the counter reset; the count of blocks
+        # computed shows each run took the shape it names
+        problem = PROBLEMS["bernoulli"]()
+        T, steps = SERVED_BLOCKS[blocks]
+        seeds = SERVED_KEYS[keys]
+        configs = grid(problem, method, B, sigma_dp, T, 1, seeds=seeds,
+                       x0s=[np.array([1.5]), np.array([-0.75])])
+        warmup = optimizers._WARMUP
+        monkeypatch.setattr(optimizers, "_WARMUP", 10**9)
+        reference = [single(problem, config) for config in configs]
+        # a block holds _CHUNK // K steps of K cells
+        K = len(configs) if batch == "lockstep" else 1
+        if steps is None:
+            monkeypatch.setattr(optimizers, "_WARMUP", warmup)
+            served, steps = T >= warmup, optimizers._CHUNK // K
+        else:
+            monkeypatch.setattr(optimizers, "_WARMUP", 0)
+            monkeypatch.setattr(optimizers, "_CHUNK", steps * K)
+            served = True
+        computed = []
+        philox = optimizers._philox_uniforms
+        monkeypatch.setattr(optimizers, "_philox_uniforms", lambda keys, start, n, lane: (
+            computed.append(start) or philox(keys, start, n, lane)))
+        results = batched(problem, configs, batch)
+        starts = list(range(0, T, steps)) if served else []
+        assert computed == starts * (len(configs) // K)
+        for got, want in zip(results, reference):
+            assert_same(got, want)
 
     @pytest.mark.parametrize("method", ["sgd", "clipped_sgd"])
     @pytest.mark.parametrize("B", [1, 3])

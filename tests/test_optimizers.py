@@ -49,14 +49,6 @@ STEP_DRAWS = {
 }
 
 
-@pytest.fixture(params=["served", "reset"])
-def first_draws(request, monkeypatch):
-    """Whether a step's first random() is served from the vectorized Philox
-    from the first step on, or always taken through the counter reset."""
-    monkeypatch.setattr(optimizers, "_WARMUP", 0 if request.param == "served" else 10**9)
-    return request.param
-
-
 def cfg(**kw):
     base = dict(method="gd", c=math.inf, eta=1.0, T=1, x0=np.array([1.0]))
     base.update(kw)
@@ -301,23 +293,32 @@ class TestDeterminism:
         b = r2.at_step(1).random()
         assert a == b
 
+    @pytest.mark.parametrize("first_draws", ["served", "reset"])
     def test_vectorized_philox_matches_numpy(self, first_draws):
-        # a step's first random(), served from the vectorized Philox or taken
-        # through the reset, is the draw of numpy's Philox with the counter
-        # reset, for keys past 2**64 (reduced mod 2**64), both lanes and
+        # the first random() of every step of a key's stream, as a served
+        # run reads it from a row of a block or a run that takes the reset
+        # draws it from _StepRng, is numpy's after the counter reset, for
+        # keys past 2**63 and past 2**64 (reduced mod 2**64), both lanes and
         # steps on both sides of a chunk boundary
-        for seed in (0, 3, 12345, 2**63 + 7, 2**64, 2**70 + 5):
-            for lane in (0, 1):
-                steps = _StepRng(seed)
-                for t in (0, 1, 4095, 4096, 4097, 10**5):
-                    want = reset_generator(seed, t, lane).random()
-                    assert steps.at_step(t, lane).random() == want
-                    assert _philox_uniforms(seed % 2**64, t, 3, lane)[0] == want
+        seeds = [0, 3, 12345, 2**63, 2**63 + 7, 2**64 - 1, 2**64 + 5, 2**70 + 5]
+        for lane in (0, 1):
+            for start in (0, 4094, 10**5):
+                if first_draws == "served":
+                    block = _philox_uniforms(seeds, start, 4, lane)
+                    assert block.shape == (len(seeds), 4) and block.dtype == np.float64
+                    rows = block.tolist()
+                else:
+                    # one _StepRng per key, re-armed step after step
+                    rows = [[steps.at_step(t, lane).random() for t in range(start, start + 4)]
+                            for steps in map(_StepRng, seeds)]
+                for seed, row in zip(seeds, rows):
+                    for t, got in enumerate(row, start):
+                        assert got == reset_generator(seed, t, lane).random()
 
     @pytest.mark.parametrize("order", list(itertools.product(STEP_DRAWS, repeat=2)) + [
         ("random",) + rest for rest in itertools.permutations(list(STEP_DRAWS)[1:], 2)
     ], ids="-".join)
-    def test_step_draws_match_a_counter_reset(self, order, first_draws):
+    def test_step_draws_match_a_counter_reset(self, order):
         # whatever a step draws, in whatever order, is what numpy gives after
         # the counter reset, on a generator re-armed step after step
         steps = _StepRng(11)
@@ -328,20 +329,39 @@ class TestDeterminism:
                 a, b = STEP_DRAWS[name](got), STEP_DRAWS[name](want)
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, t, lane)
 
-    def test_short_streams_build_no_chunk(self, monkeypatch):
-        # a chunk costs about _WARMUP resets, so the first _WARMUP first
-        # draws take the reset; the next one builds a chunk that serves on
-        built = []
-        philox = optimizers._philox_uniforms
-        monkeypatch.setattr(optimizers, "_philox_uniforms",
-                            lambda *args: built.append(args[1]) or philox(*args))
-        steps = _StepRng(8)
-        for t in range(optimizers._WARMUP):
-            assert steps.at_step(t).random() == reset_generator(8, t, 0).random()
-        assert built == []
-        for t in range(optimizers._WARMUP, optimizers._WARMUP + optimizers._CHUNK + 1):
-            assert steps.at_step(t).random() == reset_generator(8, t, 0).random()
-        assert built == [optimizers._WARMUP, optimizers._WARMUP + optimizers._CHUNK]
+    def test_only_long_one_sample_runs_compute_blocks(self, monkeypatch):
+        # a block costs about _WARMUP resets: a Bernoulli run of fewer steps
+        # takes the reset, and a longer one computes a block of _CHUNK
+        # uniforms, _CHUNK // K steps of all K cells, at a time and makes no
+        # reset at all
+        blocks, resets = [], []
+        philox, at_step = optimizers._philox_uniforms, _StepRng.at_step
+        monkeypatch.setattr(optimizers, "_philox_uniforms", lambda keys, start, n, lane: (
+            blocks.append((list(keys), start, n, lane)) or philox(keys, start, n, lane)))
+        monkeypatch.setattr(_StepRng, "at_step", lambda self, t, lane=0: (
+            resets.append(t) or at_step(self, t, lane)))
+        monkeypatch.setattr(optimizers, "_CHUNK", 60)
+        prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
+
+        def configs(T, seeds, B=1):
+            return [cfg(method="clipped_sgd", c=2.0, eta=0.05, T=T, seed=s, B=B) for s in seeds]
+
+        T = optimizers._WARMUP
+        run(prob, *configs(T - 1, [3]))
+        run(prob, optimizers.Cells(configs(T - 1, [1, 2])))
+        assert blocks == [] and len(resets) == 3 * (T - 1)
+        resets.clear()
+        # a minibatch draws B uniforms a step: it takes the reset, however long
+        run(prob, *configs(T, [3], B=2))
+        assert blocks == [] and len(resets) == T
+        resets.clear()
+        run(prob, *configs(T, [3]))
+        assert blocks == [([3], t, min(60, T - t), 0) for t in range(0, T, 60)]
+        blocks.clear()
+        keys = [1, 2, 2**64 + 5]
+        run(prob, optimizers.Cells(configs(T, keys)))
+        assert blocks == [(keys, t, min(20, T - t), 0) for t in range(0, T, 20)]
+        assert resets == []
 
     def test_frozen_golden_across_chunks(self):
         # a Bernoulli run past two chunk boundaries under a key past 2**64,
@@ -354,11 +374,8 @@ class TestDeterminism:
 
     def test_step_generator_is_a_numpy_generator(self):
         gen = _StepRng(4).at_step(0)
-        assert isinstance(gen, np.random.Generator)
+        assert type(gen) is np.random.Generator
         assert isinstance(gen.random(), float)
-        # no public method may reach numpy's generator unpositioned
-        public = {name for name in dir(np.random.Generator) if not name.startswith("_")}
-        assert public <= set(vars(type(gen)))
 
     def test_sigma_zero_matches_gd(self):
         prob = ChiSquareQuadratic(dim=3, L=0.5)  # stochastic problem
