@@ -21,7 +21,8 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -183,39 +184,55 @@ def _given(cfg: dict, keys: Sequence[str]) -> dict:
     return {_PARAMS.get(key, key): cfg[key] for key in keys if key in cfg}
 
 
+# one value of a choice key (problem or theorem): the keys it needs, the other
+# keys it may read and, for a problem, its constructor
+_Choice = namedtuple("_Choice", ["needs", "reads", "make"], defaults=((), (), None))
+
+
+def _choose(cfg: dict, key: str, table: dict[str, _Choice], schema: dict, hint="") -> str:
+    """The config's value of ``key``, checked against its table entry: an
+    unknown value, a key that another entry reads and this one does not
+    (named in ``schema`` order) and a needed key left out are each a
+    ConfigError."""
+    name = cfg[key]
+    if name not in table:
+        raise ConfigError(f"unknown {key} {name!r}{hint}")
+    choice = table[name]
+    # every value reads the keys that no entry names
+    others = {k for c in table.values() for k in (*c.needs, *c.reads)}
+    others -= {*choice.needs, *choice.reads}
+    stray = [k for k in schema if k in cfg and k in others]
+    if stray:
+        raise ConfigError(f"{key} {name!r} does not read {', '.join(map(repr, stray))}")
+    _require(cfg, *choice.needs)
+    return name
+
+
 # ---------------------------------------------------------------------------
 # problem construction
 
-# each problem's constructor and the config keys it takes as parameters
-_PROBLEMS: dict[str, tuple[Callable[..., Problem], tuple[str, ...]]] = {
-    "quadratic": (Quadratic, ("dim", "L")),
-    "bernoulli_shift": (BernoulliShiftQuadratic, ("a", "p")),
-    "chi_square": (ChiSquareQuadratic, ("dim", "L")),
-    "logistic": (LogisticRegressionProblem, ("lambda", "intercept", "normalize")),
+# a problem's constructor takes the keys it reads as parameters, except the
+# dataset keys data, subsample_k and subsample_seed
+_PROBLEMS = {
+    "quadratic": _Choice(reads=("dim", "L"), make=Quadratic),
+    "bernoulli_shift": _Choice(needs=("a", "p"), make=BernoulliShiftQuadratic),
+    "chi_square": _Choice(reads=("dim", "L"), make=ChiSquareQuadratic),
+    "logistic": _Choice(needs=("data",), make=LogisticRegressionProblem, reads=(
+        "lambda", "intercept", "normalize", "subsample_k", "subsample_seed")),
 }
-# the keys the logistic problem reads to load its dataset
-_DATA_KEYS = ("data", "subsample_k", "subsample_seed")
+# the largest dense feature matrix the logistic problem builds (1 GiB)
+_DENSE_LIMIT = 1 << 30
 
 
 def build_problem(cfg: dict, config_dir: Path) -> Problem:
     _require(cfg, "problem")
-    name = cfg["problem"]
-    if name not in _PROBLEMS:
-        raise ConfigError(f"unknown problem {name!r}")
-    make, keys = _PROBLEMS[name]
-    reads = {"problem", *keys, *(_DATA_KEYS if name == "logistic" else ())}
-    stray = [key for key in _PROBLEM_KEYS if key in cfg and key not in reads]
-    if stray:
-        raise ConfigError(f"problem {name!r} does not read {', '.join(map(repr, stray))}")
+    choice = _PROBLEMS[_choose(cfg, "problem", _PROBLEMS, _PROBLEM_KEYS)]
     if "subsample_seed" in cfg and "subsample_k" not in cfg:
         raise ConfigError("key 'subsample_seed' is read only with subsample_k")
-    if name == "bernoulli_shift":
-        _require(cfg, "a", "p")
-    args = _given(cfg, keys)
-    if name != "logistic":
-        return make(**args)
-    _require(cfg, "data")
-    path = Path(cfg["data"])
+    args = _given(cfg, (*choice.needs, *choice.reads))
+    if "data" not in args:
+        return choice.make(**args)
+    path = Path(args.pop("data"))
     if not path.is_absolute():
         path = config_dir / path
     if not path.exists():
@@ -224,9 +241,14 @@ def build_problem(cfg: dict, config_dir: Path) -> Problem:
         ds = data_ingest.parse_libsvm(path.read_text().splitlines())
     except ParseError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if "subsample_k" in cfg:
-        ds = data_ingest.subsample(ds, cfg["subsample_k"], cfg.get("subsample_seed", 0))
-    return make(ds, **args)
+    if "subsample_k" in args:
+        ds = data_ingest.subsample(ds, args.pop("subsample_k"), args.pop("subsample_seed", 0))
+    columns = ds.dim + cfg.get("intercept", False)
+    nbytes = ds.n * columns * 8
+    if nbytes > _DENSE_LIMIT:
+        raise DataError(f"{path}: the dense {ds.n} x {columns} feature matrix needs"
+                        f" {nbytes} bytes, over the {_DENSE_LIMIT}-byte limit")
+    return choice.make(ds, **args)
 
 
 def _build_x0(cfg: dict, problem: Problem) -> np.ndarray:
@@ -328,12 +350,9 @@ def sweep_cells(
     configs = [_run_config(cfg, problem, c, eta, seed) for c, eta, seed in keys]
     rows = []
     for (c, eta, seed), (trace, diverged) in zip(keys, run(problem, Cells(configs))):
-        if trace.iters.size == 0:
-            rows.append(SweepRow(c, eta, seed, math.nan, math.nan, -1, True))
-            continue
         rows.append(SweepRow(
             c, eta, seed,
-            final_f=float(trace.f_vals[-1]),
+            final_f=float(trace.f_vals[-1]) if trace.f_vals.size else math.nan,
             min_grad_norm=trace.min_grad_norm,
             iters_to_target=_iters_to_target(trace, target),
             diverged=diverged,
@@ -351,13 +370,7 @@ def sweep_cells(
                 scores.append((sum(iters) / len(iters), eta))
         if scores:
             best_eta[c] = min(scores)[1]
-    return [
-        SweepRow(
-            r.c, r.eta, r.seed, r.final_f, r.min_grad_norm, r.iters_to_target,
-            r.diverged, best_eta_for_c=(best_eta.get(r.c) == r.eta),
-        )
-        for r in rows
-    ]
+    return [replace(r, best_eta_for_c=best_eta.get(r.c) == r.eta) for r in rows]
 
 
 def cmd_sweep(cfg: dict, out: Path, seed_offset: int = 0) -> int:
@@ -543,37 +556,21 @@ def _checked_rows(path: Path, kind: str, width: int) -> np.ndarray:
     return np.array(rows)
 
 
-# the keys every theorem reads: what to check and against which run
-_BOUND_KEYS = ("mode", "theorem", "trace", "c", "eta", "T", "use_trajectory_L")
-# the other keys each theorem reads: the smoothness constants of its
-# step-size gate and the inputs of its bound
-_THEOREM_KEYS: dict[str, tuple[str, ...]] = {
-    "det_convex": ("L0", "L1", "L", "R0", "f_star"),
-    "det_strongly_convex": ("L0", "L1", "L", "R0", "f_star", "mu", "epsilon"),
-    "stoch_nonconvex": ("L0", "L1", "F0", "sigma"),
-    "dp_sgd": ("L0", "L1", "F0", "sigma", "B", "sigma_dp"),
+# beyond trace, c, eta, T and use_trajectory_L, which every theorem reads: its
+# step-size gate's smoothness constants and the inputs of its bound
+_THEOREMS = {
+    "det_convex": _Choice(needs=("f_star", "R0"), reads=("L0", "L1", "L")),
+    "det_strongly_convex": _Choice(needs=("f_star", "R0", "mu", "epsilon"),
+                                   reads=("L0", "L1", "L")),
+    "stoch_nonconvex": _Choice(reads=("L0", "L1", "F0", "sigma")),
+    "dp_sgd": _Choice(reads=("L0", "L1", "F0", "sigma", "B", "sigma_dp")),
 }
-
-
-def _rate_params(cfg: dict) -> theory.RateParams:
-    _require(cfg, "c", "eta", "T")
-    return theory.RateParams(
-        c=cfg["c"], eta=cfg["eta"], T=cfg["T"],
-        **_given(cfg, ("F0", "R0", "L0", "L1", "L", "mu", "sigma", "B", "sigma_dp")),
-    )
 
 
 def cmd_bound(cfg: dict, out: Path) -> int:
     _require(cfg, "theorem", "trace")
-    theorem = cfg["theorem"]
-    if theorem not in _THEOREM_KEYS:
-        raise ConfigError(
-            f"unknown theorem {theorem!r} (det_nonconvex is stoch_nonconvex with sigma = 0)"
-        )
-    reads = {*_BOUND_KEYS, *_THEOREM_KEYS[theorem]}
-    stray = [key for key in _SCHEMAS["bound"] if key in cfg and key not in reads]
-    if stray:
-        raise ConfigError(f"theorem {theorem!r} does not read {', '.join(map(repr, stray))}")
+    theorem = _choose(cfg, "theorem", _THEOREMS, _SCHEMAS["bound"],
+                      hint=" (det_nonconvex is stoch_nonconvex with sigma = 0)")
     if theorem == "stoch_nonconvex" and cfg.get("use_trajectory_L", False):
         raise ConfigError("use_trajectory_L = true does not apply to theorem"
                           " 'stoch_nonconvex', whose bound takes no smoothness override")
@@ -586,29 +583,32 @@ def cmd_bound(cfg: dict, out: Path) -> int:
     is_sweep = kind == "sweep"
     if is_sweep and theorem in ("det_convex", "det_strongly_convex"):
         raise DataError(f"theorem {theorem!r} needs per-iteration data; got a sweep file")
-    params = _rate_params(cfg)
+    _require(cfg, "c", "eta", "T")
+    # every field of RateParams is the bound key of that name
+    params = theory.RateParams(**_given(cfg, [f.name for f in fields(theory.RateParams)]))
     if cfg.get("use_trajectory_L", False):
         L_eff = theory.max_local_smoothness(data["grad_norm"], params.L0, params.L1)
     else:
         L_eff = None
 
     if theorem == "det_convex":
-        _require(cfg, "f_star", "R0")
         report = theory.bound_det_convex(params, L_override=L_eff)
     elif theorem == "stoch_nonconvex":
         report = theory.bound_stoch_nonconvex(params)
     elif theorem == "det_strongly_convex":
-        _require(cfg, "f_star", "R0", "mu", "epsilon")
         report = theory.bound_det_strongly_convex(params, cfg["epsilon"], L_override=L_eff)
     else:
         report = theory.bound_dp_sgd(params, L_override=L_eff)
 
     failed = False
-    if theorem == "dp_sgd":
-        # reported whatever the step size: dp_sgd asserts nothing
+    # a sweep row's gradient norm is its cell's minimum
+    mean_name = "mean_min_grad_norm" if is_sweep else "mean_grad_norm"
+    if report.constants_source == "order_of_magnitude":
+        # reported whatever the step size: only paper_explicit and
+        # derived_appendix constants are asserted
         line = (f"theorem={theorem} predicted={_fmt(report.predicted)}"
-                f" mean_grad_norm={_fmt(float(data['grad_norm'].mean()))}"
-                f" status=reported constants=order_of_magnitude")
+                f" {mean_name}={_fmt(float(data['grad_norm'].mean()))}"
+                f" status=reported constants={report.constants_source}")
     elif not report.stepsize_ok:
         line = f"theorem={theorem} status=vacuous reason=stepsize_above_threshold"
     elif theorem == "det_convex":
@@ -621,18 +621,14 @@ def cmd_bound(cfg: dict, out: Path) -> int:
                 f" checked={int(checked.sum())} violations={violations}"
                 f" status={'pass' if not failed else 'fail'}")
     elif theorem == "stoch_nonconvex":
-        if is_sweep:
-            # sweep rows carry per-seed min gradient norms; their mean is
-            # below the average-norm bound as well, so one check serves
-            # both regimes
-            statistic = float(data["grad_norm"].mean())
-            stat_name = "mean_min_grad_norm"
-        elif report.regime == "small_c":
+        # a mean of per-seed minima is below the average-norm bound as well,
+        # so on a sweep one check serves both regimes
+        if report.regime == "small_c" and not is_sweep:
             statistic = float(data["grad_norm"].min())
             stat_name = "min_grad_norm"
         else:
             statistic = float(data["grad_norm"].mean())
-            stat_name = "mean_grad_norm"
+            stat_name = mean_name
         # a NaN statistic (a cell that diverged before its first record)
         # fails rather than passing every comparison
         failed = not statistic <= report.predicted

@@ -48,23 +48,15 @@ __all__ = [
     "trajectory_smoothness",
 ]
 
-THEOREMS = (
-    "det_nonconvex",
-    "det_convex",
-    "det_strongly_convex",
-    "stoch_nonconvex",
-    "dp_sgd",
-)
-
-# step-size thresholds are 1/(factor * (L0 + c*L1)); the convex and
-# strongly convex predictors gate on factor 2, the constant their
+# the theorems and their step-size thresholds 1/(factor * (L0 + c*L1)); the
+# convex and strongly convex predictors gate on factor 2, the constant their
 # explicit bounds actually need
 _STEPSIZE_FACTOR = {
     "det_nonconvex": 9.0,
-    "stoch_nonconvex": 9.0,
-    "dp_sgd": 9.0,
     "det_convex": 2.0,
     "det_strongly_convex": 2.0,
+    "stoch_nonconvex": 9.0,
+    "dp_sgd": 9.0,
 }
 
 
@@ -168,7 +160,8 @@ def max_stepsize(theorem: str, L0: float, L1: float, c: float) -> float:
     1/(2(L0 + c L1)) for the convex and strongly convex ones.
     """
     if theorem not in _STEPSIZE_FACTOR:
-        raise ValueError(f"unknown theorem {theorem!r}, expected one of {THEOREMS}")
+        names = tuple(_STEPSIZE_FACTOR)
+        raise ValueError(f"unknown theorem {theorem!r}, expected one of {names}")
     denom = _l_eff(L0, L1, c)
     if not denom > 0 or not math.isfinite(denom):
         raise ValueError(f"degenerate smoothness: L0 + c*L1 = {denom!r}")
@@ -319,12 +312,20 @@ def _instance(sigma: float, c: float, a: float, p: float, guarantee: float) -> L
     )
 
 
+def _check_scales(sigma: float, c: float) -> None:
+    # an infinite sigma or c would give an instance with infinite or NaN fields
+    if not sigma > 0:
+        raise ValueError("construction needs sigma > 0")
+    for name, value in (("sigma", sigma), ("c", c)):
+        if not math.isfinite(value):
+            raise ValueError(f"construction needs a finite {name}, got {name}={value!r}")
+
+
 def build_lower_bound_small_c(sigma: float, c: float) -> LowerBoundInstance:
     """Construction for small thresholds c <= 2 sigma: shift a = 4 sigma and
     p = (2 - sqrt(3))/4, so p(1-p) = 1/16 and the noise variance equals
     sigma^2 exactly. The fixed-point bias is at least sigma / 12."""
-    if not sigma > 0:
-        raise ValueError("construction needs sigma > 0")
+    _check_scales(sigma, c)
     if not 0 < c <= 2.0 * sigma:
         raise ValueError(f"small-c construction needs 0 < c <= 2*sigma, got c={c!r}")
     a = 4.0 * sigma
@@ -341,8 +342,7 @@ def build_lower_bound_large_c(sigma: float, c: float) -> LowerBoundInstance:
     shifted branch always clipped, and p(1-p) = sigma^2/(4c^2) only has a
     root p <= 1/4 when c >= 2 sigma.
     """
-    if not sigma > 0:
-        raise ValueError("construction needs sigma > 0")
+    _check_scales(sigma, c)
     if c < 2.0 * sigma:
         raise ValueError(f"large-c construction needs c >= 2*sigma, got c={c!r}")
     a = 2.0 * c

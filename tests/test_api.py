@@ -38,6 +38,7 @@ def test_package_provides_what_the_benchmark_reads():
     ("problems", "_sigmoid"),
     ("data_ingest", "SparseRow"),
     ("optimizers", "_step_generator"),
+    ("theory", "THEOREMS"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"clipbench.{module}"), name)

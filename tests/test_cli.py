@@ -87,6 +87,36 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "line 2: feature index must be < 2**63" in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "certify"])
+    def test_dataset_too_large_to_densify_is_data_error(self, tmp_path, command, capsys):
+        # one row with index 10**12 asks for a 1 x 10**12 dense matrix (8 TB);
+        # the parsed CSR arrays hold one value
+        write(tmp_path, "wide.libsvm", "+1 1000000000000:1\n")
+        cfg = write(tmp_path, "l.cfg",
+                    f"mode = {command}\nproblem = logistic\ndata = wide.libsvm\n"
+                    + ("" if command == "certify" else
+                       "method = gd\nc = inf\neta = 1\nT = 1\nseeds = 0\n"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "wide.libsvm: " in err
+        assert "1 x 1000000000000 feature matrix needs 8000000000000 bytes" in err
+
+    @pytest.mark.parametrize("extra, code", [
+        ("", 0),
+        ("intercept = true\n", 2),
+        # 491 x 61 doubles fit in 500 x 60
+        ("intercept = true\nsubsample_k = 491\n", 0),
+    ], ids=["at_the_limit", "intercept_column_over", "subsampled_under"])
+    def test_densify_limit_counts_rows_after_subsampling_and_the_intercept(
+            self, tmp_path, monkeypatch, extra, code, capsys):
+        # the bundled data is 500 x 60: set the limit to exactly its dense size
+        monkeypatch.setattr(cli, "_DENSE_LIMIT", 500 * 60 * 8)
+        cfg = write(tmp_path, "l.cfg", "mode = run\n" + LOGISTIC + extra + CLIPPED_GD)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == code
+        if code:
+            assert "the dense 500 x 61 feature matrix needs 244000 bytes, over the" \
+                   " 240000-byte limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, text, message", [
         ("run", "problem = quadratic\ndim = 0\n" + CLIPPED_GD, "need dim >= 1 and L > 0"),
         ("run", "problem = bernoulli_shift\na = -1\np = 0.25\n" + CLIPPED_GD,
@@ -97,6 +127,8 @@ class TestConfigParsing:
          + CLIPPED_GD, "ridge weight must be nonnegative"),
         ("run", "problem = quadratic\nL = nan\n" + CLIPPED_GD, "need dim >= 1 and L > 0"),
         ("fixedpoint", "sigma = nan\nc = 4\n", "construction needs sigma > 0"),
+        ("fixedpoint", "sigma = inf\nc = 4\n", "construction needs a finite sigma, got sigma=inf"),
+        ("fixedpoint", "sigma = 1\nc = 2, inf\n", "construction needs a finite c, got c=inf"),
         ("bound", "theorem = stoch_nonconvex\ntrace = trace.csv\nc = 0.25\neta = 1\nT = 2\n"
          "F0 = 0.5\n", "degenerate smoothness"),
         # a key that nothing reads is rejected by name, not silently ignored
@@ -114,11 +146,18 @@ class TestConfigParsing:
          "problem 'quadratic' does not read 'a'"),
         ("certify", "problem = chi_square\np = 0.25\n", "problem 'chi_square' does not read 'p'"),
         ("bound", STOCH_BOUND + "use_trajectory_L = true\n", "use_trajectory_L = true does not"),
+        # and a key the choice needs is named when left out
+        ("run", "problem = bernoulli_shift\na = 4\n" + CLIPPED_GD, "missing required keys: p"),
+        ("certify", "problem = bernoulli_shift\n", "missing required keys: a, p"),
+        ("run", "problem = logistic\n" + CLIPPED_GD, "missing required keys: data"),
+        ("bound", "theorem = det_strongly_convex\ntrace = trace.csv\nc = 0.25\neta = 1\n"
+         "T = 2\nR0 = 1\nL = 1\nL0 = 1\nf_star = 0\n", "missing required keys: mu, epsilon"),
     ], ids=["dim_0", "a_negative", "subsample_k_0", "lambda_negative", "L_nan",
-            "sigma_nan", "bound_without_L0_L1", "unread_dim", "unread_lambda", "unread_data",
-            "unread_subsample_seed", "unread_target_grad_norm", "unread_B",
-            "subsample_seed_without_k", "sweep_unread_a", "certify_unread_p",
-            "unread_use_trajectory_L"])
+            "sigma_nan", "sigma_inf", "c_inf", "bound_without_L0_L1", "unread_dim",
+            "unread_lambda", "unread_data", "unread_subsample_seed",
+            "unread_target_grad_norm", "unread_B", "subsample_seed_without_k",
+            "sweep_unread_a", "certify_unread_p", "unread_use_trajectory_L", "missing_p",
+            "certify_missing_a_p", "missing_data", "bound_missing_mu_epsilon"])
     def test_out_of_range_value_is_config_error(self, tmp_path, command, text, message, capsys):
         # every rejected value or unread key reaches main as a ValueError:
         # reported, not raised
@@ -669,6 +708,41 @@ class TestCmdBound:
         out = tmp_path / "b.txt"
         assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
         assert "status=reported" in out.read_text()
+
+    @pytest.mark.parametrize("kind", ["trace", "sweep"])
+    def test_dp_names_the_mean_it_reports(self, tmp_path, kind):
+        # a sweep file's gradient norms are per-cell minima, so their mean is
+        # reported as mean_min_grad_norm, a trace's as mean_grad_norm
+        if kind == "trace":
+            self.make_trace(tmp_path, T=40)
+        else:
+            sweep_cfg = write(tmp_path, "s.cfg", SWEEP_CFG)
+            assert main(["sweep", "--config", str(sweep_cfg),
+                         "--out", str(tmp_path / "trace.csv")]) == 0
+        columns, read_kind = cli._read_results_csv(tmp_path / "trace.csv")
+        assert read_kind == kind
+        cfg = write(tmp_path, "b.cfg", (
+            "mode = bound\ntheorem = dp_sgd\ntrace = trace.csv\n"
+            "c = 0.25\neta = 0.5\nT = 40\nF0 = 0.5\nL0 = 1\nsigma = 0\nsigma_dp = 1\n"))
+        out = tmp_path / "b.txt"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        name = "mean_min_grad_norm" if kind == "sweep" else "mean_grad_norm"
+        mean = cli._fmt(float(columns["grad_norm"].mean()))
+        assert out.read_text().split()[2:] == [
+            f"{name}={mean}", "status=reported", "constants=order_of_magnitude"]
+
+    @pytest.mark.parametrize("theorem,keys,missing", [
+        ("det_convex", "R0 = 1\nL = 1\nL0 = 1\n", "f_star"),
+        ("det_strongly_convex", "R0 = 1\nL = 1\nL0 = 1\nf_star = 0\n", "mu, epsilon"),
+    ], ids=["det_convex", "det_strongly_convex"])
+    def test_missing_needed_key_is_named_before_the_trace_is_read(
+            self, tmp_path, capsys, theorem, keys, missing):
+        # the trace file does not exist: the config is rejected first
+        cfg = write(tmp_path, "b.cfg", (
+            f"mode = bound\ntheorem = {theorem}\ntrace = absent.csv\n"
+            f"c = 0.25\neta = 0.5\nT = 300\n{keys}"))
+        assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "b.txt")]) == 1
+        assert capsys.readouterr().err == f"config error: missing required keys: {missing}\n"
 
 
 class TestShippedConfigs:

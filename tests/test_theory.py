@@ -72,8 +72,11 @@ class TestMaxStepsize:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             max_stepsize("det_nonconvex", 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             max_stepsize("unknown", 1.0, 0.0, 1.0)
+        assert str(exc.value) == (
+            "unknown theorem 'unknown', expected one of ('det_nonconvex', 'det_convex',"
+            " 'det_strongly_convex', 'stoch_nonconvex', 'dp_sgd')")
 
 
 class TestBoundDetConvex:
@@ -313,6 +316,24 @@ class TestLowerBoundConstructions:
     def test_large_c_regime_gate(self):
         with pytest.raises(ValueError):
             build_lower_bound_large_c(1.0, 1.9999)
+
+    @pytest.mark.parametrize("build", [build_lower_bound_small_c, build_lower_bound_large_c])
+    @pytest.mark.parametrize("sigma,c,message", [
+        (math.inf, 4.0, "construction needs a finite sigma, got sigma=inf"),
+        (math.inf, math.inf, "construction needs a finite sigma, got sigma=inf"),
+        (1.0, math.inf, "construction needs a finite c, got c=inf"),
+        (1.0, -math.inf, "construction needs a finite c, got c=-inf"),
+        (1.0, math.nan, "construction needs a finite c, got c=nan"),
+        (math.nan, 4.0, "construction needs sigma > 0"),
+        (-math.inf, 4.0, "construction needs sigma > 0"),
+    ], ids=["sigma_inf", "both_inf", "c_inf", "c_minus_inf", "c_nan", "sigma_nan",
+            "sigma_minus_inf"])
+    def test_non_finite_scales_rejected_by_name(self, build, sigma, c, message):
+        # an infinite sigma gave inf bias and guarantee that passed the
+        # check, an infinite or NaN c a NaN fixed point
+        with pytest.raises(ValueError) as exc:
+            build(sigma, c)
+        assert str(exc.value) == message
 
     def test_constructions_coincide_at_boundary(self):
         small = build_lower_bound_small_c(1.0, 2.0)
