@@ -584,6 +584,10 @@ def cmd_bound(cfg: dict, out: Path) -> int:
     if is_sweep and theorem in ("det_convex", "det_strongly_convex"):
         raise DataError(f"theorem {theorem!r} needs per-iteration data; got a sweep file")
     _require(cfg, "c", "eta", "T")
+    # f_star is not a RateParams field: a NaN or infinite one would make every
+    # gap NaN or -inf, which no check counts as a violation
+    if "f_star" in cfg and not math.isfinite(cfg["f_star"]):
+        raise ConfigError(f"f_star must be finite, got {cfg['f_star']!r}")
     # every field of RateParams is the bound key of that name
     params = theory.RateParams(**_given(cfg, [f.name for f in fields(theory.RateParams)]))
     if cfg.get("use_trajectory_L", False):

@@ -35,9 +35,12 @@ three representations chosen once per run from the number of cells K and
 the dimension d:
 
 - a float (K = 1, d = 1): the iterate, gradients and update are Python
-  floats, the oracles get a fresh one-element array of the iterate and the
-  loop reads their results back with ``.item()``, squares with ``v * v``
-  and clips with ``core.clip_float``. IEEE ``+ - * /`` and ``sqrt`` give
+  floats; the loop squares with ``v * v`` and clips with
+  ``core.clip_float``. A problem with ``float_oracles`` set is handed the
+  float iterate and returns floats; any other problem's exact oracle and
+  one-sample draw get a fresh one-element array, and the loop reads their
+  results back with ``.item()``, as it does the arrays it makes itself (a
+  minibatch, its mean, DP noise). IEEE ``+ - * /`` and ``sqrt`` give
   Python floats the bits numpy gives one-element arrays, so this only
   drops numpy's per-call overhead, which is all the cost of a step here.
 - a vector (K = 1, d > 1): 1-d arrays and ``core.clip_vector``.
@@ -384,16 +387,19 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
             else [_StepRng(seed) for seed in keys])
     stack = K > 1
 
-    # The representation, chosen once: `point(X)` is the oracles' argument,
-    # `read` turns an array the step returns into the loop's vector, `dot(v,
-    # v)` is a squared norm and `clip` the clipping kernel. A row stack keeps
-    # a threshold and a step size per row, and `active` maps rows to cells.
+    # The representation, chosen once: `point(X)` is the argument of the
+    # exact oracle and the one-sample draw and `read` turns their results
+    # into the loop's vectors; `to_array` and `from_array` do the same for
+    # the minibatch draw and the arrays the step makes itself. `dot(v, v)` is
+    # a squared norm and `clip` the clipping kernel. A row stack keeps a
+    # threshold and a step size per row, and `active` maps rows to cells.
     if stack:
         X = np.stack([config.x0 for config in configs])
         c = np.array([config.c for config in configs])
         c_rows = np.repeat(c, B)  # the threshold of each of the K * B samples
         eta = np.array([config.eta for config in configs])[:, None]
-        point, read, dot, sqrt, clip = _same, _same, np.vecdot, np.sqrt, clip_rows
+        point = read = _same
+        dot, sqrt, clip = np.vecdot, np.sqrt, clip_rows
         max_sample = np.zeros(K)
         active = np.arange(K)
         results: list = [None] * K
@@ -403,12 +409,15 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
         max_sample = 0.0
         if dim == 1:
             X = first.x0.item()
-            point, read, dot, sqrt, clip = (_as_point, np.ndarray.item, operator.mul,
-                                            math.sqrt, clip_float)
+            to_array, from_array, dot, sqrt, clip = (_as_point, np.ndarray.item, operator.mul,
+                                                     math.sqrt, clip_float)
+            # looked up on the instance, like the hook
+            point, read = (_same, _same) if problem.float_oracles else (to_array, from_array)
         else:
             # ndarray.dot: the bits of the 1-d `@` at half its call cost
             X = first.x0.astype(float)
-            point, read, dot, sqrt, clip = _same, _same, np.ndarray.dot, math.sqrt, clip_vector
+            point = read = to_array = from_array = _same
+            dot, sqrt, clip = np.ndarray.dot, math.sqrt, clip_vector
 
     # the recorded iterations: every thin-th one, and always the last
     recorded = list(range(0, T + 1, first.thin))
@@ -495,15 +504,16 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
                         applied, top, rescaled = clip(g, c)
                         frac = 1.0 if rescaled else 0.0
                     else:
-                        V, sq, rescaled = clip_rows(sample_grads(xp, rng.at_step(t), B), c)
+                        V, sq, rescaled = clip_rows(
+                            sample_grads(to_array(X), rng.at_step(t), B), c)
                         frac = int(np.count_nonzero(rescaled)) / B
                         top = float(sq.max())
-                        applied = read(_sum_rows(V) / B)
+                        applied = from_array(_sum_rows(V) / B)
                     sample_norm = math.sqrt(top)
                     if sample_norm > max_sample:
                         max_sample = sample_norm
                     if dp:
-                        noise = read(privacy_noise(dim, sigma_dp, rng.at_step(t, lane=1)))
+                        noise = from_array(privacy_noise(dim, sigma_dp, rng.at_step(t, lane=1)))
                 if dp:
                     applied = applied + noise
                 # one clipped sample with nothing added: the clip kernel's
@@ -525,7 +535,8 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
             X = X - eta * applied
 
     if not stack:
-        return [(_partial_trace(first, ts, k, records[:, :, 0], point(X), max_sample), message)]
+        return [(_partial_trace(first, ts, k, records[:, :, 0], to_array(X), max_sample),
+                 message)]
     for r, i in enumerate(active):
         results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r], X[r],
                                      float(max_sample[r])), None)

@@ -28,6 +28,15 @@ one-sample run's uniforms to the hook from one vectorized Philox block
 instead of resetting a stream every step; a problem without the hook
 (``sample_grad_at = None``, the default) always takes the reset. Of the
 shipped problems only ``BernoulliShiftQuadratic`` defines it.
+
+A one-dimensional problem may also set ``float_oracles = True``: its
+``value_and_grad`` and ``sample_grad`` then also take a Python float point
+``v`` and return Python floats, ``(value, grad)`` and the sample, each the
+bits of the one coordinate of the call at ``np.array([v])``. A single
+one-dimensional run steps on Python floats and hands the flagged oracles
+its iterate as it is; every other problem (``float_oracles = False``, the
+default) gets a fresh one-element array and the run reads the result back.
+Of the shipped problems only ``BernoulliShiftQuadratic`` sets it.
 """
 
 from __future__ import annotations
@@ -77,6 +86,9 @@ class Problem:
 
     # the optional one-uniform sample hook (see the module docstring)
     sample_grad_at = None
+    # whether value_and_grad and sample_grad also take a Python float point
+    # and return floats (see the module docstring)
+    float_oracles = False
 
     def value(self, x: np.ndarray) -> float:
         return float(self.value_and_grad(self.check_dim(x))[0])
@@ -149,8 +161,11 @@ class BernoulliShiftQuadratic(Problem):
     The stochastic gradient is ``x + a`` with probability ``p`` and ``x``
     otherwise, so ``grad(x) = x + p*a`` and the noise variance is
     ``p*(1-p)*a^2`` at every point. This is the adversarial construction
-    whose clipped-SGD fixed point is available in closed form.
+    whose clipped-SGD fixed point is available in closed form. Its oracles
+    also take a Python float point and return floats.
     """
+
+    float_oracles = True
 
     def __init__(self, a: float, p: float):
         if not a > 0:
@@ -176,7 +191,10 @@ class BernoulliShiftQuadratic(Problem):
         return 0.5 * (self.p * shifted_sq + (1.0 - self.p) * v * v)
 
     def value_and_grad(self, X):
-        if X.ndim == 1:
+        # a float point first: it is a single run's every step
+        if isinstance(X, float):
+            f = self._value(X)
+        elif X.ndim == 1:
             f = self._value(float(X[0]))
         else:
             f = np.array([self._value(v) for v in X[:, 0].tolist()])

@@ -222,8 +222,9 @@ def bound_det_strongly_convex(
     Route (b) waits t0 = 8 L R0^2/(eta c^2) until clipping stops, then
     converges linearly at rate (1/(eta mu)) ln(R0^2/eps).
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    # an infinite epsilon would be reached at once, whatever the trace
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     if not params.mu > 0:
         raise ValueError("strongly convex predictor needs mu > 0")
     L = params.L if L_override is None else L_override

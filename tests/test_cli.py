@@ -526,6 +526,30 @@ class TestCmdBound:
         assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
         assert "violations=0" in out.read_text()
 
+    @pytest.mark.parametrize("theorem,keys,good,bad,message", [
+        ("det_convex", "R0 = 1\nL = 1\nL0 = 1\n", "f_star = 0", "f_star = nan",
+         "f_star must be finite, got nan"),
+        ("det_convex", "R0 = 1\nL = 1\nL0 = 1\n", "f_star = 0", "f_star = inf",
+         "f_star must be finite, got inf"),
+        ("det_strongly_convex", "R0 = 1\nL = 1\nL0 = 1\nmu = 1\nf_star = 0\n",
+         "epsilon = 0.001", "epsilon = inf", "epsilon must be finite and positive, got inf"),
+    ], ids=["f_star_nan", "f_star_inf", "epsilon_inf"])
+    def test_non_finite_f_star_or_epsilon_is_config_error(self, tmp_path, capsys, theorem,
+                                                          keys, good, bad, message):
+        # each bad value used to pass the check on this trace: every gap was
+        # NaN or -inf, or an infinite epsilon was reached at t = 0
+        self.make_trace(tmp_path)
+        base = (f"mode = bound\ntheorem = {theorem}\ntrace = trace.csv\n"
+                f"c = 0.25\neta = 0.5\nT = 300\n{keys}")
+        out = tmp_path / "b.txt"
+        cfg = write(tmp_path, "b.cfg", f"{base}{good}\n")
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "status=pass" in out.read_text()
+        capsys.readouterr()
+        cfg = write(tmp_path, "b.cfg", f"{base}{bad}\n")
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_trajectory_L_is_the_largest_local_smoothness(self, tmp_path):
         trace = self.make_trace(tmp_path, eta=0.4)
         cfg = write(tmp_path, "b.cfg", (

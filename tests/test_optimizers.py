@@ -261,21 +261,44 @@ class TestDeterminism:
         assert trace.iters[-1] == 20
         assert np.all(np.isfinite(trace.f_vals)) and np.all(np.isfinite(trace.applied_norms))
 
-    @pytest.mark.parametrize("make_problem,method,B,sigma_dp", [
-        (lambda: ChiSquareQuadratic(dim=5, L=0.2), "dp_sgd", 6, 0.7),
-        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), "clipped_sgd", 5, 0.0),
-        (bundled_logistic, "clipped_sgd", 4, 0.0),
-        (lambda: Quadratic(dim=3), "dp_sgd", 3, 0.2),
-    ], ids=["chi_square", "bernoulli", "logistic", "quadratic"])
-    def test_batched_engine_matches_base_class_oracles(self, make_problem, method, B, sigma_dp):
+    @pytest.mark.parametrize("make_problem,settings", [
+        (lambda: ChiSquareQuadratic(dim=5, L=0.2), dict(method="dp_sgd", B=6, sigma_dp=0.7)),
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="clipped_sgd", B=5)),
+        (bundled_logistic, dict(method="clipped_sgd", B=4)),
+        (lambda: Quadratic(dim=3), dict(method="dp_sgd", B=3, sigma_dp=0.2)),
+        # Bernoulli single runs step on floats and hand them to its float
+        # oracles: served draws (T >= 128) and counter resets (T < 128), a
+        # minibatch, DP noise, the exact oracle alone, a start past the guard
+        # and a run that diverges mid-way
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="clipped_sgd")),
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="clipped_sgd", T=100)),
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="clipped_sgd", B=3)),
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="dp_sgd", sigma_dp=0.3)),
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
+         dict(method="dp_sgd", B=3, sigma_dp=0.3, T=100)),
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="clipped_gd")),
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
+         dict(method="clipped_sgd", x0=np.array([1e200]))),
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="sgd", c=math.inf, eta=3.0)),
+    ], ids=["chi_square", "bernoulli", "logistic", "quadratic", "bernoulli_served",
+            "bernoulli_reset", "bernoulli_B3", "bernoulli_dp", "bernoulli_dp_B3_reset",
+            "bernoulli_clipped_gd", "bernoulli_far_start", "bernoulli_diverges"])
+    def test_batched_engine_matches_base_class_oracles(self, make_problem, settings):
         # the shipped vectorized oracles against the base-class defaults,
-        # which stack one-call draws
+        # which stack one-call draws at one-element arrays (a float would fail
+        # their dimension check), diverged runs included
         prob = make_problem()
-        x0 = np.full(prob.meta.dim, 0.5)
         c = 0.05 if isinstance(prob, LogisticRegressionProblem) else 1.5
-        config = cfg(method=method, c=c, eta=0.05, T=150, x0=x0, B=B, sigma_dp=sigma_dp, seed=4)
-        fast, reference = run(prob, config), run(OneCallOnly(prob), config)
-        assert trace_digest(fast) == trace_digest(reference)
+        config = cfg(**(dict(c=c, eta=0.05, T=150, x0=np.full(prob.meta.dim, 0.5), seed=4)
+                        | settings))
+
+        def outcome(problem):
+            try:
+                return trace_digest(run(problem, config)), None
+            except DivergenceError as exc:
+                return trace_digest(exc.trace), str(exc)
+
+        assert outcome(prob) == outcome(OneCallOnly(prob))
 
     def test_seed_changes_trajectory(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)

@@ -397,6 +397,30 @@ class TestBatchOracles:
         expected = np.array([prob.value_and_grad(x)[0] for x in X])
         assert f.tobytes() == expected.tobytes()
 
+    def test_bernoulli_float_oracles_match_one_element_arrays(self):
+        # a single one-dimensional run hands a problem with float oracles its
+        # iterate as a Python float: each result is a float with the bits of
+        # the one coordinate of the call at np.array([v]); the pow overflow
+        # at -1e308 gives f = inf
+        prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
+        assert prob.float_oracles and not Problem.float_oracles
+        rng = np.random.default_rng(13)
+        points = (rng.normal(size=500) * 10.0 ** rng.uniform(-8, 8, size=500)).tolist()
+        points += [0.0, -0.0, 5e-324, 1e200, -1e308]
+        for seed, v in enumerate(points):
+            f, g = prob.value_and_grad(v)
+            f_array, g_array = prob.value_and_grad(np.array([v]))
+            assert type(f) is float and type(g) is float
+            assert np.float64(f).tobytes() == np.float64(f_array).tobytes(), v
+            assert np.float64(g).tobytes() == g_array.tobytes(), v
+            u = prob.sample_grad(v, philox(seed))
+            assert type(u) is float
+            assert np.float64(u).tobytes() == prob.sample_grad(np.array([v]),
+                                                               philox(seed)).tobytes(), v
+        assert prob.value_and_grad(-1e308)[0] == math.inf
+        # both outcomes of the draw were met
+        assert len({prob.sample_grad(1.0, philox(seed)) for seed in range(len(points))}) == 2
+
     def test_base_class_defaults(self):
         inner = ChiSquareQuadratic(dim=4, L=0.3)
         prob = OneCallOnly(inner)
