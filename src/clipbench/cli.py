@@ -619,7 +619,8 @@ def cmd_bound(cfg: dict, out: Path) -> int:
         checked = data["iter"] >= 1
         gaps = data["f_val"][checked] - cfg["f_star"]
         predicted = theory.det_convex_gap_bound(params, data["iter"][checked], L_eff)
-        violations = int(np.count_nonzero(gaps > predicted))
+        # a NaN gap or prediction is a violation, not a pass of every `>`
+        violations = int(np.count_nonzero(~(gaps <= predicted)))
         failed = violations > 0
         line = (f"theorem={theorem} predicted_final={_fmt(report.predicted)}"
                 f" checked={int(checked.sum())} violations={violations}"

@@ -34,16 +34,14 @@ One step loop runs every configuration, holding its vectors in one of
 three representations chosen once per run from the number of cells K and
 the dimension d:
 
-- a float (K = 1, d = 1): the iterate, gradients and update are Python
-  floats; the loop squares with ``v * v`` and clips with
-  ``core.clip_float``. A problem with ``float_oracles`` set is handed the
-  float iterate and returns floats; any other problem's exact oracle and
-  one-sample draw get a fresh one-element array, and the loop reads their
-  results back with ``.item()``, as it does the arrays it makes itself (a
-  minibatch, its mean, DP noise). IEEE ``+ - * /`` and ``sqrt`` give
-  Python floats the bits numpy gives one-element arrays, so this only
-  drops numpy's per-call overhead, which is all the cost of a step here.
-- a vector (K = 1, d > 1): 1-d arrays and ``core.clip_vector``.
+- a float (K = 1, d = 1, ``B == 1``, a method other than ``dp_sgd`` and
+  a problem with ``float_oracles`` set): the iterate, gradients and update
+  are Python floats, which the oracles take and return; the loop squares
+  with ``v * v`` and clips with ``core.clip_float``. IEEE ``+ - * /`` and
+  ``sqrt`` give Python floats the bits numpy gives one-element arrays, so
+  this only drops numpy's per-call overhead, which is all the cost of a
+  step here.
+- a vector (every other single run): 1-d arrays and ``core.clip_vector``.
 - a row stack (K > 1): a :class:`Cells` batch as one ``(cells, dim)``
   iterate array, with one stacked ``value_and_grad`` call, ``np.vecdot``
   norms and one ``clip_rows`` call with per-row thresholds per step. A
@@ -352,14 +350,6 @@ def _divergence(t: int, f, x_norm) -> str:
             f" (limit {DIVERGENCE_LIMIT:g})")
 
 
-def _same(v):
-    return v
-
-
-def _as_point(v: float) -> np.ndarray:
-    return np.array((v,))
-
-
 @_quiet_overflow
 def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, str | None]]:
     """The step loop: every configuration of ``configs``, which share all
@@ -387,18 +377,15 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
             else [_StepRng(seed) for seed in keys])
     stack = K > 1
 
-    # The representation, chosen once: `point(X)` is the argument of the
-    # exact oracle and the one-sample draw and `read` turns their results
-    # into the loop's vectors; `to_array` and `from_array` do the same for
-    # the minibatch draw and the arrays the step makes itself. `dot(v, v)` is
-    # a squared norm and `clip` the clipping kernel. A row stack keeps a
-    # threshold and a step size per row, and `active` maps rows to cells.
+    # The representation, chosen once, holds one kind of value: Python
+    # floats, 1-d arrays or a row stack. `dot(v, v)` is a squared norm and
+    # `clip` the clipping kernel. A row stack keeps a threshold and a step
+    # size per row, and `active` maps rows to cells.
     if stack:
         X = np.stack([config.x0 for config in configs])
         c = np.array([config.c for config in configs])
         c_rows = np.repeat(c, B)  # the threshold of each of the K * B samples
         eta = np.array([config.eta for config in configs])[:, None]
-        point = read = _same
         dot, sqrt, clip = np.vecdot, np.sqrt, clip_rows
         max_sample = np.zeros(K)
         active = np.arange(K)
@@ -407,16 +394,14 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
         c, eta = first.c, first.eta
         rng = rngs[0] if rngs else None
         max_sample = 0.0
-        if dim == 1:
+        # floats only where every vector of the step is one; the flag is
+        # looked up on the instance, like the hook
+        if dim == 1 and B == 1 and not dp and problem.float_oracles:
             X = first.x0.item()
-            to_array, from_array, dot, sqrt, clip = (_as_point, np.ndarray.item, operator.mul,
-                                                     math.sqrt, clip_float)
-            # looked up on the instance, like the hook
-            point, read = (_same, _same) if problem.float_oracles else (to_array, from_array)
+            dot, sqrt, clip = operator.mul, math.sqrt, clip_float
         else:
             # ndarray.dot: the bits of the 1-d `@` at half its call cost
             X = first.x0.astype(float)
-            point = read = to_array = from_array = _same
             dot, sqrt, clip = np.ndarray.dot, math.sqrt, clip_vector
 
     # the recorded iterations: every thin-th one, and always the last
@@ -434,9 +419,7 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
     value_and_grad = problem.value_and_grad
     sample_grad, sample_grads = problem.sample_grad, problem.sample_grads
     for t in range(T + 1):
-        xp = point(X)
-        f, G = value_and_grad(xp)
-        G = read(G)
+        f, G = value_and_grad(X)
         grad_norm = sqrt(dot(G, G))
         x_norm = sqrt(dot(X, X))
         # the divergence guard: a NaN f fails |f| <= limit, and a NaN or
@@ -500,20 +483,19 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
                         # one sample stays on the 1-d kernel: a (1, dim) batch
                         # costs more in array overhead than it saves
                         g = (sample_grad_at(X, block[t % chunk]) if served
-                             else read(sample_grad(xp, rng.at_step(t))))
+                             else sample_grad(X, rng.at_step(t)))
                         applied, top, rescaled = clip(g, c)
                         frac = 1.0 if rescaled else 0.0
                     else:
-                        V, sq, rescaled = clip_rows(
-                            sample_grads(to_array(X), rng.at_step(t), B), c)
+                        V, sq, rescaled = clip_rows(sample_grads(X, rng.at_step(t), B), c)
                         frac = int(np.count_nonzero(rescaled)) / B
                         top = float(sq.max())
-                        applied = from_array(_sum_rows(V) / B)
+                        applied = _sum_rows(V) / B
                     sample_norm = math.sqrt(top)
                     if sample_norm > max_sample:
                         max_sample = sample_norm
                     if dp:
-                        noise = from_array(privacy_noise(dim, sigma_dp, rng.at_step(t, lane=1)))
+                        noise = privacy_noise(dim, sigma_dp, rng.at_step(t, lane=1))
                 if dp:
                     applied = applied + noise
                 # one clipped sample with nothing added: the clip kernel's
@@ -535,7 +517,7 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
             X = X - eta * applied
 
     if not stack:
-        return [(_partial_trace(first, ts, k, records[:, :, 0], to_array(X), max_sample),
+        return [(_partial_trace(first, ts, k, records[:, :, 0], np.atleast_1d(X), max_sample),
                  message)]
     for r, i in enumerate(active):
         results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r], X[r],
@@ -573,6 +555,9 @@ def run(problem: Problem, config: RunConfig | Cells) -> Trace | list[tuple[Trace
     """
     if isinstance(config, Cells):
         return [(trace, message is not None) for trace, message in _run(problem, config.configs)]
+    if not isinstance(config, RunConfig):
+        raise TypeError(f"run takes a RunConfig or a Cells batch of them,"
+                        f" got {type(config).__name__}")
     [(trace, message)] = _run(problem, (config,))
     if message is not None:
         raise DivergenceError(message, trace)

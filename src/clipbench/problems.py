@@ -32,11 +32,12 @@ shipped problems only ``BernoulliShiftQuadratic`` defines it.
 A one-dimensional problem may also set ``float_oracles = True``: its
 ``value_and_grad`` and ``sample_grad`` then also take a Python float point
 ``v`` and return Python floats, ``(value, grad)`` and the sample, each the
-bits of the one coordinate of the call at ``np.array([v])``. A single
-one-dimensional run steps on Python floats and hands the flagged oracles
-its iterate as it is; every other problem (``float_oracles = False``, the
-default) gets a fresh one-element array and the run reads the result back.
-Of the shipped problems only ``BernoulliShiftQuadratic`` sets it.
+bits of the one coordinate of the call at ``np.array([v])``. A flagged
+problem's single run with ``B == 1`` and a method other than ``dp_sgd``
+steps on Python floats and hands the oracles its iterate as it is; every
+other run, and every run of a problem without the flag (``float_oracles =
+False``, the default), steps on arrays. Of the shipped problems only
+``BernoulliShiftQuadratic`` sets it.
 """
 
 from __future__ import annotations

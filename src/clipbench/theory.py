@@ -84,6 +84,11 @@ class RateParams:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("c", "eta"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         for name in ("F0", "R0", "L0", "L1", "L", "mu", "sigma", "sigma_dp"):
             value = getattr(self, name)
             # a NaN or infinite input would give a NaN or infinite prediction,
@@ -296,7 +301,7 @@ def bound_dp_sgd(params: RateParams, L_override: float | None = None) -> BoundRe
 
 def bias_floor(sigma: float, c: float) -> float:
     """The non-vanishing gradient-norm level min(sigma, sigma^2 / c)."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     if not c > 0:
         raise ValueError("c must be positive")

@@ -550,6 +550,23 @@ class TestCmdBound:
         assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("rows,extra,reading", [
+        ("0,0.5,1,0.25,1\n1,nan,1,0.25,1\n2,nan,1,0.25,1\n", "", "checked=2 violations=2"),
+        ("0,0.5,nan,0.25,1\n1,0.4,0.9,0.25,1\n2,0.3,0.8,0.25,1\n", "use_trajectory_L = true\n",
+         "predicted_final=nan checked=2 violations=2"),
+    ], ids=["nan_gap", "nan_prediction"])
+    def test_det_convex_nan_gap_or_prediction_fails(self, tmp_path, rows, extra, reading):
+        # NaN fails every `>` as well as every `<=`: counted as `gap > bound`,
+        # these rows passed
+        write(tmp_path, "t.csv", ",".join(cli.TRACE_HEADER) + "\n" + rows)
+        cfg = write(tmp_path, "b.cfg", (
+            "mode = bound\ntheorem = det_convex\ntrace = t.csv\n"
+            f"c = 0.25\neta = 0.1\nT = 2\nR0 = 1\nL = 1\nL0 = 1\nf_star = 0\n{extra}"))
+        out = tmp_path / "b.txt"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 4
+        report = out.read_text()
+        assert reading in report and "status=fail" in report
+
     def test_trajectory_L_is_the_largest_local_smoothness(self, tmp_path):
         trace = self.make_trace(tmp_path, eta=0.4)
         cfg = write(tmp_path, "b.cfg", (

@@ -266,10 +266,10 @@ class TestDeterminism:
         (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="clipped_sgd", B=5)),
         (bundled_logistic, dict(method="clipped_sgd", B=4)),
         (lambda: Quadratic(dim=3), dict(method="dp_sgd", B=3, sigma_dp=0.2)),
-        # Bernoulli single runs step on floats and hand them to its float
-        # oracles: served draws (T >= 128) and counter resets (T < 128), a
-        # minibatch, DP noise, the exact oracle alone, a start past the guard
-        # and a run that diverges mid-way
+        # Bernoulli single runs, which step on floats with B = 1 and without
+        # DP noise and on arrays otherwise: served draws (T >= 128) and
+        # counter resets (T < 128), a minibatch, DP noise, the exact oracle
+        # alone, a start past the guard and a run that diverges mid-way
         (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="clipped_sgd")),
         (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="clipped_sgd", T=100)),
         (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="clipped_sgd", B=3)),
@@ -565,6 +565,49 @@ class TestDivergence:
         assert t.final_point[0] == 0.0
 
 
+class PointTypes(BernoulliShiftQuadratic):
+    """Records the type of every point its oracles are handed."""
+
+    def __init__(self, float_oracles=True):
+        super().__init__(a=4.0, p=0.25)
+        self.float_oracles = float_oracles
+        self.seen = set()
+
+    def value_and_grad(self, X):
+        self.seen.add(type(X))
+        return super().value_and_grad(X)
+
+    def sample_grad_at(self, X, u):
+        self.seen.add(type(X))
+        return super().sample_grad_at(X, u)
+
+
+class TestRepresentation:
+    """A single run steps on Python floats only where every vector of the
+    step is one; every other single run steps on 1-d arrays."""
+
+    @pytest.mark.parametrize("settings,float_oracles,kind", [
+        (dict(method="gd", c=math.inf, eta=0.05), True, float),
+        (dict(method="clipped_sgd"), True, float),  # served draws
+        (dict(method="clipped_sgd", T=100), True, float),  # counter resets
+        (dict(method="clipped_sgd", B=3), True, np.ndarray),
+        (dict(method="dp_sgd", sigma_dp=0.3), True, np.ndarray),
+        (dict(method="dp_sgd", T=100), True, np.ndarray),
+        (dict(method="clipped_gd"), False, np.ndarray),
+        (dict(method="clipped_sgd"), False, np.ndarray),
+        (dict(method="clipped_sgd", T=100), False, np.ndarray),
+    ], ids=["gd", "served", "reset", "B3", "dp_served", "dp_reset", "unflagged_gd",
+            "unflagged_served", "unflagged_reset"])
+    def test_points_are_all_floats_or_all_arrays(self, settings, float_oracles, kind):
+        prob = PointTypes(float_oracles)
+        config = cfg(**(dict(c=1.5, eta=0.05, T=150, x0=np.array([0.5]), seed=4) | settings))
+        trace = run(prob, config)
+        assert prob.seen == {kind}
+        # the same bits as the flag's other setting, which takes the other path
+        assert trace_digest(trace) == trace_digest(run(PointTypes(not float_oracles), config))
+        assert type(trace.final_point) is np.ndarray and trace.final_point.shape == (1,)
+
+
 class TestValidationAtTheEdge:
     """A run validates its input once, not once per step."""
 
@@ -600,3 +643,11 @@ class TestValidationAtTheEdge:
         short, long = calls(3), calls(60)
         assert short == long
         assert long.get("check_dim", 0) >= 1
+
+    @pytest.mark.parametrize("config", [
+        lambda: [cfg()], lambda: (cfg(),), lambda: None, lambda: {"method": "gd"},
+    ], ids=["list", "tuple", "none", "dict"])
+    def test_run_takes_a_config_or_cells(self, config):
+        # a bare sequence of configurations is not a batch; Cells is
+        with pytest.raises(TypeError, match="RunConfig or a Cells batch"):
+            run(BernoulliShiftQuadratic(a=4.0, p=0.25), config())

@@ -274,6 +274,8 @@ class TestBiasFloor:
             bias_floor(-1.0, 1.0)
         with pytest.raises(ValueError):
             bias_floor(1.0, 0.0)
+        with pytest.raises(ValueError, match="sigma"):
+            bias_floor(math.nan, 1.0)
 
 
 class TestLowerBoundConstructions:
@@ -652,6 +654,18 @@ class TestRateParamsValidation:
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=name):
             RateParams(**{"c": 1.0, "eta": 0.1, "T": 10, name: value})
+
+    @pytest.mark.parametrize("name,value", [("c", "1"), ("eta", None),
+                                            ("c", np.array([1.0, 2.0])), ("eta", 1j)],
+                             ids=["c_str", "eta_none", "c_array", "eta_complex"])
+    def test_threshold_and_step_must_be_real(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            RateParams(**{"c": 1.0, "eta": 0.1, "T": 10, name: value})
+
+    def test_numpy_threshold_and_step_stored_as_float(self):
+        params = RateParams(c=np.float32(0.1), eta=np.float64(0.5), T=10)
+        assert type(params.c) is float and type(params.eta) is float
+        assert (params.c, params.eta) == (float(np.float32(0.1)), 0.5)
 
     def test_integer_counts_and_unclipped_threshold_accepted(self):
         params = RateParams(c=math.inf, eta=0.1, T=np.int64(10), B=np.int32(4), F0=1.0)
