@@ -220,8 +220,6 @@ _PROBLEMS = {
     "logistic": _Choice(needs=("data",), make=LogisticRegressionProblem, reads=(
         "lambda", "intercept", "normalize", "subsample_k", "subsample_seed")),
 }
-# the largest dense feature matrix the logistic problem builds (1 GiB)
-_DENSE_LIMIT = 1 << 30
 
 
 def build_problem(cfg: dict, config_dir: Path) -> Problem:
@@ -243,12 +241,10 @@ def build_problem(cfg: dict, config_dir: Path) -> Problem:
         raise DataError(f"{path}: {exc}") from None
     if "subsample_k" in args:
         ds = data_ingest.subsample(ds, args.pop("subsample_k"), args.pop("subsample_seed", 0))
-    columns = ds.dim + cfg.get("intercept", False)
-    nbytes = ds.n * columns * 8
-    if nbytes > _DENSE_LIMIT:
-        raise DataError(f"{path}: the dense {ds.n} x {columns} feature matrix needs"
-                        f" {nbytes} bytes, over the {_DENSE_LIMIT}-byte limit")
-    return choice.make(ds, **args)
+    try:
+        return choice.make(ds, **args)
+    except MemoryError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _build_x0(cfg: dict, problem: Problem) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""LIBSVM-format dataset parsing and dataset-level smoothness estimates.
+"""LIBSVM-format dataset parsing, subsampling and the Gram spectral norm.
 
 A :class:`Dataset` holds its rows in CSR form, as three flat arrays: row
 ``i`` stores the 1-based feature indices ``indices[indptr[i]:indptr[i +
@@ -32,7 +32,6 @@ __all__ = [
     "Dataset",
     "parse_libsvm",
     "serialize_libsvm",
-    "estimate_L",
     "spectral_norm_sq",
     "subsample",
     "synthesize_logistic_dataset",
@@ -242,18 +241,6 @@ def spectral_norm_sq(A: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float
             return lam_new
         lam = lam_new
     return lam
-
-
-def estimate_L(ds: Dataset) -> float:
-    """Logistic-loss smoothness constant ``lambda_max(A^T A) / (4 n)``.
-
-    Upper-bounds the spectral norm of the (unregularized) logistic Hessian
-    ``(1/n) A^T D A`` at any point, since the diagonal weights never
-    exceed 1/4.
-    """
-    if ds.dim == 0:
-        return 0.0
-    return spectral_norm_sq(ds.to_dense()) / (4.0 * ds.n)
 
 
 def subsample(ds: Dataset, k: int, seed: int) -> Dataset:

@@ -3,7 +3,8 @@
 Each problem exposes the exact expected objective ``value``, its exact
 gradient ``grad``, and a one-draw stochastic gradient ``sample_grad``
 that is unbiased for ``grad`` with variance bounded by ``meta.sigma_sq``.
-Problems are immutable; the caller owns all RNG state.
+Problems are immutable; the caller owns all RNG state. Only the logistic
+problem densifies a Dataset, and it refuses a matrix past 1 GiB.
 
 Two batch oracles serve the iteration engines and the Monte Carlo
 estimators. ``value_and_grad`` is the one exact oracle: at a point it
@@ -135,9 +136,9 @@ class Quadratic(Problem):
     """Deterministic ``f(x) = (L/2) * norm(x)^2`` with minimizer 0."""
 
     def __init__(self, dim: int = 1, L: float = 1.0):
-        if dim < 1 or not L > 0:
-            raise ValueError("need dim >= 1 and L > 0")
-        self.L = float(L)
+        if dim < 1 or not (L > 0 and math.isfinite(L)):
+            raise ValueError("need dim >= 1 and L > 0 and finite")
+        self.L = L = float(L)
         self.meta = ProblemMeta(
             dim=dim, L0=L, L1=0.0, L=L, mu=L, sigma_sq=0.0,
             f_star=0.0, x_star=np.zeros(dim),
@@ -169,12 +170,12 @@ class BernoulliShiftQuadratic(Problem):
     float_oracles = True
 
     def __init__(self, a: float, p: float):
-        if not a > 0:
-            raise ValueError(f"shift a must be positive, got {a!r}")
+        if not (a > 0 and math.isfinite(a)):
+            raise ValueError(f"shift a must be positive and finite, got {a!r}")
         if not 0 < p < 0.5:
             raise ValueError(f"p must lie in (0, 1/2), got {p!r}")
-        self.a = float(a)
-        self.p = float(p)
+        self.a = a = float(a)
+        self.p = p = float(p)
         sigma_sq = p * (1.0 - p) * a * a
         self.meta = ProblemMeta(
             dim=1, L0=1.0, L1=0.0, L=1.0, mu=1.0, sigma_sq=sigma_sq,
@@ -225,9 +226,9 @@ class ChiSquareQuadratic(Problem):
     """
 
     def __init__(self, dim: int = 100, L: float = 0.1):
-        if dim < 1 or not L > 0:
-            raise ValueError("need dim >= 1 and L > 0")
-        self.L = float(L)
+        if dim < 1 or not (L > 0 and math.isfinite(L)):
+            raise ValueError("need dim >= 1 and L > 0 and finite")
+        self.L = L = float(L)
         self._ones = np.ones(dim)
         self.meta = ProblemMeta(
             dim=dim, L0=L, L1=0.0, L=L, mu=L, sigma_sq=2.0 * dim,
@@ -296,14 +297,20 @@ def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.matmul(A, X[..., None])[..., 0]
 
 
+# the largest dense feature matrix LogisticRegressionProblem builds (1 GiB)
+_DENSE_LIMIT = 1 << 30
+
+
 class LogisticRegressionProblem(Problem):
     """Binary logistic loss over a parsed dataset, optional ridge term.
 
     ``value(x) = mean_i log(1 + exp(-y_i <a_i, x>)) + (lam/2) norm(x)^2``
-    with ``sample_grad`` drawing one row uniformly (batch size 1). The
-    smoothness constant is estimated by power iteration on the feature
-    Gram matrix; ``meta.sigma_sq`` is the exhaustive per-row gradient
-    variance at x = 0, an estimate rather than a global bound.
+    over the dense features ``A``, with ``sample_grad`` drawing one row
+    uniformly (batch size 1). ``meta.L = lambda_max(A^T A) / (4 n) + lam``
+    (power iteration) bounds the Hessian ``(1/n) A^T D A + lam I``, as
+    ``D <= 1/4``; ``meta.sigma_sq`` is the exhaustive per-row gradient
+    variance at x = 0, an estimate rather than a global bound. An ``A`` past
+    ``_DENSE_LIMIT`` bytes is a MemoryError, raised before anything else.
     """
 
     def __init__(
@@ -313,8 +320,13 @@ class LogisticRegressionProblem(Problem):
         add_intercept: bool = False,
         normalize_rows: bool = False,
     ):
-        if lam < 0:
-            raise ValueError(f"ridge weight must be nonnegative, got {lam!r}")
+        columns = dataset.dim + bool(add_intercept)
+        nbytes = dataset.n * columns * 8
+        if nbytes > _DENSE_LIMIT:
+            raise MemoryError(f"the dense {dataset.n} x {columns} feature matrix needs"
+                              f" {nbytes} bytes, over the {_DENSE_LIMIT}-byte limit")
+        if not (lam >= 0 and math.isfinite(lam)):
+            raise ValueError(f"ridge weight must be nonnegative and finite, got {lam!r}")
         A = dataset.to_dense()
         if normalize_rows:
             norms = np.linalg.norm(A, axis=1)
@@ -325,9 +337,9 @@ class LogisticRegressionProblem(Problem):
         self.y = dataset.labels.astype(float)
         self.n = A.shape[0]
         self.lam = float(lam)
-        L = spectral_norm_sq(A) / (4.0 * self.n) + lam
+        L = spectral_norm_sq(A) / (4.0 * self.n) + self.lam
         self.meta = ProblemMeta(
-            dim=A.shape[1], L0=L, L1=0.0, L=L, mu=lam,
+            dim=A.shape[1], L0=L, L1=0.0, L=L, mu=self.lam,
             sigma_sq=self._row_variance(np.zeros(A.shape[1])),
         )
 

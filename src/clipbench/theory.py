@@ -95,6 +95,7 @@ class RateParams:
             # which `bound` would report as a failed or passed check
             if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not self.c > 0:
             raise ValueError(f"clipping threshold must be positive, got {self.c!r}")
         if not (self.eta > 0 and math.isfinite(self.eta)):
@@ -301,6 +302,7 @@ def bound_dp_sgd(params: RateParams, L_override: float | None = None) -> BoundRe
 
 def bias_floor(sigma: float, c: float) -> float:
     """The non-vanishing gradient-norm level min(sigma, sigma^2 / c)."""
+    sigma, c = float(sigma), float(c)
     if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     if not c > 0:

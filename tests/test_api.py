@@ -37,6 +37,7 @@ def test_package_provides_what_the_benchmark_reads():
     ("core", "clipped_step"),
     ("problems", "_sigmoid"),
     ("data_ingest", "SparseRow"),
+    ("data_ingest", "estimate_L"),
     ("optimizers", "_step_generator"),
     ("theory", "THEOREMS"),
 ])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clipbench import cli, theory
+from clipbench import cli, problems, theory
 from clipbench.cli import ConfigError, main, parse_config
 from clipbench.optimizers import Cells
 from clipbench.data_ingest import bundled_dataset_path
@@ -101,6 +101,15 @@ class TestConfigParsing:
         assert err.startswith("data error: ") and "wide.libsvm: " in err
         assert "1 x 1000000000000 feature matrix needs 8000000000000 bytes" in err
 
+    def test_dataset_too_large_wins_over_a_bad_lambda(self, tmp_path, capsys):
+        # the problem checks the dense size before the ridge weight, so a
+        # data error still reports first
+        write(tmp_path, "wide.libsvm", "+1 1000000000000:1\n")
+        cfg = write(tmp_path, "l.cfg", "mode = run\nproblem = logistic\ndata = wide.libsvm\n"
+                    "lambda = -1\n" + CLIPPED_GD)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "feature matrix needs 8000000000000 bytes" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra, code", [
         ("", 0),
         ("intercept = true\n", 2),
@@ -110,7 +119,7 @@ class TestConfigParsing:
     def test_densify_limit_counts_rows_after_subsampling_and_the_intercept(
             self, tmp_path, monkeypatch, extra, code, capsys):
         # the bundled data is 500 x 60: set the limit to exactly its dense size
-        monkeypatch.setattr(cli, "_DENSE_LIMIT", 500 * 60 * 8)
+        monkeypatch.setattr(problems, "_DENSE_LIMIT", 500 * 60 * 8)
         cfg = write(tmp_path, "l.cfg", "mode = run\n" + LOGISTIC + extra + CLIPPED_GD)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == code
         if code:
@@ -126,6 +135,14 @@ class TestConfigParsing:
         ("run", f"problem = logistic\ndata = {bundled_dataset_path()}\nlambda = -1\n"
          + CLIPPED_GD, "ridge weight must be nonnegative"),
         ("run", "problem = quadratic\nL = nan\n" + CLIPPED_GD, "need dim >= 1 and L > 0"),
+        # an infinite or NaN problem constant, not a divergence at t = 0
+        ("run", "problem = quadratic\nL = inf\n" + CLIPPED_GD, "need dim >= 1 and L > 0"),
+        ("run", "problem = chi_square\nL = inf\n" + CLIPPED_GD, "need dim >= 1 and L > 0"),
+        ("run", "problem = bernoulli_shift\na = inf\np = 0.25\n" + CLIPPED_GD,
+         "shift a must be positive"),
+        ("run", LOGISTIC + "lambda = nan\n" + CLIPPED_GD, "ridge weight must be nonnegative"),
+        # and not an infinite smoothness constant certified as a pass
+        ("certify", LOGISTIC + "lambda = inf\n", "ridge weight must be nonnegative"),
         ("fixedpoint", "sigma = nan\nc = 4\n", "construction needs sigma > 0"),
         ("fixedpoint", "sigma = inf\nc = 4\n", "construction needs a finite sigma, got sigma=inf"),
         ("fixedpoint", "sigma = 1\nc = 2, inf\n", "construction needs a finite c, got c=inf"),
@@ -152,7 +169,8 @@ class TestConfigParsing:
         ("run", "problem = logistic\n" + CLIPPED_GD, "missing required keys: data"),
         ("bound", "theorem = det_strongly_convex\ntrace = trace.csv\nc = 0.25\neta = 1\n"
          "T = 2\nR0 = 1\nL = 1\nL0 = 1\nf_star = 0\n", "missing required keys: mu, epsilon"),
-    ], ids=["dim_0", "a_negative", "subsample_k_0", "lambda_negative", "L_nan",
+    ], ids=["dim_0", "a_negative", "subsample_k_0", "lambda_negative", "L_nan", "L_inf",
+            "chi_square_L_inf", "a_inf", "lambda_nan", "certify_lambda_inf",
             "sigma_nan", "sigma_inf", "c_inf", "bound_without_L0_L1", "unread_dim",
             "unread_lambda", "unread_data", "unread_subsample_seed",
             "unread_target_grad_norm", "unread_B", "subsample_seed_without_k",

@@ -10,7 +10,6 @@ from clipbench.data_ingest import (
     _parse_checked,
     _parse_rows,
     bundled_dataset_path,
-    estimate_L,
     parse_libsvm,
     serialize_libsvm,
     spectral_norm_sq,
@@ -242,45 +241,13 @@ class TestToDense:
         assert A.tobytes() == self.row_loop(ds).tobytes()
 
 
-class TestEstimateL:
-    def test_single_row(self):
-        # rank-1 Gram eigenvalue is the squared row norm: 4 / (4 * 1) = 1
-        ds = parse_libsvm("+1 1:2")
-        assert estimate_L(ds) == pytest.approx(1.0, rel=1e-10)
-
-    def test_two_identical_unit_rows(self):
-        # A^T A has top eigenvalue 2, so L = 2 / (4 * 2) = 1/4
-        ds = parse_libsvm("+1 1:1\n-1 1:1")
-        assert estimate_L(ds) == pytest.approx(0.25, rel=1e-10)
-
-    def test_empty_feature_rows(self):
-        ds = parse_libsvm("+1\n-1")
-        assert estimate_L(ds) == 0.0
-
+class TestSpectralNormSq:
     def test_power_iteration_matches_eigensolver(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             A = rng.normal(size=(int(rng.integers(2, 8)), int(rng.integers(1, 5))))
             expected = float(np.linalg.eigvalsh(A.T @ A)[-1])
             assert spectral_norm_sq(A) == pytest.approx(expected, rel=1e-6)
-
-    def test_upper_bounds_logistic_hessian(self):
-        # Hessian (1/n) A^T D A with D <= 1/4 has spectral norm <= L
-        rng = np.random.default_rng(13)
-        for trial in range(10):
-            n, d = int(rng.integers(3, 9)), int(rng.integers(1, 6))
-            A = rng.normal(size=(n, d))
-            y = rng.choice([-1.0, 1.0], size=n)
-            ds = Dataset(np.arange(0, n * d + 1, d), np.tile(np.arange(1, d + 1), n),
-                         A.ravel(), y.astype(np.int64), d)
-            L = estimate_L(ds)
-            for _ in range(5):
-                x = rng.normal(size=d)
-                # the logistic function 1 / (1 + exp(-t)), stable in both tails
-                s = 0.5 * (1.0 + np.tanh(0.5 * (y * (A @ x))))
-                D = s * (1.0 - s)
-                H = (A.T * D) @ A / n
-                assert np.linalg.eigvalsh(H)[-1] <= L * (1.0 + 1e-8)
 
 
 class TestSubsample:

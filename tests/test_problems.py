@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from clipbench.data_ingest import parse_libsvm, synthesize_logistic_dataset
+from clipbench import problems
+from clipbench.data_ingest import (
+    Dataset,
+    bundled_dataset_path,
+    parse_libsvm,
+    synthesize_logistic_dataset,
+)
 from clipbench.problems import (
     BernoulliShiftQuadratic,
     ChiSquareQuadratic,
@@ -13,6 +19,7 @@ from clipbench.problems import (
     ProblemMeta,
     Quadratic,
 )
+from clipbench.theory import max_stepsize
 
 
 def finite_difference_grad(problem, x, h=1e-6):
@@ -84,6 +91,15 @@ class TestBernoulliShiftQuadratic:
             BernoulliShiftQuadratic(a=-1.0, p=0.25)
         with pytest.raises(ValueError):
             BernoulliShiftQuadratic(a=1.0, p=0.5)
+        for a in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^shift a must be positive and finite"):
+                BernoulliShiftQuadratic(a=a, p=0.25)
+
+    def test_float32_parameters_give_float_meta(self):
+        meta = BernoulliShiftQuadratic(a=np.float32(4), p=np.float32(0.25)).meta
+        assert type(meta.sigma_sq) is float and type(meta.f_star) is float
+        assert meta.x_star.dtype == np.float64
+        assert (meta.sigma_sq, meta.x_star[0]) == (3.0, -1.0)
 
 
 class TestChiSquareQuadratic:
@@ -107,6 +123,20 @@ class TestChiSquareQuadratic:
         noise = np.array([prob.sample_grad(x, rng) - prob.grad(x) + 1.0 for _ in range(4000)])
         assert (noise >= 0).all()
         assert noise.mean() == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("cls", [Quadratic, ChiSquareQuadratic])
+class TestQuadraticCurvature:
+    @pytest.mark.parametrize("L", [0.0, math.inf, math.nan])
+    def test_L_must_be_positive_and_finite(self, cls, L):
+        with pytest.raises(ValueError, match="^need dim >= 1 and L > 0 and finite"):
+            cls(dim=2, L=L)
+
+    def test_float32_L_gives_float_meta(self, cls):
+        meta = cls(dim=2, L=np.float32(2)).meta
+        assert all(type(v) is float for v in (meta.L0, meta.L, meta.mu, meta.f_star))
+        assert meta.x_star.dtype == np.float64
+        assert type(max_stepsize("det_convex", meta.L0, meta.L1, 1.0)) is float
 
 
 class TestLogistic:
@@ -214,6 +244,68 @@ class TestLogistic:
         with pytest.raises(ValueError):
             prob.value(np.zeros(prob.meta.dim + 1))
 
+    @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
+    def test_ridge_weight_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="^ridge weight must be nonnegative and finite"):
+            LogisticRegressionProblem(parse_libsvm("+1 1:1\n-1 2:1\n"), lam=lam)
+
+    def test_float32_ridge_weight_gives_float_meta(self):
+        prob = LogisticRegressionProblem(parse_libsvm("+1 1:1\n-1 2:1\n"), lam=np.float32(0.5))
+        assert type(prob.meta.mu) is float and type(prob.meta.L) is float
+
+    def test_dense_size_checked_before_densifying(self, monkeypatch):
+        # the bundled data is 500 x 60: set the limit to exactly its dense size
+        monkeypatch.setattr(problems, "_DENSE_LIMIT", 500 * 60 * 8)
+        ds = parse_libsvm(bundled_dataset_path().read_text())
+        with pytest.raises(MemoryError) as err:
+            LogisticRegressionProblem(ds, add_intercept=True)
+        assert str(err.value) == ("the dense 500 x 61 feature matrix needs 244000 bytes,"
+                                  " over the 240000-byte limit")
+        assert LogisticRegressionProblem(ds).meta.dim == 60
+
+    def test_dense_size_checked_before_the_ridge_weight(self):
+        # a 1 x 10**12 matrix (8 TB) is refused before anything is allocated
+        wide = Dataset([0, 1], [10**12], [1.0], [1], 10**12)
+        with pytest.raises(MemoryError, match="needs 8000000000000 bytes, over the"
+                                              " 1073741824-byte limit"):
+            LogisticRegressionProblem(wide, lam=-1.0)
+
+
+class TestLogisticSmoothness:
+    """``meta.L`` without ridge is ``lambda_max(A^T A) / (4 n)``."""
+
+    def test_single_row(self):
+        # rank-1 Gram eigenvalue is the squared row norm: 4 / (4 * 1) = 1
+        ds = parse_libsvm("+1 1:2")
+        assert LogisticRegressionProblem(ds).meta.L == pytest.approx(1.0, rel=1e-10)
+
+    def test_two_identical_unit_rows(self):
+        # A^T A has top eigenvalue 2, so L = 2 / (4 * 2) = 1/4
+        ds = parse_libsvm("+1 1:1\n-1 1:1")
+        assert LogisticRegressionProblem(ds).meta.L == pytest.approx(0.25, rel=1e-10)
+
+    def test_empty_feature_rows(self):
+        ds = parse_libsvm("+1\n-1")
+        assert LogisticRegressionProblem(ds).meta.L == 0.0
+
+    def test_upper_bounds_logistic_hessian(self):
+        # Hessian (1/n) A^T D A with D <= 1/4 has spectral norm <= L
+        rng = np.random.default_rng(13)
+        for trial in range(10):
+            n, d = int(rng.integers(3, 9)), int(rng.integers(1, 6))
+            A = rng.normal(size=(n, d))
+            y = rng.choice([-1.0, 1.0], size=n)
+            ds = Dataset(np.arange(0, n * d + 1, d), np.tile(np.arange(1, d + 1), n),
+                         A.ravel(), y.astype(np.int64), d)
+            L = LogisticRegressionProblem(ds).meta.L
+            for _ in range(5):
+                x = rng.normal(size=d)
+                # the logistic function 1 / (1 + exp(-t)), stable in both tails
+                s = 0.5 * (1.0 + np.tanh(0.5 * (y * (A @ x))))
+                D = s * (1.0 - s)
+                H = (A.T * D) @ A / n
+                assert np.linalg.eigvalsh(H)[-1] <= L * (1.0 + 1e-8)
+
 
 @pytest.mark.parametrize("name,factory", ALL_PROBLEMS)
 def test_gradient_matches_finite_differences(name, factory):
@@ -289,8 +381,6 @@ def test_bundled_recipe_matches_generator():
 
 
 def bundled_logistic(lam=0.0):
-    from clipbench.data_ingest import bundled_dataset_path
-
     return LogisticRegressionProblem(parse_libsvm(bundled_dataset_path().read_text()), lam=lam)
 
 

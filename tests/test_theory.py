@@ -667,6 +667,17 @@ class TestRateParamsValidation:
         assert type(params.c) is float and type(params.eta) is float
         assert (params.c, params.eta) == (float(np.float32(0.1)), 0.5)
 
+    def test_numpy_constants_stored_as_float(self):
+        params = RateParams(c=4, eta=0.01, T=100, F0=np.float32(2), L0=np.float32(1),
+                            sigma=np.float32(1), R0=1)
+        for name in ("F0", "R0", "L0", "L1", "L", "mu", "sigma", "sigma_dp"):
+            assert type(getattr(params, name)) is float, name
+        assert type(bound_stoch_nonconvex(params).predicted) is float
+
+    def test_bias_floor_of_float32_is_float(self):
+        floor = bias_floor(np.float32(0.3), 4.0)
+        assert type(floor) is float and floor == float(np.float32(0.3)) ** 2 / 4.0
+
     def test_integer_counts_and_unclipped_threshold_accepted(self):
         params = RateParams(c=math.inf, eta=0.1, T=np.int64(10), B=np.int32(4), F0=1.0)
         assert type(params.T) is int and type(params.B) is int
