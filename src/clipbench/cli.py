@@ -22,13 +22,13 @@ import csv
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import data_ingest, theory
+from ._record import _Record
 from .data_ingest import ParseError
 from .optimizers import Cells, DivergenceError, RunConfig, Trace, run
 from .problems import (
@@ -302,8 +302,7 @@ def cmd_run(cfg: dict, out: Path, seed_offset: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Record):
     """Summary of one (c, eta, seed) cell."""
 
     c: float
@@ -366,7 +365,8 @@ def sweep_cells(
                 scores.append((sum(iters) / len(iters), eta))
         if scores:
             best_eta[c] = min(scores)[1]
-    return [replace(r, best_eta_for_c=best_eta.get(r.c) == r.eta) for r in rows]
+    return [SweepRow(r.c, r.eta, r.seed, r.final_f, r.min_grad_norm, r.iters_to_target,
+                     r.diverged, best_eta_for_c=best_eta.get(r.c) == r.eta) for r in rows]
 
 
 def cmd_sweep(cfg: dict, out: Path, seed_offset: int = 0) -> int:
@@ -585,7 +585,7 @@ def cmd_bound(cfg: dict, out: Path) -> int:
     if "f_star" in cfg and not math.isfinite(cfg["f_star"]):
         raise ConfigError(f"f_star must be finite, got {cfg['f_star']!r}")
     # every field of RateParams is the bound key of that name
-    params = theory.RateParams(**_given(cfg, [f.name for f in fields(theory.RateParams)]))
+    params = theory.RateParams(**_given(cfg, theory.RateParams._fields))
     if cfg.get("use_trajectory_L", False):
         L_eff = theory.max_local_smoothness(data["grad_norm"], params.L0, params.L1)
     else:

@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+
+from ._record import _Record
 
 __all__ = [
     "ParseError",
@@ -52,8 +53,7 @@ class ParseError(ValueError):
     """Malformed LIBSVM input; the message carries the 1-based line number."""
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Record):
     """Parsed dataset: CSR feature rows plus +/-1 labels.
 
     ``indptr`` (n + 1 int64 offsets from 0 to the number of stored values)

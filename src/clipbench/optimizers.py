@@ -59,10 +59,10 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import _Record
 from .core import _sum_rows, clip_float, clip_rows, clip_vector
 from .problems import Problem
 
@@ -100,8 +100,7 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True, eq=False)
-class RunConfig:
+class RunConfig(_Record, eq=False):
     """Parameters of one optimization run.
 
     ``c`` must be ``math.inf`` exactly for the unclipped methods and a
@@ -174,7 +173,8 @@ class Cells:
     ``eta``, ``seed`` and ``x0``. ``T`` is the shared iteration budget.
     """
 
-    # a plain class: building a dataclass costs ~0.6 ms at import
+    # a plain class with slots, not a _Record: its one stored field is
+    # derived from the argument and read through properties
     __slots__ = ("_configs",)
 
     def __init__(self, configs) -> None:
@@ -206,8 +206,7 @@ class Cells:
         return self._configs[0].T
 
 
-@dataclass(frozen=True, eq=False)
-class Trace:
+class Trace(_Record, eq=False):
     """Per-iteration record of one run, stored as parallel arrays.
 
     Row ``k`` holds recorded iterate ``iters[k]``: the objective, the exact

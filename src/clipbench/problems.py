@@ -44,10 +44,10 @@ False``, the default), steps on arrays. Of the shipped problems only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import _Record
 from .data_ingest import Dataset, spectral_norm_sq
 
 __all__ = [
@@ -60,8 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ProblemMeta:
+class ProblemMeta(_Record, eq=False):
     """Analytic constants of a problem.
 
     ``L0``/``L1`` are the relaxed smoothness constants (local gradient
@@ -177,6 +176,10 @@ class BernoulliShiftQuadratic(Problem):
         self.a = a = float(a)
         self.p = p = float(p)
         sigma_sq = p * (1.0 - p) * a * a
+        if not math.isfinite(sigma_sq):
+            # an infinite variance makes f* and every value infinite
+            raise ValueError(f"shift a must be positive and finite with a finite variance"
+                             f" p * (1 - p) * a * a, got a={a!r}, p={p!r}")
         self.meta = ProblemMeta(
             dim=1, L0=1.0, L1=0.0, L=1.0, mu=1.0, sigma_sq=sigma_sq,
             f_star=0.5 * sigma_sq, x_star=np.array([-p * a]),

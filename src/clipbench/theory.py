@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import _Record
 from .core import _sum_rows, clip_rows
 from .problems import BernoulliShiftQuadratic, Problem
 from .optimizers import Trace
@@ -60,8 +60,7 @@ _STEPSIZE_FACTOR = {
 }
 
 
-@dataclass(frozen=True)
-class RateParams:
+class RateParams(_Record):
     """Concrete rate inputs: initial gaps, smoothness, noise, run shape."""
 
     c: float
@@ -106,8 +105,7 @@ class RateParams:
             raise ValueError(f"B must be >= 1, got {self.B!r}")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """A theorem's prediction at concrete parameters.
 
     ``predicted`` is a gradient-norm or suboptimality level, except for
@@ -124,8 +122,7 @@ class BoundReport:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class LowerBoundInstance:
+class LowerBoundInstance(_Record):
     """A Bernoulli-shift construction with its exact clipped-SGD fixed point.
 
     At ``x_fixed`` the unshifted branch is never clipped while the shifted
@@ -405,8 +402,7 @@ def exact_fixed_point(problem: BernoulliShiftQuadratic, c: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class ClippedGradEstimate:
+class ClippedGradEstimate(_Record):
     """Expected clipped stochastic gradient at a point; ``exact`` marks the
     closed-form two-outcome path (std_error 0)."""
 
@@ -461,8 +457,7 @@ def expected_clipped_grad(
     return ClippedGradEstimate(mean, math.sqrt(var / n_samples), exact=False)
 
 
-@dataclass(frozen=True)
-class SmoothnessViolation:
+class SmoothnessViolation(_Record):
     kind: str
     x: np.ndarray
     y: np.ndarray | None
@@ -470,14 +465,13 @@ class SmoothnessViolation:
     rhs: float
 
 
-@dataclass(frozen=True)
-class SmoothnessCertificate:
+class SmoothnessCertificate(_Record):
     """Sampled-pair check of the relaxed smoothness inequalities."""
 
     L0: float
     L1: float
     n_pairs: int
-    violations: tuple[SmoothnessViolation, ...] = field(default=())
+    violations: tuple[SmoothnessViolation, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -535,8 +529,7 @@ def certify_smoothness(
     return SmoothnessCertificate(L0, L1, n_pairs, tuple(violations))
 
 
-@dataclass(frozen=True)
-class ClipProbabilityReport:
+class ClipProbabilityReport(_Record):
     """Empirical clip frequency against the Markov bound 4 sigma^2 / c^2."""
 
     frequency: float

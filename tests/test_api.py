@@ -1,15 +1,23 @@
 """The public surface: what each module exports, what the benchmark reads
-from the package, and the names that are gone."""
+from the package, the names that are gone, and the contract of the
+immutable records."""
 
+import ast
+import copy
 import importlib
+import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import clipbench
+from clipbench import theory
+from clipbench.cli import SweepRow
 from clipbench.data_ingest import bundled_dataset_path
 
 MODULES = ["core", "problems", "data_ingest", "optimizers", "theory", "cli"]
@@ -78,3 +86,184 @@ def test_deterministic_sweep_never_imports_numpy_random(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out.csv").read_text().count("\n") == 5
+
+
+# ---------------------------------------------------------------------------
+# records: name -> (class, fields in order, the required arguments in field
+# order, the defaults of the rest, how instances compare)
+
+_CONFIG = clipbench.RunConfig("clipped_sgd", 4.0, 0.5, 3, np.array([1.0]))
+_VECTOR = np.array([0.5])
+RECORDS = {
+    "RunConfig": (clipbench.RunConfig, "method c eta T x0 B sigma_dp seed thin",
+                  ("clipped_sgd", 4.0, 0.5, 3, np.array([1.0])),
+                  {"B": 1, "sigma_dp": 0.0, "seed": 0, "thin": 1}, "identity"),
+    "Trace": (clipbench.Trace, "config iters f_vals grad_norms applied_norms clipped_fracs"
+              " final_point max_per_sample_norm",
+              (_CONFIG, np.arange(2), _VECTOR, _VECTOR, _VECTOR, _VECTOR, _VECTOR),
+              {"max_per_sample_norm": 0.0}, "identity"),
+    "ProblemMeta": (clipbench.ProblemMeta, "dim L0 L1 L mu sigma_sq f_star x_star",
+                    (1, 1.0, 0.0, 1.0, 1.0, 0.75), {"f_star": None, "x_star": None},
+                    "identity"),
+    "Dataset": (clipbench.Dataset, "indptr indices values labels dim",
+                (np.array([0, 1, 2]), np.array([1, 2]), np.array([1.0, -2.0]),
+                 np.array([1, -1]), 2), {}, "arrays"),
+    "SweepRow": (SweepRow, "c eta seed final_f min_grad_norm iters_to_target diverged"
+                 " best_eta_for_c", (0.25, 1.0, 0, 0.5, 0.1, -1, False),
+                 {"best_eta_for_c": False}, "value"),
+    "RateParams": (theory.RateParams, "c eta T F0 R0 L0 L1 L mu sigma B sigma_dp",
+                   (1.0, 0.1, 10), {"F0": 0.0, "R0": 0.0, "L0": 0.0, "L1": 0.0, "L": 0.0,
+                                    "mu": 0.0, "sigma": 0.0, "B": 1, "sigma_dp": 0.0},
+                   "value"),
+    "BoundReport": (theory.BoundReport, "theorem predicted stepsize_ok regime"
+                    " constants_source detail", ("det_convex", 0.5, True),
+                    {"regime": "n_a", "constants_source": "derived_appendix", "detail": ""},
+                    "value"),
+    "LowerBoundInstance": (theory.LowerBoundInstance, "sigma c a p x_fixed bias guarantee",
+                           (4.0, 4.0, 8.0, 0.25, 1.0, 1.0, 0.5), {}, "value"),
+    "ClippedGradEstimate": (theory.ClippedGradEstimate, "value std_error exact",
+                            (_VECTOR, 0.0, True), {}, "value"),
+    "SmoothnessViolation": (theory.SmoothnessViolation, "kind x y lhs rhs",
+                            ("descent", _VECTOR, None, 2.0, 1.0), {}, "value"),
+    "SmoothnessCertificate": (theory.SmoothnessCertificate, "L0 L1 n_pairs violations",
+                              (1.0, 0.0, 5), {"violations": ()}, "value"),
+    "ClipProbabilityReport": (theory.ClipProbabilityReport,
+                              "frequency markov_bound std_error n_samples",
+                              (0.01, 0.25, 0.001, 100), {}, "value"),
+}
+
+
+def _same(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def _record(name):
+    cls, fields, args, defaults, _ = RECORDS[name]
+    return cls, fields.split(), args, defaults
+
+
+def test_every_record_is_listed():
+    base = clipbench._record._Record
+    classes = [value for module in MODULES
+               for value in vars(importlib.import_module(f"clipbench.{module}")).values()
+               if inspect.isclass(value) and issubclass(value, base) and value is not base]
+    assert {cls.__name__ for cls in classes} == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_takes_fields_in_order_with_defaults(name):
+    cls, fields, args, defaults = _record(name)
+    assert list(fields[len(args):]) == list(defaults)
+    by_position = cls(*args)
+    by_keyword = cls(**dict(zip(fields, args)))
+    for record in (by_position, by_keyword):
+        assert all(_same(getattr(record, f), a) for f, a in zip(fields, args)), name
+        assert all(_same(getattr(record, f), d) for f, d in defaults.items()), name
+    # every field, defaults included, may be given by position
+    everything = [*args, *defaults.values()]
+    assert all(_same(getattr(cls(*everything), f), v) for f, v in zip(fields, everything))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_rejects_bad_arguments(name):
+    cls, fields, args, defaults = _record(name)
+    with pytest.raises(TypeError, match="missing .*argument"):
+        cls(*args[:-1])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'nonsense'"):
+        cls(*args, nonsense=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument {fields[0]!r}"):
+        cls(*args, **{fields[0]: args[0]})
+    with pytest.raises(TypeError, match="positional arguments but"):
+        cls(*args, *defaults.values(), None)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_is_read_only(name):
+    cls, fields, args, _ = _record(name)
+    record = cls(*args)
+    for field in (fields[0], fields[-1], "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert _same(getattr(record, fields[0]), args[0])
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_repr_names_every_field(name):
+    cls, fields, args, _ = _record(name)
+    record = cls(*args)
+    shown = ", ".join(f"{f}={getattr(record, f)!r}" for f in fields)
+    assert repr(record) == f"{name}({shown})"
+
+
+def test_record_repr_by_example():
+    assert repr(theory.BoundReport("det_convex", 0.5, True)) == (
+        "BoundReport(theorem='det_convex', predicted=0.5, stepsize_ok=True, regime='n_a',"
+        " constants_source='derived_appendix', detail='')")
+    assert repr(theory.SmoothnessCertificate(1.0, 0.0, 5)) == (
+        "SmoothnessCertificate(L0=1.0, L1=0.0, n_pairs=5, violations=())")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_equality_and_hash(name):
+    cls, fields, args, _ = _record(name)
+    kind = RECORDS[name][4]
+    one, other = cls(*args), cls(*args)
+    if kind == "identity":
+        assert one == one and one != other
+        assert hash(one) == object.__hash__(one)
+        return
+    assert one == other and not one != other
+    # a record never equals a tuple of its fields or another record type
+    assert one != tuple(getattr(one, f) for f in fields) and one != object()
+    if kind == "arrays":
+        changed = cls(*args[:2], args[2] * 2, *args[3:])
+        assert one != changed
+        with pytest.raises(TypeError):
+            hash(one)
+        return
+    assert one != cls(*args[:-1], not args[-1] if isinstance(args[-1], bool) else args[-1] * 2)
+    if not any(isinstance(a, np.ndarray) for a in args):
+        assert hash(one) == hash(other) == hash(tuple(args) + tuple(RECORDS[name][3].values()))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_signature_lists_fields_and_defaults(name):
+    cls, fields, _, defaults = _record(name)
+    parameters = inspect.signature(cls).parameters
+    assert list(parameters) == fields
+    assert {p.name: p.default for p in parameters.values()
+            if p.default is not inspect.Parameter.empty} == defaults
+    assert cls._fields == cls.__match_args__ == tuple(fields)
+
+
+def test_trace_copies_and_pickles():
+    problem = clipbench.BernoulliShiftQuadratic(a=8.0, p=0.25)
+    trace = clipbench.run(problem, clipbench.RunConfig("clipped_sgd", 4.0, 0.5, 20,
+                                                       np.array([1.0]), seed=3))
+    shallow = copy.copy(trace)
+    assert shallow is not trace and shallow.f_vals is trace.f_vals
+    for twin in (copy.deepcopy(trace), pickle.loads(pickle.dumps(trace))):
+        assert type(twin) is clipbench.Trace and twin is not trace
+        for field in clipbench.Trace._fields[1:]:
+            assert _same(getattr(twin, field), getattr(trace, field)), field
+        assert twin.f_vals is not trace.f_vals
+        assert repr(twin.config) == repr(trace.config)
+        with pytest.raises(AttributeError):
+            twin.final_point = None
+
+
+def test_no_module_generates_code_at_import():
+    # a record class is built from its annotations: no generated source
+    package = Path(clipbench.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                assert all(a.name != "dataclasses" for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("exec", "eval", "compile"), path.name

@@ -140,6 +140,9 @@ class TestConfigParsing:
         ("run", "problem = chi_square\nL = inf\n" + CLIPPED_GD, "need dim >= 1 and L > 0"),
         ("run", "problem = bernoulli_shift\na = inf\np = 0.25\n" + CLIPPED_GD,
          "shift a must be positive"),
+        # a finite shift whose variance overflows, not a divergence at t = 0
+        ("run", "problem = bernoulli_shift\na = 1e200\np = 0.25\n" + CLIPPED_GD,
+         "shift a must be positive and finite with a finite variance"),
         ("run", LOGISTIC + "lambda = nan\n" + CLIPPED_GD, "ridge weight must be nonnegative"),
         # and not an infinite smoothness constant certified as a pass
         ("certify", LOGISTIC + "lambda = inf\n", "ridge weight must be nonnegative"),
@@ -170,7 +173,7 @@ class TestConfigParsing:
         ("bound", "theorem = det_strongly_convex\ntrace = trace.csv\nc = 0.25\neta = 1\n"
          "T = 2\nR0 = 1\nL = 1\nL0 = 1\nf_star = 0\n", "missing required keys: mu, epsilon"),
     ], ids=["dim_0", "a_negative", "subsample_k_0", "lambda_negative", "L_nan", "L_inf",
-            "chi_square_L_inf", "a_inf", "lambda_nan", "certify_lambda_inf",
+            "chi_square_L_inf", "a_inf", "a_variance_overflow", "lambda_nan", "certify_lambda_inf",
             "sigma_nan", "sigma_inf", "c_inf", "bound_without_L0_L1", "unread_dim",
             "unread_lambda", "unread_data", "unread_subsample_seed",
             "unread_target_grad_norm", "unread_B", "subsample_seed_without_k",

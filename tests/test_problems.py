@@ -91,7 +91,8 @@ class TestBernoulliShiftQuadratic:
             BernoulliShiftQuadratic(a=-1.0, p=0.25)
         with pytest.raises(ValueError):
             BernoulliShiftQuadratic(a=1.0, p=0.5)
-        for a in (math.inf, math.nan):
+        # 1e200 is finite, but p * (1 - p) * a * a, the variance, overflows
+        for a in (math.inf, math.nan, 1e200):
             with pytest.raises(ValueError, match="^shift a must be positive and finite"):
                 BernoulliShiftQuadratic(a=a, p=0.25)
 
