@@ -14,14 +14,29 @@ norm at every iterate, which is what the convergence statements bound.
 Step ``t``'s stream is numpy's Philox4x64-10 under the key ``seed mod
 2**64`` with its counter reset to ``(0, 0, t, lane)``, and the generator
 a step hands to ``sample_grad`` is numpy's own, re-armed at the next step:
-it is valid only until then. Philox is counter-based, so the first
-uniform of every step is one block function of the step's counter. A run
-decides once whether to serve its samples from that: when the problem
-defines ``sample_grad_at`` (a sample that is a function of one uniform),
-the method is stochastic, ``B == 1`` and ``T >= 128``, it computes the
-uniforms of all its K cells for ``4096 // K`` steps at a time (at least
-one) with a numpy-vectorized Philox and hands them to ``sample_grad_at``,
-with no reset. Every other draw takes the reset.
+it is valid only until then. A run decides once where its draws come
+from, and every source gives the bits of the reset:
+
+- Philox is counter-based, so the first uniform of every step is one
+  block function of the step's counter. When the problem's ``draws`` hook
+  is ``Problem.uniforms`` (a sample that is a function of one uniform),
+  the method is stochastic, ``B == 1`` and the run's K cells draw at least
+  ``K * T >= 128`` uniforms, the run computes the uniforms of all its
+  cells for ``4096 // K`` steps at a time (at least one) with a
+  numpy-vectorized Philox and hands them to ``sample_grad_at``, with no
+  reset.
+- A draw never depends on the iterate, so another process can compute it
+  ahead. A stochastic single run on arrays of any other problem with the
+  ``draws`` hook, whose ``T * (B * d + d)`` draws (``+ d`` for the DP
+  noise) reach ``2**20`` doubles, forks one child (``clipbench._feed``)
+  that makes the same ``at_step(t, lane)`` and ``draws`` calls into a ring
+  of shared memory while the parent steps, when ``os.fork`` exists, the
+  process may run on more than one CPU and no other Python thread runs.
+  The child is reaped when the run ends, and killed first if it ends
+  early; a child that fails is a ``RuntimeError`` in the parent. The Monte
+  Carlo estimators in ``theory`` feed their chunks the same way. Outputs
+  never depend on the feeder.
+- Every other draw takes the reset.
 
 The configuration and the starting point are validated once, before the
 first step; the step loop calls only the problem's unchecked batch
@@ -62,6 +77,7 @@ import operator
 
 import numpy as np
 
+from . import _feed
 from ._record import _Record
 from .core import _sum_rows, clip_float, clip_rows, clip_vector
 from .problems import Problem
@@ -164,6 +180,11 @@ class RunConfig(_Record, eq=False):
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
 
+    def __setstate__(self, state: dict) -> None:
+        # copy.deepcopy and unpickling rebuild x0 as a new, writeable array
+        state["x0"].setflags(write=False)
+        self.__dict__.update(state)
+
 
 class Cells:
     """A read-only batch of runs for :func:`run` to advance in lockstep.
@@ -242,9 +263,9 @@ _MASK64 = (1 << 64) - 1
 # steps of all K cells, so its arrays stay small (numpy's Philox throughput
 # halves once they leave the cache, at 20 cells x 4096 steps)
 _CHUNK = 4096
-# the shortest run that is served: a block costs about as much as this many
-# counter resets, most of it in fixed per-call overhead, so a short run (T =
-# 1, say) takes the resets
+# the fewest uniforms a run is served, over all its cells: a block costs
+# about as much as this many counter resets, most of it in fixed per-call
+# overhead, so a short single run (T = 1, say) takes the resets
 _WARMUP = 128
 
 
@@ -364,17 +385,20 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
     deterministic = method in _DETERMINISTIC
     dp = method == "dp_sgd"
     K, dim = len(configs), first.x0.size
-    # decided once per run: a one-sample run of a problem with the
-    # one-uniform hook (looked up on the instance) long enough to pay for a
-    # block is served its uniforms, for all cells at once, from one Philox
-    # block per `chunk` steps; every other draw takes the counter reset
+    # decided once per run: a one-sample run of a problem whose draws are
+    # `Problem.uniforms` (looked up on the class, which a copied instance
+    # keeps) that draws enough uniforms over its cells to pay for a block is
+    # served them, for all cells at once, from one Philox block per `chunk`
+    # steps; the other draws are fed or take the counter reset
     sample_grad_at = problem.sample_grad_at
-    served = sample_grad_at is not None and not deterministic and B == 1 and T >= _WARMUP
+    served = (type(problem).draws is Problem.uniforms and not deterministic and B == 1
+              and K * T >= _WARMUP)
     chunk = max(1, _CHUNK // K)
     keys = [config.seed for config in configs]
     rngs = (None if deterministic or served and not dp
             else [_StepRng(seed) for seed in keys])
     stack = K > 1
+    fed = False
 
     # The representation, chosen once, holds one kind of value: Python
     # floats, 1-d arrays or a row stack. `dot(v, v)` is a squared norm and
@@ -402,6 +426,16 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
             # ndarray.dot: the bits of the 1-d `@` at half its call cost
             X = first.x0.astype(float)
             dot, sqrt, clip = np.ndarray.dot, math.sqrt, clip_vector
+            fed = not (deterministic or served) and _feed.should_feed(
+                problem, T, T * (B + dp) * dim)
+
+    if fed:
+        def draw(t):
+            # step t's samples, and its noise after them
+            D = problem.draws(rng.at_step(t), B)
+            return (D, privacy_noise(dim, sigma_dp, rng.at_step(t, lane=1))) if dp else (D,)
+
+        feed = _feed.fed(draw(0), draw, T)
 
     # the recorded iterations: every thin-th one, and always the last
     recorded = list(range(0, T + 1, first.thin))
@@ -417,103 +451,119 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
 
     value_and_grad = problem.value_and_grad
     sample_grad, sample_grads = problem.sample_grad, problem.sample_grads
-    for t in range(T + 1):
-        f, G = value_and_grad(X)
-        grad_norm = sqrt(dot(G, G))
-        x_norm = sqrt(dot(X, X))
-        # the divergence guard: a NaN f fails |f| <= limit, and a NaN or
-        # infinite gradient norm fails < inf
-        if stack:
-            keep = np.abs(f) <= DIVERGENCE_LIMIT
-            keep &= grad_norm < math.inf
-            keep &= ~(x_norm > DIVERGENCE_LIMIT)
-            if not keep.all():
-                for r in np.flatnonzero(~keep):
-                    i = active[r]
-                    results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r], X[r],
-                                                 float(max_sample[r])),
-                                  _divergence(t, f[r], x_norm[r]))
-                active, X, G, f, grad_norm, c, eta, max_sample = (
-                    a[keep] for a in (active, X, G, f, grad_norm, c, eta, max_sample))
-                fs, gs, aps, cfs = records = records[:, :, keep]
-                c_rows = np.repeat(c, B)
-                if not active.size:
-                    break
-        elif not (abs(f) <= DIVERGENCE_LIMIT and grad_norm < math.inf
-                  and not x_norm > DIVERGENCE_LIMIT):
-            message = _divergence(t, f, x_norm)
-            break
+    try:
+        for t in range(T + 1):
+            f, G = value_and_grad(X)
+            grad_norm = sqrt(dot(G, G))
+            x_norm = sqrt(dot(X, X))
+            # the divergence guard: a NaN f fails |f| <= limit, and a NaN or
+            # infinite gradient norm fails < inf
+            if stack:
+                keep = np.abs(f) <= DIVERGENCE_LIMIT
+                keep &= grad_norm < math.inf
+                keep &= ~(x_norm > DIVERGENCE_LIMIT)
+                if not keep.all():
+                    for r in np.flatnonzero(~keep):
+                        i = active[r]
+                        results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r], X[r],
+                                                     float(max_sample[r])),
+                                      _divergence(t, f[r], x_norm[r]))
+                    active, X, G, f, grad_norm, c, eta, max_sample = (
+                        a[keep] for a in (active, X, G, f, grad_norm, c, eta, max_sample))
+                    fs, gs, aps, cfs = records = records[:, :, keep]
+                    c_rows = np.repeat(c, B)
+                    if not active.size:
+                        break
+            elif not (abs(f) <= DIVERGENCE_LIMIT and grad_norm < math.inf
+                      and not x_norm > DIVERGENCE_LIMIT):
+                message = _divergence(t, f, x_norm)
+                break
 
-        if t < T:
-            if deterministic:
-                applied, applied_sq, rescaled = clip(G, c)
-                frac = rescaled * 1.0
-            else:
-                if served and not t % chunk:
-                    # the block's rows are the cells in input order
-                    block = _philox_uniforms(keys, t, min(chunk, T - t), 0)
-                    if not stack:
-                        block = block[0].tolist()
-                # each representation draws in its own way; `top` is the
-                # largest squared norm of a cell's clipped samples
-                if stack:
-                    if served:
-                        U = sample_grad_at(X, block[active, t % chunk])
-                    elif B == 1:
-                        # sample_grad, as a single run draws one sample
-                        U = np.stack([sample_grad(x, rngs[i].at_step(t))
-                                      for x, i in zip(X, active)])
-                    else:
-                        U = np.concatenate([sample_grads(x, rngs[i].at_step(t), B)
-                                            for x, i in zip(X, active)])
-                    V, sq, rescaled = clip_rows(U, c_rows)
-                    frac = rescaled.reshape(-1, B).sum(axis=1) / B
-                    # the in-order sum of one row is that row, bit for bit
-                    applied = _sum_rows(V.reshape(-1, B, dim)) / B
-                    top = sq.reshape(-1, B).max(axis=1)
-                    # fmax keeps the running maximum where a norm is NaN, as
-                    # the `>` test below does
-                    max_sample = np.fmax(max_sample, np.sqrt(top))
-                    if dp:
-                        noise = np.stack([privacy_noise(dim, sigma_dp, rngs[i].at_step(t, lane=1))
-                                          for i in active])
+            if t < T:
+                if deterministic:
+                    applied, applied_sq, rescaled = clip(G, c)
+                    frac = rescaled * 1.0
                 else:
-                    if B == 1:
-                        # one sample stays on the 1-d kernel: a (1, dim) batch
-                        # costs more in array overhead than it saves
-                        g = (sample_grad_at(X, block[t % chunk]) if served
-                             else sample_grad(X, rng.at_step(t)))
-                        applied, top, rescaled = clip(g, c)
-                        frac = 1.0 if rescaled else 0.0
+                    if served and not t % chunk:
+                        # the block's rows are the cells in input order
+                        block = _philox_uniforms(keys, t, min(chunk, T - t), 0)
+                        if not stack:
+                            block = block[0].tolist()
+                    # each representation draws in its own way; `top` is the
+                    # largest squared norm of a cell's clipped samples
+                    if stack:
+                        if served:
+                            U = sample_grad_at(X, block[active, t % chunk])
+                        elif B == 1:
+                            # sample_grad, as a single run draws one sample
+                            U = np.stack([sample_grad(x, rngs[i].at_step(t))
+                                          for x, i in zip(X, active)])
+                        else:
+                            U = np.concatenate([sample_grads(x, rngs[i].at_step(t), B)
+                                                for x, i in zip(X, active)])
+                        V, sq, rescaled = clip_rows(U, c_rows)
+                        if B == 1:
+                            # one sample per cell: its mask, clipped row and norm
+                            frac, applied, top = rescaled * 1.0, V, sq
+                        else:
+                            frac = rescaled.reshape(-1, B).sum(axis=1) / B
+                            # the in-order sum of each cell's B rows
+                            applied = _sum_rows(V.reshape(-1, B, dim)) / B
+                            top = sq.reshape(-1, B).max(axis=1)
+                        # fmax keeps the running maximum where a norm is NaN, as
+                        # the `>` test below does
+                        max_sample = np.fmax(max_sample, np.sqrt(top))
+                        if dp:
+                            noise = np.stack([privacy_noise(dim, sigma_dp,
+                                                            rngs[i].at_step(t, lane=1))
+                                              for i in active])
                     else:
-                        V, sq, rescaled = clip_rows(sample_grads(X, rng.at_step(t), B), c)
-                        frac = int(np.count_nonzero(rescaled)) / B
-                        top = float(sq.max())
-                        applied = _sum_rows(V) / B
-                    sample_norm = math.sqrt(top)
-                    if sample_norm > max_sample:
-                        max_sample = sample_norm
+                        if fed:
+                            drawn = next(feed)
+                        if B == 1:
+                            # one sample stays on the 1-d kernel: a (1, dim) batch
+                            # costs more in array overhead than it saves
+                            g = (sample_grad_at(X, block[t % chunk]) if served
+                                 else sample_grad_at(X, drawn[0][0]) if fed
+                                 else sample_grad(X, rng.at_step(t)))
+                            applied, top, rescaled = clip(g, c)
+                            frac = 1.0 if rescaled else 0.0
+                        else:
+                            U = (sample_grad_at(X, drawn[0]) if fed
+                                 else sample_grads(X, rng.at_step(t), B))
+                            V, sq, rescaled = clip_rows(U, c)
+                            frac = int(np.count_nonzero(rescaled)) / B
+                            top = float(sq.max())
+                            applied = _sum_rows(V) / B
+                        sample_norm = math.sqrt(top)
+                        if sample_norm > max_sample:
+                            max_sample = sample_norm
+                        if dp:
+                            noise = (drawn[1] if fed
+                                     else privacy_noise(dim, sigma_dp, rng.at_step(t, lane=1)))
                     if dp:
-                        noise = privacy_noise(dim, sigma_dp, rng.at_step(t, lane=1))
-                if dp:
-                    applied = applied + noise
-                # one clipped sample with nothing added: the clip kernel's
-                # squared norm is this same dot(applied, applied)
-                applied_sq = top if B == 1 and not dp else dot(applied, applied)
-            applied_norm = sqrt(applied_sq)
-        else:
-            applied_norm = 0.0
-            frac = 0.0
+                        applied = applied + noise
+                    # one clipped sample with nothing added: the clip kernel's
+                    # squared norm is this same dot(applied, applied)
+                    applied_sq = top if B == 1 and not dp else dot(applied, applied)
+                applied_norm = sqrt(applied_sq)
+            else:
+                applied_norm = 0.0
+                frac = 0.0
 
-        if t == recorded[k]:
-            fs[k] = f
-            gs[k] = grad_norm
-            aps[k] = applied_norm
-            cfs[k] = frac
-            k += 1
+            if t == recorded[k]:
+                fs[k] = f
+                gs[k] = grad_norm
+                aps[k] = applied_norm
+                cfs[k] = frac
+                k += 1
 
-        if t < T:
-            X = X - eta * applied
+            if t < T:
+                X = X - eta * applied
+    finally:
+        if fed:
+            # stops and reaps the feeder, however the loop ended
+            feed.close()
 
     if not stack:
         return [(_partial_trace(first, ts, k, records[:, :, 0], np.atleast_1d(X), max_sample),

@@ -19,16 +19,24 @@ point, stacked over rows), or a shape-generic ``value_and_grad``; with
 ``sample_grad`` that is all it needs. The shipped problems override the
 batch oracles with vectorized versions.
 
-A problem whose sample is a function of one uniform may also define the
-hook ``sample_grad_at(X, u)``: the sample for the uniform ``u`` that
-``rng.random()`` gives, at a point (a Python float or a 1-d array) for a
-float ``u``, or at the rows of a ``(K, dim)`` stack for ``(K,)`` uniforms,
-each row bit-for-bit what its point gives alone. Its ``sample_grad`` is
-then ``sample_grad_at(x, rng.random())``. The engine serves a long
-one-sample run's uniforms to the hook from one vectorized Philox block
-instead of resetting a stream every step; a problem without the hook
-(``sample_grad_at = None``, the default) always takes the reset. Of the
-shipped problems only ``BernoulliShiftQuadratic`` defines it.
+A problem whose samples are a function of draws that never depend on the
+point may define two hooks. ``draws(rng, k)`` returns the randomness of
+``k`` samples as one array, drawn from ``rng`` exactly as ``sample_grads(x,
+rng, k)`` draws it. ``sample_grad_at(X, D)`` maps draws to samples:
+``sample_grads(x, rng, k)`` is ``sample_grad_at(x, draws(rng, k))`` bit for
+bit, one row of draws gives the sample at a point, and a ``(K, dim)`` stack
+of points with one row of draws each gives each row's sample, bit for bit
+what its point gives alone. A problem whose sample is a function of one
+uniform takes ``draws = Problem.uniforms`` (``rng.random(k)``), and its
+``sample_grad_at`` also takes one float ``u`` at a point. The engine
+serves a long one-sample run of such a problem its uniforms from
+vectorized Philox blocks instead of resetting a stream every step, and a
+long run or Monte Carlo estimate of any other hooked problem may have its
+draws computed ahead by a forked process (see ``optimizers``); outputs
+never depend on which. A problem without the hooks (``draws = None``, the
+default) always takes the reset. Of the shipped problems
+``BernoulliShiftQuadratic`` takes ``Problem.uniforms`` and
+``ChiSquareQuadratic`` draws its normals.
 
 A one-dimensional problem may also set ``float_oracles = True``: its
 ``value_and_grad`` and ``sample_grad`` then also take a Python float point
@@ -85,7 +93,8 @@ class Problem:
 
     meta: ProblemMeta
 
-    # the optional one-uniform sample hook (see the module docstring)
+    # the optional draw hooks (see the module docstring)
+    draws = None
     sample_grad_at = None
     # whether value_and_grad and sample_grad also take a Python float point
     # and return floats (see the module docstring)
@@ -99,6 +108,11 @@ class Problem:
 
     def sample_grad(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
+
+    def uniforms(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """``rng.random(k)``: the ``draws`` hook of a problem whose sample is
+        a function of one uniform."""
+        return rng.random(k)
 
     def value_and_grad(self, X: np.ndarray):
         """``(value, grad)`` at a point already checked by ``check_dim``, or
@@ -167,6 +181,7 @@ class BernoulliShiftQuadratic(Problem):
     """
 
     float_oracles = True
+    draws = Problem.uniforms
 
     def __init__(self, a: float, p: float):
         if not (a > 0 and math.isfinite(a)):
@@ -214,7 +229,7 @@ class BernoulliShiftQuadratic(Problem):
         return self.sample_grad_at(x, rng.random())
 
     def sample_grads(self, x, rng, k):
-        return self.sample_grad_at(x, rng.random(k))
+        return self.sample_grad_at(x, self.draws(rng, k))
 
     def variance_at(self, x):
         return self.meta.sigma_sq
@@ -242,14 +257,18 @@ class ChiSquareQuadratic(Problem):
         # row sums along the last axis reduce each row as the 1-d sum does
         return 0.5 * self.L * np.vecdot(X, X) + X.sum(axis=-1), self.L * X + 1.0
 
+    def draws(self, rng, k):
+        # one (k, dim) draw consumes the stream exactly as k draws of dim
+        return rng.standard_normal((k, self.meta.dim))
+
+    def sample_grad_at(self, X, Z):
+        return self.L * X + Z * Z
+
     def sample_grad(self, x, rng):
-        z = rng.standard_normal(self.meta.dim)
-        return self.L * x + z * z
+        return self.sample_grad_at(x, rng.standard_normal(self.meta.dim))
 
     def sample_grads(self, x, rng, k):
-        # one (k, dim) draw consumes the stream exactly as k draws of dim
-        z = rng.standard_normal((k, self.meta.dim))
-        return self.L * x + z * z
+        return self.sample_grad_at(x, self.draws(rng, k))
 
     def variance_at(self, x):
         return self.meta.sigma_sq

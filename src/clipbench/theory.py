@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from contextlib import closing
 
 import numpy as np
 
+from . import _feed
 from ._record import _Record
 from .core import _sum_rows, clip_rows
 from .problems import BernoulliShiftQuadratic, Problem
@@ -416,11 +418,26 @@ class ClippedGradEstimate(_Record):
 _MC_CHUNK_ELEMS = 16_384
 
 
-def _chunks(n_samples: int, dim: int):
-    """Chunk sizes that add up to ``n_samples``."""
-    size = max(1, _MC_CHUNK_ELEMS // dim)
-    for start in range(0, n_samples, size):
-        yield min(size, n_samples - start)
+def _sample_chunks(problem: Problem, x: np.ndarray, n_samples: int, seed: int):
+    """``problem.sample_grads(x, rng, k)`` for chunks ``k`` of at most
+    ``_MC_CHUNK_ELEMS // dim`` samples that add up to ``n_samples``, drawn
+    in order from ``default_rng(seed)``. Where the problem's draws pay for
+    a fork, a forked child draws the chunks after the first ahead, with the
+    same calls on the same stream, so the samples are the same."""
+    size = max(1, _MC_CHUNK_ELEMS // x.size)
+    sizes = [min(size, n_samples - start) for start in range(0, n_samples, size)]
+    rng = np.random.default_rng(seed)
+    if not _feed.should_feed(problem, len(sizes), n_samples * x.size):
+        for k in sizes:
+            yield problem.sample_grads(x, rng, k)
+        return
+    feed = _feed.fed((problem.draws(rng, sizes[0]),),
+                     lambda i: (problem.draws(rng, sizes[i]),), len(sizes))
+    try:
+        for k, (D,) in zip(sizes, feed):
+            yield problem.sample_grad_at(x, D[:k])
+    finally:
+        feed.close()
 
 
 def expected_clipped_grad(
@@ -442,16 +459,17 @@ def expected_clipped_grad(
         return ClippedGradEstimate(np.array([val]), 0.0, exact=True)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
     total = np.zeros_like(x)
     total_sq = 0.0
-    for k in _chunks(n_samples, x.size):
-        V, sq, _ = clip_rows(problem.sample_grads(x, rng, k), c)
-        # sums in sample order, seeded with the running totals, so the
-        # estimate is the one-sample-at-a-time sum bit for bit
-        V[0] += total
-        total = _sum_rows(V)
-        total_sq = float(np.add.accumulate(np.concatenate(([total_sq], sq)))[-1])
+    # closing: a feeder stops with the loop, however it ends
+    with closing(_sample_chunks(problem, x, n_samples, seed)) as samples:
+        for U in samples:
+            V, sq, _ = clip_rows(U, c)
+            # sums in sample order, seeded with the running totals, so the
+            # estimate is the one-sample-at-a-time sum bit for bit
+            V[0] += total
+            total = _sum_rows(V)
+            total_sq = float(np.add.accumulate(np.concatenate(([total_sq], sq)))[-1])
     mean = total / n_samples
     var = max(total_sq / n_samples - float(mean @ mean), 0.0)
     return ClippedGradEstimate(mean, math.sqrt(var / n_samples), exact=False)
@@ -559,10 +577,10 @@ def clip_probability_bound(
         raise ValueError(
             f"regime error: need norm(grad) < c/2, got {grad_norm!r} vs c={c!r}"
         )
-    rng = np.random.default_rng(seed)
     hits = 0
-    for k in _chunks(n_samples, x.size):
-        hits += int(np.count_nonzero(clip_rows(problem.sample_grads(x, rng, k), c)[2]))
+    with closing(_sample_chunks(problem, x, n_samples, seed)) as samples:
+        for U in samples:
+            hits += int(np.count_nonzero(clip_rows(U, c)[2]))
     freq = hits / n_samples
     se = math.sqrt(max(freq * (1.0 - freq), 1.0 / n_samples) / n_samples)
     bound = 4.0 * problem.meta.sigma_sq / c**2

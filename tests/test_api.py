@@ -256,6 +256,25 @@ def test_trace_copies_and_pickles():
             twin.final_point = None
 
 
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle", "trace_pickle"])
+def test_run_config_x0_stays_read_only_through_copies(how):
+    # numpy's deep copy and unpickling give a new, writeable array; the
+    # restored config freezes it again, as the constructor did
+    config = clipbench.RunConfig("clipped_sgd", 4.0, 0.5, 3, np.array([1.0, 2.0]), seed=7)
+    twin = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda c: pickle.loads(pickle.dumps(c)),
+        "trace_pickle": lambda c: pickle.loads(pickle.dumps(
+            clipbench.Trace(c, *RECORDS["Trace"][2][1:]))).config,
+    }[how](config)
+    assert twin is not config and repr(twin) == repr(config)
+    assert not twin.x0.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        twin.x0[0] = 5.0
+    assert config.x0[0] == 1.0
+
+
 def test_no_module_generates_code_at_import():
     # a record class is built from its annotations: no generated source
     package = Path(clipbench.__file__).parent

@@ -158,7 +158,8 @@ def diverging_grid(problem, method, B, sigma_dp):
 
 
 # how a served run's blocks fall on its steps, as (T, steps per block):
-# below the shortest served T, so no block; at it, with the shipped
+# below the shortest served single run, so no block for it (a lockstep
+# batch draws enough over its cells); at it, with the shipped
 # `_CHUNK` (None), one block cut to T steps; blocks that end on the last
 # step; a short last block; one step per block
 SERVED_BLOCKS = {
@@ -269,7 +270,8 @@ class TestLockstepMatchesSingleRuns:
         K = len(configs) if batch == "lockstep" else 1
         if steps is None:
             monkeypatch.setattr(optimizers, "_WARMUP", warmup)
-            served, steps = T >= warmup, optimizers._CHUNK // K
+            # served by the uniforms the run's cells draw in all
+            served, steps = K * T >= warmup, optimizers._CHUNK // K
         else:
             monkeypatch.setattr(optimizers, "_WARMUP", 0)
             monkeypatch.setattr(optimizers, "_CHUNK", steps * K)

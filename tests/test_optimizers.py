@@ -2,13 +2,17 @@ import copy
 import hashlib
 import itertools
 import math
+import os
+import signal
+import threading
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from clipbench import core, optimizers
+from clipbench import _feed, core, optimizers
 from clipbench.data_ingest import bundled_dataset_path, parse_libsvm
 
 from clipbench.optimizers import (
@@ -28,7 +32,11 @@ from clipbench.problems import (
     Problem,
     Quadratic,
 )
-from clipbench.theory import build_lower_bound_small_c
+from clipbench.theory import (
+    build_lower_bound_small_c,
+    clip_probability_bound,
+    expected_clipped_grad,
+)
 
 
 def reset_generator(seed, t, lane):
@@ -353,10 +361,10 @@ class TestDeterminism:
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (name, t, lane)
 
     def test_only_long_one_sample_runs_compute_blocks(self, monkeypatch):
-        # a block costs about _WARMUP resets: a Bernoulli run of fewer steps
-        # takes the reset, and a longer one computes a block of _CHUNK
-        # uniforms, _CHUNK // K steps of all K cells, at a time and makes no
-        # reset at all
+        # a block costs about _WARMUP resets: a Bernoulli run whose cells
+        # draw fewer uniforms than that over all their steps takes the reset,
+        # and one that draws more computes a block of _CHUNK uniforms,
+        # _CHUNK // K steps of all K cells, at a time and makes no reset at all
         blocks, resets = [], []
         philox, at_step = optimizers._philox_uniforms, _StepRng.at_step
         monkeypatch.setattr(optimizers, "_philox_uniforms", lambda keys, start, n, lane: (
@@ -371,20 +379,39 @@ class TestDeterminism:
 
         T = optimizers._WARMUP
         run(prob, *configs(T - 1, [3]))
-        run(prob, optimizers.Cells(configs(T - 1, [1, 2])))
-        assert blocks == [] and len(resets) == 3 * (T - 1)
+        run(prob, optimizers.Cells(configs(T // 2 - 1, [1, 2])))
+        assert blocks == [] and len(resets) == (T - 1) + 2 * (T // 2 - 1)
         resets.clear()
-        # a minibatch draws B uniforms a step: it takes the reset, however long
+        # a minibatch draws B uniforms a step: it is never served
         run(prob, *configs(T, [3], B=2))
         assert blocks == [] and len(resets) == T
         resets.clear()
         run(prob, *configs(T, [3]))
         assert blocks == [([3], t, min(60, T - t), 0) for t in range(0, T, 60)]
         blocks.clear()
+        # two cells of half the steps draw as many uniforms as one such run
+        run(prob, optimizers.Cells(configs(T // 2, [1, 2])))
+        assert blocks == [([1, 2], t, min(30, T // 2 - t), 0) for t in range(0, T // 2, 30)]
+        blocks.clear()
         keys = [1, 2, 2**64 + 5]
         run(prob, optimizers.Cells(configs(T, keys)))
         assert blocks == [(keys, t, min(20, T - t), 0) for t in range(0, T, 20)]
         assert resets == []
+
+    def test_a_wrapped_copy_is_served_by_its_class(self, monkeypatch):
+        # a copy whose methods are wrapped on the instance, as a tracing proxy
+        # makes, keeps its class's uniforms hook and so its served blocks
+        blocks = []
+        philox = optimizers._philox_uniforms
+        monkeypatch.setattr(optimizers, "_philox_uniforms", lambda keys, start, n, lane: (
+            blocks.append(start) or philox(keys, start, n, lane)))
+        prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
+        proxy = copy.copy(prob)
+        for name in ("draws", "sample_grad_at", "sample_grad", "value_and_grad"):
+            setattr(proxy, name, lambda *args, fn=getattr(prob, name): fn(*args))
+        config = cfg(method="clipped_sgd", c=2.0, eta=0.05, T=300, seed=3)
+        assert trace_digest(run(proxy, config)) == trace_digest(run(prob, config))
+        assert blocks == [0, 0]
 
     def test_frozen_golden_across_chunks(self):
         # a Bernoulli run past two chunk boundaries under a key past 2**64,
@@ -651,3 +678,234 @@ class TestValidationAtTheEdge:
         # a bare sequence of configurations is not a batch; Cells is
         with pytest.raises(TypeError, match="RunConfig or a Cells batch"):
             run(BernoulliShiftQuadratic(a=4.0, p=0.25), config())
+
+
+class FailingDraws(ChiSquareQuadratic):
+    """Chi-square draws that raise from the eleventh call on: the first is
+    the parent's, the rest a fed run's child makes."""
+
+    def __init__(self):
+        super().__init__(dim=100, L=0.1)
+        self.calls = 0
+
+    def draws(self, rng, k):
+        self.calls += 1
+        if self.calls > 10:
+            raise ValueError("no more draws")
+        return super().draws(rng, k)
+
+
+class RaisingOracle(ChiSquareQuadratic):
+    """Raises from its exact oracle at step 50, in the parent, mid-run."""
+
+    def __init__(self, error):
+        super().__init__(dim=100, L=0.1)
+        self.error, self.calls = error, 0
+
+    def value_and_grad(self, X):
+        self.calls += 1
+        if self.calls > 50:
+            raise self.error
+        return super().value_and_grad(X)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that called os.fork, counted through a wrapper."""
+    calls, fork = [], os.fork
+
+    def counting():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+@pytest.fixture
+def no_hang():
+    """Turns a wait of more than 30 s into a TimeoutError, not a hung suite."""
+    def alarm(signum, frame):
+        raise TimeoutError("the run waited more than 30 s")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def feeding(monkeypatch, on):
+    """Every hooked draw fed (on) or none; a small ring of 32 KB blocks, two
+    deep, so that the tests' runs wrap it and end inside a block."""
+    monkeypatch.setattr(_feed, "MIN_DOUBLES", 0 if on else math.inf)
+    monkeypatch.setattr(_feed, "BLOCK_BYTES", 1 << 15)
+    monkeypatch.setattr(_feed, "DEPTH", 2)
+
+
+class TestFeeder:
+    """A forked child that draws ahead changes no bit of any output, and a
+    run leaves no process behind however it ends."""
+
+    @pytest.mark.parametrize("make_problem,settings", [
+        (lambda: ChiSquareQuadratic(dim=100, L=0.1), dict(method="dp_sgd", B=16, sigma_dp=1.0)),
+        (lambda: ChiSquareQuadratic(dim=100, L=0.1), dict(method="clipped_sgd")),
+        (lambda: ChiSquareQuadratic(dim=100, L=0.1), dict(method="clipped_sgd", B=4)),
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="clipped_sgd", B=4)),
+        (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), dict(method="dp_sgd", sigma_dp=0.3,
+                                                              T=100)),
+    ], ids=["chi_square_dp_B16", "chi_square_B1", "chi_square_B4", "bernoulli_B4",
+            "bernoulli_dp_B1"])
+    def test_fed_runs_match_the_reset(self, monkeypatch, forks, no_hang, make_problem,
+                                      settings):
+        # 199 fed steps fill blocks of 39 (B = 1), 10 (B = 4) and 2 (B = 16
+        # with noise) steps: each run wraps the ring and ends inside a block
+        prob = make_problem()
+        config = cfg(**(dict(c=14.0, eta=0.01, T=200, x0=np.full(prob.meta.dim, 0.5), seed=3)
+                        | settings))
+        feeding(monkeypatch, False)
+        want = trace_digest(run(prob, config))
+        assert forks == []
+        feeding(monkeypatch, True)
+        assert trace_digest(run(prob, config)) == want
+        assert forks == [os.getpid()]
+        assert_no_child_left()
+
+    def test_run_that_diverges_mid_ring(self, monkeypatch, forks, no_hang):
+        prob = ChiSquareQuadratic(dim=100, L=0.1)
+        config = cfg(method="sgd", c=math.inf, eta=22.0, T=400, B=4, x0=np.ones(100), seed=2)
+
+        def outcome():
+            with pytest.raises(DivergenceError) as info:
+                run(prob, config)
+            return trace_digest(info.value.trace), str(info.value), info.value.trace.iters.size
+
+        feeding(monkeypatch, False)
+        want = outcome()
+        # past the two-block ring of 10-step blocks, in a block
+        assert 40 < want[2] < 400 and want[2] % 10
+        feeding(monkeypatch, True)
+        assert outcome() == want
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError("oracle failed"), KeyboardInterrupt()],
+                             ids=["exception", "interrupt"])
+    def test_parent_that_stops_early_reaps_the_child(self, monkeypatch, forks, no_hang, error):
+        feeding(monkeypatch, True)
+        config = cfg(method="dp_sgd", c=14.0, eta=0.01, T=400, B=16, sigma_dp=1.0,
+                     x0=np.zeros(100))
+        with pytest.raises(type(error)):
+            run(RaisingOracle(error), config)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_child_that_raises_fails_the_run(self, monkeypatch, forks, no_hang):
+        # the child fails after writing a few blocks of two steps each
+        feeding(monkeypatch, True)
+        config = cfg(method="dp_sgd", c=14.0, eta=0.01, T=400, B=16, sigma_dp=1.0,
+                     x0=np.zeros(100))
+        prob = FailingDraws()
+        with pytest.raises(RuntimeError, match="draw feeder failed: ValueError: no more draws"):
+            run(prob, config)
+        assert prob.calls == 1 and len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("estimator", ["expected_clipped_grad", "clip_probability_bound"])
+    def test_fed_monte_carlo_matches_unfed(self, monkeypatch, forks, no_hang, estimator):
+        # 31 chunks of 163 samples, the last one of 110, one chunk per block
+        prob = ChiSquareQuadratic(dim=100, L=0.1)
+        x = np.full(100, -9.0)
+
+        def estimate():
+            if estimator == "expected_clipped_grad":
+                est = expected_clipped_grad(prob, x, 14.0, n_samples=5000, seed=4)
+                return est.value.tobytes(), est.std_error
+            report = clip_probability_bound(prob, x, 14.0, n_samples=5000, seed=4)
+            return report.frequency, report.std_error
+
+        feeding(monkeypatch, False)
+        want = estimate()
+        assert forks == []
+        feeding(monkeypatch, True)
+        assert estimate() == want
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("limit", ["one_cpu", "no_fork", "python_thread", "short_run",
+                                       "served"])
+    def test_what_takes_the_reset(self, monkeypatch, forks, no_hang, limit):
+        # one CPU of affinity, no os.fork, another Python thread, draws that
+        # do not pay for a fork, or served uniforms: the run forks nothing
+        prob = ChiSquareQuadratic(dim=100, L=0.1)
+        config = cfg(method="dp_sgd", c=14.0, eta=0.01, T=50, B=16, sigma_dp=1.0,
+                     x0=np.zeros(100), seed=1)
+        feeding(monkeypatch, False)
+        want = trace_digest(run(prob, config))
+        feeding(monkeypatch, True)
+        stop = threading.Event()
+        if limit == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif limit == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        elif limit == "python_thread":
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+        elif limit == "short_run":
+            monkeypatch.setattr(_feed, "MIN_DOUBLES", 50 * 17 * 100 + 1)
+        else:
+            prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
+            config = cfg(method="clipped_sgd", c=2.0, eta=0.05, T=300, seed=1)
+            feeding(monkeypatch, False)
+            want = trace_digest(run(prob, config))
+            feeding(monkeypatch, True)
+        try:
+            assert trace_digest(run(prob, config)) == want
+        finally:
+            stop.set()
+        assert forks == []
+
+    def test_child_reaped_by_the_system(self, monkeypatch, forks, no_hang):
+        # where SIGCHLD is ignored the kernel reaps the child itself, and the
+        # run must not fail on a child that is already gone
+        prob = ChiSquareQuadratic(dim=100, L=0.1)
+        config = cfg(method="dp_sgd", c=14.0, eta=0.01, T=100, B=16, sigma_dp=1.0,
+                     x0=np.zeros(100), seed=6)
+        feeding(monkeypatch, False)
+        want = trace_digest(run(prob, config))
+        feeding(monkeypatch, True)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert trace_digest(run(prob, config)) == want
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_fork_warning_of_native_threads_is_not_an_error(self, monkeypatch, no_hang):
+        # Python 3.12+ warns on a fork while the process runs other threads,
+        # which a BLAS pool's are; the feeder forks anyway, as its child
+        # calls no BLAS, and the warning never reaches the caller
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn("This process (pid=1) is multi-threaded, use of fork() may lead to"
+                          " deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        prob = ChiSquareQuadratic(dim=100, L=0.1)
+        config = cfg(method="dp_sgd", c=14.0, eta=0.01, T=100, B=16, sigma_dp=1.0,
+                     x0=np.zeros(100), seed=5)
+        feeding(monkeypatch, False)
+        want = trace_digest(run(prob, config))
+        feeding(monkeypatch, True)
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert trace_digest(run(prob, config)) == want
+        assert_no_child_left()

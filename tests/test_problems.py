@@ -449,6 +449,38 @@ class TestBatchOracles:
         chunked = np.vstack([prob.sample_grads(x, rng, 5), prob.sample_grads(x, rng, 11)])
         assert np.array_equal(chunked, prob.sample_grads(x, np.random.default_rng(3), 16))
 
+    @pytest.mark.parametrize("name,factory", [
+        ("bernoulli", lambda: BernoulliShiftQuadratic(a=4.0, p=0.25)),
+        ("chi_square", lambda: ChiSquareQuadratic(dim=5, L=0.1)),
+    ], ids=["bernoulli", "chi_square"])
+    def test_draws_hook_gives_the_samples(self, name, factory):
+        # sample_grads(x, rng, k) is sample_grad_at(x, draws(rng, k)); one row
+        # of draws is sample_grad's draw, and a stack's rows are their points'
+        prob = factory()
+        point_rng = np.random.default_rng(5)
+        for k in (1, 3, 16):
+            x = point_rng.normal(size=prob.meta.dim)
+            D = prob.draws(np.random.default_rng(k), k)
+            assert D.shape[0] == k
+            assert (prob.sample_grad_at(x, D).tobytes()
+                    == prob.sample_grads(x, np.random.default_rng(k), k).tobytes())
+            one = prob.sample_grad(x, np.random.default_rng(k))
+            assert np.asarray(prob.sample_grad_at(x, D[0])).tobytes() == one.tobytes()
+            X = point_rng.normal(size=(k, prob.meta.dim))
+            rows = prob.sample_grad_at(X, D)
+            for row, point, d in zip(rows, X, D):
+                assert row.tobytes() == np.asarray(prob.sample_grad_at(point, d)).tobytes()
+
+    def test_only_hooked_problems_define_draws(self):
+        # the Bernoulli shift's draws are the base class's uniforms, which a
+        # run serves from Philox blocks; the other shipped problems have no hook
+        assert BernoulliShiftQuadratic.draws is Problem.uniforms
+        assert ChiSquareQuadratic.draws is not Problem.uniforms
+        for cls in (Problem, Quadratic, LogisticRegressionProblem):
+            assert cls.draws is None and cls.sample_grad_at is None
+        assert Problem.uniforms(None, np.random.default_rng(2), 4).tobytes() == (
+            np.random.default_rng(2).random(4).tobytes())
+
     @pytest.mark.parametrize("name,factory", BATCH_PROBLEMS, ids=[n for n, _ in BATCH_PROBLEMS])
     def test_value_and_grad_equals_value_grad(self, name, factory):
         prob = factory()
