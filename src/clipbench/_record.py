@@ -16,6 +16,12 @@ tuple of fields; a subclass declared with ``eq=False`` compares and hashes
 by identity, and one that defines ``__eq__`` keeps it. Instances keep
 their fields in ``__dict__``, so copy and pickle need nothing more.
 
+Annotations, as strings, set how a field is stored and compared: an
+``int`` goes through ``operator.index`` and a ``float`` (or ``float |
+None``) is stored as a Python float, before ``__post_init__``; an
+``np.ndarray`` (or ``np.ndarray | None``) compares by ``np.array_equal``
+and leaves a record that compares by value without a hash.
+
 It builds no code at class creation, unlike ``dataclasses``, whose
 ``exec`` of each generated method was most of the package's import time.
 """
@@ -23,15 +29,44 @@ It builds no code at class creation, unlike ``dataclasses``, whose
 from __future__ import annotations
 
 import inspect
+import numbers
+import operator
+
+import numpy as np
 
 _set = object.__setattr__
 _PARAM = inspect.Parameter.POSITIONAL_OR_KEYWORD
 
 
+def _to_int(name, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _to_float(name, value):
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _to_optional_float(name, value):
+    return None if value is None else _to_float(name, value)
+
+
+# annotation -> (the exact type a stored value has, the conversion to it)
+_SCALARS = {"int": (int, _to_int), "float": (float, _to_float),
+            "float | None": (float, _to_optional_float)}
+_ARRAYS = ("np.ndarray", "np.ndarray | None")
+
+
 def _eq(self, other):
     if other.__class__ is not self.__class__:
         return NotImplemented
-    return self._astuple() == other._astuple()
+    arrays = self._arrays
+    return all(a is b or (np.array_equal(a, b) if name in arrays else a == b)
+               for name, a, b in zip(self._fields, self._astuple(), other._astuple()))
 
 
 def _hash(self):
@@ -49,8 +84,12 @@ class _Record:
                               default=cls._defaults.get(name, inspect.Parameter.empty))
             for name in cls._fields
         ], return_annotation=None)
+        cls._scalars = tuple((name, *_SCALARS[annotations[name]])
+                             for name in cls._fields if annotations[name] in _SCALARS)
+        cls._arrays = tuple(name for name in cls._fields if annotations[name] in _ARRAYS)
         if eq and "__eq__" not in cls.__dict__:
-            cls.__eq__, cls.__hash__ = _eq, _hash
+            cls.__eq__ = _eq
+            cls.__hash__ = None if cls._arrays else _hash
 
     def __init__(self, *args, **kwargs) -> None:
         cls = type(self)
@@ -74,6 +113,12 @@ class _Record:
         for name in kwargs:
             problem = "multiple values for" if name in fields else "an unexpected keyword"
             raise TypeError(f"{cls.__qualname__}() got {problem} argument {name!r}")
+        # a value that already has the exact type skips the conversion: the
+        # numbers.Real check alone would triple the cost of a small record
+        for name, exact, convert in cls._scalars:
+            value = getattr(self, name)
+            if value.__class__ is not exact:
+                _set(self, name, convert(name, value))
         if cls._post_init is not None:
             cls._post_init(self)
 

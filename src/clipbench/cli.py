@@ -237,7 +237,8 @@ def build_problem(cfg: dict, config_dir: Path) -> Problem:
         raise DataError(f"dataset file not found: {path}")
     try:
         ds = data_ingest.parse_libsvm(path.read_text().splitlines())
-    except ParseError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
+        # a directory or a file that is not UTF-8 text is no dataset either
         raise DataError(f"{path}: {exc}") from None
     if "subsample_k" in args:
         ds = data_ingest.subsample(ds, args.pop("subsample_k"), args.pop("subsample_seed", 0))
@@ -347,7 +348,7 @@ def sweep_cells(
     for (c, eta, seed), (trace, diverged) in zip(keys, run(problem, Cells(configs))):
         rows.append(SweepRow(
             c, eta, seed,
-            final_f=float(trace.f_vals[-1]) if trace.f_vals.size else math.nan,
+            final_f=trace.f_vals[-1] if trace.f_vals.size else math.nan,
             min_grad_norm=trace.min_grad_norm,
             iters_to_target=_iters_to_target(trace, target),
             diverged=diverged,
@@ -453,9 +454,15 @@ def cmd_certify(cfg: dict, out: Path) -> int:
     lines = []
     failed = False
 
-    rng = np.random.default_rng(seed)
     fd_points = cfg.get("fd_points", 20)
+    if fd_points < 0:
+        raise ConfigError(f"fd_points must be >= 0, got {fd_points!r}")
     scale = cfg.get("radius_scale", 1.0)
+    # first, so that its checks of n_pairs and radius_scale run before any work
+    cert = theory.certify_smoothness(
+        problem, L0, L1, radius_scale=scale, seed=seed, **_given(cfg, ("n_pairs",)),
+    )
+    rng = np.random.default_rng(seed)
     for i in range(fd_points):
         x = scale * rng.standard_normal(problem.meta.dim)
         exact = problem.grad(x)
@@ -465,9 +472,6 @@ def cmd_certify(cfg: dict, out: Path) -> int:
         failed = failed or not ok
         lines.append(f"gradient_check point={i} rel_err={_fmt(rel)} status={'pass' if ok else 'fail'}")
 
-    cert = theory.certify_smoothness(
-        problem, L0, L1, radius_scale=scale, seed=seed, **_given(cfg, ("n_pairs",)),
-    )
     lines.append(
         f"smoothness L0={_fmt(L0)} L1={_fmt(L1)} pairs={cert.n_pairs}"
         f" violations={len(cert.violations)} status={'pass' if cert.ok else 'fail'}"
@@ -490,17 +494,21 @@ def _read_results_csv(path: Path) -> tuple[dict[str, np.ndarray], str]:
 
     Sweep files reduce to their per-seed min_grad_norm column under the
     grad_norm key. A non-numeric cell or a row of the wrong width is a
-    DataError naming the 1-based line.
+    DataError naming the 1-based line, and so is a file that cannot be
+    read as text.
     """
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header not in (TRACE_HEADER, SWEEP_HEADER):
-            raise DataError(f"{path}: unrecognized header {header}")
-        kind = "trace" if header == TRACE_HEADER else "sweep"
-        arr = _parse_rows(f, len(header))
-    if arr is None:
-        arr = _checked_rows(path, kind, len(header))
+    try:
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header not in (TRACE_HEADER, SWEEP_HEADER):
+                raise DataError(f"{path}: unrecognized header {header}")
+            kind = "trace" if header == TRACE_HEADER else "sweep"
+            arr = _parse_rows(f, len(header))
+        if arr is None:
+            arr = _checked_rows(path, kind, len(header))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from None
     if kind == "sweep":
         return {"grad_norm": arr[:, SWEEP_HEADER.index("min_grad_norm")]}, kind
     return {name: arr[:, j] for j, name in enumerate(TRACE_HEADER)}, kind

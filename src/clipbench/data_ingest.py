@@ -18,7 +18,6 @@ exits 2.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from itertools import repeat
 from pathlib import Path
@@ -59,8 +58,7 @@ class Dataset(_Record):
     ``indptr`` (n + 1 int64 offsets from 0 to the number of stored values)
     delimits each row's slice of ``indices`` (int64, 1-based, strictly
     increasing within a row) and ``values`` (finite float64). ``dim`` is
-    an integer (Python or numpy, stored as a Python int) at least the
-    largest index.
+    an integer at least the largest index.
     """
 
     indptr: np.ndarray
@@ -70,10 +68,6 @@ class Dataset(_Record):
     dim: int
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "dim", operator.index(self.dim))
-        except TypeError:
-            raise ValueError(f"dim must be an integer, got {self.dim!r}") from None
         for name, dtype in _ARRAYS.items():
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         indptr, indices, values, labels = (getattr(self, name) for name in _ARRAYS)
@@ -100,13 +94,6 @@ class Dataset(_Record):
     @property
     def n(self) -> int:
         return self.labels.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self.dim == other.dim and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAYS
-        )
 
     def to_dense(self) -> np.ndarray:
         """Materialize the n x dim feature matrix (float64)."""
@@ -173,7 +160,7 @@ def _parse_rows(lines: list[str]) -> Dataset | None:
     try:
         indices = np.array(tokens[0::2], dtype=np.int64)
         values = np.array(tokens[1::2], dtype=np.float64)
-        return Dataset(indptr, indices, values, labels, int(indices.max()) if indices.size else 0)
+        return Dataset(indptr, indices, values, labels, indices.max() if indices.size else 0)
     except (ValueError, OverflowError):
         return None
 

@@ -72,7 +72,6 @@ is bit-for-bit the one it gives alone; a one-cell batch is a single run.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 
 import numpy as np
@@ -123,10 +122,8 @@ class RunConfig(_Record, eq=False):
     finite positive threshold for the clipped/DP ones; ``B`` > 1 needs a
     stochastic method and ``sigma_dp`` > 0 needs ``dp_sgd``. ``thin`` > 1
     records every thin-th iterate (the final one is always kept).
-    ``T``, ``B``, ``seed`` and ``thin`` are integers (Python or numpy),
-    stored as Python ints; ``c``, ``eta`` and ``sigma_dp`` are real
-    scalars (Python or numpy), stored as Python floats, so a float32
-    argument runs in float64 on every path.
+    Numpy scalars are stored as Python ones, so a float32 argument runs
+    in float64 on every path.
     """
 
     method: str
@@ -142,17 +139,6 @@ class RunConfig(_Record, eq=False):
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        for name in ("T", "B", "seed", "thin"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        for name in ("c", "eta", "sigma_dp"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
         if self.method in _UNCLIPPED:
             if not math.isinf(self.c):
                 raise ValueError(f"{self.method} requires c = inf, got {self.c!r}")
@@ -186,20 +172,19 @@ class RunConfig(_Record, eq=False):
         self.__dict__.update(state)
 
 
-class Cells:
+class Cells(_Record, eq=False):
     """A read-only batch of runs for :func:`run` to advance in lockstep.
 
     The configurations must share ``method``, ``T``, ``B``, ``thin``,
     ``sigma_dp`` and the dimension of ``x0``; they may differ in ``c``,
-    ``eta``, ``seed`` and ``x0``. ``T`` is the shared iteration budget.
+    ``eta``, ``seed`` and ``x0``, and may come as any iterable. ``T`` is
+    the shared iteration budget.
     """
 
-    # a plain class with slots, not a _Record: its one stored field is
-    # derived from the argument and read through properties
-    __slots__ = ("_configs",)
+    configs: tuple[RunConfig, ...]
 
-    def __init__(self, configs) -> None:
-        configs = tuple(configs)
+    def __post_init__(self) -> None:
+        configs = tuple(self.configs)
         if not configs:
             raise ValueError("a batch of cells needs at least one configuration")
         if not all(isinstance(config, RunConfig) for config in configs):
@@ -216,15 +201,11 @@ class Cells:
                 raise ValueError(
                     f"cells must share the dimension: {first.x0.size} != {config.x0.size}"
                 )
-        self._configs = configs
-
-    @property
-    def configs(self) -> tuple[RunConfig, ...]:
-        return self._configs
+        object.__setattr__(self, "configs", configs)
 
     @property
     def T(self) -> int:
-        return self._configs[0].T
+        return self.configs[0].T
 
 
 class Trace(_Record, eq=False):
@@ -466,7 +447,7 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
                     for r in np.flatnonzero(~keep):
                         i = active[r]
                         results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r], X[r],
-                                                     float(max_sample[r])),
+                                                     max_sample[r]),
                                       _divergence(t, f[r], x_norm[r]))
                     active, X, G, f, grad_norm, c, eta, max_sample = (
                         a[keep] for a in (active, X, G, f, grad_norm, c, eta, max_sample))
@@ -570,7 +551,7 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
                  message)]
     for r, i in enumerate(active):
         results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r], X[r],
-                                     float(max_sample[r])), None)
+                                     max_sample[r]), None)
     return results
 
 

@@ -12,8 +12,6 @@ classes are asserted as hard bounds by the checkers.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from contextlib import closing
 
 import numpy as np
@@ -79,24 +77,12 @@ class RateParams(_Record):
     sigma_dp: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("T", "B"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        for name in ("c", "eta"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
         for name in ("F0", "R0", "L0", "L1", "L", "mu", "sigma", "sigma_dp"):
             value = getattr(self, name)
             # a NaN or infinite input would give a NaN or infinite prediction,
             # which `bound` would report as a failed or passed check
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-            object.__setattr__(self, name, float(value))
         if not self.c > 0:
             raise ValueError(f"clipping threshold must be positive, got {self.c!r}")
         if not (self.eta > 0 and math.isfinite(self.eta)):
@@ -167,7 +153,7 @@ def max_stepsize(theorem: str, L0: float, L1: float, c: float) -> float:
     if theorem not in _STEPSIZE_FACTOR:
         names = tuple(_STEPSIZE_FACTOR)
         raise ValueError(f"unknown theorem {theorem!r}, expected one of {names}")
-    denom = _l_eff(L0, L1, c)
+    denom = _l_eff(float(L0), float(L1), float(c))
     if not denom > 0 or not math.isfinite(denom):
         raise ValueError(f"degenerate smoothness: L0 + c*L1 = {denom!r}")
     return 1.0 / (_STEPSIZE_FACTOR[theorem] * denom)
@@ -332,6 +318,7 @@ def build_lower_bound_small_c(sigma: float, c: float) -> LowerBoundInstance:
     """Construction for small thresholds c <= 2 sigma: shift a = 4 sigma and
     p = (2 - sqrt(3))/4, so p(1-p) = 1/16 and the noise variance equals
     sigma^2 exactly. The fixed-point bias is at least sigma / 12."""
+    sigma, c = float(sigma), float(c)
     _check_scales(sigma, c)
     if not 0 < c <= 2.0 * sigma:
         raise ValueError(f"small-c construction needs 0 < c <= 2*sigma, got c={c!r}")
@@ -349,6 +336,7 @@ def build_lower_bound_large_c(sigma: float, c: float) -> LowerBoundInstance:
     shifted branch always clipped, and p(1-p) = sigma^2/(4c^2) only has a
     root p <= 1/4 when c >= 2 sigma.
     """
+    sigma, c = float(sigma), float(c)
     _check_scales(sigma, c)
     if c < 2.0 * sigma:
         raise ValueError(f"large-c construction needs c >= 2*sigma, got c={c!r}")
@@ -513,6 +501,11 @@ def certify_smoothness(
     Pairs satisfy norm(x - y) <= 1/L1 (unrestricted scale when L1 = 0).
     Violations are collected with witnesses, not raised.
     """
+    # no pair, or no finite radius, would check nothing and pass
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs!r}")
+    if not (radius_scale > 0 and math.isfinite(radius_scale)):
+        raise ValueError(f"radius_scale must be finite and positive, got {radius_scale!r}")
     rng = np.random.default_rng(seed)
     dim = problem.meta.dim
     r_max = radius_scale if L1 == 0.0 else min(radius_scale, 1.0 / L1)

@@ -130,6 +130,7 @@ RECORDS = {
     "ClipProbabilityReport": (theory.ClipProbabilityReport,
                               "frequency markov_bound std_error n_samples",
                               (0.01, 0.25, 0.001, 100), {}, "value"),
+    "Cells": (clipbench.Cells, "configs", ((_CONFIG,),), {}, "identity"),
 }
 
 
@@ -207,16 +208,18 @@ def test_record_repr_by_example():
         "SmoothnessCertificate(L0=1.0, L1=0.0, n_pairs=5, violations=())")
 
 
-@pytest.mark.parametrize("name", RECORDS)
-def test_record_equality_and_hash(name):
-    cls, fields, args, _ = _record(name)
+def _check_equality_and_hash(name, args):
+    cls, fields, _, _ = _record(name)
     kind = RECORDS[name][4]
-    one, other = cls(*args), cls(*args)
+    # the twin holds copies of the arrays: the same array object would
+    # compare equal by identity, without any array comparison
+    one = cls(*args)
+    other = cls(*(a.copy() if isinstance(a, np.ndarray) else a for a in args))
     if kind == "identity":
         assert one == one and one != other
         assert hash(one) == object.__hash__(one)
         return
-    assert one == other and not one != other
+    assert (one == other) is True and (one != other) is False
     # a record never equals a tuple of its fields or another record type
     assert one != tuple(getattr(one, f) for f in fields) and one != object()
     if kind == "arrays":
@@ -226,8 +229,50 @@ def test_record_equality_and_hash(name):
             hash(one)
         return
     assert one != cls(*args[:-1], not args[-1] if isinstance(args[-1], bool) else args[-1] * 2)
-    if not any(isinstance(a, np.ndarray) for a in args):
+    arrays = [i for i, a in enumerate(args) if isinstance(a, np.ndarray)]
+    if not arrays:
         assert hash(one) == hash(other) == hash(tuple(args) + tuple(RECORDS[name][3].values()))
+        return
+    # a record that holds an array compares it by value and has no hash
+    i = arrays[0]
+    assert (one == cls(*args[:i], args[i] * 2, *args[i + 1:])) is False
+    with pytest.raises(TypeError):
+        hash(one)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_equality_and_hash(name):
+    _check_equality_and_hash(name, _record(name)[2])
+
+
+@pytest.mark.parametrize("name", [name for name, (_, _, args, _, _) in RECORDS.items()
+                                  if any(a is _VECTOR for a in args)])
+def test_record_equality_with_wide_arrays(name):
+    # numpy gives the comparison of one-element arrays a truth value, so
+    # only wider arrays show an `==` that does not reduce to a bool
+    wide = np.array([0.5, 1.5, 2.5])
+    _check_equality_and_hash(name, tuple(wide if a is _VECTOR else a for a in _record(name)[2]))
+
+
+# the numpy scalar given to each kind of scalar field
+_NUMPY_SCALARS = {"int": np.int64, "float": np.float32, "float | None": np.float32}
+
+
+@pytest.mark.parametrize("name", [name for name, (cls, *_) in RECORDS.items()
+                                  if any(p.annotation in _NUMPY_SCALARS
+                                         for p in inspect.signature(cls).parameters.values())])
+def test_record_stores_numpy_scalars_as_python_numbers(name):
+    cls, fields, args, defaults = _record(name)
+    values = dict(zip(fields, [*args, *defaults.values()]))
+    given = {}
+    for field, parameter in inspect.signature(cls).parameters.items():
+        if parameter.annotation in _NUMPY_SCALARS:
+            value = 0.5 if values[field] is None else values[field]
+            given[field] = _NUMPY_SCALARS[parameter.annotation](value)
+    record = cls(**{**values, **given})
+    for field, value in given.items():
+        stored = getattr(record, field)
+        assert type(stored) is type(value.item()) and stored == value.item(), (name, field)
 
 
 @pytest.mark.parametrize("name", RECORDS)

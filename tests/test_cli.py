@@ -1,3 +1,4 @@
+import bz2
 import hashlib
 import warnings
 from pathlib import Path
@@ -69,6 +70,24 @@ class TestConfigParsing:
                     "mode = run\nproblem = logistic\ndata = missing.libsvm\n"
                     "method = gd\nc = inf\neta = 1\nT = 1\nseeds = 0\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "bound"])
+    @pytest.mark.parametrize("kind", ["bzip2", "directory"])
+    def test_unreadable_data_is_data_error(self, tmp_path, command, kind, capsys):
+        # a compressed LIBSVM download or a directory is no text to parse,
+        # as a dataset or as a trace
+        path = tmp_path / "input"
+        if kind == "bzip2":
+            path.write_bytes(bz2.compress(b"+1 1:0.5\n-1 2:1\n"))
+            assert path.read_bytes().startswith(b"BZh91AY")
+        else:
+            path.mkdir()
+        text = ("mode = run\nproblem = logistic\ndata = input\n" + CLIPPED_GD if command == "run"
+                else "mode = bound\n" + STOCH_BOUND.replace("trace.csv", "input"))
+        cfg = write(tmp_path, "l.cfg", text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and "Traceback" not in err
 
     def test_malformed_dataset_is_data_error(self, tmp_path):
         write(tmp_path, "bad.libsvm", "+1 3:1 2:1\n")
@@ -172,13 +191,23 @@ class TestConfigParsing:
         ("run", "problem = logistic\n" + CLIPPED_GD, "missing required keys: data"),
         ("bound", "theorem = det_strongly_convex\ntrace = trace.csv\nc = 0.25\neta = 1\n"
          "T = 2\nR0 = 1\nL = 1\nL0 = 1\nf_star = 0\n", "missing required keys: mu, epsilon"),
+        # and a certification that would check nothing, not a pass
+        ("certify", "problem = quadratic\nn_pairs = -5\n", "n_pairs must be >= 1, got -5"),
+        ("certify", "problem = quadratic\nn_pairs = 0\n", "n_pairs must be >= 1, got 0"),
+        ("certify", "problem = quadratic\nradius_scale = nan\n",
+         "radius_scale must be finite and positive, got nan"),
+        ("certify", "problem = quadratic\nradius_scale = -1\n",
+         "radius_scale must be finite and positive, got -1.0"),
+        ("certify", "problem = quadratic\nfd_points = -1\n", "fd_points must be >= 0, got -1"),
     ], ids=["dim_0", "a_negative", "subsample_k_0", "lambda_negative", "L_nan", "L_inf",
             "chi_square_L_inf", "a_inf", "a_variance_overflow", "lambda_nan", "certify_lambda_inf",
             "sigma_nan", "sigma_inf", "c_inf", "bound_without_L0_L1", "unread_dim",
             "unread_lambda", "unread_data", "unread_subsample_seed",
             "unread_target_grad_norm", "unread_B", "subsample_seed_without_k",
             "sweep_unread_a", "certify_unread_p", "unread_use_trajectory_L", "missing_p",
-            "certify_missing_a_p", "missing_data", "bound_missing_mu_epsilon"])
+            "certify_missing_a_p", "missing_data", "bound_missing_mu_epsilon",
+            "certify_negative_pairs", "certify_no_pairs", "certify_radius_nan",
+            "certify_radius_negative", "certify_fd_points_negative"])
     def test_out_of_range_value_is_config_error(self, tmp_path, command, text, message, capsys):
         # every rejected value or unread key reaches main as a ValueError:
         # reported, not raised

@@ -69,6 +69,12 @@ class TestMaxStepsize:
         for c in (0.01, 1.0, 100.0, math.inf):
             assert max_stepsize("det_nonconvex", 2.0, 0.0, c) == pytest.approx(1.0 / 18.0)
 
+    def test_float32_inputs_give_the_float64_threshold(self):
+        args = (np.float32(0.3), np.float32(0.7), np.float32(2.5))
+        step = max_stepsize("det_nonconvex", *args)
+        assert type(step) is float
+        assert step == max_stepsize("det_nonconvex", *(float(a) for a in args))
+
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             max_stepsize("det_nonconvex", 0.0, 0.0, 1.0)
@@ -337,6 +343,19 @@ class TestLowerBoundConstructions:
             build(sigma, c)
         assert str(exc.value) == message
 
+    def test_float32_scales_compute_in_float64(self):
+        # a float32 c once gave a = 2c and a * a in float32: the construction's
+        # variance then rose above sigma^2 for some c, and the fixed point and
+        # bias differed from those of the same c as a Python float
+        cs = np.linspace(2.0, 50.0, 400, dtype=np.float32)
+        assert np.float32(2.7218046) in cs
+        for c in cs:
+            inst = build_lower_bound_large_c(1.0, c)
+            assert repr(inst) == repr(build_lower_bound_large_c(1.0, float(c)))
+        for sigma in np.linspace(1.0, 3.0, 50, dtype=np.float32):
+            inst = build_lower_bound_small_c(sigma, np.float32(1.5))
+            assert repr(inst) == repr(build_lower_bound_small_c(float(sigma), 1.5))
+
     def test_constructions_coincide_at_boundary(self):
         small = build_lower_bound_small_c(1.0, 2.0)
         large = build_lower_bound_large_c(1.0, 2.0)
@@ -527,6 +546,21 @@ class TestCertifySmoothness:
         prob = ChiSquareQuadratic(dim=5, L=0.1)
         cert = certify_smoothness(prob, prob.meta.L0, prob.meta.L1, n_pairs=300, seed=3)
         assert cert.ok
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_pairs": 0}, "n_pairs must be >= 1, got 0"),
+        ({"n_pairs": -5}, "n_pairs must be >= 1, got -5"),
+        ({"radius_scale": math.nan}, "radius_scale must be finite and positive, got nan"),
+        ({"radius_scale": math.inf}, "radius_scale must be finite and positive, got inf"),
+        ({"radius_scale": 0.0}, "radius_scale must be finite and positive, got 0.0"),
+        ({"radius_scale": -1.0}, "radius_scale must be finite and positive, got -1.0"),
+    ], ids=["no_pairs", "negative_pairs", "radius_nan", "radius_inf", "radius_0",
+            "radius_negative"])
+    def test_sampling_that_checks_nothing_is_rejected(self, kwargs, message):
+        # no pair, or pairs at no finite radius, would certify anything
+        with pytest.raises(ValueError) as exc:
+            certify_smoothness(Quadratic(dim=2, L=1.0), L0=1.0, L1=0.0, **kwargs)
+        assert str(exc.value) == message
 
 
 class TestClipProbabilityBound:
