@@ -1,4 +1,4 @@
-"""Draws computed ahead by a forked child.
+"""Draws computed ahead, and trace rows formatted behind, by a forked child.
 
 A run's or a Monte Carlo estimate's draws never depend on its iterate, so
 a second process can compute them while the first one steps. :func:`fed`
@@ -6,15 +6,30 @@ forks one child that fills a ring of shared memory with them, and the
 parent reads them back in order. The child makes the very calls the
 parent would make, from the state the process had at the fork, so the
 draws, and every output built from them, are the bits the parent would
-compute itself. Only ``os`` and ``mmap`` are used: a thread would contend
-for the interpreter lock the parent steps with, and ``multiprocessing``
-costs import time.
+compute itself.
+
+A long single run's trace CSV is formatted behind it instead: a
+:class:`RowWriter` hands the run its record array in shared memory and
+forks a child that turns the records into CSV rows, :func:`csv_rows`, as
+the run reports them, into a memfd. When the run ends, the parent formats
+about half of the rows the child has not reached while the child formats
+the rest; the CLI then copies the child's text and the parent's rows into
+the output file. Where the child fails, the CLI formats every row itself,
+so the bytes never depend on it. A writer forks only for 2**12 to 2**19
+recorded rows and never for a run that is fed, so a run has at most one
+child.
+
+Either child is forked only where the process can fork, may run on more
+than one CPU and runs no other Python thread (:func:`can_fork`). Only
+``os`` and ``mmap`` are used: a thread would contend for the interpreter
+lock the parent steps with, and ``multiprocessing`` costs import time.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -35,13 +50,21 @@ BLOCK_BYTES = 1 << 17
 DEPTH = 64
 
 
-def should_feed(problem, items: int, doubles: int) -> bool:
-    """Whether ``items`` draws of ``doubles`` doubles in all are computed
-    ahead: the problem has the ``draws`` hook, there is more than one item,
-    the draws pay for a fork, and the process can fork, may run on more
-    than one CPU and runs no other Python thread, which could hold a lock
-    the child's draws take."""
-    if problem.draws is None or items < 2 or doubles < MIN_DOUBLES or not hasattr(os, "fork"):
+# a trace whose rows a forked writer formats has ROWS_MIN to ROWS_MAX rows:
+# forking and reaping the writer costs 2-3.5 ms, several hundred rows of
+# formatting at 4-6 us a row, and below 2**19 rows the text stays under
+# about 64 MiB, which the memfd holds in RAM. The run reports its records
+# every REPORT_ROWS
+ROWS_MIN = 1 << 12
+ROWS_MAX = 1 << 19
+REPORT_ROWS = 1024
+
+
+def can_fork() -> bool:
+    """Whether a helper child may be forked: the process can fork and make a
+    memfd, may run on more than one CPU and runs no other Python thread,
+    which could hold a lock the child takes."""
+    if not (hasattr(os, "fork") and hasattr(os, "memfd_create")):
         return False
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -49,6 +72,36 @@ def should_feed(problem, items: int, doubles: int) -> bool:
         cpus = os.cpu_count() or 1
     threading = sys.modules.get("threading")
     return cpus > 1 and (threading is None or threading.active_count() == 1)
+
+
+def should_feed(problem, items: int, doubles: int) -> bool:
+    """Whether ``items`` draws of ``doubles`` doubles in all are computed
+    ahead: the problem has the ``draws`` hook, there is more than one item,
+    the draws pay for a fork, and :func:`can_fork`."""
+    return (problem.draws is not None and items >= 2 and doubles >= MIN_DOUBLES
+            and can_fork())
+
+
+def _fork() -> int:
+    """``os.fork()``. Python 3.12+ warns on a fork while native threads (a
+    BLAS pool, say) run; can_fork ruled out Python threads, and a child
+    calls only its own code and os."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r".*fork\(\)", DeprecationWarning)
+        return os.fork()
+
+
+def _reap(pid: int) -> None:
+    """Kill the child ``pid`` and wait for it."""
+    import signal  # here: only a process that forked needs it
+
+    try:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass  # reaped already, as where SIGCHLD is ignored
 
 
 def fed(first: tuple, produce, n: int):
@@ -61,10 +114,7 @@ def fed(first: tuple, produce, n: int):
     takes the next item. A child that fails is a ``RuntimeError`` here, and
     however the caller stops, the child is killed and reaped.
     """
-    # imported here: only a process that forks needs them
-    import mmap
-    import signal
-    import warnings
+    import mmap  # here: only a process that forks needs it
 
     # an item's arrays start on cache lines, and a block on a page
     sizes = [-(-a.nbytes // 64) * 64 for a in first]
@@ -79,12 +129,7 @@ def fed(first: tuple, produce, n: int):
              for j, a in enumerate(first)]
     ready_r, ready_w = os.pipe()
     free_r, free_w = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ warns on a fork while native threads (a BLAS pool,
-        # say) run; should_feed ruled out Python threads, and the child
-        # calls only produce and os
-        warnings.filterwarnings("ignore", r".*fork\(\)", DeprecationWarning)
-        pid = os.fork()
+    pid = _fork()
     if not pid:
         code = 1
         try:
@@ -132,8 +177,148 @@ def fed(first: tuple, produce, n: int):
     finally:
         os.close(ready_r)
         os.close(free_w)
+        _reap(pid)
+
+
+def csv_rows(iters: np.ndarray, columns) -> Iterator[str]:
+    """The CSV rows of a trace's recorded iterations and its four float
+    columns: each float in its shortest round-trip form, each row ended by
+    ``\\r\\n``, the text ``csv.writer`` gives for these cells, none of
+    which needs quoting."""
+    return (f"{t},{fv!r},{g!r},{a!r},{cf!r}\r\n"
+            for t, fv, g, a, cf in zip(iters.tolist(), *(a.tolist() for a in columns)))
+
+
+class RowWriter:
+    """A single run's trace rows, formatted by a forked child while it steps.
+
+    The run takes its ``(4, rows, 1)`` record array from :meth:`open`,
+    calls :meth:`report` with its count of records every ``REPORT_ROWS``
+    and :meth:`close` with the final count, however it ends. The child
+    formats the rows the run reports, ``REPORT_ROWS`` at a time, into a
+    memfd. At :meth:`close` the parent leaves the child about half of the
+    rows it has not formatted yet, and :meth:`copy` formats the other half
+    while the child finishes, then writes the child's text and its own.
+    Used as a context manager: on exit the child is killed and reaped and
+    the shared memory and memfd are released, however the caller stopped.
+    """
+
+    pid = rows = split = _done = _text = _report_w = None
+
+    def open(self, ts: np.ndarray) -> np.ndarray | None:
+        """The record array of a run that records iterations ``ts``, in
+        shared memory, with a child forked to format its rows; None, with
+        nothing forked, for a trace too short or too long to pay for the
+        child, where :func:`can_fork` does not hold or where the system
+        refuses the memory, memfd, pipe or process."""
+        if not (ROWS_MIN <= ts.size <= ROWS_MAX and can_fork()):
+            return None
+        import mmap  # here: only a process that forks needs it
+
+        report_r = None
         try:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):
-            pass  # reaped already, as where SIGCHLD is ignored
+            shared = mmap.mmap(-1, 32 * ts.size + 8)
+            self._text = os.memfd_create("clipbench-trace-rows")
+            report_r, self._report_w = os.pipe()
+            self.pid = _fork()
+        except OSError:
+            if report_r is not None:
+                os.close(report_r)
+            self.__exit__()
+            return None
+        records = np.ndarray((4, ts.size, 1), buffer=shared)
+        # the count of rows the child has formatted, after the records
+        self._done = np.ndarray((), np.int64, shared, 32 * ts.size)
+        if not self.pid:
+            code = 1
+            try:
+                os.close(self._report_w)
+                self._format(report_r, ts, records)
+                code = 0
+            finally:
+                # the child never returns into the caller's frames
+                os._exit(code)
+        os.close(report_r)
+        return records
+
+    def _format(self, report_r: int, ts: np.ndarray, records: np.ndarray) -> None:
+        # the child's loop. Each report is 8 bytes, written whole, and the
+        # last one read is the count to format up to; end of file follows
+        # the final one. Between blocks the child takes the reports that
+        # have come without waiting, and it waits only when it has formatted
+        # every row reported
+        start = target = 0
+        ended = False
+        with open(self._text, "w", newline="", closefd=False) as text:
+            while not ended or start < target:
+                if not ended:
+                    os.set_blocking(report_r, start >= target)
+                    try:
+                        data = os.read(report_r, 1 << 16)
+                    except BlockingIOError:
+                        data = None
+                    if data:
+                        target = int.from_bytes(data[-8:], "little")
+                    ended = data == b""
+                stop = min(target, start + REPORT_ROWS)
+                if start < stop:
+                    text.writelines(csv_rows(ts[start:stop], records[:, start:stop, 0]))
+                    self._done[()] = start = stop
+
+    def report(self, k: int) -> int:
+        """Tell the child that ``k`` records are written; returns the count
+        to report next."""
+        try:
+            os.write(self._report_w, k.to_bytes(8, "little"))
+        except BrokenPipeError:
+            pass  # a child that failed; copy leaves the rows to the caller
+        return k + REPORT_ROWS
+
+    def close(self, k: int) -> None:
+        """End the reports at the run's final count ``k`` of records: the
+        child formats about half of the rows it has not yet formatted, and
+        past its block in progress; :meth:`copy` formats the rest."""
+        done = int(self._done)
+        self.rows = k
+        self.split = min(k, max(done + REPORT_ROWS, (done + k) // 2))
+        self.report(self.split)
+        os.close(self._report_w)
+        self._report_w = None
+
+    def copy(self, out, iters: np.ndarray, columns) -> bool:
+        """Append to the open file ``out`` the rows ``csv_rows(iters,
+        columns)`` of the run's trace: the child's, then those it left.
+        False, with nothing written, where the child did not format its
+        share of this trace."""
+        if self.pid is None or iters.size != self.rows:
+            return False
+        # formatted while the child finishes; it may have gone past the split
+        split = self.split
+        rows = list(csv_rows(iters[split:], [a[split:] for a in columns]))
+        pid, self.pid = self.pid, None
+        try:
+            _, status = os.waitpid(pid, 0)
+        except ChildProcessError:
+            return False  # reaped by the system, as where SIGCHLD is ignored
+        if status:
+            return False
+        out.flush()
+        size, sent = os.fstat(self._text).st_size, 0
+        while sent < size:
+            sent += os.sendfile(out.fileno(), self._text, sent, size - sent)
+        out.writelines(rows[int(self._done) - split:])
+        return True
+
+    def __enter__(self) -> "RowWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._report_w is not None:
+            os.close(self._report_w)
+        if self.pid is not None:
+            _reap(self.pid)
+        if self._text is not None:
+            os.close(self._text)
+        # the shared memory is unmapped with its last view, which a
+        # traceback through the run may still hold
+        self.pid = self._done = self._text = self._report_w = None

@@ -13,14 +13,16 @@ missing, unknown or repeated argument), an ``inspect.signature`` to match,
 a ``Name(field=value, ...)`` repr, ``AttributeError`` on assignment and
 deletion, ``__match_args__`` and ``_fields``, and equality and hash by the
 tuple of fields; a subclass declared with ``eq=False`` compares and hashes
-by identity, and one that defines ``__eq__`` keeps it. Instances keep
-their fields in ``__dict__``, so copy and pickle need nothing more.
+by identity, and one that defines ``__eq__`` or ``__hash__`` keeps it.
+Instances keep their fields in ``__dict__``, so copy and pickle need
+nothing more.
 
 Annotations, as strings, set how a field is stored and compared: an
 ``int`` goes through ``operator.index`` and a ``float`` (or ``float |
 None``) is stored as a Python float, before ``__post_init__``; an
 ``np.ndarray`` (or ``np.ndarray | None``) compares by ``np.array_equal``
-and leaves a record that compares by value without a hash.
+and leaves a record that compares by value without a hash; a record that
+holds such records sets ``__hash__ = None`` itself.
 
 It builds no code at class creation, unlike ``dataclasses``, whose
 ``exec`` of each generated method was most of the package's import time.
@@ -89,7 +91,8 @@ class _Record:
         cls._arrays = tuple(name for name in cls._fields if annotations[name] in _ARRAYS)
         if eq and "__eq__" not in cls.__dict__:
             cls.__eq__ = _eq
-            cls.__hash__ = None if cls._arrays else _hash
+            if "__hash__" not in cls.__dict__:
+                cls.__hash__ = None if cls._arrays else _hash
 
     def __init__(self, *args, **kwargs) -> None:
         cls = type(self)

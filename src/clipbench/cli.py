@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import data_ingest, theory
+from . import _feed, data_ingest, theory
 from ._record import _Record
 from .data_ingest import ParseError
 from .optimizers import Cells, DivergenceError, RunConfig, Trace, run
@@ -269,15 +269,13 @@ def _run_config(cfg: dict, problem: Problem, c: float, eta: float, seed: int) ->
 # ---------------------------------------------------------------------------
 # run
 
-def _write_trace_csv(trace: Trace, out: Path) -> None:
-    # the bytes csv.writer gives for these cells (no cell needs quoting),
-    # written from the arrays' .tolist()
-    columns = (trace.iters, trace.f_vals, trace.grad_norms,
-               trace.applied_norms, trace.clipped_fracs)
-    rows = zip(*(a.tolist() for a in columns))
+def _write_trace_csv(trace: Trace, out: Path, writer: _feed.RowWriter | None = None) -> None:
+    columns = (trace.f_vals, trace.grad_norms, trace.applied_norms, trace.clipped_fracs)
     with open(out, "w", newline="") as f:
         f.write(",".join(TRACE_HEADER) + "\r\n")
-        f.writelines(f"{t},{fv!r},{g!r},{a!r},{cf!r}\r\n" for t, fv, g, a, cf in rows)
+        # the rows from the run's writer, or all of them formatted here
+        if writer is None or not writer.copy(f, trace.iters, columns):
+            f.writelines(_feed.csv_rows(trace.iters, columns))
 
 
 def cmd_run(cfg: dict, out: Path, seed_offset: int = 0) -> int:
@@ -290,13 +288,14 @@ def cmd_run(cfg: dict, out: Path, seed_offset: int = 0) -> int:
         raise ConfigError(f"run mode needs exactly one seed, got {seeds}")
     problem = build_problem(cfg, cfg["_dir"])
     config = _run_config(cfg, problem, cfg["c"][0], cfg["eta"][0], seeds[0] + seed_offset)
-    try:
-        trace = run(problem, config)
-    except DivergenceError as exc:
-        _write_trace_csv(exc.trace, out)
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    _write_trace_csv(trace, out)
+    with _feed.RowWriter() as writer:
+        try:
+            trace = run(problem, config, writer=writer)
+        except DivergenceError as exc:
+            _write_trace_csv(exc.trace, out, writer)
+            print(f"divergence: {exc}", file=sys.stderr)
+            return EXIT_DIVERGED
+        _write_trace_csv(trace, out, writer)
     return EXIT_OK
 
 

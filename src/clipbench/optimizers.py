@@ -352,9 +352,11 @@ def _divergence(t: int, f, x_norm) -> str:
 
 
 @_quiet_overflow
-def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, str | None]]:
+def _run(problem: Problem, configs: tuple[RunConfig, ...],
+         writer: _feed.RowWriter | None = None) -> list[tuple[Trace, str | None]]:
     """The step loop: every configuration of ``configs``, which share all
-    but ``c``, ``eta``, ``seed`` and ``x0``, from its ``x0``.
+    but ``c``, ``eta``, ``seed`` and ``x0``, from its ``x0``; a single run
+    that is not fed takes its records from ``writer``, where it forks.
 
     Returns one ``(trace, message)`` pair per configuration, in input
     order: ``message`` describes the divergence that stopped the run, and
@@ -424,8 +426,11 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
         recorded.append(T)
     ts = np.array(recorded, dtype=np.int64)
     # one column per row of X; a single run writes through 1-d views, whose
-    # scalar stores cost less
-    records = np.empty((4, ts.size, K))
+    # scalar stores cost less. A writer's child formats its records every
+    # `flush` of them
+    shared = writer.open(ts) if writer is not None and not fed else None
+    records = np.empty((4, ts.size, K)) if shared is None else shared
+    flush = -1 if shared is None else _feed.REPORT_ROWS
     fs, gs, aps, cfs = records if stack else records[:, :, 0]
     k = 0
     message = None
@@ -538,6 +543,8 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
                 aps[k] = applied_norm
                 cfs[k] = frac
                 k += 1
+                if k == flush:
+                    flush = writer.report(k)
 
             if t < T:
                 X = X - eta * applied
@@ -545,6 +552,8 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, 
         if fed:
             # stops and reaps the feeder, however the loop ended
             feed.close()
+        if shared is not None:
+            writer.close(k)
 
     if not stack:
         return [(_partial_trace(first, ts, k, records[:, :, 0], np.atleast_1d(X), max_sample),
@@ -568,7 +577,8 @@ def run_dp_sgd(problem: Problem, config: RunConfig) -> Trace:
     return run(problem, config)
 
 
-def run(problem: Problem, config: RunConfig | Cells) -> Trace | list[tuple[Trace, bool]]:
+def run(problem: Problem, config: RunConfig | Cells, *,
+        writer: _feed.RowWriter | None = None) -> Trace | list[tuple[Trace, bool]]:
     """Run ``config.method`` from ``config.x0`` and return its trace.
 
     The deterministic methods step along the exact gradient. The stochastic
@@ -582,13 +592,19 @@ def run(problem: Problem, config: RunConfig | Cells) -> Trace | list[tuple[Trace
     return one ``(trace, diverged)`` pair per cell, in input order: the
     trace ``run`` returns for that cell alone, or, for a cell that
     diverged, the partial trace its ``DivergenceError`` carries.
+
+    ``writer``, a :class:`clipbench._feed.RowWriter` for a single run only,
+    takes the trace's records as the run writes them, so that a forked
+    child formats their CSV rows while it steps.
     """
     if isinstance(config, Cells):
+        if writer is not None:
+            raise TypeError("a writer takes the rows of a single run, not of a Cells batch")
         return [(trace, message is not None) for trace, message in _run(problem, config.configs)]
     if not isinstance(config, RunConfig):
         raise TypeError(f"run takes a RunConfig or a Cells batch of them,"
                         f" got {type(config).__name__}")
-    [(trace, message)] = _run(problem, (config,))
+    [(trace, message)] = _run(problem, (config,), writer)
     if message is not None:
         raise DivergenceError(message, trace)
     return trace

@@ -373,6 +373,7 @@ def exact_fixed_point(problem: BernoulliShiftQuadratic, c: float) -> float:
     the ball, shifted branch clipped); otherwise bisection on [-a, 0],
     where the expectation is monotone nondecreasing. Residual <= 1e-12.
     """
+    c = float(c)
     if not c > 0:
         raise ValueError("c must be positive")
     a, p = problem.a, problem.p
@@ -438,6 +439,7 @@ def expected_clipped_grad(
     """E[clip_c(stochastic gradient at x)], whose zeros are the clipped-SGD
     fixed points. Exact for the two-outcome problem, Monte Carlo otherwise."""
     x = problem.check_dim(np.asarray(x, dtype=float))
+    c = float(c)
     if not c > 0:
         raise ValueError(f"clipping threshold must be positive, got {c!r}")
     if not np.isfinite(x).all():
@@ -478,6 +480,10 @@ class SmoothnessCertificate(_Record):
     L1: float
     n_pairs: int
     violations: tuple[SmoothnessViolation, ...] = ()
+
+    # the violations hold arrays, so no certificate has a hash, even one
+    # that holds none
+    __hash__ = None
 
     @property
     def ok(self) -> bool:
@@ -563,6 +569,7 @@ def clip_probability_bound(
     """Check Pr[norm(stochastic gradient) > c] <= 4 sigma^2 / c^2 at a point
     where norm(grad) < c/2 (required regime; otherwise ValueError)."""
     x = problem.check_dim(np.asarray(x, dtype=float))
+    c = float(c)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     grad_norm = float(np.linalg.norm(problem.grad(x)))
@@ -588,6 +595,7 @@ def dp_noise_calibration(
     The privacy analysis gives this only up to a constant; k_dp is that
     explicit user-chosen constant.
     """
+    c, d, T, epsilon, delta, k_dp = map(float, (c, d, T, epsilon, delta, k_dp))
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not 0 < delta < 1:

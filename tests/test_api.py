@@ -126,7 +126,7 @@ RECORDS = {
     "SmoothnessViolation": (theory.SmoothnessViolation, "kind x y lhs rhs",
                             ("descent", _VECTOR, None, 2.0, 1.0), {}, "value"),
     "SmoothnessCertificate": (theory.SmoothnessCertificate, "L0 L1 n_pairs violations",
-                              (1.0, 0.0, 5), {"violations": ()}, "value"),
+                              (1.0, 0.0, 5), {"violations": ()}, "arrays"),
     "ClipProbabilityReport": (theory.ClipProbabilityReport,
                               "frequency markov_bound std_error n_samples",
                               (0.01, 0.25, 0.001, 100), {}, "value"),
@@ -240,9 +240,17 @@ def _check_equality_and_hash(name, args):
         hash(one)
 
 
-@pytest.mark.parametrize("name", RECORDS)
-def test_record_equality_and_hash(name):
-    _check_equality_and_hash(name, _record(name)[2])
+# a certificate's violations hold arrays, so no certificate has a hash,
+# whether or not it holds any
+_WITH_VIOLATIONS = (1.0, 0.0, 5, (theory.SmoothnessViolation("descent", _VECTOR, None, 2.0,
+                                                             1.0),))
+
+
+@pytest.mark.parametrize("name,args", [(name, _record(name)[2]) for name in RECORDS]
+                         + [("SmoothnessCertificate", _WITH_VIOLATIONS)],
+                         ids=[*RECORDS, "SmoothnessCertificate_with_violations"])
+def test_record_equality_and_hash(name, args):
+    _check_equality_and_hash(name, args)
 
 
 @pytest.mark.parametrize("name", [name for name, (_, _, args, _, _) in RECORDS.items()

@@ -909,3 +909,178 @@ class TestFeeder:
             warnings.simplefilter("error")
             assert trace_digest(run(prob, config)) == want
         assert_no_child_left()
+
+
+BERNOULLI_RUN = ("mode = run\nproblem = bernoulli_shift\na = 8.0\np = 0.01587708172407289\n"
+                 "method = clipped_sgd\nc = 4\neta = 1e-3\nx0 = 0\nseeds = 0\n")
+
+
+def writing(monkeypatch, on):
+    """Every CLI trace of at least 2**12 rows has a forked writer (on), or
+    none, whose rows the CLI formats itself."""
+    monkeypatch.setattr(_feed, "ROWS_MIN", 1 << 12 if on else math.inf)
+
+
+@pytest.fixture
+def copies(monkeypatch):
+    """Whether each writer's copy took the child's rows, in call order."""
+    calls, copy = [], _feed.RowWriter.copy
+
+    def recording(self, out, iters, columns):
+        calls.append(copy(self, out, iters, columns))
+        return calls[-1]
+
+    monkeypatch.setattr(_feed.RowWriter, "copy", recording)
+    return calls
+
+
+def cli_trace(tmp_path, text):
+    """The exit code and the bytes of ``clipbench run`` on config ``text``."""
+    from clipbench import cli
+
+    config, out = tmp_path / "run.cfg", tmp_path / "trace.csv"
+    config.write_text(text)
+    out.unlink(missing_ok=True)
+    return cli.main(["run", "--config", str(config), "--out", str(out)]), out.read_bytes()
+
+
+class RaisingBernoulli(BernoulliShiftQuadratic):
+    """The Bernoulli shift whose exact oracle raises ``error`` on call 4500."""
+
+    def __init__(self, error):
+        super().__init__(a=8.0, p=0.01587708172407289)
+        self.error, self.calls = error, 0
+
+    def value_and_grad(self, X):
+        self.calls += 1
+        if self.calls == 4500:
+            raise self.error
+        return super().value_and_grad(X)
+
+
+class TestRowWriter:
+    """A CLI trace whose rows a forked child formats while the run steps
+    has the bytes of the trace the CLI formats itself, and the run leaves
+    no process behind however it ends."""
+
+    @pytest.mark.parametrize("text,rows", [
+        (BERNOULLI_RUN + "T = 10000\n", 10001),
+        (BERNOULLI_RUN + "T = 12499\nthin = 3\n", 4168),
+    ], ids=["finished", "thinned"])
+    def test_forked_rows_match_the_in_process_rows(self, monkeypatch, tmp_path, forks,
+                                                   copies, no_hang, text, rows):
+        writing(monkeypatch, False)
+        want = cli_trace(tmp_path, text)
+        assert forks == [] and want[0] == 0 and want[1].count(b"\r\n") == rows + 1
+        writing(monkeypatch, True)
+        assert cli_trace(tmp_path, text) == want
+        assert forks == [os.getpid()] and copies == [False, True]
+        assert_no_child_left()
+
+    def test_ci_trace_digest(self, tmp_path, no_hang):
+        code, data = cli_trace(tmp_path, BERNOULLI_RUN + "T = 10000\n")
+        assert code == 0 and hashlib.sha256(data).hexdigest() == (
+            "1f0833c09f5955fca5ec03f7794edc6eb2ca059edfaa3a7813995a839d1894a5")
+        assert_no_child_left()
+
+    def test_divergence_inside_a_report(self, monkeypatch, tmp_path, forks, copies, no_hang):
+        # |x| grows by 1.00315 a step, past the guard after about 4500
+        # records, which is not a whole number of reports
+        text = ("mode = run\nproblem = quadratic\ndim = 1\nL = 1\nmethod = gd\nc = inf\n"
+                "eta = 2.00315\nT = 6000\nx0 = 1\nseeds = 0\n")
+        writing(monkeypatch, False)
+        code, data = want = cli_trace(tmp_path, text)
+        rows = data.count(b"\r\n") - 1
+        assert code == 3 and 4096 < rows < 6001 and rows % _feed.REPORT_ROWS
+        writing(monkeypatch, True)
+        assert cli_trace(tmp_path, text) == want
+        assert len(forks) == 1 and copies == [False, True]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("limit", ["short_trace", "one_cpu", "no_fork", "python_thread",
+                                       "fork_refused", "memfd_refused"])
+    def test_what_forks_no_writer(self, monkeypatch, tmp_path, forks, no_hang, limit):
+        # a trace below the row floor, one CPU of affinity, no os.fork,
+        # another Python thread, or a fork or memfd the system refuses: the
+        # CLI formats the rows itself
+        text = BERNOULLI_RUN + ("T = 4000\n" if limit == "short_trace" else "T = 5000\n")
+        writing(monkeypatch, False)
+        want = cli_trace(tmp_path, text)
+        writing(monkeypatch, True)
+        stop = threading.Event()
+        if limit == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif limit == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        elif limit == "python_thread":
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+        elif limit in ("fork_refused", "memfd_refused"):
+            def refused(*args):
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork" if limit == "fork_refused" else "memfd_create",
+                                refused)
+            opened = len(os.listdir("/proc/self/fd"))
+        try:
+            assert cli_trace(tmp_path, text) == want
+        finally:
+            stop.set()
+        assert forks == []
+        if limit.endswith("_refused"):
+            assert len(os.listdir("/proc/self/fd")) == opened
+        assert_no_child_left()
+
+    def test_fed_run_forks_no_writer(self, monkeypatch, tmp_path, forks, no_hang):
+        # the feeder is the run's one child
+        text = ("mode = run\nproblem = chi_square\ndim = 2\nL = 0.1\nmethod = dp_sgd\nc = 14\n"
+                "eta = 1e-2\nT = 4200\nsigma_dp = 1\nseeds = 0\n")
+        feeding(monkeypatch, False)
+        writing(monkeypatch, False)
+        want = cli_trace(tmp_path, text)
+        feeding(monkeypatch, True)
+        writing(monkeypatch, True)
+        assert cli_trace(tmp_path, text) == want
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_child_that_fails_leaves_the_rows_to_the_parent(self, monkeypatch, tmp_path,
+                                                            forks, copies, no_hang):
+        text = BERNOULLI_RUN + "T = 5000\n"
+        writing(monkeypatch, False)
+        want = cli_trace(tmp_path, text)
+        writing(monkeypatch, True)
+        parent, csv_rows = os.getpid(), _feed.csv_rows
+
+        def failing_in_the_child(iters, columns):
+            if os.getpid() != parent and iters.size and iters[0] >= 2048:
+                raise ValueError("no more rows")
+            return csv_rows(iters, columns)
+
+        monkeypatch.setattr(_feed, "csv_rows", failing_in_the_child)
+        assert cli_trace(tmp_path, text) == want
+        assert len(forks) == 1 and copies == [False, False]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError("oracle failed"), KeyboardInterrupt()],
+                             ids=["exception", "interrupt"])
+    def test_run_that_raises_leaves_out_untouched(self, monkeypatch, tmp_path, forks, no_hang,
+                                                  error):
+        from clipbench import cli
+
+        writing(monkeypatch, True)
+        monkeypatch.setattr(cli, "build_problem", lambda cfg, base: RaisingBernoulli(error))
+        config, out = tmp_path / "run.cfg", tmp_path / "trace.csv"
+        config.write_text(BERNOULLI_RUN + "T = 10000\n")
+        out.write_bytes(b"an earlier trace\r\n")
+        with pytest.raises(type(error)):
+            cli.main(["run", "--config", str(config), "--out", str(out)])
+        assert out.read_bytes() == b"an earlier trace\r\n"
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_no_writer_for_a_batch(self):
+        config = cfg(method="clipped_sgd", c=2.0, eta=0.05, T=5)
+        with _feed.RowWriter() as writer, pytest.raises(TypeError, match="single run"):
+            run(BernoulliShiftQuadratic(a=4.0, p=0.25), optimizers.Cells([config]),
+                writer=writer)

@@ -605,6 +605,43 @@ class TestClipProbabilityBound:
             clip_probability_bound(prob, np.array([5.0]), c=1.0)
 
 
+class TestFloat32Scalars:
+    """A float32 threshold or scale computes in float64: each entry point
+    gives the bits of the same value passed as a Python float."""
+
+    C32 = np.float32(4.1)
+
+    @pytest.mark.parametrize("compute", [
+        lambda c: expected_clipped_grad(build_lower_bound_large_c(1.0, 4.0).problem(),
+                                        [-0.06], c).value,
+        lambda c: expected_clipped_grad(ChiSquareQuadratic(dim=3, L=0.1), np.full(3, -2.0), c,
+                                        n_samples=500, seed=2).value,
+        lambda c: exact_fixed_point(build_lower_bound_large_c(1.0, 4.0).problem(), c),
+        lambda c: exact_fixed_point(BernoulliShiftQuadratic(a=4.0, p=0.25), c),
+        lambda c: clip_probability_bound(BernoulliShiftQuadratic(a=4.0, p=0.25), np.zeros(1),
+                                         c, n_samples=100).markov_bound,
+        lambda c: dp_noise_calibration(c, np.int64(10), np.int64(100), np.float32(1.5),
+                                       np.float32(1e-5), np.float32(1.1)),
+    ], ids=["expected_clipped_grad_exact", "expected_clipped_grad_monte_carlo",
+            "exact_fixed_point_closed_form", "exact_fixed_point_bisection",
+            "clip_probability_bound", "dp_noise_calibration"])
+    def test_float32_computes_in_float64(self, compute):
+        got = compute(self.C32)
+        want = compute(float(self.C32))
+        assert type(got) is type(want)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        else:
+            assert type(got) is float and got == want
+
+    def test_examples(self):
+        prob = build_lower_bound_large_c(1.0, 4.0).problem()
+        assert expected_clipped_grad(prob, [-0.06], np.float32(4)).value.dtype == np.float64
+        assert repr(exact_fixed_point(prob, np.float32(4))) == "-0.06453292136265967"
+        assert repr(dp_noise_calibration(np.float32(1.5), 10, 100, 1.0, 1e-5)) == (
+            repr(dp_noise_calibration(1.5, 10, 100, 1.0, 1e-5)))
+
+
 class TestDpNoiseCalibration:
     def test_arithmetic_example(self):
         out = dp_noise_calibration(c=1.0, d=10, T=100, epsilon=2.0, delta=1e-5)
