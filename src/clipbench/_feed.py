@@ -23,6 +23,11 @@ Either child is forked only where the process can fork, may run on more
 than one CPU and runs no other Python thread (:func:`can_fork`). Only
 ``os`` and ``mmap`` are used: a thread would contend for the interpreter
 lock the parent steps with, and ``multiprocessing`` costs import time.
+Both share one lifecycle, :func:`_spawn` and :func:`_end`, and one
+failure policy. Where the system refuses the memory, memfd, pipe or
+fork, the parent does the child's work itself, with the same bits. A
+feeder child that raises is a ``RuntimeError`` in the caller; a writer
+child that fails leaves every row to the CLI.
 """
 
 from __future__ import annotations
@@ -93,10 +98,50 @@ def _fork() -> int:
         return os.fork()
 
 
-def _reap(pid: int) -> None:
-    """Kill the child ``pid`` and wait for it."""
+def _spawn(size: int, body):
+    """Fork a child that runs ``body(shared, down, up)``: ``shared`` maps
+    ``size`` bytes that parent and child share, ``down`` reads a pipe from
+    the parent and ``up`` writes one to it. The child never returns into
+    the caller's frames: any exception, an interrupt too, is written up as
+    ``!Type: message`` and ends it. Returns the parent's ``(pid, shared,
+    down, up)``, which writes ``down`` and reads ``up``; None, with what it
+    made closed, where the system refuses the memory, a pipe or the fork."""
+    import mmap  # here: only a process that forks needs it
+
+    fds: list[int] = []
+    try:
+        shared = mmap.mmap(-1, size)
+        for _ in range(2):
+            fds += os.pipe()
+        pid = _fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    down_r, down_w, up_r, up_w = fds
+    if not pid:
+        try:
+            os.close(down_w)
+            os.close(up_r)
+            body(shared, down_r, up_w)
+        except BaseException as exc:
+            os.write(up_w, f"!{type(exc).__name__}: {exc}".encode())
+        finally:
+            # the parent reads how the child ended from up, not its status
+            os._exit(0)
+    os.close(down_r)
+    os.close(up_w)
+    return pid, shared, down_w, up_r
+
+
+def _end(pid: int, *fds: int | None) -> None:
+    """Close the parent's descriptors ``fds`` (None for one it closed
+    already), then kill the child ``pid`` and wait for it."""
     import signal  # here: only a process that forked needs it
 
+    for fd in fds:
+        if fd is not None:
+            os.close(fd)
     try:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
@@ -112,7 +157,9 @@ def fed(first: tuple, produce, n: int):
     the leading rows of one shaped like its counterpart in ``first``, and
     that array is what the caller is handed; it is valid until the caller
     takes the next item. A child that fails is a ``RuntimeError`` here, and
-    however the caller stops, the child is killed and reaped.
+    however the caller stops, the child is killed and reaped. Where the
+    system refuses the ring, a pipe or the fork, the parent makes the
+    child's calls itself, so the items have the same bits.
     """
     import mmap  # here: only a process that forks needs it
 
@@ -122,38 +169,38 @@ def fed(first: tuple, produce, n: int):
     per = max(1, BLOCK_BYTES // item)
     block = -(-per * item // mmap.PAGESIZE) * mmap.PAGESIZE
     depth = min(DEPTH, -(-(n - 1) // per))
-    ring = mmap.mmap(-1, depth * block)
-    # one view per array of an item, indexed by block and place in the block
-    views = [np.ndarray((depth, per) + a.shape, a.dtype, ring, sum(sizes[:j]),
-                        (block, item) + np.ascontiguousarray(a).strides)
-             for j, a in enumerate(first)]
-    ready_r, ready_w = os.pipe()
-    free_r, free_w = os.pipe()
-    pid = _fork()
-    if not pid:
-        code = 1
-        try:
-            os.close(ready_r)
-            os.close(free_w)
-            for i in range(1, n):
-                b, j = divmod((i - 1) % (depth * per), per)
-                # a block is refilled once the parent has released it
-                if i > depth * per and not j and not os.read(free_r, 1):
-                    break
-                for view, a in zip(views, produce(i)):
-                    view[b, j, :len(a)] = a
-                if j == per - 1 or i == n - 1:
-                    os.write(ready_w, b"+")
-            code = 0
-        except BaseException as exc:
-            # the child never returns into the caller's frames: any
-            # exception, an interrupt too, is reported and ends it here
-            os.write(ready_w, f"!{type(exc).__name__}: {exc}".encode())
-        finally:
-            os._exit(code)
-    os.close(ready_w)
-    os.close(free_r)
+    layout = [((depth, per) + a.shape, a.dtype, sum(sizes[:j]),
+               (block, item) + np.ascontiguousarray(a).strides) for j, a in enumerate(first)]
+
+    def ring_views(ring) -> list[np.ndarray]:
+        # one view per array of an item, indexed by block and place in the block
+        return [np.ndarray(shape, dtype, ring, offset, strides)
+                for shape, dtype, offset, strides in layout]
+
+    def fill(ring, free_r: int, ready_w: int) -> None:
+        # the child's loop
+        views = ring_views(ring)
+        for i in range(1, n):
+            b, j = divmod((i - 1) % (depth * per), per)
+            # a block is refilled once the parent has released it
+            if i > depth * per and not j and not os.read(free_r, 1):
+                break
+            for view, a in zip(views, produce(i)):
+                view[b, j, :len(a)] = a
+            if j == per - 1 or i == n - 1:
+                os.write(ready_w, b"+")
+
+    spawned = _spawn(depth * block, fill)
+    if spawned is None:
+        # the system refused a resource: the child's calls, made here, give
+        # the same items
+        yield first
+        del first
+        yield from map(produce, range(1, n))
+        return
+    pid, ring, free_w, ready_r = spawned
     try:
+        views = ring_views(ring)
         yield first
         del first  # held here, its arrays would stay allocated all along
         for i in range(1, n):
@@ -175,9 +222,7 @@ def fed(first: tuple, produce, n: int):
                                        + (message.decode(errors="replace") or "it exited"))
             yield tuple(view[b, j] for view in views)
     finally:
-        os.close(ready_r)
-        os.close(free_w)
-        _reap(pid)
+        _end(pid, ready_r, free_w)
 
 
 def csv_rows(iters: np.ndarray, columns) -> Iterator[str]:
@@ -203,7 +248,7 @@ class RowWriter:
     the shared memory and memfd are released, however the caller stopped.
     """
 
-    pid = rows = split = _done = _text = _report_w = None
+    pid = rows = split = _done = _text = _report_w = _up = None
 
     def open(self, ts: np.ndarray) -> np.ndarray | None:
         """The record array of a run that records iterations ``ts``, in
@@ -213,40 +258,27 @@ class RowWriter:
         refuses the memory, memfd, pipe or process."""
         if not (ROWS_MIN <= ts.size <= ROWS_MAX and can_fork()):
             return None
-        import mmap  # here: only a process that forks needs it
-
-        report_r = None
         try:
-            shared = mmap.mmap(-1, 32 * ts.size + 8)
             self._text = os.memfd_create("clipbench-trace-rows")
-            report_r, self._report_w = os.pipe()
-            self.pid = _fork()
         except OSError:
-            if report_r is not None:
-                os.close(report_r)
-            self.__exit__()
             return None
-        records = np.ndarray((4, ts.size, 1), buffer=shared)
+        spawned = _spawn(32 * ts.size + 8, lambda *ends: self._format(ts, *ends))
+        if spawned is None:
+            os.close(self._text)
+            return None
+        self.pid, shared, self._report_w, self._up = spawned
         # the count of rows the child has formatted, after the records
         self._done = np.ndarray((), np.int64, shared, 32 * ts.size)
-        if not self.pid:
-            code = 1
-            try:
-                os.close(self._report_w)
-                self._format(report_r, ts, records)
-                code = 0
-            finally:
-                # the child never returns into the caller's frames
-                os._exit(code)
-        os.close(report_r)
-        return records
+        return np.ndarray((4, ts.size, 1), buffer=shared)
 
-    def _format(self, report_r: int, ts: np.ndarray, records: np.ndarray) -> None:
+    def _format(self, ts: np.ndarray, shared, report_r: int, up: int) -> None:
         # the child's loop. Each report is 8 bytes, written whole, and the
         # last one read is the count to format up to; end of file follows
         # the final one. Between blocks the child takes the reports that
         # have come without waiting, and it waits only when it has formatted
-        # every row reported
+        # every row reported. Its "+" up tells that the memfd holds them
+        records = np.ndarray((4, ts.size, 1), buffer=shared)
+        self._done = np.ndarray((), np.int64, shared, 32 * ts.size)
         start = target = 0
         ended = False
         with open(self._text, "w", newline="", closefd=False) as text:
@@ -264,6 +296,7 @@ class RowWriter:
                 if start < stop:
                     text.writelines(csv_rows(ts[start:stop], records[:, start:stop, 0]))
                     self._done[()] = start = stop
+        os.write(up, b"+")
 
     def report(self, k: int) -> int:
         """Tell the child that ``k`` records are written; returns the count
@@ -295,12 +328,8 @@ class RowWriter:
         # formatted while the child finishes; it may have gone past the split
         split = self.split
         rows = list(csv_rows(iters[split:], [a[split:] for a in columns]))
-        pid, self.pid = self.pid, None
-        try:
-            _, status = os.waitpid(pid, 0)
-        except ChildProcessError:
-            return False  # reaped by the system, as where SIGCHLD is ignored
-        if status:
+        # a child that failed or was killed sends no "+"
+        if os.read(self._up, 1) != b"+":
             return False
         out.flush()
         size, sent = os.fstat(self._text).st_size, 0
@@ -313,12 +342,8 @@ class RowWriter:
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._report_w is not None:
-            os.close(self._report_w)
         if self.pid is not None:
-            _reap(self.pid)
-        if self._text is not None:
-            os.close(self._text)
+            _end(self.pid, self._report_w, self._up, self._text)
         # the shared memory is unmapped with its last view, which a
         # traceback through the run may still hold
-        self.pid = self._done = self._text = self._report_w = None
+        self.pid = self._done = None

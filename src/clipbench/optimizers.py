@@ -33,9 +33,10 @@ from, and every source gives the bits of the reset:
   of shared memory while the parent steps, when ``os.fork`` exists, the
   process may run on more than one CPU and no other Python thread runs.
   The child is reaped when the run ends, and killed first if it ends
-  early; a child that fails is a ``RuntimeError`` in the parent. The Monte
-  Carlo estimators in ``theory`` feed their chunks the same way. Outputs
-  never depend on the feeder.
+  early; a child that fails is a ``RuntimeError`` in the parent. Where the
+  system refuses the ring, a pipe or the fork, the parent makes the
+  child's calls itself. The Monte Carlo estimators in ``theory`` feed
+  their chunks the same way. Outputs never depend on the feeder.
 - Every other draw takes the reset.
 
 The configuration and the starting point are validated once, before the

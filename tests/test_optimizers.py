@@ -1,7 +1,9 @@
 import copy
+import errno
 import hashlib
 import itertools
 import math
+import mmap
 import os
 import signal
 import threading
@@ -696,15 +698,16 @@ class FailingDraws(ChiSquareQuadratic):
 
 
 class RaisingOracle(ChiSquareQuadratic):
-    """Raises from its exact oracle at step 50, in the parent, mid-run."""
+    """Raises from its exact oracle at call ``at`` (step ``at - 1``), in the
+    parent."""
 
-    def __init__(self, error):
+    def __init__(self, error, at):
         super().__init__(dim=100, L=0.1)
-        self.error, self.calls = error, 0
+        self.error, self.at, self.calls = error, at, 0
 
     def value_and_grad(self, X):
         self.calls += 1
-        if self.calls > 50:
+        if self.calls == self.at:
             raise self.error
         return super().value_and_grad(X)
 
@@ -794,15 +797,22 @@ class TestFeeder:
         assert len(forks) == 1
         assert_no_child_left()
 
-    @pytest.mark.parametrize("error", [RuntimeError("oracle failed"), KeyboardInterrupt()],
-                             ids=["exception", "interrupt"])
-    def test_parent_that_stops_early_reaps_the_child(self, monkeypatch, forks, no_hang, error):
+    @pytest.mark.parametrize("error,at", [
+        (RuntimeError("oracle failed"), 51), (KeyboardInterrupt(), 51),
+        (RuntimeError("oracle failed"), 2), (KeyboardInterrupt(), 2),
+    ], ids=["exception", "interrupt", "exception_at_first_item", "interrupt_at_first_item"])
+    def test_parent_that_stops_early_reaps_the_child(self, monkeypatch, forks, no_hang, error,
+                                                     at):
+        # at call 51 the run stops mid-ring; at call 2 the feeder is closed
+        # while it is still suspended at its first item
         feeding(monkeypatch, True)
         config = cfg(method="dp_sgd", c=14.0, eta=0.01, T=400, B=16, sigma_dp=1.0,
                      x0=np.zeros(100))
+        opened = len(os.listdir("/proc/self/fd"))
         with pytest.raises(type(error)):
-            run(RaisingOracle(error), config)
+            run(RaisingOracle(error, at), config)
         assert len(forks) == 1
+        assert len(os.listdir("/proc/self/fd")) == opened
         assert_no_child_left()
 
     def test_child_that_raises_fails_the_run(self, monkeypatch, forks, no_hang):
@@ -869,6 +879,50 @@ class TestFeeder:
         finally:
             stop.set()
         assert forks == []
+
+    @pytest.mark.parametrize("refused", ["fork", "second_pipe", "ring"])
+    @pytest.mark.parametrize("estimator", ["dp_sgd_run", "expected_clipped_grad"])
+    def test_refused_resource_takes_the_reset(self, monkeypatch, forks, no_hang, estimator,
+                                              refused):
+        # a fork, a pipe or a ring the system refuses: the parent makes the
+        # child's calls itself, with the same bits, and closes what it made
+        prob = ChiSquareQuadratic(dim=100, L=0.1)
+
+        def outcome():
+            if estimator == "dp_sgd_run":
+                return trace_digest(run(prob, cfg(method="dp_sgd", c=14.0, eta=0.01, T=200,
+                                                  B=16, sigma_dp=1.0, x0=np.zeros(100),
+                                                  seed=3)))
+            est = expected_clipped_grad(prob, np.full(100, -9.0), 14.0, n_samples=5000, seed=4)
+            return est.value.tobytes(), est.std_error
+
+        feeding(monkeypatch, False)
+        want = outcome()
+        feeding(monkeypatch, True)
+        pipe, pipes = os.pipe, []
+
+        def second_pipe_refused():
+            pipes.append(len(pipes) + 1)
+            if len(pipes) == 2:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return pipe()
+
+        def refused_with(code):
+            def refuse(*args):
+                raise OSError(code, os.strerror(code))
+            return refuse
+
+        if refused == "fork":
+            monkeypatch.setattr(os, "fork", refused_with(errno.EAGAIN))
+        elif refused == "second_pipe":
+            monkeypatch.setattr(os, "pipe", second_pipe_refused)
+        else:
+            monkeypatch.setattr(mmap, "mmap", refused_with(errno.ENOMEM))
+        opened = len(os.listdir("/proc/self/fd"))
+        assert outcome() == want
+        assert forks == [] and len(pipes) == (2 if refused == "second_pipe" else 0)
+        assert len(os.listdir("/proc/self/fd")) == opened
+        assert_no_child_left()
 
     def test_child_reaped_by_the_system(self, monkeypatch, forks, no_hang):
         # where SIGCHLD is ignored the kernel reaps the child itself, and the
