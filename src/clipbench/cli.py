@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -669,7 +670,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """The command-line parser, built on first use and kept: building it
+    costs about a millisecond, which a process that calls :func:`main`
+    many times would pay on every call, and import time on none."""
     parser = _ArgumentParser(
         prog="clipbench",
         description="clipped-gradient experiment runner and theorem checker",
@@ -685,9 +690,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             sp.add_argument("--threads", type=int, default=1,
                             help="accepted and ignored; sweep cells run in lockstep"
                                  " in one process")
+    return parser
 
+
+def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         try:
             text = args.config.read_text()
         except OSError as exc:

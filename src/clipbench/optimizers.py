@@ -59,10 +59,33 @@ the dimension d:
   step here.
 - a vector (every other single run): 1-d arrays and ``core.clip_vector``.
 - a row stack (K > 1): a :class:`Cells` batch as one ``(cells, dim)``
-  iterate array, with one stacked ``value_and_grad`` call, ``np.vecdot``
-  norms and one ``clip_rows`` call with per-row thresholds per step. A
-  cell that trips the divergence guard leaves with its partial trace and
-  its row is dropped.
+  iterate array, with ``np.vecdot`` norms and one ``clip_rows`` call with
+  per-row thresholds per step. A cell that trips the divergence guard
+  leaves with its partial trace and its row is dropped.
+
+Which exact oracle runs when: a deterministic step (``gd``, ``clipped_gd``)
+reads the exact gradient, so the loop calls ``value_and_grad`` at every
+step, on the step's own float, vector or row stack, and applies the guard
+there. A stochastic step reads only its samples, so the loop holds each
+step's iterates with the step's squared applied norm, clipped fraction and
+largest squared sample norm, and calls ``value_and_grad`` once on the
+chunk's ``(steps * K, dim)`` stack, then applies the guard and stores the
+chunk's records. A chunk has at most ``_feed.REPORT_ROWS`` steps, and no
+more than keep the call's largest array (its gradients, or the problem's
+``row_doubles`` per point) within ``_HELD`` doubles: 1024 steps of a
+Bernoulli run, 81 at d = 100. Where that is one step, as for an 18-cell
+logistic sweep, the run evaluates every step as a deterministic one does.
+Each row of a stacked call is its point's, so the records are those of a call
+per step. A cell stops at its first failing step, with the message,
+partial trace, final point and ``max_per_sample_norm`` of a run that
+checks every step; the steps it took past it are dropped, and their
+draws, addressed by (seed, step, lane), reach nothing. Where a step's
+sample oracle raises, the held iterates, the step's own too, are checked
+first: a cell that failed the guard ends in that divergence and a batch's
+other cells take the step again; where none failed, the exception stands.
+Where the stacked ``value_and_grad`` raises, the chunk is evaluated one
+step's points at a time, in step order, so the same exception or
+divergence surfaces at the same step.
 
 The guard, recording, clipping and update are written once; each
 representation keeps its own draw block, and every cell draws from its
@@ -249,6 +272,13 @@ _CHUNK = 4096
 # about as much as this many counter resets, most of it in fixed per-call
 # overhead, so a short single run (T = 1, say) takes the resets
 _WARMUP = 128
+# the most doubles a stochastic run lets one evaluation of the exact oracle
+# allocate in one array, for the gradients of its held iterates or the
+# problem's `row_doubles` of each: 64 KiB, which glibc's malloc serves from
+# its heap. Past 128 KiB it maps and unmaps each array, and the page faults
+# (280 000 in a run of fig_stoch_logistic's 18 cells, 15 steps a chunk)
+# took longer than the one call per step they replaced
+_HELD = 1 << 13
 
 
 def _mulhilo(m: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,6 +382,47 @@ def _divergence(t: int, f, x_norm) -> str:
             f" (limit {DIVERGENCE_LIMIT:g})")
 
 
+def _passes(f, grad_norm, x_norm) -> np.ndarray:
+    """The divergence guard on arrays: a NaN f fails |f| <= limit, and a NaN
+    or infinite gradient norm fails < inf."""
+    keep = np.abs(f) <= DIVERGENCE_LIMIT
+    keep &= grad_norm < math.inf
+    keep &= ~(x_norm > DIVERGENCE_LIMIT)
+    return keep
+
+
+def _exact_rows(value_and_grad, points: np.ndarray, floats: bool, stack: bool):
+    """The values, exact gradient norms and iterate norms at an ``(m, K,
+    dim)`` chunk of iterates (row ``i`` the K cells' at the chunk's step
+    ``i``), each ``(m, K)``, and the mask of those that fail the guard.
+
+    The oracle takes the chunk as one ``(m * K, dim)`` stack. Where that
+    raises, it takes one step's points at a time, in step order and in the
+    run's representation, without the cells that failed the guard at an
+    earlier step, so the exception or divergence that a run evaluating
+    every step meets surfaces at the same step.
+    """
+    m, K, dim = points.shape
+    X = points.reshape(m * K, dim)
+    try:
+        f, G = value_and_grad(X)
+        F, GN, XN = (a.reshape(m, K) for a in (f, np.sqrt(np.vecdot(G, G)),
+                                               np.sqrt(np.vecdot(X, X))))
+    except Exception:
+        F, GN, XN = np.full((3, m, K), math.nan)
+        alive = np.arange(K)
+        for i in range(m):
+            X = points[i, alive]
+            f, G = value_and_grad(X.item() if floats else X if stack else X[0])
+            G = np.reshape(G, (-1, dim))
+            F[i, alive], GN[i, alive], XN[i, alive] = (
+                f, np.sqrt(np.vecdot(G, G)), np.sqrt(np.vecdot(X, X)))
+            alive = alive[_passes(F[i, alive], GN[i, alive], XN[i, alive])]
+            if not alive.size:
+                break
+    return F, GN, XN, ~_passes(F, GN, XN)
+
+
 @_quiet_overflow
 def _run(problem: Problem, configs: tuple[RunConfig, ...],
          writer: _feed.RowWriter | None = None) -> list[tuple[Trace, str | None]]:
@@ -382,7 +453,11 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
     rngs = (None if deterministic or served and not dp
             else [_StepRng(seed) for seed in keys])
     stack = K > 1
-    fed = False
+    fed = floats = False
+    max_sample = np.zeros(K)
+    active = np.arange(K)
+    results: list = [None] * K
+    message = None
 
     # The representation, chosen once, holds one kind of value: Python
     # floats, 1-d arrays or a row stack. `dot(v, v)` is a squared norm and
@@ -394,16 +469,13 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
         c_rows = np.repeat(c, B)  # the threshold of each of the K * B samples
         eta = np.array([config.eta for config in configs])[:, None]
         dot, sqrt, clip = np.vecdot, np.sqrt, clip_rows
-        max_sample = np.zeros(K)
-        active = np.arange(K)
-        results: list = [None] * K
     else:
         c, eta = first.c, first.eta
         rng = rngs[0] if rngs else None
-        max_sample = 0.0
         # floats only where every vector of the step is one; the flag is
         # looked up on the instance, like the hook
-        if dim == 1 and B == 1 and not dp and problem.float_oracles:
+        floats = dim == 1 and B == 1 and not dp and problem.float_oracles
+        if floats:
             X = first.x0.item()
             dot, sqrt, clip = operator.mul, math.sqrt, clip_float
         else:
@@ -431,46 +503,64 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
     # `flush` of them
     shared = writer.open(ts) if writer is not None and not fed else None
     records = np.empty((4, ts.size, K)) if shared is None else shared
-    flush = -1 if shared is None else _feed.REPORT_ROWS
+    flush = ts.size + 1 if shared is None else _feed.REPORT_ROWS
     fs, gs, aps, cfs = records if stack else records[:, :, 0]
     k = 0
-    message = None
+
+    # A stochastic step reads no exact value, so the run holds up to
+    # `held_rows` steps' iterates (see _HELD), with each step's squared
+    # applied norm, clipped fraction and `top`, and evaluates the exact
+    # oracle and the guard once on them, at `stop`. `j` rows are held; the
+    # row views take a single run's scalar stores. A deterministic step
+    # reads the exact gradient, and a chunk of one step saves nothing, so
+    # those runs evaluate it at every step
+    held_rows = max(1, min(_feed.REPORT_ROWS, _HELD // (K * max(dim, problem.row_doubles))))
+    per_step = deterministic or held_rows == 1
+    if not per_step:
+        held = np.empty((held_rows, K, dim))
+        steps_held = np.empty((3, held_rows, K))
+        hx = held if stack else held[:, 0, 0] if floats else held[:, 0]
+        hsq, hfrac, htop = steps_held if stack else steps_held[:, :, 0]
+        j, stop, raised = 0, min(held_rows - 1, T), None
 
     value_and_grad = problem.value_and_grad
     sample_grad, sample_grads = problem.sample_grad, problem.sample_grads
+    t = 0
     try:
-        for t in range(T + 1):
-            f, G = value_and_grad(X)
-            grad_norm = sqrt(dot(G, G))
-            x_norm = sqrt(dot(X, X))
-            # the divergence guard: a NaN f fails |f| <= limit, and a NaN or
-            # infinite gradient norm fails < inf
-            if stack:
-                keep = np.abs(f) <= DIVERGENCE_LIMIT
-                keep &= grad_norm < math.inf
-                keep &= ~(x_norm > DIVERGENCE_LIMIT)
-                if not keep.all():
-                    for r in np.flatnonzero(~keep):
-                        i = active[r]
-                        results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r], X[r],
-                                                     max_sample[r]),
-                                      _divergence(t, f[r], x_norm[r]))
-                    active, X, G, f, grad_norm, c, eta, max_sample = (
-                        a[keep] for a in (active, X, G, f, grad_norm, c, eta, max_sample))
-                    fs, gs, aps, cfs = records = records[:, :, keep]
-                    c_rows = np.repeat(c, B)
-                    if not active.size:
-                        break
-            elif not (abs(f) <= DIVERGENCE_LIMIT and grad_norm < math.inf
-                      and not x_norm > DIVERGENCE_LIMIT):
-                message = _divergence(t, f, x_norm)
-                break
+        while t <= T:
+            if per_step:
+                f, G = value_and_grad(X)
+                grad_norm = sqrt(dot(G, G))
+                x_norm = sqrt(dot(X, X))
+                if stack:
+                    keep = _passes(f, grad_norm, x_norm)
+                    if not keep.all():
+                        for r in np.flatnonzero(~keep):
+                            i = active[r]
+                            results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r], X[r],
+                                                         max_sample[r]),
+                                          _divergence(t, f[r], x_norm[r]))
+                        active, X, G, f, grad_norm, c, eta, max_sample = (
+                            a[keep] for a in (active, X, G, f, grad_norm, c, eta, max_sample))
+                        fs, gs, aps, cfs = records = records[:, :, keep]
+                        c_rows = np.repeat(c, B)
+                        if not active.size:
+                            break
+                # the guard of _passes, on Python scalars
+                elif not (abs(f) <= DIVERGENCE_LIMIT and grad_norm < math.inf
+                          and not x_norm > DIVERGENCE_LIMIT):
+                    message = _divergence(t, f, x_norm)
+                    break
+            else:
+                hx[j] = X
 
-            if t < T:
-                if deterministic:
-                    applied, applied_sq, rescaled = clip(G, c)
-                    frac = rescaled * 1.0
-                else:
+            if t == T:
+                applied_sq = frac = top = 0.0
+            elif deterministic:
+                applied, applied_sq, rescaled = clip(G, c)
+                frac = rescaled * 1.0
+            else:
+                try:
                     if served and not t % chunk:
                         # the block's rows are the cells in input order
                         block = _philox_uniforms(keys, t, min(chunk, T - t), 0)
@@ -497,9 +587,6 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
                             # the in-order sum of each cell's B rows
                             applied = _sum_rows(V.reshape(-1, B, dim)) / B
                             top = sq.reshape(-1, B).max(axis=1)
-                        # fmax keeps the running maximum where a norm is NaN, as
-                        # the `>` test below does
-                        max_sample = np.fmax(max_sample, np.sqrt(top))
                         if dp:
                             noise = np.stack([privacy_noise(dim, sigma_dp,
                                                             rngs[i].at_step(t, lane=1))
@@ -522,9 +609,6 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
                             frac = int(np.count_nonzero(rescaled)) / B
                             top = float(sq.max())
                             applied = _sum_rows(V) / B
-                        sample_norm = math.sqrt(top)
-                        if sample_norm > max_sample:
-                            max_sample = sample_norm
                         if dp:
                             noise = (drawn[1] if fed
                                      else privacy_noise(dim, sigma_dp, rng.at_step(t, lane=1)))
@@ -533,22 +617,78 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
                     # one clipped sample with nothing added: the clip kernel's
                     # squared norm is this same dot(applied, applied)
                     applied_sq = top if B == 1 and not dp else dot(applied, applied)
-                applied_norm = sqrt(applied_sq)
-            else:
-                applied_norm = 0.0
-                frac = 0.0
+                except Exception as exc:
+                    if per_step:
+                        raise
+                    # the iterates held, this one too, are checked first: one
+                    # that failed the guard ends its cell as it would have
+                    raised, stop = exc, t
 
-            if t == recorded[k]:
-                fs[k] = f
-                gs[k] = grad_norm
-                aps[k] = applied_norm
-                cfs[k] = frac
-                k += 1
-                if k == flush:
-                    flush = writer.report(k)
+            if per_step:
+                if t == recorded[k]:
+                    fs[k] = f
+                    gs[k] = grad_norm
+                    aps[k] = sqrt(applied_sq)
+                    cfs[k] = frac
+                    k += 1
+                    if k >= flush:
+                        flush = writer.report(k)
+                if not deterministic:
+                    # fmax keeps the running maximum where a norm is NaN
+                    max_sample = np.fmax(max_sample, sqrt(top))
+            else:
+                if raised is None:
+                    hsq[j] = applied_sq
+                    hfrac[j] = frac
+                    htop[j] = top
+                j += 1
+                if t == stop:
+                    # rows 0..j-1 hold steps t0..t; all but a raising step's are whole
+                    t0, whole = t + 1 - j, j - (raised is not None)
+                    F, GN, XN, bad = _exact_rows(value_and_grad, held[:j], floats, stack)
+                    kk = int(np.searchsorted(ts, t0 + whole))
+                    rows = ts[k:kk] - t0
+                    records[:, k:kk] = (F[rows], GN[rows], np.sqrt(steps_held[0, rows]),
+                                        steps_held[1, rows])
+                    roots = np.sqrt(steps_held[2, :whole])
+                    keep = ~bad.any(axis=0)
+                    for r in np.flatnonzero(~keep):
+                        # the cell stops at its first failing step, and keeps
+                        # the k records before it
+                        row, i = int(bad[:, r].argmax()), active[r]
+                        k = int(np.searchsorted(ts, t0 + row))
+                        results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r],
+                                                     held[row, r], np.fmax.reduce(
+                                                         roots[:row, r], initial=max_sample[r])),
+                                      _divergence(t0 + row, F[row, r], XN[row, r]))
+                    max_sample = np.fmax(max_sample, np.fmax.reduce(roots, axis=0, initial=0.0))
+                    if not keep.all():
+                        if not stack:
+                            break
+                        active, X, c, eta, max_sample = (
+                            a[keep] for a in (active, X, c, eta, max_sample))
+                        if t < T and raised is None:
+                            applied = applied[keep]
+                        records = records[:, :, keep]
+                        held, steps_held = held[:, keep], steps_held[:, :, keep]
+                        hx, (hsq, hfrac, htop) = held, steps_held
+                        c_rows = np.repeat(c, B)
+                        if not active.size:
+                            break
+                    elif raised is not None:
+                        raise raised
+                    k, j = kk, 0
+                    if k >= flush:
+                        flush = writer.report(k)
+                    if raised is not None:
+                        # the cells left take the step again
+                        raised, stop = None, min(t + held_rows - 1, T)
+                        continue
+                    stop = min(t + held_rows, T)
 
             if t < T:
                 X = X - eta * applied
+            t += 1
     finally:
         if fed:
             # stops and reaps the feeder, however the loop ended
@@ -556,12 +696,11 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
         if shared is not None:
             writer.close(k)
 
-    if not stack:
-        return [(_partial_trace(first, ts, k, records[:, :, 0], np.atleast_1d(X), max_sample),
-                 message)]
     for r, i in enumerate(active):
-        results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r], X[r],
-                                     max_sample[r]), None)
+        if results[i] is None:
+            results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r],
+                                         X[r] if stack else np.atleast_1d(X), max_sample[r]),
+                          message)
     return results
 
 

@@ -38,15 +38,23 @@ default) always takes the reset. Of the shipped problems
 ``BernoulliShiftQuadratic`` takes ``Problem.uniforms`` and
 ``ChiSquareQuadratic`` draws its normals.
 
+A stochastic run evaluates ``value_and_grad`` on stacks of the iterates it
+holds, whose size it bounds by the largest array one call allocates: the
+``(rows, dim)`` gradients, or ``row_doubles`` per point where a problem
+sets more (``LogisticRegressionProblem``: its ``(rows, n)`` margins).
+
 A one-dimensional problem may also set ``float_oracles = True``: its
 ``value_and_grad`` and ``sample_grad`` then also take a Python float point
 ``v`` and return Python floats, ``(value, grad)`` and the sample, each the
 bits of the one coordinate of the call at ``np.array([v])``. A flagged
 problem's single run with ``B == 1`` and a method other than ``dp_sgd``
-steps on Python floats and hands the oracles its iterate as it is; every
-other run, and every run of a problem without the flag (``float_oracles =
-False``, the default), steps on arrays. Of the shipped problems only
-``BernoulliShiftQuadratic`` sets it.
+steps on Python floats and hands the step's oracles its iterate as it is:
+``value_and_grad`` at each step of a deterministic run, the sample oracle
+at each step of a stochastic one, whose ``value_and_grad`` takes the
+``(n, 1)`` stack of the iterates it holds instead (see ``optimizers``).
+Every other run, and every run of a problem without the flag
+(``float_oracles = False``, the default), steps on arrays. Of the shipped
+problems only ``BernoulliShiftQuadratic`` sets it.
 """
 
 from __future__ import annotations
@@ -96,6 +104,10 @@ class Problem:
     # the optional draw hooks (see the module docstring)
     draws = None
     sample_grad_at = None
+    # the doubles per point of the largest array a stacked value_and_grad
+    # allocates, where that is more than the dimension (see the module
+    # docstring)
+    row_doubles = 0
     # whether value_and_grad and sample_grad also take a Python float point
     # and return floats (see the module docstring)
     float_oracles = False
@@ -217,7 +229,14 @@ class BernoulliShiftQuadratic(Problem):
         elif X.ndim == 1:
             f = self._value(float(X[0]))
         else:
-            f = np.array([self._value(v) for v in X[:, 0].tolist()])
+            v = X[:, 0]
+            if np.abs(v).max(initial=0.0) + self.a < 1e154:
+                # np.float_power's float64 loop is libm's pow, the bits of
+                # float ** 2. Below 1e154 neither square overflows, so numpy
+                # warns of nothing, inside or outside an errstate
+                f = 0.5 * (self.p * np.float_power(v + self.a, 2.0) + (1.0 - self.p) * v * v)
+            else:
+                f = np.array([self._value(u) for u in v.tolist()])
         return f, X + self.p * self.a
 
     def sample_grad_at(self, X, u):
@@ -357,7 +376,8 @@ class LogisticRegressionProblem(Problem):
             A = np.hstack([A, np.ones((A.shape[0], 1))])
         self.A = A = _aligned(A)
         self.y = dataset.labels.astype(float)
-        self.n = A.shape[0]
+        # a stacked evaluation's margins and their temporaries are (rows, n)
+        self.n = self.row_doubles = A.shape[0]
         self.lam = float(lam)
         L = spectral_norm_sq(A) / (4.0 * self.n) + self.lam
         self.meta = ProblemMeta(

@@ -280,6 +280,27 @@ class TestFlags:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("config error: clipbench")
 
+    def test_calls_share_one_parser_and_parse_independently(self, configs, monkeypatch,
+                                                            capsys):
+        # the parser is built once; each call's flags and defaults are its own
+        seen = []
+        monkeypatch.setattr(cli, "cmd_run", lambda cfg, out, offset: seen.append(
+            ("run", out.name, offset)) or 0)
+        monkeypatch.setattr(cli, "cmd_sweep", lambda cfg, out, offset: seen.append(
+            ("sweep", out.name, offset)) or 0)
+        assert cli._parser() is cli._parser()
+        assert self.invoke(configs, "run", "--seed-offset", "3", "--threads", "2") == 0
+        assert self.invoke(configs, "sweep") == 0
+        assert self.invoke(configs, "run", "--bogus") == 1
+        assert self.invoke(configs, "bound") == 0
+        assert self.invoke(configs, "run") == 0
+        assert main(["run", "--out", "o.csv"]) == 1
+        assert self.invoke(configs, "sweep", "--seed-offset", "-1") == 0
+        assert seen == [("run", "run.out", 3), ("sweep", "sweep.out", 0), ("run", "run.out", 0),
+                        ("sweep", "sweep.out", -1)]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("config error: clipbench") for line in err)
+
     @pytest.mark.parametrize("command", ["run", "sweep", "fixedpoint", "certify", "bound"])
     def test_help_exits_0_and_lists_only_read_flags(self, command, capsys):
         with pytest.raises(SystemExit) as exc:

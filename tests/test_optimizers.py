@@ -595,25 +595,29 @@ class TestDivergence:
 
 
 class PointTypes(BernoulliShiftQuadratic):
-    """Records the type of every point its oracles are handed."""
+    """Records the type and the number of dimensions of every point its
+    sample oracle and its exact oracle are handed, apart."""
 
     def __init__(self, float_oracles=True):
         super().__init__(a=4.0, p=0.25)
         self.float_oracles = float_oracles
-        self.seen = set()
+        self.sampled, self.exact = set(), set()
 
     def value_and_grad(self, X):
-        self.seen.add(type(X))
+        self.exact.add((type(X), np.ndim(X)))
         return super().value_and_grad(X)
 
     def sample_grad_at(self, X, u):
-        self.seen.add(type(X))
+        self.sampled.add((type(X), np.ndim(X)))
         return super().sample_grad_at(X, u)
 
 
 class TestRepresentation:
     """A single run steps on Python floats only where every vector of the
-    step is one; every other single run steps on 1-d arrays."""
+    step is one; every other single run steps on 1-d arrays. The step's
+    oracles see only that kind of point; the exact oracle sees it on a
+    deterministic run, whose step reads it, and ``(n, 1)`` stacks of the
+    held iterates on a stochastic one."""
 
     @pytest.mark.parametrize("settings,float_oracles,kind", [
         (dict(method="gd", c=math.inf, eta=0.05), True, float),
@@ -631,7 +635,11 @@ class TestRepresentation:
         prob = PointTypes(float_oracles)
         config = cfg(**(dict(c=1.5, eta=0.05, T=150, x0=np.array([0.5]), seed=4) | settings))
         trace = run(prob, config)
-        assert prob.seen == {kind}
+        point = (kind, 0 if kind is float else 1)
+        if config.method in optimizers._DETERMINISTIC:
+            assert prob.sampled == set() and prob.exact == {point}
+        else:
+            assert prob.sampled == {point} and prob.exact == {(np.ndarray, 2)}
         # the same bits as the flag's other setting, which takes the other path
         assert trace_digest(trace) == trace_digest(run(PointTypes(not float_oracles), config))
         assert type(trace.final_point) is np.ndarray and trace.final_point.shape == (1,)
@@ -698,18 +706,18 @@ class FailingDraws(ChiSquareQuadratic):
 
 
 class RaisingOracle(ChiSquareQuadratic):
-    """Raises from its exact oracle at call ``at`` (step ``at - 1``), in the
+    """Raises from its sample oracle at call ``at`` (step ``at - 1``), in the
     parent."""
 
     def __init__(self, error, at):
         super().__init__(dim=100, L=0.1)
         self.error, self.at, self.calls = error, at, 0
 
-    def value_and_grad(self, X):
+    def sample_grad_at(self, X, Z):
         self.calls += 1
         if self.calls == self.at:
             raise self.error
-        return super().value_and_grad(X)
+        return super().sample_grad_at(X, Z)
 
 
 @pytest.fixture
@@ -799,12 +807,12 @@ class TestFeeder:
 
     @pytest.mark.parametrize("error,at", [
         (RuntimeError("oracle failed"), 51), (KeyboardInterrupt(), 51),
-        (RuntimeError("oracle failed"), 2), (KeyboardInterrupt(), 2),
+        (RuntimeError("oracle failed"), 1), (KeyboardInterrupt(), 1),
     ], ids=["exception", "interrupt", "exception_at_first_item", "interrupt_at_first_item"])
     def test_parent_that_stops_early_reaps_the_child(self, monkeypatch, forks, no_hang, error,
                                                      at):
-        # at call 51 the run stops mid-ring; at call 2 the feeder is closed
-        # while it is still suspended at its first item
+        # at call 51 the run stops mid-ring; at call 1, step 0's, the feeder
+        # is closed while it is still suspended at its first item
         feeding(monkeypatch, True)
         config = cfg(method="dp_sgd", c=14.0, eta=0.01, T=400, B=16, sigma_dp=1.0,
                      x0=np.zeros(100))
@@ -999,17 +1007,18 @@ def cli_trace(tmp_path, text):
 
 
 class RaisingBernoulli(BernoulliShiftQuadratic):
-    """The Bernoulli shift whose exact oracle raises ``error`` on call 4500."""
+    """The Bernoulli shift whose sample oracle raises ``error`` on call 4500
+    (step 4499)."""
 
     def __init__(self, error):
         super().__init__(a=8.0, p=0.01587708172407289)
         self.error, self.calls = error, 0
 
-    def value_and_grad(self, X):
+    def sample_grad_at(self, X, u):
         self.calls += 1
         if self.calls == 4500:
             raise self.error
-        return super().value_and_grad(X)
+        return super().sample_grad_at(X, u)
 
 
 class TestRowWriter:
@@ -1046,6 +1055,22 @@ class TestRowWriter:
         code, data = want = cli_trace(tmp_path, text)
         rows = data.count(b"\r\n") - 1
         assert code == 3 and 4096 < rows < 6001 and rows % _feed.REPORT_ROWS
+        writing(monkeypatch, True)
+        assert cli_trace(tmp_path, text) == want
+        assert len(forks) == 1 and copies == [False, True]
+        assert_no_child_left()
+
+    def test_stochastic_divergence_inside_a_chunk(self, monkeypatch, tmp_path, forks, copies,
+                                                  no_hang):
+        # unclipped SGD past the guard at t = 4493, inside the chunk of steps
+        # 4096-5119 and a report of rows; CI pins the same digest
+        text = ("mode = run\nproblem = bernoulli_shift\na = 8.0\np = 0.01587708172407289\n"
+                "method = sgd\nc = inf\neta = 2.0023\nT = 6000\nx0 = 1\nseeds = 0\n")
+        writing(monkeypatch, False)
+        want = cli_trace(tmp_path, text)
+        assert want[0] == 3 and want[1].count(b"\r\n") == 4494
+        assert hashlib.sha256(want[1]).hexdigest() == (
+            "7abf398735e3df9958574974ae5819c2ac26a040ead47777deddeeecfc03baeb")
         writing(monkeypatch, True)
         assert cli_trace(tmp_path, text) == want
         assert len(forks) == 1 and copies == [False, True]
@@ -1138,3 +1163,204 @@ class TestRowWriter:
         with _feed.RowWriter() as writer, pytest.raises(TypeError, match="single run"):
             run(BernoulliShiftQuadratic(a=4.0, p=0.25), optimizers.Cells([config]),
                 writer=writer)
+
+
+# Outcomes of the runs below at the engine that evaluated the exact oracle
+# at every step, before a stochastic run held its iterates in chunks: each
+# is the run's trace_digest and its divergence message (None where it
+# finished) or, for a Cells batch, each cell's trace_digest and flag
+FLOAT_DIV = ("2de1f86b1b89c3d0", "divergence at t=38: f=1685012905608.9526,"
+             " |x|=1835762.005187463 (limit 1e+12)")
+VECTOR_DIV = ("221bf61e8c215ad5", "divergence at t=30: f=1787787300749.4033,"
+              " |x|=5979608.301219495 (limit 1e+12)")
+STACK_DIV = [("2de1f86b1b89c3d0", True), ("f1bb84b36809925c", True),
+             ("6d98e19056def637", True)]
+MIXED_CELLS = [("7f1c74a50fdedce0", False), ("2de1f86b1b89c3d0", True),
+               ("c9df018fb1367069", False)]
+
+
+def outcome(prob, config):
+    if isinstance(config, optimizers.Cells):
+        return [(trace_digest(trace), diverged) for trace, diverged in run(prob, config)]
+    try:
+        return trace_digest(run(prob, config)), None
+    except DivergenceError as exc:
+        return trace_digest(exc.trace), str(exc)
+
+
+def diverging(eta=2.5, x0=1.0, seed=1, **kw):
+    """Unclipped SGD on the Bernoulli shift a=4, p=1/4: |x| grows about
+    (eta - 1)-fold a step, and the guard stops eta = 2.5 at t = 38."""
+    return cfg(**(dict(method="sgd", c=math.inf, eta=eta, T=400, x0=np.array([x0]), seed=seed)
+                  | kw))
+
+
+# the float, vector and row-stack representations: a problem, a run and the
+# step at which it (its first cell) diverges
+REPRESENTATIONS = {
+    "float": (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25), diverging, 38, FLOAT_DIV),
+    "vector": (lambda: ChiSquareQuadratic(dim=3, L=0.1),
+               lambda: cfg(method="sgd", c=math.inf, eta=25.0, T=400, B=2, x0=np.ones(3), seed=2),
+               30, VECTOR_DIV),
+    "stack": (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
+              lambda: optimizers.Cells([diverging(), diverging(2.2, 0.5, 2),
+                                        diverging(2.8, -1.0, 3)]),
+              38, STACK_DIV),
+}
+
+
+def mixed_cells():
+    # the middle cell diverges at t = 38, the others finish
+    return optimizers.Cells([diverging(0.05, 0.5, 3), diverging(), diverging(0.2, -2.0, 5)])
+
+
+def holding(monkeypatch, config, steps):
+    """Chunks of ``steps`` iterates for ``config``'s run."""
+    configs = config.configs if isinstance(config, optimizers.Cells) else [config]
+    monkeypatch.setattr(optimizers, "_HELD", steps * len(configs) * configs[0].x0.size)
+
+
+class SampleRaisesPastTheGuard(BernoulliShiftQuadratic):
+    """Its sample oracle raises at a point past 1e9, which a diverging run
+    reaches only steps after the guard stops it."""
+
+    def __init__(self):
+        super().__init__(a=4.0, p=0.25)
+        self.raised = 0
+
+    def sample_grad_at(self, X, u):
+        if np.max(np.abs(X)) > 1e9:
+            self.raised += 1
+            raise ValueError("a sample past the guard")
+        return super().sample_grad_at(X, u)
+
+
+class ChiSquareSampleRaisesPastTheGuard(ChiSquareQuadratic):
+    def __init__(self):
+        super().__init__(dim=3, L=0.1)
+        self.raised = 0
+
+    def sample_grad_at(self, X, Z):
+        if np.max(np.abs(X)) > 1e9:
+            self.raised += 1
+            raise ValueError("a sample past the guard")
+        return super().sample_grad_at(X, Z)
+
+
+class ExactOracleLimits(BernoulliShiftQuadratic):
+    """Its exact oracle raises at a stack of more than ``rows`` points, or
+    at a point past ``limit``."""
+
+    def __init__(self, rows=math.inf, limit=math.inf):
+        super().__init__(a=4.0, p=0.25)
+        self.rows, self.limit, self.raised = rows, limit, 0
+
+    def value_and_grad(self, X):
+        if np.ndim(X) == 2 and len(X) > self.rows or np.max(np.abs(X)) > self.limit:
+            self.raised += 1
+            raise ValueError(f"exact oracle past its limits at {np.max(np.abs(X))!r}")
+        return super().value_and_grad(X)
+
+
+class TestChunkedGuard:
+    """A stochastic run evaluates the exact oracle and the guard once per
+    chunk of held iterates, with the outcome of a run that evaluates them
+    at every step: the same bits, messages and exceptions."""
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("representation", list(REPRESENTATIONS))
+    def test_divergence_at_a_chunk_position(self, monkeypatch, representation, position):
+        make_problem, make_config, t, want = REPRESENTATIONS[representation]
+        steps = {"first": t // 2, "middle": 2 * t // 3, "last": t + 1}[position]
+        row = t % steps
+        assert {"first": row == 0, "middle": 0 < row < steps - 1,
+                "last": row == steps - 1}[position]
+        config = make_config()
+        holding(monkeypatch, config, steps)
+        assert outcome(make_problem(), config) == want
+
+    @pytest.mark.parametrize("steps", [1, 7, 1024])
+    def test_one_cell_diverges_mid_chunk_while_the_others_finish(self, monkeypatch, steps):
+        prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
+        config = mixed_cells()
+        holding(monkeypatch, config, steps)
+        assert outcome(prob, config) == MIXED_CELLS
+        # each cell is its single run
+        singles = [outcome(prob, one) for one in config.configs]
+        assert [d for d, _ in singles] == [d for d, _ in MIXED_CELLS]
+        assert singles[1] == FLOAT_DIV
+
+    def test_thinned_runs_whose_budget_is_not_a_multiple(self, monkeypatch):
+        # T = 400 records every third iterate and the last; the diverging run
+        # stops between two recorded ones
+        prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
+        finished = cfg(method="clipped_sgd", c=2.0, eta=0.05, T=400, thin=3,
+                       x0=np.array([0.5]), seed=3)
+        for steps in (1, 13, 1024):
+            holding(monkeypatch, finished, steps)
+            assert outcome(prob, finished) == ("86c9e37df11c0086", None)
+            assert outcome(prob, diverging(thin=3)) == ("f6995981914f75ce", FLOAT_DIV[1])
+            assert outcome(prob, optimizers.Cells([diverging(thin=3), diverging(0.05, seed=2,
+                                                                                thin=3)])) == [
+                ("f6995981914f75ce", True), ("75cf31f1de3d7a20", False)]
+
+    def test_stacks_keep_their_largest_array_within_the_bound(self):
+        # the logistic problem's (rows, n) margins size its stacks: one step
+        # of an 18-cell sweep, _HELD // n rows of a single run
+        prob = bundled_logistic()
+        rows, value_and_grad = [], prob.value_and_grad
+        prob.value_and_grad = lambda X: rows.append(len(X)) or value_and_grad(X)
+        configs = [cfg(method="clipped_sgd", c=0.1, eta=1.0, T=40, x0=np.zeros(prob.meta.dim),
+                       seed=seed) for seed in range(18)]
+        run(prob, optimizers.Cells(configs))
+        assert set(rows) == {18}
+        rows.clear()
+        run(prob, configs[0])
+        assert max(rows) == optimizers._HELD // prob.n == 16
+
+    def test_fed_dp_sgd(self, monkeypatch, forks, no_hang):
+        feeding(monkeypatch, True)
+        prob = ChiSquareQuadratic(dim=100, L=0.1)
+        config = cfg(method="dp_sgd", c=14.0, eta=0.01, T=200, B=16, sigma_dp=1.0,
+                     x0=np.full(100, 0.5), seed=3)
+        assert outcome(prob, config) == ("578dcc2b7041cb12", None)
+        assert forks == [os.getpid()]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("make_problem,config,want", [
+        (SampleRaisesPastTheGuard, diverging, FLOAT_DIV),
+        (ChiSquareSampleRaisesPastTheGuard, REPRESENTATIONS["vector"][1], VECTOR_DIV),
+        (SampleRaisesPastTheGuard, mixed_cells, MIXED_CELLS),
+    ], ids=["float", "vector", "stack"])
+    @pytest.mark.parametrize("steps", [1, 1024])
+    def test_sample_oracle_raising_after_a_divergence(self, monkeypatch, make_problem, config,
+                                                      want, steps):
+        # the held iterates are checked before the exception is: the run
+        # ends in the divergence, and a batch's other cells take the step
+        # again; a run that evaluates every step never meets the exception
+        prob, config = make_problem(), config()
+        holding(monkeypatch, config, steps)
+        assert outcome(prob, config) == want
+        assert prob.raised == (steps > 1)
+
+    @pytest.mark.parametrize("config,want", [
+        (diverging, FLOAT_DIV),
+        (lambda: diverging(0.05, 0.5, 3), ("7f1c74a50fdedce0", None)),
+        (mixed_cells, MIXED_CELLS),
+    ], ids=["diverges", "finishes", "cells"])
+    def test_batched_oracle_that_raises_takes_one_step_at_a_time(self, config, want):
+        # an oracle that takes no stack of several steps' points
+        prob = ExactOracleLimits(rows=3)
+        assert outcome(prob, config()) == want
+        assert prob.raised > 0
+
+    @pytest.mark.parametrize("config", [diverging, mixed_cells], ids=["single", "cells"])
+    def test_batched_oracle_raises_at_the_step_a_per_step_run_does(self, config):
+        # past 1e3 the oracle raises at t = 20, before the guard stops the run
+        # at t = 38; a limit of 1e9 lies past the guard
+        with pytest.raises(ValueError) as info:
+            run(ExactOracleLimits(limit=1e3), config())
+        assert str(info.value) == ("exact oracle past its limits at"
+                                   " np.float64(1235.474778175354)")
+        want = FLOAT_DIV if config is diverging else MIXED_CELLS
+        assert outcome(ExactOracleLimits(limit=1e9), config()) == want

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,41 @@ class TestBernoulliShiftQuadratic:
         for x, fx, gx in zip(X, f, G):
             assert prob.value(x) == prob.value_and_grad(x)[0] == fx
             assert np.array_equal(prob.value_and_grad(x)[1], gx)
+
+    def test_stacked_value_is_the_per_row_value(self, monkeypatch):
+        # a stack whose every |v| + a is below 1e154 takes np.float_power,
+        # any other the per-row float ** 2; both give the bits of _value
+        prob = BernoulliShiftQuadratic(a=8.0, p=0.01587708172407289)
+        rng = np.random.default_rng(11)
+        v = rng.choice([-1.0, 1.0], 10**6) * 10.0 ** rng.uniform(-160, 160, 10**6)
+        per_row = np.array([prob._value(u) for u in v.tolist()])
+        low = np.abs(v) + prob.a < 1e154
+        assert 0.9 < low.mean() < 1
+        calls = []
+        monkeypatch.setattr(prob, "_value", lambda u: calls.append(u) or
+                            BernoulliShiftQuadratic._value(prob, u))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, _ = prob.value_and_grad(v[low, None])
+            assert calls == []
+            assert f.tobytes() == per_row[low].tobytes()
+            f, _ = prob.value_and_grad(v[~low, None])
+            assert len(calls) == (~low).sum()
+            assert f.tobytes() == per_row[~low].tobytes()
+
+    def test_stacked_value_at_special_points(self):
+        prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
+        tiny = 5e-324
+        small = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, -2.2e-308, -4.0,
+                 np.nextafter(-4.0, 0.0), 9.99e153, -9.99e153]
+        # past 1e154 a square overflows to inf; inf and NaN stay as they are
+        large = [1.4e154, -1.4e154, 1e200, -1e300, 1.7976931348623157e308, math.inf,
+                 -math.inf, math.nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for points in (small, large, small + large, *([v] for v in small + large)):
+                f, _ = prob.value_and_grad(np.array(points)[:, None])
+                assert f.tobytes() == np.array([prob._value(v) for v in points]).tobytes()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
