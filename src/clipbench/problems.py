@@ -41,7 +41,12 @@ default) always takes the reset. Of the shipped problems
 A stochastic run evaluates ``value_and_grad`` on stacks of the iterates it
 holds, whose size it bounds by the largest array one call allocates: the
 ``(rows, dim)`` gradients, or ``row_doubles`` per point where a problem
-sets more (``LogisticRegressionProblem``: its ``(rows, n)`` margins).
+sets more. ``LogisticRegressionProblem`` sets its sample count n: it
+keeps the margins of its label-signed rows and the intermediates built
+from them in four ``(rows, n)`` arrays of a scratch buffer, which it holds
+between calls and grows to the largest stack it has seen. A call takes the
+buffer off the problem and puts it back when it ends, so a concurrent or
+nested call allocates its own; the dense ``A`` is computed on access.
 
 A one-dimensional problem may also set ``float_oracles = True``: its
 ``value_and_grad`` and ``sample_grad`` then also take a Python float point
@@ -293,13 +298,6 @@ class ChiSquareQuadratic(Problem):
         return self.meta.sigma_sq
 
 
-def _sigmoid_given(t: np.ndarray, e: np.ndarray) -> np.ndarray:
-    # branch-free form of the two-sided stable sigmoid, given e = exp(-|t|):
-    # 1 / (1 + e) where t >= 0 and e / (1 + e) elsewhere. As 0 <= e <= 1,
-    # max(e, t >= 0) is exactly that numerator, and costs less than np.where
-    return np.maximum(e, t >= 0) / (1.0 + e)
-
-
 def _sigmoid_neg(m: float) -> float:
     """``1 / (1 + exp(m))`` for one margin through libm's ``math.exp``, at its
     limit (0.0 for m > 0, 1.0 for m < 0) where ``exp(|m|)`` overflows."""
@@ -329,15 +327,6 @@ def _aligned(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matvec(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """``A @ x`` for one point ``X = x``, or for each row ``x`` of ``X``.
-
-    np.matmul runs one gemv per row, which reproduces the 1-d ``A @ x``
-    bit for bit; the matrix product ``X @ A.T`` does not.
-    """
-    return np.matmul(A, X[..., None])[..., 0]
-
-
 # the largest dense feature matrix LogisticRegressionProblem builds (1 GiB)
 _DENSE_LIMIT = 1 << 30
 
@@ -352,6 +341,21 @@ class LogisticRegressionProblem(Problem):
     ``D <= 1/4``; ``meta.sigma_sq`` is the exhaustive per-row gradient
     variance at x = 0, an estimate rather than a global bound. An ``A`` past
     ``_DENSE_LIMIT`` bytes is a MemoryError, raised before anything else.
+
+    The one dense matrix the problem stores is ``Z = y[:, None] * A``, the
+    rows signed by their labels: the margins are ``Z @ x`` and the gradient
+    is ``-(Z.T @ s) / n + lam * x``, bit for bit ``y * (A @ x)`` and
+    ``-(A.T @ (y * s)) / n + lam * x``, since a factor of +-1 only flips
+    signs and rounding is symmetric under negation. ``A`` is computed from
+    ``Z`` on every access.
+
+    ``value_and_grad`` keeps its intermediates in a scratch buffer of four
+    ``(rows, n)`` arrays that the problem holds between calls, grown to the
+    largest stack it has seen. A call takes the buffer off the instance and
+    puts it back when it ends, so a concurrent or re-entrant call finds none
+    and allocates its own; a shallow copy shares it, so concurrent threads
+    each take their own problem or a deep copy. The values and gradients it
+    returns are always fresh arrays.
     """
 
     def __init__(
@@ -368,74 +372,95 @@ class LogisticRegressionProblem(Problem):
                               f" {nbytes} bytes, over the {_DENSE_LIMIT}-byte limit")
         if not (lam >= 0 and math.isfinite(lam)):
             raise ValueError(f"ridge weight must be nonnegative and finite, got {lam!r}")
-        A = dataset.to_dense()
+        Z = dataset.to_dense()
         if normalize_rows:
-            norms = np.linalg.norm(A, axis=1)
-            A = A / np.where(norms > 0, norms, 1.0)[:, None]
+            norms = np.linalg.norm(Z, axis=1)
+            Z = Z / np.where(norms > 0, norms, 1.0)[:, None]
         if add_intercept:
-            A = np.hstack([A, np.ones((A.shape[0], 1))])
-        self.A = A = _aligned(A)
+            Z = np.hstack([Z, np.ones((Z.shape[0], 1))])
         self.y = dataset.labels.astype(float)
-        # a stacked evaluation's margins and their temporaries are (rows, n)
-        self.n = self.row_doubles = A.shape[0]
+        # signed in place, so that no second dense matrix ever exists
+        Z *= self.y[:, None]
+        self.Z = Z = _aligned(Z)
+        # a stacked evaluation's intermediates are (rows, n)
+        self.n = self.row_doubles = Z.shape[0]
         self.lam = float(lam)
-        L = spectral_norm_sq(A) / (4.0 * self.n) + self.lam
+        L = spectral_norm_sq(Z) / (4.0 * self.n) + self.lam
         self.meta = ProblemMeta(
-            dim=A.shape[1], L0=L, L1=0.0, L=L, mu=self.lam,
-            sigma_sq=self._row_variance(np.zeros(A.shape[1])),
+            dim=Z.shape[1], L0=L, L1=0.0, L=L, mu=self.lam,
+            sigma_sq=self._row_variance(np.zeros(Z.shape[1])),
         )
 
-    # The private helpers take one point x or a (K, dim) array X of points,
-    # one per row; every operation works row by row, so a row's results
-    # are bit-for-bit those of its point alone.
+    @property
+    def A(self) -> np.ndarray:
+        """The dense feature matrix, unsigned: ``y[:, None] * Z``."""
+        return self.y[:, None] * self.Z
 
-    def _margins(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The margins ``m = y * (A @ x)`` and ``exp(-|m|)``, which both the
-        loss and the gradient are built from."""
-        M = self.y * _matvec(self.A, X)
-        return M, np.exp(-np.abs(M))
+    def _terms(self, X, slots, value=True, grad=True):
+        """The losses ``log(1 + exp(-m))`` (where ``value``) and sigmoids
+        ``1 / (1 + exp(m))`` (where ``grad``) of the margins ``m = Z @ x`` of
+        one point ``X = x`` or of each row ``x`` of ``X``, computed in the
+        four ``(..., n)`` ``slots`` and returned in two of them. Every
+        operation works row by row, so a row's results are bit-for-bit
+        those of its point alone."""
+        M, N, E, T = slots
+        # np.matmul runs one gemv per row, which reproduces the 1-d Z @ x bit
+        # for bit; the matrix product X @ Z.T does not
+        np.matmul(self.Z, X[..., None], out=M[..., None])
+        np.negative(M, out=N)
+        # E = exp(-|m|), the loss is max(0, -m) + log1p(E), stable in both
+        # tails, and the sigmoid is 1 / (1 + E) where -m >= 0 and E / (1 + E)
+        # elsewhere: as 0 <= E <= 1, max(E, -m >= 0) is that numerator
+        np.exp(np.negative(np.abs(M, out=E), out=E), out=E)
+        if grad:
+            np.maximum(E, N >= 0, out=M)
+            np.divide(M, np.add(E, 1.0, out=T), out=M)
+        if value:
+            np.add(np.maximum(N, 0.0, out=N), np.log1p(E, out=T), out=N)
+        return N, M
 
-    def _value(self, X: np.ndarray, M: np.ndarray, E: np.ndarray) -> np.ndarray:
-        # log(1 + exp(-m)) = max(0, -m) + log1p(exp(-|m|)), stable both tails
-        losses = np.maximum(0.0, -M) + np.log1p(E)
-        return losses.mean(axis=-1) + 0.5 * self.lam * np.vecdot(X, X)
-
-    def _grad(self, X: np.ndarray, M: np.ndarray, E: np.ndarray) -> np.ndarray:
-        S = _sigmoid_given(-M, E)
-        return -_matvec(self.A.T, self.y * S) / self.n + self.lam * X
+    def _oracle(self, X, value=True, grad=True):
+        """``value_and_grad`` through the scratch buffer; ``value=False`` or
+        ``grad=False`` skips that half's work and gives None in its place."""
+        rows = len(X) if X.ndim > 1 else 1
+        buf = self.__dict__.pop("_scratch", None)
+        if buf is None or len(buf[0]) < rows:
+            # four arrays, not one block of four: those of a small stack then
+            # come from memory the heap holds already, not from a new mapping
+            buf = [np.empty((rows, self.n)) for _ in range(4)]
+        key = slice(rows) if X.ndim > 1 else 0
+        losses, S = self._terms(X, [b[key] for b in buf], value, grad)
+        # np.add.reduce / n is np.mean's arithmetic, bit for bit
+        f = (np.add.reduce(losses, axis=-1) / self.n + 0.5 * self.lam * np.vecdot(X, X)
+             if value else None)
+        G = -np.matmul(self.Z.T, S[..., None])[..., 0] / self.n + self.lam * X if grad else None
+        self._scratch = buf
+        return f, G
 
     def value(self, x):
-        x = self.check_dim(x)
-        return float(self._value(x, *self._margins(x)))
+        return float(self._oracle(self.check_dim(x), grad=False)[0])
 
     def grad(self, x):
-        x = self.check_dim(x)
-        return self._grad(x, *self._margins(x))
+        return self._oracle(self.check_dim(x), value=False)[1]
 
     def value_and_grad(self, X):
-        M, E = self._margins(X)
-        return self._value(X, M, E), self._grad(X, M, E)
+        return self._oracle(X)
 
     def sample_grad(self, x, rng):
         i = int(rng.integers(self.n))
-        m = self.y[i] * float(self.A[i] @ x)
-        return (-self.y[i] * _sigmoid_neg(m)) * self.A[i] + self.lam * x
+        return -_sigmoid_neg(float(self.Z[i] @ x)) * self.Z[i] + self.lam * x
 
     def sample_grads(self, x, rng, k):
-        idx = rng.integers(self.n, size=k)
-        rows = self.A[idx]
-        # np.vecdot reproduces each 1-d A[i] @ x; the gathered matrix-vector
-        # product A[idx] @ x does not
-        m = self.y[idx] * np.vecdot(rows, x)
-        # the scalar sigmoid of sample_grad per draw: numpy's vectorized exp
-        # may differ from libm's in the last bit
-        s = np.array([_sigmoid_neg(v) for v in m.tolist()])
-        return (-self.y[idx] * s)[:, None] * rows + self.lam * x
+        rows = self.Z[rng.integers(self.n, size=k)]
+        # np.vecdot reproduces each 1-d Z[i] @ x; the gathered matrix-vector
+        # product Z[idx] @ x does not. The scalar sigmoid of sample_grad per
+        # draw: numpy's vectorized exp may differ from libm's in the last bit
+        s = np.array([_sigmoid_neg(m) for m in np.vecdot(rows, x).tolist()])
+        return (-s)[:, None] * rows + self.lam * x
 
     def _row_variance(self, x: np.ndarray) -> float:
-        m, e = self._margins(x)
-        s = _sigmoid_given(-m, e)
-        G = (-(self.y * s))[:, None] * self.A  # per-row gradients minus the common ridge term
+        s = self._terms(x, np.empty((4, self.n)), value=False)[1]
+        G = (-s)[:, None] * self.Z  # per-row gradients minus the common ridge term
         mean = G.mean(axis=0)
         return float(((G - mean) ** 2).sum(axis=1).mean())
 

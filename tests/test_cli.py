@@ -1,5 +1,8 @@
 import bz2
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -571,6 +574,15 @@ class TestCmdCertify:
         text = out.read_text()
         assert "status=fail" in text and "violation kind=" in text
 
+    def test_frozen_logistic_certificate(self, tmp_path):
+        # sha256 of the certify_logistic report; like the logistic sweep
+        # digests it goes through OpenBLAS gemv (see TestShippedConfigs)
+        out = tmp_path / "cl.txt"
+        assert main(["certify", "--config", str(CONFIG_DIR / "certify_logistic.cfg"),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5654ec1bc02143140414472a3f6c274c30f2f73500fd6547d5d9696490496f32")
+
     def test_bundled_logistic_certifies(self, tmp_path):
         out = tmp_path / "cl.txt"
         code = main(["certify", "--config", str(CONFIG_DIR / "certify_logistic.cfg"),
@@ -857,6 +869,23 @@ class TestCmdBound:
         assert capsys.readouterr().err == f"config error: missing required keys: {missing}\n"
 
 
+def main_in_fresh_process(argv):
+    """``(exit code, minor page faults)`` of ``main(argv)`` run in a new
+    interpreter, as the CLI runs it: in this one, earlier tests may have
+    raised glibc's mmap threshold (it follows the largest mapping freed)."""
+    code = ("import resource\nfrom clipbench.cli import main\n"
+            "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"code = main({argv!r})\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    code, faults = result.stdout.split()
+    return int(code), int(faults)
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", [p.name for p in sorted(CONFIG_DIR.glob("*.cfg"))])
     def test_parse_clean(self, name):
@@ -881,11 +910,22 @@ class TestShippedConfigs:
          "0db18bf03f769cb831446640a0e129ae524c48fe8c51e2d03f12530af6b83ad2"),
         ("fig_stoch_quadratic",
          "e4584047a9a74e26cb18be514911d3e421add36d02d5675c8476d2953f3f4192"),
+        # recorded later, on the lockstep engine
+        ("fig_det_tuned_step",
+         "03f05e06d8de8165012505bba1417a56d9d236ba4633cb36f02d33e5c35e1b62"),
     ])
     def test_frozen_sweep_output(self, tmp_path, name, digest):
         out = tmp_path / f"{name}.csv"
-        assert main(["sweep", "--config", str(CONFIG_DIR / f"{name}.cfg"),
-                     "--out", str(out)]) == 0
+        argv = ["sweep", "--config", str(CONFIG_DIR / f"{name}.cfg"), "--out", str(out)]
+        if name == "fig_det_tuned_step" and sys.platform == "linux":
+            # the logistic oracle's (33, 500) intermediates, each past glibc's
+            # mmap threshold, once took a fresh mapping every call: about
+            # 487 000 minor faults a run, against about 2 200 with a reused
+            # buffer
+            code, faults = main_in_fresh_process(argv)
+            assert code == 0 and faults < 50_000, faults
+        else:
+            assert main(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_stoch_quadratic_config_runs(self, tmp_path):

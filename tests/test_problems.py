@@ -1,4 +1,8 @@
+import copy
 import math
+import pickle
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -10,6 +14,7 @@ from clipbench.data_ingest import (
     Dataset,
     bundled_dataset_path,
     parse_libsvm,
+    spectral_norm_sq,
     synthesize_logistic_dataset,
 )
 from clipbench.problems import (
@@ -181,16 +186,16 @@ class TestLogistic:
     def test_feature_matrix_is_aligned_and_alignment_keeps_bits(self, options):
         ds = synthesize_logistic_dataset(n=37, dim=11, seed=3)
         prob = LogisticRegressionProblem(ds, **options)
-        assert prob.A.ctypes.data % 64 == 0 and prob.A.flags.c_contiguous
+        assert prob.Z.ctypes.data % 64 == 0 and prob.Z.flags.c_contiguous
         X = np.random.default_rng(2).normal(size=(5, prob.meta.dim))
         f, G = prob.value_and_grad(X)
         for offset in (8, 16, 24, 32, 48):
             # the same matrix at every other 8-byte offset from a 64-byte boundary
-            buf = np.empty(prob.A.nbytes + 128, dtype=np.uint8)
+            buf = np.empty(prob.Z.nbytes + 128, dtype=np.uint8)
             start = -buf.ctypes.data % 64 + offset
-            A = buf[start:start + prob.A.nbytes].view(np.float64).reshape(prob.A.shape)
-            A[...] = prob.A
-            prob.A = A
+            Z = buf[start:start + prob.Z.nbytes].view(np.float64).reshape(prob.Z.shape)
+            Z[...] = prob.Z
+            prob.Z = Z
             f2, G2 = prob.value_and_grad(X)
             assert f2.tobytes() == f.tobytes() and G2.tobytes() == G.tobytes(), offset
 
@@ -342,6 +347,205 @@ class TestLogisticSmoothness:
                 D = s * (1.0 - s)
                 H = (A.T * D) @ A / n
                 assert np.linalg.eigvalsh(H)[-1] <= L * (1.0 + 1e-8)
+
+
+class UnsignedLogistic:
+    """The logistic oracles written on the unsigned features ``A`` and the
+    labels ``y``, each allocating its temporaries: the formulas the problem
+    used before it stored label-signed rows, kept as the reference that the
+    signed oracles must match bit for bit."""
+
+    def __init__(self, ds, lam=0.0, add_intercept=False, normalize_rows=False):
+        A = ds.to_dense()
+        if normalize_rows:
+            norms = np.linalg.norm(A, axis=1)
+            A = A / np.where(norms > 0, norms, 1.0)[:, None]
+        if add_intercept:
+            A = np.hstack([A, np.ones((A.shape[0], 1))])
+        self.A = problems._aligned(A)
+        self.y = ds.labels.astype(float)
+        self.n, self.lam = A.shape[0], float(lam)
+
+    def sigmoids(self, X):
+        M = self.y * np.matmul(self.A, X[..., None])[..., 0]
+        E = np.exp(-np.abs(M))
+        return M, E, np.maximum(E, -M >= 0) / (1.0 + E)
+
+    def value_and_grad(self, X):
+        M, E, S = self.sigmoids(X)
+        f = (np.maximum(0.0, -M) + np.log1p(E)).mean(axis=-1) + 0.5 * self.lam * np.vecdot(X, X)
+        G = -np.matmul(self.A.T, (self.y * S)[..., None])[..., 0] / self.n + self.lam * X
+        return f, G
+
+    def sample_grad(self, x, rng):
+        i = int(rng.integers(self.n))
+        m = self.y[i] * float(self.A[i] @ x)
+        return (-self.y[i] * problems._sigmoid_neg(m)) * self.A[i] + self.lam * x
+
+    def sample_grads(self, x, rng, k):
+        idx = rng.integers(self.n, size=k)
+        rows = self.A[idx]
+        m = self.y[idx] * np.vecdot(rows, x)
+        s = np.array([problems._sigmoid_neg(v) for v in m.tolist()])
+        return (-self.y[idx] * s)[:, None] * rows + self.lam * x
+
+    def variance_at(self, x):
+        G = (-(self.y * self.sigmoids(x)[2]))[:, None] * self.A
+        return float(((G - G.mean(axis=0)) ** 2).sum(axis=1).mean())
+
+    def L(self):
+        return spectral_norm_sq(self.A) / (4.0 * self.n) + self.lam
+
+
+SIGNED_DATA = {
+    "bundled": lambda: parse_libsvm(bundled_dataset_path().read_text()),
+    "synthetic": lambda: synthesize_logistic_dataset(n=37, dim=11, seed=3),
+}
+SIGNED_OPTIONS = [{}, {"lam": 0.3}, {"add_intercept": True}, {"normalize_rows": True}]
+
+
+def bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def signed_points(dim, K, scale, rng):
+    """A point (K None) or a (K, dim) stack at ``scale``; a stack of five or
+    more rows has an inf, a -inf, a NaN and a zero row among them."""
+    X = scale * rng.normal(size=(dim,) if K is None else (K, dim))
+    if K is not None and K >= 5:
+        X[0, 0], X[1, -1], X[2, dim // 2], X[3] = np.inf, -np.inf, np.nan, 0.0
+    return X
+
+
+class TestSignedRows:
+    """The problem stores ``Z = y[:, None] * A`` and evaluates stacks in a
+    reused scratch buffer; every oracle keeps the bits of the unsigned
+    formulas, and the buffer never leaks into results."""
+
+    @pytest.mark.parametrize("options", SIGNED_OPTIONS, ids=["plain", "ridge", "intercept",
+                                                             "normalized"])
+    @pytest.mark.parametrize("data", list(SIGNED_DATA))
+    def test_value_and_grad_keep_the_unsigned_bits(self, data, options):
+        ds = SIGNED_DATA[data]()
+        prob, ref = LogisticRegressionProblem(ds, **options), UnsignedLogistic(ds, **options)
+        dim, rng = prob.meta.dim, np.random.default_rng(4)
+        assert bits(prob.A) == bits(ref.A)
+        for K in (None, 1, 2, 17, 33, 64, 100):
+            for scale in (1e-3, 1.0, 30.0, 1e3, 1e10, 1e300):
+                X = signed_points(dim, K, scale, rng)
+                with np.errstate(all="ignore"):
+                    expected = ref.value_and_grad(X)
+                    assert bits(*prob.value_and_grad(X)) == bits(*expected), (K, scale)
+                    if K is None:
+                        assert bits(prob.value(X), prob.grad(X)) == bits(*expected)
+
+    @pytest.mark.parametrize("options", SIGNED_OPTIONS, ids=["plain", "ridge", "intercept",
+                                                             "normalized"])
+    @pytest.mark.parametrize("data", list(SIGNED_DATA))
+    def test_sample_oracles_variance_and_L_keep_the_unsigned_bits(self, data, options):
+        ds = SIGNED_DATA[data]()
+        prob, ref = LogisticRegressionProblem(ds, **options), UnsignedLogistic(ds, **options)
+        assert prob.meta.L == ref.L()
+        assert prob.meta.sigma_sq == ref.variance_at(np.zeros(prob.meta.dim))
+        rng = np.random.default_rng(6)
+        for scale in (1e-3, 1.0, 1e3, 1e300):
+            x = scale * rng.normal(size=prob.meta.dim)
+            with np.errstate(all="ignore"):
+                assert prob.variance_at(x) == ref.variance_at(x)
+                for seed in range(3):
+                    assert bits(prob.sample_grad(x, np.random.default_rng(seed))) == bits(
+                        ref.sample_grad(x, np.random.default_rng(seed)))
+                    assert bits(prob.sample_grads(x, np.random.default_rng(seed), 9)) == bits(
+                        ref.sample_grads(x, np.random.default_rng(seed), 9))
+
+    def test_shrinking_and_growing_stacks_match_fresh_problems(self):
+        ds = SIGNED_DATA["bundled"]()
+        prob, rng = LogisticRegressionProblem(ds, lam=0.01), np.random.default_rng(8)
+        for K in (33, 2, 100, None, 1, 64, 17, 100, None, 5):
+            X = signed_points(prob.meta.dim, K, 3.0, rng)
+            with np.errstate(all="ignore"):
+                fresh = LogisticRegressionProblem(ds, lam=0.01).value_and_grad(X)
+                assert bits(*prob.value_and_grad(X)) == bits(*fresh), K
+
+    def test_results_share_no_memory_with_the_buffer(self):
+        prob = bundled_logistic()
+        X = np.random.default_rng(9).normal(size=(33, prob.meta.dim))
+        expected = bits(*prob.value_and_grad(X))
+        for Y in (X, X[0], X[:4]):
+            f, G = prob.value_and_grad(Y)
+            buffers = prob.__dict__["_scratch"]
+            assert not any(np.shares_memory(a, b) for a in (f, G) for b in buffers)
+            # writing into the results leaves the next call's results alone
+            np.asarray(f)[...] = G[...] = 7.0
+        assert bits(*prob.value_and_grad(X)) == expected
+
+    def test_call_made_inside_a_call_is_correct(self):
+        class Nesting(LogisticRegressionProblem):
+            """Makes one value_and_grad call from inside the next call, at
+            its first read of the ridge weight, while the outer call holds
+            its sigmoids in the buffer."""
+
+            inner = None
+
+            @property
+            def lam(self):
+                X, self.inner = self.inner, None
+                if X is not None:
+                    self.nested = self.value_and_grad(X)
+                return self._lam
+
+            @lam.setter
+            def lam(self, value):
+                self._lam = value
+
+        ds = SIGNED_DATA["bundled"]()
+        prob, plain = Nesting(ds, lam=0.01), LogisticRegressionProblem(ds, lam=0.01)
+        rng = np.random.default_rng(10)
+        X, Y = rng.normal(size=(18, prob.meta.dim)), rng.normal(size=(33, prob.meta.dim))
+        prob.value_and_grad(X)
+        for outer, inner in ((X, Y), (Y, X), (X[0], Y), (X, Y[0])):
+            prob.inner = inner
+            assert bits(*prob.value_and_grad(outer)) == bits(*plain.value_and_grad(outer))
+            assert bits(*prob.nested) == bits(*plain.value_and_grad(inner))
+
+    def test_threads_sharing_one_problem_get_correct_results(self):
+        # numpy drops the GIL inside its loops and BLAS, so the calls overlap;
+        # a thread that finds the buffer taken must allocate its own
+        prob = bundled_logistic(lam=0.01)
+        rng = np.random.default_rng(12)
+        stacks = [rng.normal(size=(K, prob.meta.dim)) for K in (1, 18, 33, 64)]
+        expected = [bits(*bundled_logistic(lam=0.01).value_and_grad(X)) for X in stacks]
+        wrong = []
+
+        def work(offset):
+            for i in range(40):
+                j = (i + offset) % len(stacks)
+                if bits(*prob.value_and_grad(stacks[j])) != expected[j]:
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copies_keep_the_bits(self, how):
+        prob = bundled_logistic(lam=0.01)
+        X = np.random.default_rng(11).normal(size=(33, prob.meta.dim))
+        expected = bits(*prob.value_and_grad(X))
+        twin = copy.deepcopy(prob) if how == "deepcopy" else pickle.loads(pickle.dumps(prob))
+        assert bits(twin.Z, twin.A, twin.y) == bits(prob.Z, prob.A, prob.y)
+        for Y in (X, X[:3], X[0]):
+            assert bits(*twin.value_and_grad(Y)) == bits(*prob.value_and_grad(Y))
+        assert bits(*twin.value_and_grad(X)) == expected
 
 
 @pytest.mark.parametrize("name,factory", ALL_PROBLEMS)
