@@ -63,29 +63,34 @@ the dimension d:
   per-row thresholds per step. A cell that trips the divergence guard
   leaves with its partial trace and its row is dropped.
 
-Which exact oracle runs when: a deterministic step (``gd``, ``clipped_gd``)
-reads the exact gradient, so the loop calls ``value_and_grad`` at every
-step, on the step's own float, vector or row stack, and applies the guard
-there. A stochastic step reads only its samples, so the loop holds each
-step's iterates with the step's squared applied norm, clipped fraction and
-largest squared sample norm, and calls ``value_and_grad`` once on the
-chunk's ``(steps * K, dim)`` stack, then applies the guard and stores the
-chunk's records. A chunk has at most ``_feed.REPORT_ROWS`` steps, and no
-more than keep the call's largest array (its gradients, or the problem's
-``row_doubles`` per point) within ``_HELD`` doubles: 1024 steps of a
-Bernoulli run, 81 at d = 100. Where that is one step, as for an 18-cell
-logistic sweep, the run evaluates every step as a deterministic one does.
-Each row of a stacked call is its point's, so the records are those of a call
-per step. A cell stops at its first failing step, with the message,
-partial trace, final point and ``max_per_sample_norm`` of a run that
-checks every step; the steps it took past it are dropped, and their
-draws, addressed by (seed, step, lane), reach nothing. Where a step's
-sample oracle raises, the held iterates, the step's own too, are checked
-first: a cell that failed the guard ends in that divergence and a batch's
-other cells take the step again; where none failed, the exception stands.
-Where the stacked ``value_and_grad`` raises, the chunk is evaluated one
-step's points at a time, in step order, so the same exception or
-divergence surfaces at the same step.
+Which exact oracle runs when: every run holds its steps in chunks, each
+step's iterate with its squared applied norm, clipped fraction and
+largest squared sample norm, and at a chunk's last step applies the guard
+to the held steps and stores their records, in one place for every
+method. A deterministic step (``gd``, ``clipped_gd``) reads the exact
+gradient, so the loop calls ``value_and_grad`` at every step, on the
+step's own float, vector or row stack, and holds the value and gradient
+norm with the iterate; its chunk has up to ``_HELD // (K * dim)`` steps
+(7 for an 18-cell sweep at d = 60). A stochastic step reads only its
+samples, so the loop calls ``value_and_grad`` once on the chunk's
+``(steps * K, dim)`` stack. Such a chunk keeps that call's largest array
+(its gradients, or the problem's ``row_doubles`` per point) within
+``_HELD`` doubles: 1024 steps of a Bernoulli run, 81 at d = 100. Where
+that is one step, as for an 18-cell logistic sweep or d >= 8192, the run
+evaluates every step inline, as a deterministic one does. No chunk has
+more than ``_feed.REPORT_ROWS`` steps. Each row of a stacked call is its
+point's, so the records are those of a call per step. A cell stops at its
+first failing step, with the message, partial trace, final point and
+``max_per_sample_norm`` of a run that checks every step; the steps it
+took past it are dropped, and their draws, addressed by (seed, step,
+lane), reach nothing. Where a step's oracle raises, the held steps are
+checked first, the step's own too where it has its values (a sample
+oracle raised, or the chunk's stacked call evaluates it): a cell that
+failed the guard ends in that divergence and a batch's other cells take
+the step again; where none failed, the exception stands. No held step's
+exact oracle is called again. Where the stacked ``value_and_grad``
+raises, the chunk is evaluated one step's points at a time, in step
+order, so the same exception or divergence surfaces at the same step.
 
 The guard, recording, clipping and update are written once; each
 representation keeps its own draw block, and every cell draws from its
@@ -97,6 +102,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 
 import numpy as np
 
@@ -272,8 +278,9 @@ _CHUNK = 4096
 # about as much as this many counter resets, most of it in fixed per-call
 # overhead, so a short single run (T = 1, say) takes the resets
 _WARMUP = 128
-# the most doubles a stochastic run lets one evaluation of the exact oracle
-# allocate in one array, for the gradients of its held iterates or the
+# the most doubles a run holds per chunk of steps: a deterministic run's
+# held iterates, and the largest array of a stochastic run's one stacked
+# evaluation of the exact oracle, the gradients of its held iterates or the
 # problem's `row_doubles` of each: 64 KiB, which glibc's malloc serves from
 # its heap. Past 128 KiB it maps and unmaps each array, and the page faults
 # (280 000 in a run of fig_stoch_logistic's 18 cells, 15 steps a chunk)
@@ -371,10 +378,13 @@ def privacy_noise(dim: int, sigma_dp: float, rng: np.random.Generator) -> np.nda
     return rng.standard_normal(dim) * (sigma_dp / math.sqrt(dim))
 
 
-def _partial_trace(config, ts, k, records, x, max_sample) -> Trace:
+def _partial_trace(config, ts, k, records, x, max_sq) -> Trace:
     """The trace of the first ``k`` of a run's ``(4, len(ts))`` records: a
-    finished run's, or the one a ``DivergenceError`` carries."""
-    return Trace(config, ts[:k].copy(), *(a[:k].copy() for a in records), x.copy(), max_sample)
+    finished run's, or the one a ``DivergenceError`` carries. ``max_sq`` is
+    the largest squared sample norm: ``sqrt`` is monotone and correctly
+    rounded, so its root is the largest of the norms."""
+    return Trace(config, ts[:k].copy(), *(a[:k].copy() for a in records), x.copy(),
+                 math.sqrt(max_sq))
 
 
 def _divergence(t: int, f, x_norm) -> str:
@@ -391,36 +401,36 @@ def _passes(f, grad_norm, x_norm) -> np.ndarray:
     return keep
 
 
-def _exact_rows(value_and_grad, points: np.ndarray, floats: bool, stack: bool):
-    """The values, exact gradient norms and iterate norms at an ``(m, K,
-    dim)`` chunk of iterates (row ``i`` the K cells' at the chunk's step
-    ``i``), each ``(m, K)``, and the mask of those that fail the guard.
+def _exact_rows(value_and_grad, points: np.ndarray, out: np.ndarray, floats: bool,
+                stack: bool) -> None:
+    """Writes the values and exact gradient norms at an ``(m, K, dim)``
+    chunk of iterates (row ``i`` the K cells' at the chunk's step ``i``)
+    into the two ``(m, K)`` rows of ``out``.
 
     The oracle takes the chunk as one ``(m * K, dim)`` stack. Where that
     raises, it takes one step's points at a time, in step order and in the
     run's representation, without the cells that failed the guard at an
-    earlier step, so the exception or divergence that a run evaluating
-    every step meets surfaces at the same step.
+    earlier step (their later rows are NaN), so the exception or divergence
+    that a run evaluating every step meets surfaces at the same step.
     """
     m, K, dim = points.shape
     X = points.reshape(m * K, dim)
     try:
         f, G = value_and_grad(X)
-        F, GN, XN = (a.reshape(m, K) for a in (f, np.sqrt(np.vecdot(G, G)),
-                                               np.sqrt(np.vecdot(X, X))))
+        out[0] = f.reshape(m, K)
+        out[1] = np.sqrt(np.vecdot(G, G)).reshape(m, K)
     except Exception:
-        F, GN, XN = np.full((3, m, K), math.nan)
+        out.fill(math.nan)
+        F, GN = out
         alive = np.arange(K)
         for i in range(m):
             X = points[i, alive]
             f, G = value_and_grad(X.item() if floats else X if stack else X[0])
             G = np.reshape(G, (-1, dim))
-            F[i, alive], GN[i, alive], XN[i, alive] = (
-                f, np.sqrt(np.vecdot(G, G)), np.sqrt(np.vecdot(X, X)))
-            alive = alive[_passes(F[i, alive], GN[i, alive], XN[i, alive])]
+            F[i, alive], GN[i, alive] = f, np.sqrt(np.vecdot(G, G))
+            alive = alive[_passes(F[i, alive], GN[i, alive], np.sqrt(np.vecdot(X, X)))]
             if not alive.size:
                 break
-    return F, GN, XN, ~_passes(F, GN, XN)
 
 
 @_quiet_overflow
@@ -454,10 +464,10 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
             else [_StepRng(seed) for seed in keys])
     stack = K > 1
     fed = floats = False
+    # the largest squared norm of each cell's clipped samples
     max_sample = np.zeros(K)
     active = np.arange(K)
     results: list = [None] * K
-    message = None
 
     # The representation, chosen once, holds one kind of value: Python
     # floats, 1-d arrays or a row stack. `dot(v, v)` is a squared norm and
@@ -498,69 +508,49 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
     if T % first.thin:
         recorded.append(T)
     ts = np.array(recorded, dtype=np.int64)
-    # one column per row of X; a single run writes through 1-d views, whose
-    # scalar stores cost less. A writer's child formats its records every
+    # one column per row of X. A writer's child formats its records every
     # `flush` of them
     shared = writer.open(ts) if writer is not None and not fed else None
     records = np.empty((4, ts.size, K)) if shared is None else shared
     flush = ts.size + 1 if shared is None else _feed.REPORT_ROWS
-    fs, gs, aps, cfs = records if stack else records[:, :, 0]
     k = 0
 
-    # A stochastic step reads no exact value, so the run holds up to
-    # `held_rows` steps' iterates (see _HELD), with each step's squared
-    # applied norm, clipped fraction and `top`, and evaluates the exact
-    # oracle and the guard once on them, at `stop`. `j` rows are held; the
-    # row views take a single run's scalar stores. A deterministic step
-    # reads the exact gradient, and a chunk of one step saves nothing, so
-    # those runs evaluate it at every step
-    held_rows = max(1, min(_feed.REPORT_ROWS, _HELD // (K * max(dim, problem.row_doubles))))
-    per_step = deterministic or held_rows == 1
-    if not per_step:
-        held = np.empty((held_rows, K, dim))
-        steps_held = np.empty((3, held_rows, K))
-        hx = held if stack else held[:, 0, 0] if floats else held[:, 0]
-        hsq, hfrac, htop = steps_held if stack else steps_held[:, :, 0]
-        j, stop, raised = 0, min(held_rows - 1, T), None
+    # Every run holds up to `held_rows` steps (see _HELD): each step's
+    # iterate, value and exact gradient norm, squared applied norm, clipped
+    # fraction and `top`, and applies the guard and stores its records once
+    # per chunk, at `stop`. A deterministic step reads its exact gradient,
+    # and a chunk of one step saves nothing by stacking, so those runs call
+    # the exact oracle at every step, `inline`; the others evaluate the
+    # chunk's iterates in one call. `j` steps from `t0` on are held with
+    # their values, or with the iterates that call takes. `hx` holds the
+    # iterates themselves, which no step changes in place; the row views
+    # take a single run's scalar stores
+    held_rows = max(1, min(_feed.REPORT_ROWS, _HELD // (
+        K * (dim if deterministic else max(dim, problem.row_doubles)))))
+    inline = deterministic or held_rows == 1
+    hx = [None] * held_rows
+    steps_held = np.empty((5, held_rows, K))
+    hf, hgn, hsq, hfrac, htop = steps_held if stack else steps_held[:, :, 0]
+    j, t0, stop, raised = 0, 0, min(held_rows - 1, T), None
 
     value_and_grad = problem.value_and_grad
     sample_grad, sample_grads = problem.sample_grad, problem.sample_grads
     t = 0
     try:
         while t <= T:
-            if per_step:
-                f, G = value_and_grad(X)
-                grad_norm = sqrt(dot(G, G))
-                x_norm = sqrt(dot(X, X))
-                if stack:
-                    keep = _passes(f, grad_norm, x_norm)
-                    if not keep.all():
-                        for r in np.flatnonzero(~keep):
-                            i = active[r]
-                            results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r], X[r],
-                                                         max_sample[r]),
-                                          _divergence(t, f[r], x_norm[r]))
-                        active, X, G, f, grad_norm, c, eta, max_sample = (
-                            a[keep] for a in (active, X, G, f, grad_norm, c, eta, max_sample))
-                        fs, gs, aps, cfs = records = records[:, :, keep]
-                        c_rows = np.repeat(c, B)
-                        if not active.size:
-                            break
-                # the guard of _passes, on Python scalars
-                elif not (abs(f) <= DIVERGENCE_LIMIT and grad_norm < math.inf
-                          and not x_norm > DIVERGENCE_LIMIT):
-                    message = _divergence(t, f, x_norm)
-                    break
-            else:
-                hx[j] = X
-
-            if t == T:
-                applied_sq = frac = top = 0.0
-            elif deterministic:
-                applied, applied_sq, rescaled = clip(G, c)
-                frac = rescaled * 1.0
-            else:
-                try:
+            hx[j] = X
+            try:
+                if inline:
+                    f, G = value_and_grad(X)
+                    hf[j] = f
+                    hgn[j] = sqrt(dot(G, G))
+                i, j = j, j + 1
+                if t == T:
+                    applied_sq = frac = top = 0.0
+                elif deterministic:
+                    applied, applied_sq, rescaled = clip(G, c)
+                    frac, top = rescaled * 1.0, 0.0
+                else:
                     if served and not t % chunk:
                         # the block's rows are the cells in input order
                         block = _philox_uniforms(keys, t, min(chunk, T - t), 0)
@@ -617,74 +607,66 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
                     # one clipped sample with nothing added: the clip kernel's
                     # squared norm is this same dot(applied, applied)
                     applied_sq = top if B == 1 and not dp else dot(applied, applied)
-                except Exception as exc:
-                    if per_step:
-                        raise
-                    # the iterates held, this one too, are checked first: one
-                    # that failed the guard ends its cell as it would have
-                    raised, stop = exc, t
+                hsq[i] = applied_sq
+                hfrac[i] = frac
+                htop[i] = top
+            except Exception as exc:
+                # the steps held are checked first, this one too where it is
+                # held with its values: one that failed the guard ends its
+                # cell as it would have
+                raised, stop = exc, t
 
-            if per_step:
-                if t == recorded[k]:
-                    fs[k] = f
-                    gs[k] = grad_norm
-                    aps[k] = sqrt(applied_sq)
-                    cfs[k] = frac
-                    k += 1
-                    if k >= flush:
-                        flush = writer.report(k)
-                if not deterministic:
-                    # fmax keeps the running maximum where a norm is NaN
-                    max_sample = np.fmax(max_sample, sqrt(top))
-            else:
-                if raised is None:
-                    hsq[j] = applied_sq
-                    hfrac[j] = frac
-                    htop[j] = top
-                j += 1
-                if t == stop:
-                    # rows 0..j-1 hold steps t0..t; all but a raising step's are whole
-                    t0, whole = t + 1 - j, j - (raised is not None)
-                    F, GN, XN, bad = _exact_rows(value_and_grad, held[:j], floats, stack)
-                    kk = int(np.searchsorted(ts, t0 + whole))
-                    rows = ts[k:kk] - t0
-                    records[:, k:kk] = (F[rows], GN[rows], np.sqrt(steps_held[0, rows]),
-                                        steps_held[1, rows])
-                    roots = np.sqrt(steps_held[2, :whole])
-                    keep = ~bad.any(axis=0)
+            if t == stop:
+                # the held iterates as one array; a one-step chunk's is a
+                # view of its iterate, which a large one is not copied for
+                held = np.asarray(hx[0] if j == 1 else hx[:j]).reshape(j, active.size, dim)
+                if not inline:
+                    _exact_rows(value_and_grad, held, steps_held[:2, :j], floats, stack)
+                F = steps_held[0, :j]
+                XN = np.sqrt(np.vecdot(held, held))
+                passed = _passes(F, steps_held[1, :j], XN)
+                # steps t0..end-1 are whole: all but a raising one
+                end = t + (raised is None)
+                kk = bisect_left(recorded, end)
+                np.sqrt(steps_held[2, :end - t0], out=steps_held[2, :end - t0])
+                records[:, k:kk] = steps_held[:4, ts[k:kk] - t0]
+                if not passed.all():
+                    keep = passed.all(axis=0)
                     for r in np.flatnonzero(~keep):
                         # the cell stops at its first failing step, and keeps
                         # the k records before it
-                        row, i = int(bad[:, r].argmax()), active[r]
-                        k = int(np.searchsorted(ts, t0 + row))
+                        row, i = int(passed[:, r].argmin()), active[r]
+                        k = bisect_left(recorded, t0 + row)
                         results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r],
                                                      held[row, r], np.fmax.reduce(
-                                                         roots[:row, r], initial=max_sample[r])),
+                                                         steps_held[4, :row, r],
+                                                         initial=max_sample[r])),
                                       _divergence(t0 + row, F[row, r], XN[row, r]))
-                    max_sample = np.fmax(max_sample, np.fmax.reduce(roots, axis=0, initial=0.0))
-                    if not keep.all():
-                        if not stack:
-                            break
-                        active, X, c, eta, max_sample = (
-                            a[keep] for a in (active, X, c, eta, max_sample))
-                        if t < T and raised is None:
-                            applied = applied[keep]
-                        records = records[:, :, keep]
-                        held, steps_held = held[:, keep], steps_held[:, :, keep]
-                        hx, (hsq, hfrac, htop) = held, steps_held
-                        c_rows = np.repeat(c, B)
-                        if not active.size:
-                            break
-                    elif raised is not None:
-                        raise raised
-                    k, j = kk, 0
-                    if k >= flush:
-                        flush = writer.report(k)
-                    if raised is not None:
-                        # the cells left take the step again
-                        raised, stop = None, min(t + held_rows - 1, T)
-                        continue
-                    stop = min(t + held_rows, T)
+                    if not stack:
+                        break
+                    active, X, c, eta, max_sample = (
+                        a[keep] for a in (active, X, c, eta, max_sample))
+                    if t < T and raised is None:
+                        applied = applied[keep]
+                    records = records[:, :, keep]
+                    steps_held = steps_held[:, :, keep]
+                    hf, hgn, hsq, hfrac, htop = steps_held
+                    c_rows = np.repeat(c, B)
+                    if not active.size:
+                        break
+                elif raised is not None:
+                    raise raised
+                np.fmax(max_sample, np.fmax.reduce(steps_held[4, :end - t0], axis=0,
+                                                   initial=0.0), out=max_sample)
+                # `held` would keep the chunk's last iterate past its update
+                k, j, held = kk, 0, None
+                if k >= flush:
+                    flush = writer.report(k)
+                if raised is not None:
+                    # the cells left take the step again
+                    raised, t0, stop = None, t, min(t + held_rows - 1, T)
+                    continue
+                t0, stop = t + 1, min(t + held_rows, T)
 
             if t < T:
                 X = X - eta * applied
@@ -700,7 +682,7 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
         if results[i] is None:
             results[i] = (_partial_trace(configs[i], ts, k, records[:, :, r],
                                          X[r] if stack else np.atleast_1d(X), max_sample[r]),
-                          message)
+                          None)
     return results
 
 

@@ -41,7 +41,10 @@ default) always takes the reset. Of the shipped problems
 A stochastic run evaluates ``value_and_grad`` on stacks of the iterates it
 holds, whose size it bounds by the largest array one call allocates: the
 ``(rows, dim)`` gradients, or ``row_doubles`` per point where a problem
-sets more. ``LogisticRegressionProblem`` sets its sample count n: it
+sets more. A deterministic run, and a stochastic one whose bound leaves one
+step a chunk, call it at every step on the step's own points instead, so
+``row_doubles`` bounds only a stochastic run's stacked call (see
+``optimizers``). ``LogisticRegressionProblem`` sets its sample count n: it
 keeps the margins of its label-signed rows and the intermediates built
 from them in four ``(rows, n)`` arrays of a scratch buffer, which it holds
 between calls and grows to the largest stack it has seen. A call takes the
@@ -54,11 +57,12 @@ A one-dimensional problem may also set ``float_oracles = True``: its
 bits of the one coordinate of the call at ``np.array([v])``. A flagged
 problem's single run with ``B == 1`` and a method other than ``dp_sgd``
 steps on Python floats and hands the step's oracles its iterate as it is:
-``value_and_grad`` at each step of a deterministic run, the sample oracle
-at each step of a stochastic one, whose ``value_and_grad`` takes the
-``(n, 1)`` stack of the iterates it holds instead (see ``optimizers``).
-Every other run, and every run of a problem without the flag
-(``float_oracles = False``, the default), steps on arrays. Of the shipped
+``value_and_grad`` at each step of a deterministic run, which holds the
+float value and gradient norm it returns until the chunk's guard, and the
+sample oracle at each step of a stochastic one, whose ``value_and_grad``
+takes the ``(n, 1)`` stack of the iterates it holds instead (see
+``optimizers``). Every other run, and every run of a problem without the
+flag (``float_oracles = False``, the default), steps on arrays. Of the shipped
 problems only ``BernoulliShiftQuadratic`` sets it.
 """
 

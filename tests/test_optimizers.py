@@ -1214,6 +1214,55 @@ def mixed_cells():
     return optimizers.Cells([diverging(0.05, 0.5, 3), diverging(), diverging(0.2, -2.0, 5)])
 
 
+def stepping(method, eta, x0, c=math.inf):
+    """A deterministic run on the Bernoulli shift a=4, p=1/4 (its minimizer
+    is x = -1): past eta = 2 the unclipped steps grow |x + 1| (eta - 1)-fold."""
+    return cfg(method=method, c=c, eta=eta, T=400, x0=np.array([x0]))
+
+
+# Outcomes of deterministic runs at the engine that evaluated the exact
+# oracle and the guard at every step of them, keyed by method and
+# representation: a problem, a run, the step at which it (its first cell)
+# diverges and the outcome. Each clipped run is clipped at the step before
+# its divergence, and the third cell of each stack finishes
+DETERMINISTIC = {
+    "gd-float": (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
+                 lambda: stepping("gd", 2.5, 1.0), 34,
+                 ("88f4843e6d9b4635", "divergence at t=34: f=1884671275406.1675,"
+                  " |x|=1941478.4747329508 (limit 1e+12)")),
+    "gd-vector": (lambda: ChiSquareQuadratic(dim=3, L=0.1),
+                  lambda: cfg(method="gd", c=math.inf, eta=25.0, T=400, x0=np.ones(3)), 31,
+                  ("36162cac445c3de5", "divergence at t=31: f=1501532341212.7583,"
+                   " |x|=5480039.840950411 (limit 1e+12)")),
+    "gd-stack": (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
+                 lambda: optimizers.Cells([stepping("gd", 2.5, 1.0), stepping("gd", 2.2, 0.5),
+                                           stepping("gd", 2.8, -1.0)]), 34,
+                 [("88f4843e6d9b4635", True), ("05794eef23dba448", True),
+                  ("9e1e371ff8f7c552", False)]),
+    "clipped_gd-float": (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
+                         lambda: stepping("clipped_gd", 3.0, 1.0, 1e6), 20,
+                         ("855f389a1a2bbd03", "divergence at t=20: f=1904027813889.5,"
+                          " |x|=1951423.0 (limit 1e+12)")),
+    "clipped_gd-vector": (lambda: ChiSquareQuadratic(dim=3, L=0.1),
+                          lambda: cfg(method="clipped_gd", c=2.4e5, eta=30.0, T=400,
+                                      x0=np.ones(3)), 18,
+                          ("0d3a861cafc61b3f", "divergence at t=18: f=1105789587153.2305,"
+                           " |x|=4702725.681545578 (limit 1e+12)")),
+    "clipped_gd-stack": (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
+                         lambda: optimizers.Cells([stepping("clipped_gd", 3.0, 1.0, 1e6),
+                                                   stepping("clipped_gd", 3.2, 0.5, 1e6),
+                                                   stepping("clipped_gd", 3.0, 1.0, 7e5)]), 20,
+                         [("855f389a1a2bbd03", True), ("b6ac7f2d8aec051e", True),
+                          ("37ab15f6464be4bc", False)]),
+}
+
+
+def deterministic_mixed_cells():
+    # the middle cell diverges at t = 34, the others finish
+    return optimizers.Cells([stepping("gd", 0.05, 0.5), stepping("gd", 2.5, 1.0),
+                             stepping("gd", 0.2, -2.0)])
+
+
 def holding(monkeypatch, config, steps):
     """Chunks of ``steps`` iterates for ``config``'s run."""
     configs = config.configs if isinstance(config, optimizers.Cells) else [config]
@@ -1317,6 +1366,13 @@ class TestChunkedGuard:
         rows.clear()
         run(prob, configs[0])
         assert max(rows) == optimizers._HELD // prob.n == 16
+        # a deterministic sweep calls the oracle once a step, on the step's
+        # own stack: the steps it holds are never stacked into the call
+        rows.clear()
+        run(prob, optimizers.Cells([cfg(method="clipped_gd", c=0.05 * (1 + i % 3),
+                                        eta=0.5 * (1 + i // 3), T=40,
+                                        x0=np.zeros(prob.meta.dim)) for i in range(18)]))
+        assert rows == [18] * 41
 
     def test_fed_dp_sgd(self, monkeypatch, forks, no_hang):
         feeding(monkeypatch, True)
@@ -1364,3 +1420,47 @@ class TestChunkedGuard:
                                    " np.float64(1235.474778175354)")
         want = FLOAT_DIV if config is diverging else MIXED_CELLS
         assert outcome(ExactOracleLimits(limit=1e9), config()) == want
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("name", list(DETERMINISTIC))
+    def test_deterministic_divergence_at_a_chunk_position(self, monkeypatch, name, position):
+        # a deterministic run holds its steps with the values and gradient
+        # norms it evaluated at them, and checks them at the chunk's end
+        make_problem, make_config, t, want = DETERMINISTIC[name]
+        steps = {"first": t, "middle": 2 * t // 3, "last": t + 1}[position]
+        row = t % steps
+        assert {"first": row == 0, "middle": 0 < row < steps - 1,
+                "last": row == steps - 1}[position]
+        config = make_config()
+        holding(monkeypatch, config, steps)
+        assert outcome(make_problem(), config) == want
+
+    @pytest.mark.parametrize("config", [lambda: stepping("gd", 2.5, 1.0),
+                                        deterministic_mixed_cells], ids=["single", "cells"])
+    def test_deterministic_oracle_raising_in_a_chunk(self, config):
+        # past 1e3 the oracle raises at t = 16, before the guard stops the
+        # run at t = 34: the held steps before it pass, and the exception
+        # stands, from the one call that raised
+        prob = ExactOracleLimits(limit=1e3)
+        with pytest.raises(ValueError) as info:
+            run(prob, config())
+        assert str(info.value) == ("exact oracle past its limits at"
+                                   " np.float64(1312.6816711425781)")
+        assert prob.raised == 1
+        # past 1e9 it raises at a step after the divergence: the held steps
+        # end the diverged cell there, and the other cells take the step again
+        want = (DETERMINISTIC["gd-float"][3] if config is not deterministic_mixed_cells
+                else [("835f33f157a7528f", False), ("88f4843e6d9b4635", True),
+                      ("cf6dd21e296cdf60", False)])
+        prob = ExactOracleLimits(limit=1e9)
+        assert outcome(prob, config()) == want
+
+    @pytest.mark.parametrize("config", [lambda: stepping("gd", 2.5, 2e12),
+                                        lambda: optimizers.Cells([stepping("gd", 2.5, 2e12),
+                                                                  stepping("gd", 0.05, 0.5)])],
+                             ids=["single", "cells"])
+    def test_deterministic_oracle_raising_past_the_guard(self, config):
+        # the oracle raises at x0, whose norm fails the guard: a step without
+        # its values is not checked, and the exception stands
+        with pytest.raises(ValueError, match=r"limits at np.float64\(2000000000000.0\)"):
+            run(ExactOracleLimits(limit=1e12), config())
