@@ -93,18 +93,26 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def _to_float(s: str) -> float:
-    try:
-        return float(s)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {s!r}") from None
+def _converter(kind: type, noun: str) -> Callable:
+    """A config value read by ``kind``, whose ValueError becomes a
+    ConfigError that names ``noun``."""
+    def convert(s: str):
+        try:
+            return kind(s)
+        except ValueError:
+            raise ConfigError(f"expected {noun}, got {s!r}") from None
+    return convert
 
 
-def _to_int(s: str) -> int:
-    try:
-        return int(s)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {s!r}") from None
+def _list_of(convert: Callable) -> Callable[[str], list]:
+    """A comma-separated list of ``convert``'s values; empty items skipped."""
+    return lambda s: [convert(tok.strip()) for tok in s.split(",") if tok.strip()]
+
+
+_to_float = _converter(float, "a number")
+_to_int = _converter(int, "an integer")
+_to_float_list = _list_of(_to_float)
+_to_int_list = _list_of(_to_int)
 
 
 def _to_bool(s: str) -> bool:
@@ -114,14 +122,6 @@ def _to_bool(s: str) -> bool:
     if low in ("false", "0", "no"):
         return False
     raise ConfigError(f"expected true/false, got {s!r}")
-
-
-def _to_float_list(s: str) -> list[float]:
-    return [_to_float(tok.strip()) for tok in s.split(",") if tok.strip()]
-
-
-def _to_int_list(s: str) -> list[int]:
-    return [_to_int(tok.strip()) for tok in s.split(",") if tok.strip()]
 
 
 _PROBLEM_KEYS = {
@@ -223,6 +223,15 @@ _PROBLEMS = {
 }
 
 
+def _input_path(config_dir: Path, name: str, what: str) -> Path:
+    """The input file ``name`` read against the config file's directory (an
+    absolute ``name`` stays as written); a DataError if it does not exist."""
+    path = Path(config_dir, name)
+    if not path.exists():
+        raise DataError(f"{what} file not found: {path}")
+    return path
+
+
 def build_problem(cfg: dict, config_dir: Path) -> Problem:
     _require(cfg, "problem")
     choice = _PROBLEMS[_choose(cfg, "problem", _PROBLEMS, _PROBLEM_KEYS)]
@@ -231,11 +240,7 @@ def build_problem(cfg: dict, config_dir: Path) -> Problem:
     args = _given(cfg, (*choice.needs, *choice.reads))
     if "data" not in args:
         return choice.make(**args)
-    path = Path(args.pop("data"))
-    if not path.is_absolute():
-        path = config_dir / path
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
+    path = _input_path(config_dir, args.pop("data"), "dataset")
     try:
         ds = data_ingest.parse_libsvm(path.read_text().splitlines())
     except (ParseError, OSError, UnicodeDecodeError) as exc:
@@ -316,11 +321,12 @@ class SweepRow(_Record):
     best_eta_for_c: bool = False
 
 
-def _iters_to_target(trace: Trace, target: float | None) -> int:
+def _iters_to_target(iters: np.ndarray, values: np.ndarray, target: float | None) -> int:
+    """The first recorded iteration whose value is <= ``target``, else -1."""
     if target is None:
         return -1
-    hits = np.nonzero(trace.grad_norms <= target)[0]
-    return int(trace.iters[hits[0]]) if hits.size else -1
+    hits = np.nonzero(values <= target)[0]
+    return int(iters[hits[0]]) if hits.size else -1
 
 
 def sweep_cells(
@@ -349,7 +355,7 @@ def sweep_cells(
     # they let malloc trim heap that the next sweep faults back in, which
     # read about 4% on det_logistic_sweep's solve_s
     cells = [(trace.f_vals[-1] if trace.f_vals.size else math.nan, trace.min_grad_norm,
-              _iters_to_target(trace, target), diverged)
+              _iters_to_target(trace.iters, trace.grad_norms, target), diverged)
              for trace, diverged in run(problem, Cells(configs))]
 
     best_eta: dict[float, float] = {}
@@ -394,24 +400,19 @@ def cmd_fixedpoint(cfg: dict, out: Path) -> int:
     failed = False
     for sigma in cfg["sigma"]:
         for c in cfg["c"]:
-            if sigma <= 0:
-                lines.append(f"sigma={_fmt(sigma)} c={_fmt(c)} status=skipped reason=no_noise")
+            cell = f"sigma={_fmt(sigma)} c={_fmt(c)}"
+            skip = "no_noise" if sigma <= 0 else "bad_threshold" if c <= 0 else None
+            if skip:
+                lines.append(f"{cell} status=skipped reason={skip}")
                 continue
-            if c <= 0:
-                lines.append(f"sigma={_fmt(sigma)} c={_fmt(c)} status=skipped reason=bad_threshold")
-                continue
-            if c <= 2.0 * sigma:
-                inst = theory.build_lower_bound_small_c(sigma, c)
-                regime = "small_c"
-            else:
-                inst = theory.build_lower_bound_large_c(sigma, c)
-                regime = "large_c"
+            regime = "small_c" if c <= 2.0 * sigma else "large_c"
+            inst = getattr(theory, f"build_lower_bound_{regime}")(sigma, c)
             est = theory.expected_clipped_grad(inst.problem(), [inst.x_fixed], c)
             residual = abs(float(est.value[0]))
             ok = inst.bias >= inst.guarantee and residual <= 1e-12
             failed = failed or not ok
             lines.append(
-                f"sigma={_fmt(sigma)} c={_fmt(c)} regime={regime}"
+                f"{cell} regime={regime}"
                 f" a={_fmt(inst.a)} p={_fmt(inst.p)} x_fixed={_fmt(inst.x_fixed)}"
                 f" bias={_fmt(inst.bias)} guarantee={_fmt(inst.guarantee)}"
                 f" residual={_fmt(residual)} status={'pass' if ok else 'fail'}"
@@ -573,12 +574,7 @@ def cmd_bound(cfg: dict, out: Path) -> int:
     if theorem == "stoch_nonconvex" and cfg.get("use_trajectory_L", False):
         raise ConfigError("use_trajectory_L = true does not apply to theorem"
                           " 'stoch_nonconvex', whose bound takes no smoothness override")
-    trace_path = Path(cfg["trace"])
-    if not trace_path.is_absolute():
-        trace_path = cfg["_dir"] / trace_path
-    if not trace_path.exists():
-        raise DataError(f"trace file not found: {trace_path}")
-    data, kind = _read_results_csv(trace_path)
+    data, kind = _read_results_csv(_input_path(cfg["_dir"], cfg["trace"], "trace"))
     is_sweep = kind == "sweep"
     if is_sweep and theorem in ("det_convex", "det_strongly_convex"):
         raise DataError(f"theorem {theorem!r} needs per-iteration data; got a sweep file")
@@ -589,74 +585,56 @@ def cmd_bound(cfg: dict, out: Path) -> int:
         raise ConfigError(f"f_star must be finite, got {cfg['f_star']!r}")
     # every field of RateParams is the bound key of that name
     params = theory.RateParams(**_given(cfg, theory.RateParams._fields))
+    # epsilon is read by det_strongly_convex alone, and use_trajectory_L by
+    # every theorem but stoch_nonconvex
+    kwargs = _given(cfg, ("epsilon",))
     if cfg.get("use_trajectory_L", False):
-        L_eff = theory.max_local_smoothness(data["grad_norm"], params.L0, params.L1)
-    else:
-        L_eff = None
+        kwargs["L_override"] = theory.max_local_smoothness(
+            data["grad_norm"], params.L0, params.L1)
+    report = getattr(theory, f"bound_{theorem}")(params, **kwargs)
 
-    if theorem == "det_convex":
-        report = theory.bound_det_convex(params, L_override=L_eff)
-    elif theorem == "stoch_nonconvex":
-        report = theory.bound_stoch_nonconvex(params)
-    elif theorem == "det_strongly_convex":
-        report = theory.bound_det_strongly_convex(params, cfg["epsilon"], L_override=L_eff)
-    else:
-        report = theory.bound_dp_sgd(params, L_override=L_eff)
-
-    failed = False
     # a sweep row's gradient norm is its cell's minimum
     mean_name = "mean_min_grad_norm" if is_sweep else "mean_grad_norm"
+    predicted = f"predicted={_fmt(report.predicted)}"
     if report.constants_source == "order_of_magnitude":
         # reported whatever the step size: only paper_explicit and
         # derived_appendix constants are asserted
-        line = (f"theorem={theorem} predicted={_fmt(report.predicted)}"
-                f" {mean_name}={_fmt(float(data['grad_norm'].mean()))}"
-                f" status=reported constants={report.constants_source}")
+        fields = [predicted, f"{mean_name}={_fmt(float(data['grad_norm'].mean()))}"]
+        status = f"reported constants={report.constants_source}"
     elif not report.stepsize_ok:
-        line = f"theorem={theorem} status=vacuous reason=stepsize_above_threshold"
+        fields, status = [], "vacuous reason=stepsize_above_threshold"
     elif theorem == "det_convex":
         checked = data["iter"] >= 1
         gaps = data["f_val"][checked] - cfg["f_star"]
-        predicted = theory.det_convex_gap_bound(params, data["iter"][checked], L_eff)
+        bound = theory.det_convex_gap_bound(params, data["iter"][checked],
+                                            kwargs.get("L_override"))
         # a NaN gap or prediction is a violation, not a pass of every `>`
-        violations = int(np.count_nonzero(~(gaps <= predicted)))
-        failed = violations > 0
-        line = (f"theorem={theorem} predicted_final={_fmt(report.predicted)}"
-                f" checked={int(checked.sum())} violations={violations}"
-                f" status={'pass' if not failed else 'fail'}")
+        violations = int(np.count_nonzero(~(gaps <= bound)))
+        fields = [f"predicted_final={_fmt(report.predicted)}", f"checked={int(checked.sum())}",
+                  f"violations={violations}"]
+        status = "fail" if violations else "pass"
     elif theorem == "stoch_nonconvex":
         # a mean of per-seed minima is below the average-norm bound as well,
         # so on a sweep one check serves both regimes
         if report.regime == "small_c" and not is_sweep:
-            statistic = float(data["grad_norm"].min())
-            stat_name = "min_grad_norm"
+            stat_name, statistic = "min_grad_norm", float(data["grad_norm"].min())
         else:
-            statistic = float(data["grad_norm"].mean())
-            stat_name = mean_name
+            stat_name, statistic = mean_name, float(data["grad_norm"].mean())
+        fields = [f"regime={report.regime}", f"{stat_name}={_fmt(statistic)}", predicted]
         # a NaN statistic (a cell that diverged before its first record)
         # fails rather than passing every comparison
-        failed = not statistic <= report.predicted
-        line = (f"theorem={theorem} regime={report.regime} {stat_name}={_fmt(statistic)}"
-                f" predicted={_fmt(report.predicted)} status={'pass' if not failed else 'fail'}")
+        status = "pass" if statistic <= report.predicted else "fail"
     else:
         # distance proxy from strong convexity: R_t^2 <= 2 (f_t - f*) / mu
         proxy = 2.0 * (data["f_val"] - cfg["f_star"]) / params.mu
-        hits = np.nonzero(proxy <= cfg["epsilon"])[0]
-        achieved = int(data["iter"][hits[0]]) if hits.size else -1
-        if achieved < 0:
-            if data["iter"][-1] < report.predicted:
-                line = (f"theorem={theorem} predicted={_fmt(report.predicted)}"
-                        f" status=inconclusive reason=trace_shorter_than_prediction")
-            else:
-                failed = True
-                line = (f"theorem={theorem} predicted={_fmt(report.predicted)}"
-                        f" achieved=never status=fail")
+        achieved = _iters_to_target(data["iter"], proxy, cfg["epsilon"])
+        if achieved < 0 and data["iter"][-1] < report.predicted:
+            fields, status = [predicted], "inconclusive reason=trace_shorter_than_prediction"
         else:
-            failed = achieved > report.predicted
-            line = (f"theorem={theorem} predicted={_fmt(report.predicted)}"
-                    f" achieved={achieved} status={'pass' if not failed else 'fail'}")
-    out.write_text(line + "\n")
-    return EXIT_CHECK if failed else EXIT_OK
+            fields = [predicted, f"achieved={achieved if achieved >= 0 else 'never'}"]
+            status = "fail" if achieved < 0 or achieved > report.predicted else "pass"
+    out.write_text(" ".join([f"theorem={theorem}", *fields, f"status={status}"]) + "\n")
+    return EXIT_CHECK if status == "fail" else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -702,15 +680,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(f"cannot read config: {exc}") from None
         cfg = _typed_config(parse_config(text), args.command)
         cfg["_dir"] = args.config.resolve().parent
-        if args.command == "run":
-            return cmd_run(cfg, args.out, args.seed_offset)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, args.seed_offset)
-        if args.command == "fixedpoint":
-            return cmd_fixedpoint(cfg, args.out)
-        if args.command == "certify":
-            return cmd_certify(cfg, args.out)
-        return cmd_bound(cfg, args.out)
+        # only run and sweep take --seed-offset
+        extra = (args.seed_offset,) if "seed_offset" in args else ()
+        return globals()[f"cmd_{args.command}"](cfg, args.out, *extra)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -374,7 +374,11 @@ class _StepRng:
 
 
 def privacy_noise(dim: int, sigma_dp: float, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian privacy noise with total expected squared norm sigma_dp^2."""
+    """Gaussian privacy noise with total expected squared norm sigma_dp^2.
+
+    ``sigma_dp`` is a total-norm scale: each of the ``dim`` coordinates has
+    standard deviation ``sigma_dp / sqrt(dim)``, so E|z|^2 = sigma_dp^2
+    whatever the dimension."""
     return rng.standard_normal(dim) * (sigma_dp / math.sqrt(dim))
 
 

@@ -265,7 +265,11 @@ def bound_stoch_nonconvex(params: RateParams) -> BoundReport:
 
 def bound_dp_sgd(params: RateParams, L_override: float | None = None) -> BoundReport:
     """Order-of-magnitude gradient-norm level for DP-SGD (reported on the
-    norm scale: the bias floor enters as min(sigma, sigma^2/c))."""
+    norm scale: the bias floor enters as min(sigma, sigma^2/c)).
+
+    ``sigma_dp`` is the total-norm scale of ``optimizers.privacy_noise``
+    (E|z|^2 = sigma_dp^2 in any dimension; no dimension enters here). It
+    enters as ``(L eta / c) sigma_dp^2 + sqrt(L eta sigma_dp)``."""
     eta, T, c, sigma, F0, B, sdp = (
         params.eta, params.T, params.c, params.sigma, params.F0, params.B, params.sigma_dp,
     )
@@ -593,7 +597,10 @@ def dp_noise_calibration(
     """Privacy-noise scale k_dp * c * d * sqrt(T ln(1/delta)) / epsilon.
 
     The privacy analysis gives this only up to a constant; k_dp is that
-    explicit user-chosen constant.
+    explicit user-chosen constant. The result is linear in ``d`` and is
+    meant as the ``sigma_dp`` of a run, a total-norm scale: per coordinate,
+    ``optimizers.privacy_noise`` then draws with standard deviation
+    k_dp * c * sqrt(d T ln(1/delta)) / epsilon.
     """
     c, d, T, epsilon, delta, k_dp = map(float, (c, d, T, epsilon, delta, k_dp))
     if not epsilon > 0:

@@ -232,6 +232,60 @@ class TestConfigParsing:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.txt")]) == 0
 
 
+class TestInputPaths:
+    """A ``data`` or ``trace`` path is read against the config file's
+    directory, whatever the working directory; an absolute one is used as
+    written. The working directory holds a bad file of each relative name,
+    so a path read against it is a data error."""
+
+    TRACE = ",".join(cli.TRACE_HEADER) + "\n0,0.5,1,0.25,1\n1,0.4,1,0.25,1\n"
+    CONFIGS = {
+        "data": ("run", "dataset", "mode = run\nproblem = logistic\ndata = {}\n" + CLIPPED_GD),
+        "trace": ("bound", "trace", "mode = bound\n" + STOCH_BOUND.replace("trace.csv", "{}")),
+    }
+
+    @pytest.fixture
+    def dirs(self, tmp_path, monkeypatch):
+        config_dir, cwd = tmp_path / "config", tmp_path / "cwd"
+        config_dir.mkdir()
+        cwd.mkdir()
+        (cwd / "input").write_text("not,a,results,header\n+1 3:1 2:1\n")
+        monkeypatch.chdir(cwd)
+        return config_dir
+
+    def invoke(self, config_dir, key, name):
+        command, _, text = self.CONFIGS[key]
+        cfg = write(config_dir, "c.cfg", text.format(name))
+        return main([command, "--config", str(cfg), "--out", str(config_dir / "o.txt")])
+
+    def write_input(self, path, key):
+        if key == "data":
+            path.write_bytes(bundled_dataset_path().read_bytes())
+        else:
+            path.write_text(self.TRACE)
+
+    @pytest.mark.parametrize("key", ["data", "trace"])
+    def test_relative_path_reads_the_config_directory(self, dirs, key):
+        self.write_input(dirs / "input", key)
+        assert self.invoke(dirs, key, "input") == 0
+
+    @pytest.mark.parametrize("key", ["data", "trace"])
+    def test_absolute_path_is_used_as_written(self, dirs, tmp_path, key):
+        (tmp_path / "elsewhere").mkdir()
+        self.write_input(tmp_path / "elsewhere" / "input", key)
+        assert self.invoke(dirs, key, tmp_path / "cwd" / ".." / "elsewhere" / "input") == 0
+
+    @pytest.mark.parametrize("key", ["data", "trace"])
+    @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+    def test_missing_input_names_the_resolved_path(self, dirs, tmp_path, capsys, key,
+                                                   absolute):
+        name = tmp_path / "cwd" / ".." / "absent" if absolute else Path("sub", "absent")
+        assert self.invoke(dirs, key, name) == 2
+        path = name if absolute else dirs.resolve() / "sub" / "absent"
+        what = self.CONFIGS[key][1]
+        assert capsys.readouterr().err == f"data error: {what} file not found: {path}\n"
+
+
 class TestFlags:
     """Each subcommand takes only the flags it reads; usage errors exit 1."""
 
@@ -867,6 +921,89 @@ class TestCmdBound:
             f"c = 0.25\neta = 0.5\nT = 300\n{keys}"))
         assert main(["bound", "--config", str(cfg), "--out", str(tmp_path / "b.txt")]) == 1
         assert capsys.readouterr().err == f"config error: missing required keys: {missing}\n"
+
+
+def _quadratic_run(T):
+    return ("mode = run\nproblem = quadratic\ndim = 1\nL = 1.0\nmethod = clipped_gd\n"
+            f"c = 0.25\neta = 0.5\nT = {T}\nx0 = 1\nseeds = 0\n")
+
+
+_BERNOULLI_SGD = ("problem = bernoulli_shift\na = 8\np = 0.0158770817240728\n"
+                  "method = clipped_sgd\neta = 0.05\nx0 = 0\n")
+# the results files the golden reports read: (command, config)
+GOLDEN_INPUTS = {
+    "q2": ("run", _quadratic_run(2)),
+    "q300": ("run", _quadratic_run(300)),
+    "q2000": ("run", _quadratic_run(2000)),
+    "small_c": ("run", "mode = run\n" + _BERNOULLI_SGD + "c = 0.5\nT = 400\n"),
+    "large_c": ("run", "mode = run\n" + _BERNOULLI_SGD + "c = 4\nT = 400\n"),
+    "sweep": ("sweep", "mode = sweep\n" + _BERNOULLI_SGD + "c = 4\nT = 200\nseeds = 1, 2, 3\n"),
+}
+_DET = "c = 0.25\neta = 0.5\nL = 1\nL0 = 1\n"
+_STOCH = "theorem = stoch_nonconvex\neta = 0.05\nF0 = 0.01\nL0 = 1\nsigma = 1\n"
+_SC = "theorem = det_strongly_convex\nmu = 1\nepsilon = 0.001\n" + _DET
+
+
+class TestGoldenReports:
+    # each output's exact bytes: every branch of `clipbench bound`'s one-line
+    # report, and the sha256 of the shipped fixed-point grid's report
+    @pytest.mark.parametrize("trace,config,code,report", [
+        (None, (CONFIG_DIR / "fixedpoint_grid.cfg").read_text(), 0,
+         "sha256:7d8cf2d116516018c6138af152102cb633f6e6a5d85d3b3a2f0d10b3ed3eb351"),
+        ("q300", "theorem = det_convex\nT = 300\nR0 = 1\nf_star = 0\n" + _DET, 0,
+         "theorem=det_convex predicted_final=0.016114612421496453 checked=300 violations=0"
+         " status=pass"),
+        ("q300", "theorem = det_convex\nT = 300\nR0 = 0.001\nf_star = 0\n" + _DET, 4,
+         "theorem=det_convex predicted_final=1.3289039370426374e-08 checked=300 violations=14"
+         " status=fail"),
+        ("q300", "theorem = det_convex\nT = 300\nR0 = 1\nf_star = 0\n"
+         + _DET.replace("0.5", "0.4") + "L1 = 0.5\nuse_trajectory_L = true\n", 0,
+         "theorem=det_convex predicted_final=0.02323373914195207 checked=300 violations=0"
+         " status=pass"),
+        ("q2000", "T = 2000\nR0 = 1\nf_star = 0\n" + _SC, 0,
+         "theorem=det_strongly_convex predicted=269.8155105579643 achieved=9 status=pass"),
+        ("q2000", "T = 2000\nR0 = 0.1\nf_star = 0\n" + _SC, 4,
+         "theorem=det_strongly_convex predicted=7.165170185988092 achieved=9 status=fail"),
+        ("q2000", "T = 2000\nR0 = 1\nf_star = -0.001\n" + _SC, 4,
+         "theorem=det_strongly_convex predicted=269.8155105579643 achieved=never status=fail"),
+        ("q2", "T = 2\nR0 = 1\nf_star = 0\n" + _SC, 0,
+         "theorem=det_strongly_convex predicted=269.8155105579643 status=inconclusive"
+         " reason=trace_shorter_than_prediction"),
+        ("small_c", "c = 0.5\nT = 400\n" + _STOCH, 0,
+         "theorem=stoch_nonconvex regime=small_c min_grad_norm=0.08625621255378596"
+         " predicted=6.0 status=pass"),
+        ("large_c", "c = 4\nT = 400\n" + _STOCH, 0,
+         "theorem=stoch_nonconvex regime=large_c mean_grad_norm=0.09163449391940395"
+         " predicted=2.1514780849382094 status=pass"),
+        ("sweep", "c = 4\nT = 200\n" + _STOCH, 0,
+         "theorem=stoch_nonconvex regime=large_c mean_min_grad_norm=0.0013939671845413827"
+         " predicted=2.15375040464016 status=pass"),
+        ("q300", "theorem = dp_sgd\nc = 0.25\neta = 0.5\nT = 300\nF0 = 0.5\nL0 = 1\nsigma = 0\n"
+         "sigma_dp = 1\n", 0,
+         "theorem=dp_sgd predicted=2.7781751414388434 mean_grad_norm=0.015365448504983389"
+         " status=reported constants=order_of_magnitude"),
+        ("q300", "theorem = det_convex\nT = 300\nR0 = 1\nf_star = 0\n"
+         + _DET.replace("0.5", "0.6"), 0,
+         "theorem=det_convex status=vacuous reason=stepsize_above_threshold"),
+    ], ids=["fixedpoint_grid", "det_convex_pass", "det_convex_fail", "det_convex_trajectory_L",
+            "strongly_convex_pass", "strongly_convex_fail", "strongly_convex_never",
+            "strongly_convex_inconclusive", "stoch_small_c", "stoch_large_c", "stoch_sweep",
+            "dp_sgd", "vacuous"])
+    def test_report_bytes(self, tmp_path, trace, config, code, report):
+        command = "fixedpoint"
+        if trace is not None:
+            run_command, text = GOLDEN_INPUTS[trace]
+            cfg = write(tmp_path, "input.cfg", text)
+            out = tmp_path / f"{trace}.csv"
+            assert main([run_command, "--config", str(cfg), "--out", str(out)]) == 0
+            command, config = "bound", f"mode = bound\ntrace = {trace}.csv\n{config}"
+        cfg = write(tmp_path, "report.cfg", config)
+        out = tmp_path / "report.txt"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+        if report.startswith("sha256:"):
+            assert "sha256:" + hashlib.sha256(out.read_bytes()).hexdigest() == report
+        else:
+            assert out.read_text() == report + "\n"
 
 
 def main_in_fresh_process(argv):

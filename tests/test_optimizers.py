@@ -531,6 +531,18 @@ class TestDpSgd:
                        (privacy_noise(10, 1.0, rng) for _ in range(10_000))])
         assert sq.mean() == pytest.approx(1.0, rel=0.05)
 
+    @pytest.mark.parametrize("dim", [1, 100])
+    def test_noise_mean_squared_norm_is_sigma_dp_squared(self, dim):
+        # sigma_dp is a total-norm scale: |z|^2 is sigma_dp^2 / dim times a
+        # chi-square with dim degrees of freedom, of variance 2 sigma_dp^4 / dim.
+        # Read per coordinate, the mean would be dim sigma_dp^2
+        sigma_dp, n = 3.0, 20_000
+        rng = np.random.default_rng(dim)
+        sq = np.array([float(z @ z) for z in
+                       (privacy_noise(dim, sigma_dp, rng) for _ in range(n))])
+        standard_error = sigma_dp**2 * math.sqrt(2.0 / (dim * n))
+        assert abs(sq.mean() - sigma_dp**2) <= 4.0 * standard_error
+
     def test_per_sample_sensitivity_over_run(self):
         prob = ChiSquareQuadratic(dim=10, L=0.1)
         config = cfg(method="dp_sgd", c=1.0, eta=0.01, T=1000, B=8,

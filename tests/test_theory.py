@@ -690,6 +690,19 @@ class TestBoundDpSgd:
         assert diff == pytest.approx(expected, rel=1e-12)
 
 
+    def test_sigma_dp_enters_on_the_total_norm_scale(self):
+        # above the bound without privacy noise: (L eta / c) sigma_dp^2, the
+        # descent term of noise whose total E|z|^2 is sigma_dp^2, plus
+        # sqrt(L eta sigma_dp); no dimension enters
+        L, eta, c = 3.0, 0.01, 2.0
+        base = dict(c=c, eta=eta, T=100, F0=1.0, L0=1.0, sigma=0.5, B=4)
+        floor = bound_dp_sgd(RateParams(**base), L_override=L).predicted
+        for sigma_dp in (0.25, 1.0, 4.0):
+            report = bound_dp_sgd(RateParams(**base, sigma_dp=sigma_dp), L_override=L)
+            assert report.predicted - floor == pytest.approx(
+                (L * eta / c) * sigma_dp**2 + math.sqrt(L * eta * sigma_dp), rel=1e-9)
+
+
 class TestTrajectorySmoothness:
     def test_max_over_trace(self):
         prob = Quadratic(dim=1, L=1.0)
