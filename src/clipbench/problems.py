@@ -16,19 +16,22 @@ once up front; ``value`` and ``grad`` are ``check_dim`` plus
 ``value_and_grad``. A custom subclass defines either ``value`` and
 ``grad``, from which the base ``value_and_grad`` is built (called at a
 point, stacked over rows), or a shape-generic ``value_and_grad``; with
-``sample_grad`` that is all it needs. The shipped problems override the
-batch oracles with vectorized versions.
+``sample_grad``, or the two draw hooks below, that is all it needs. The
+shipped problems' batch oracles are vectorized.
 
 A problem whose samples are a function of draws that never depend on the
-point may define two hooks. ``draws(rng, k)`` returns the randomness of
-``k`` samples as one array, drawn from ``rng`` exactly as ``sample_grads(x,
-rng, k)`` draws it. ``sample_grad_at(X, D)`` maps draws to samples:
-``sample_grads(x, rng, k)`` is ``sample_grad_at(x, draws(rng, k))`` bit for
-bit, one row of draws gives the sample at a point, and a ``(K, dim)`` stack
-of points with one row of draws each gives each row's sample, bit for bit
-what its point gives alone. A problem whose sample is a function of one
-uniform takes ``draws = Problem.uniforms`` (``rng.random(k)``), and its
-``sample_grad_at`` also takes one float ``u`` at a point. The engine
+point may define two hooks instead of ``sample_grad``. ``draws(rng, k)``
+returns the randomness of ``k`` successive samples as one array, and
+``sample_grad_at(X, D)`` maps draws to samples: one row of draws gives the
+sample at a point, ``k`` rows the ``(k, dim)`` samples at it, and a ``(K,
+dim)`` stack of points with one row of draws each gives each row's sample,
+bit for bit what its point gives alone. From them the base class builds
+``sample_grad(x, rng)`` as ``sample_grad_at(x, draws(rng, 1)[0])`` and
+``sample_grads(x, rng, k)`` as ``sample_grad_at(x, draws(rng, k))``;
+without them ``sample_grads`` stacks ``k`` calls of ``sample_grad``. A
+problem whose sample is a function of one uniform takes ``draws =
+Problem.uniforms`` (``rng.random(k)``), and its ``sample_grad_at`` also
+takes one float ``u`` at a point. The engine
 serves a long one-sample run of such a problem its uniforms from
 vectorized Philox blocks instead of resetting a stream every step, and a
 long run or Monte Carlo estimate of any other hooked problem may have its
@@ -128,7 +131,9 @@ class Problem:
         return self.value_and_grad(self.check_dim(x))[1]
 
     def sample_grad(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        if self.draws is None:
+            raise NotImplementedError
+        return self.sample_grad_at(x, self.draws(rng, 1)[0])
 
     def uniforms(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """``rng.random(k)``: the ``draws`` hook of a problem whose sample is
@@ -152,7 +157,9 @@ class Problem:
     def sample_grads(self, x: np.ndarray, rng: np.random.Generator, k: int) -> np.ndarray:
         """``k`` successive ``sample_grad`` draws as the rows of a ``(k, dim)``
         array, for a point already checked by ``check_dim``."""
-        return np.stack([self.sample_grad(x, rng) for _ in range(k)])
+        if self.draws is None:
+            return np.stack([self.sample_grad(x, rng) for _ in range(k)])
+        return self.sample_grad_at(x, self.draws(rng, k))
 
     def variance_at(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -183,9 +190,6 @@ class Quadratic(Problem):
 
     def sample_grad(self, x, rng):
         return self.L * x
-
-    def sample_grads(self, x, rng, k):
-        return np.tile(self.L * x, (k, 1))
 
     def variance_at(self, x):
         return 0.0
@@ -239,25 +243,16 @@ class BernoulliShiftQuadratic(Problem):
             f = self._value(float(X[0]))
         else:
             v = X[:, 0]
-            if np.abs(v).max(initial=0.0) + self.a < 1e154:
-                # np.float_power's float64 loop is libm's pow, the bits of
-                # float ** 2. Below 1e154 neither square overflows, so numpy
-                # warns of nothing, inside or outside an errstate
+            # np.float_power's float64 loop is libm's pow, the bits of
+            # float ** 2, and IEEE's inf where float ** 2 raises
+            with np.errstate(over="ignore"):
                 f = 0.5 * (self.p * np.float_power(v + self.a, 2.0) + (1.0 - self.p) * v * v)
-            else:
-                f = np.array([self._value(u) for u in v.tolist()])
         return f, X + self.p * self.a
 
     def sample_grad_at(self, X, u):
         if isinstance(u, float):
             return X + self.a if u < self.p else X
         return np.where((u < self.p)[:, None], X + self.a, X)
-
-    def sample_grad(self, x, rng):
-        return self.sample_grad_at(x, rng.random())
-
-    def sample_grads(self, x, rng, k):
-        return self.sample_grad_at(x, self.draws(rng, k))
 
     def variance_at(self, x):
         return self.meta.sigma_sq
@@ -291,12 +286,6 @@ class ChiSquareQuadratic(Problem):
 
     def sample_grad_at(self, X, Z):
         return self.L * X + Z * Z
-
-    def sample_grad(self, x, rng):
-        return self.sample_grad_at(x, rng.standard_normal(self.meta.dim))
-
-    def sample_grads(self, x, rng, k):
-        return self.sample_grad_at(x, self.draws(rng, k))
 
     def variance_at(self, x):
         return self.meta.sigma_sq

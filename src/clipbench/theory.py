@@ -433,6 +433,19 @@ def _sample_chunks(problem: Problem, x: np.ndarray, n_samples: int, seed: int):
         feed.close()
 
 
+def _sampled_point(problem: Problem, x, c) -> tuple[np.ndarray, float]:
+    """``x`` as a checked point of ``problem`` and ``c`` as a float, for the
+    Monte Carlo estimators: ``c`` must be positive (``inf`` clips nothing)
+    and every coordinate of ``x`` finite."""
+    x = problem.check_dim(np.asarray(x, dtype=float))
+    c = float(c)
+    if not c > 0:
+        raise ValueError(f"clipping threshold must be positive, got {c!r}")
+    if not np.isfinite(x).all():
+        raise ValueError("x has non-finite coordinates")
+    return x, c
+
+
 def expected_clipped_grad(
     problem: Problem,
     x,
@@ -442,12 +455,7 @@ def expected_clipped_grad(
 ) -> ClippedGradEstimate:
     """E[clip_c(stochastic gradient at x)], whose zeros are the clipped-SGD
     fixed points. Exact for the two-outcome problem, Monte Carlo otherwise."""
-    x = problem.check_dim(np.asarray(x, dtype=float))
-    c = float(c)
-    if not c > 0:
-        raise ValueError(f"clipping threshold must be positive, got {c!r}")
-    if not np.isfinite(x).all():
-        raise ValueError("x has non-finite coordinates")
+    x, c = _sampled_point(problem, x, c)
     if isinstance(problem, BernoulliShiftQuadratic):
         val = _expected_clipped_scalar(problem, float(x[0]), c)
         return ClippedGradEstimate(np.array([val]), 0.0, exact=True)
@@ -572,8 +580,7 @@ def clip_probability_bound(
 ) -> ClipProbabilityReport:
     """Check Pr[norm(stochastic gradient) > c] <= 4 sigma^2 / c^2 at a point
     where norm(grad) < c/2 (required regime; otherwise ValueError)."""
-    x = problem.check_dim(np.asarray(x, dtype=float))
-    c = float(c)
+    x, c = _sampled_point(problem, x, c)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     grad_norm = float(np.linalg.norm(problem.grad(x)))

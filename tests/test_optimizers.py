@@ -18,6 +18,7 @@ from clipbench import _feed, core, optimizers
 from clipbench.data_ingest import bundled_dataset_path, parse_libsvm
 
 from clipbench.optimizers import (
+    Cells,
     DivergenceError,
     RunConfig,
     Trace,
@@ -32,6 +33,7 @@ from clipbench.problems import (
     ChiSquareQuadratic,
     LogisticRegressionProblem,
     Problem,
+    ProblemMeta,
     Quadratic,
 )
 from clipbench.theory import (
@@ -982,6 +984,71 @@ class TestFeeder:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert trace_digest(run(prob, config)) == want
+        assert_no_child_left()
+
+
+class NormalShift(Problem):
+    """A custom problem with the exact oracle and the two draw hooks alone:
+    ``f(x) = norm(x)^2 / 2``, sampled as ``x + z`` with ``z`` standard
+    normal."""
+
+    def __init__(self, dim):
+        self.meta = ProblemMeta(dim=dim, L0=1.0, L1=0.0, L=1.0, mu=1.0, sigma_sq=float(dim))
+
+    def value_and_grad(self, X):
+        return 0.5 * np.vecdot(X, X), 1.0 * X
+
+    def draws(self, rng, k):
+        return rng.standard_normal((k, self.meta.dim))
+
+    def sample_grad_at(self, X, Z):
+        return X + Z
+
+
+class TestHookedCustomProblem:
+    """A problem that defines only the draw hooks gets its sample oracles
+    from them, and its traces do not depend on where the draws come from."""
+
+    def test_sample_oracles_are_the_hooks(self):
+        prob = NormalShift(dim=5)
+        x = np.linspace(-1.0, 1.0, 5)
+        one = prob.sample_grad(x, np.random.default_rng(7))
+        assert one.shape == (5,)
+        assert one.tobytes() == prob.sample_grad_at(
+            x, prob.draws(np.random.default_rng(7), 1)[0]).tobytes()
+        for k in (1, 3, 8):
+            batch = prob.sample_grads(x, np.random.default_rng(k), k)
+            assert batch.shape == (k, 5)
+            assert batch.tobytes() == prob.sample_grad_at(
+                x, prob.draws(np.random.default_rng(k), k)).tobytes()
+
+    @pytest.mark.parametrize("method,B", [
+        ("clipped_sgd", 1), ("clipped_sgd", 4), ("dp_sgd", 1), ("dp_sgd", 4),
+    ], ids=["clipped_sgd_B1", "clipped_sgd_B4", "dp_sgd_B1", "dp_sgd_B4"])
+    def test_every_draw_source_gives_the_same_trace(self, monkeypatch, forks, no_hang,
+                                                    method, B):
+        # 200 fed steps of 20 (B = 1) up to 100 (B = 4 with noise) doubles
+        # wrap the two-block ring and end inside a block
+        prob = NormalShift(dim=20)
+        dp = dict(sigma_dp=0.5) if method == "dp_sgd" else {}
+        configs = [cfg(method=method, B=B, c=3.0, eta=0.05, T=200, x0=np.full(20, 2.0),
+                       seed=seed, **dp) for seed in (1, 2)]
+
+        def digests():
+            return [trace_digest(run(prob, config)) for config in configs]
+
+        feeding(monkeypatch, False)
+        want = digests()
+        assert forks == [] and want[0] != want[1]
+        feeding(monkeypatch, True)
+        assert digests() == want
+        assert len(forks) == 2
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert digests() == want
+        assert [(trace_digest(trace), diverged) for trace, diverged
+                in run(prob, Cells(configs))] == [(digest, False) for digest in want]
+        assert len(forks) == 2
         assert_no_child_left()
 
 

@@ -596,13 +596,46 @@ class TestClipProbabilityBound:
 
     def test_huge_threshold_frequency_zero(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
-        report = clip_probability_bound(prob, np.zeros(1), c=100.0, n_samples=2_000)
-        assert report.frequency == 0.0
+        for c in (100.0, math.inf):
+            report = clip_probability_bound(prob, np.zeros(1), c=c, n_samples=2_000)
+            assert report.frequency == 0.0
 
     def test_regime_precondition(self):
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
         with pytest.raises(ValueError):
             clip_probability_bound(prob, np.array([5.0]), c=1.0)
+
+
+class TestMonteCarloInputs:
+    """Both Monte Carlo estimators reject a threshold or a point with the
+    same messages, before any sample is drawn."""
+
+    @pytest.mark.parametrize("estimator", [expected_clipped_grad, clip_probability_bound],
+                             ids=["expected_clipped_grad", "clip_probability_bound"])
+    @pytest.mark.parametrize("make_problem", [
+        lambda: ChiSquareQuadratic(dim=2),
+        lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
+    ], ids=["chi_square", "bernoulli"])
+    @pytest.mark.parametrize("c,bad,message", [
+        (0.0, None, "clipping threshold must be positive, got 0.0"),
+        (-1.0, None, "clipping threshold must be positive, got -1.0"),
+        (math.nan, None, "clipping threshold must be positive, got nan"),
+        (-math.inf, None, "clipping threshold must be positive, got -inf"),
+        (14.0, math.nan, "x has non-finite coordinates"),
+        (14.0, math.inf, "x has non-finite coordinates"),
+        (14.0, -math.inf, "x has non-finite coordinates"),
+        # the threshold is checked first
+        (-1.0, math.nan, "clipping threshold must be positive, got -1.0"),
+    ], ids=["c_0", "c_negative", "c_nan", "c_minus_inf", "x_nan", "x_inf", "x_minus_inf",
+            "both"])
+    def test_messages(self, estimator, make_problem, c, bad, message):
+        prob = make_problem()
+        x = np.zeros(prob.meta.dim)
+        if bad is not None:
+            x[-1] = bad
+        with pytest.raises(ValueError) as exc:
+            estimator(prob, x, c, n_samples=100)
+        assert str(exc.value) == message
 
 
 class TestFloat32Scalars:
