@@ -11,8 +11,10 @@ or theorem does not read. A left-out key that feeds a library parameter
 is not passed, so the library's signature owns its default. All outputs
 are deterministic functions of the config bytes (plus --seed-offset for
 ``run`` and ``sweep``) and byte-identical across reruns. Exit codes: 0 ok, 1 config or usage error
-(a value the problem, run or theorem rejects included), 2 data error, 3
-divergence, 4 certification/bound failure.
+(a value the problem, run or theorem rejects, and a config file that
+cannot be read, included), 2 data error, 3 divergence, 4
+certification/bound failure, 5 system error (an ``OSError`` raised while a
+command runs, such as an ``--out`` that cannot be written).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
 EXIT_CHECK = 4
+EXIT_SYSTEM = 5
 
 TRACE_HEADER = ["iter", "f_val", "grad_norm", "applied_norm", "clipped_fraction"]
 SWEEP_HEADER = [
@@ -425,13 +428,14 @@ def cmd_fixedpoint(cfg: dict, out: Path) -> int:
 # certify
 
 def _fd_gradient(problem: Problem, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    g = np.empty_like(x)
-    for i in range(x.size):
-        step = h * max(1.0, abs(x[i]))
-        e = np.zeros_like(x)
-        e[i] = step
-        g[i] = (problem.value(x + e) - problem.value(x - e)) / (2.0 * step)
-    return g
+    """Central differences along each coordinate: the ``2 * dim`` points
+    ``x +- step_i e_i``, evaluated as stacks (see ``theory._evaluated``)."""
+    steps = h * np.maximum(1.0, np.abs(x))
+    # step_i e_i for each i, then x + step_i e_i and x - step_i e_i in turn
+    shifts = (np.where(np.arange(x.size) == i, step, 0.0) for i, step in enumerate(steps))
+    points = (p for e in shifts for p in (x + e, x - e))
+    f = np.array([value for _, value, _ in theory._evaluated(problem, points)])
+    return (f[0::2] - f[1::2]) / (2.0 * steps)
 
 
 def _witness(v: np.ndarray | None) -> str:
@@ -459,9 +463,8 @@ def cmd_certify(cfg: dict, out: Path) -> int:
         problem, L0, L1, radius_scale=scale, seed=seed, **_given(cfg, ("n_pairs",)),
     )
     rng = np.random.default_rng(seed)
-    for i in range(fd_points):
-        x = scale * rng.standard_normal(problem.meta.dim)
-        exact = problem.grad(x)
+    points = (scale * rng.standard_normal(problem.meta.dim) for _ in range(fd_points))
+    for i, (x, _, exact) in enumerate(theory._evaluated(problem, points)):
         approx = _fd_gradient(problem, x)
         rel = float(np.linalg.norm(exact - approx)) / max(float(np.linalg.norm(exact)), 1e-12)
         ok = rel <= 1e-5
@@ -686,11 +689,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, OSError) as exc:
-        # a ConfigError, a value the problem, run or theorem rejects, or a
-        # file that cannot be written
+    except ValueError as exc:
+        # a ConfigError, or a value the problem, run or theorem rejects
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        # an output that cannot be written, say: the unreadable config and
+        # data files are ConfigErrors and DataErrors by now
+        print(f"system error: {exc}", file=sys.stderr)
+        return EXIT_SYSTEM
 
 
 if __name__ == "__main__":

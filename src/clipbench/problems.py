@@ -348,7 +348,9 @@ class LogisticRegressionProblem(Problem):
     puts it back when it ends, so a concurrent or re-entrant call finds none
     and allocates its own; a shallow copy shares it, so concurrent threads
     each take their own problem or a deep copy. The values and gradients it
-    returns are always fresh arrays.
+    returns are always fresh arrays. The checked ``value`` and ``grad`` are
+    the base class's: each returns one half of a ``value_and_grad`` call,
+    which computes both.
     """
 
     def __init__(
@@ -389,13 +391,12 @@ class LogisticRegressionProblem(Problem):
         """The dense feature matrix, unsigned: ``y[:, None] * Z``."""
         return self.y[:, None] * self.Z
 
-    def _terms(self, X, slots, value=True, grad=True):
-        """The losses ``log(1 + exp(-m))`` (where ``value``) and sigmoids
-        ``1 / (1 + exp(m))`` (where ``grad``) of the margins ``m = Z @ x`` of
-        one point ``X = x`` or of each row ``x`` of ``X``, computed in the
-        four ``(..., n)`` ``slots`` and returned in two of them. Every
-        operation works row by row, so a row's results are bit-for-bit
-        those of its point alone."""
+    def _terms(self, X, slots):
+        """The losses ``log(1 + exp(-m))`` and sigmoids ``1 / (1 + exp(m))`` of
+        the margins ``m = Z @ x`` of one point ``X = x`` or of each row ``x``
+        of ``X``, computed in the four ``(..., n)`` ``slots`` and returned in
+        two of them. Every operation works row by row, so a row's results
+        are bit-for-bit those of its point alone."""
         M, N, E, T = slots
         # np.matmul runs one gemv per row, which reproduces the 1-d Z @ x bit
         # for bit; the matrix product X @ Z.T does not
@@ -405,16 +406,12 @@ class LogisticRegressionProblem(Problem):
         # tails, and the sigmoid is 1 / (1 + E) where -m >= 0 and E / (1 + E)
         # elsewhere: as 0 <= E <= 1, max(E, -m >= 0) is that numerator
         np.exp(np.negative(np.abs(M, out=E), out=E), out=E)
-        if grad:
-            np.maximum(E, N >= 0, out=M)
-            np.divide(M, np.add(E, 1.0, out=T), out=M)
-        if value:
-            np.add(np.maximum(N, 0.0, out=N), np.log1p(E, out=T), out=N)
+        np.maximum(E, N >= 0, out=M)
+        np.divide(M, np.add(E, 1.0, out=T), out=M)
+        np.add(np.maximum(N, 0.0, out=N), np.log1p(E, out=T), out=N)
         return N, M
 
-    def _oracle(self, X, value=True, grad=True):
-        """``value_and_grad`` through the scratch buffer; ``value=False`` or
-        ``grad=False`` skips that half's work and gives None in its place."""
+    def value_and_grad(self, X):
         rows = len(X) if X.ndim > 1 else 1
         buf = self.__dict__.pop("_scratch", None)
         if buf is None or len(buf[0]) < rows:
@@ -422,22 +419,12 @@ class LogisticRegressionProblem(Problem):
             # come from memory the heap holds already, not from a new mapping
             buf = [np.empty((rows, self.n)) for _ in range(4)]
         key = slice(rows) if X.ndim > 1 else 0
-        losses, S = self._terms(X, [b[key] for b in buf], value, grad)
+        losses, S = self._terms(X, [b[key] for b in buf])
         # np.add.reduce / n is np.mean's arithmetic, bit for bit
-        f = (np.add.reduce(losses, axis=-1) / self.n + 0.5 * self.lam * np.vecdot(X, X)
-             if value else None)
-        G = -np.matmul(self.Z.T, S[..., None])[..., 0] / self.n + self.lam * X if grad else None
+        f = np.add.reduce(losses, axis=-1) / self.n + 0.5 * self.lam * np.vecdot(X, X)
+        G = -np.matmul(self.Z.T, S[..., None])[..., 0] / self.n + self.lam * X
         self._scratch = buf
         return f, G
-
-    def value(self, x):
-        return float(self._oracle(self.check_dim(x), grad=False)[0])
-
-    def grad(self, x):
-        return self._oracle(self.check_dim(x), value=False)[1]
-
-    def value_and_grad(self, X):
-        return self._oracle(X)
 
     def sample_grad(self, x, rng):
         i = int(rng.integers(self.n))
@@ -452,7 +439,7 @@ class LogisticRegressionProblem(Problem):
         return (-s)[:, None] * rows + self.lam * x
 
     def _row_variance(self, x: np.ndarray) -> float:
-        s = self._terms(x, np.empty((4, self.n)), value=False)[1]
+        s = self._terms(x, np.empty((4, self.n)))[1]
         G = (-s)[:, None] * self.Z  # per-row gradients minus the common ridge term
         mean = G.mean(axis=0)
         return float(((G - mean) ** 2).sum(axis=1).mean())

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from contextlib import closing
+from itertools import islice
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import _feed
 from ._record import _Record
 from .core import _sum_rows, clip_rows
 from .problems import BernoulliShiftQuadratic, Problem
-from .optimizers import Trace
+from .optimizers import _HELD, Trace
 
 __all__ = [
     "RateParams",
@@ -502,6 +503,19 @@ class SmoothnessCertificate(_Record):
         return not self.violations
 
 
+def _evaluated(problem: Problem, points):
+    """``(x, value, grad)`` for each checked point ``x`` of ``points``, in
+    order, each the bits of ``problem.value_and_grad(x)``. The points are
+    taken and evaluated in stacks of at most ``_HELD // max(dim,
+    row_doubles)``, the bound a stochastic run puts on its stacked call, so
+    that one stack's arrays are all that is held."""
+    size = max(1, _HELD // max(problem.meta.dim, problem.row_doubles))
+    points = iter(points)
+    while block := list(islice(points, size)):
+        f, G = problem.value_and_grad(np.stack(block))
+        yield from zip(block, f.tolist(), G)
+
+
 _CERT_RTOL = 1e-9  # float slack: the inequalities are exact in real arithmetic
 
 
@@ -517,7 +531,9 @@ def certify_smoothness(
     (when f* is known) gradient domination on sampled pairs.
 
     Pairs satisfy norm(x - y) <= 1/L1 (unrestricted scale when L1 = 0).
-    Violations are collected with witnesses, not raised.
+    Violations are collected with witnesses, not raised. The pairs are
+    drawn in stacks and each stack's points evaluated together (see
+    :func:`_evaluated`), with the draws and the bits of a pair-by-pair loop.
     """
     # no pair, or no finite radius, would check nothing and pass
     if n_pairs < 1:
@@ -525,7 +541,6 @@ def certify_smoothness(
     if not (radius_scale > 0 and math.isfinite(radius_scale)):
         raise ValueError(f"radius_scale must be finite and positive, got {radius_scale!r}")
     rng = np.random.default_rng(seed)
-    dim = problem.meta.dim
     r_max = radius_scale if L1 == 0.0 else min(radius_scale, 1.0 / L1)
     f_star = problem.meta.f_star
     violations: list[SmoothnessViolation] = []
@@ -535,26 +550,26 @@ def certify_smoothness(
         if lhs > rhs + slack:
             violations.append(SmoothnessViolation(kind, x, y, lhs, rhs))
 
-    for _ in range(n_pairs):
-        x = radius_scale * rng.standard_normal(dim)
-        direction = rng.standard_normal(dim)
-        direction /= np.linalg.norm(direction)
-        y = x + rng.uniform(1e-6, r_max) * direction
+    def points():
+        for _ in range(n_pairs):
+            x = radius_scale * rng.standard_normal(problem.meta.dim)
+            direction = rng.standard_normal(problem.meta.dim)
+            direction /= np.linalg.norm(direction)
+            yield x
+            yield x + rng.uniform(1e-6, r_max) * direction
 
-        gx = problem.grad(x)
-        gy = problem.grad(y)
+    evaluated = _evaluated(problem, points())
+    # zip takes two items a turn: a pair's x, then its y
+    for (x, f_x, gx), (y, f_y, gy) in zip(evaluated, evaluated):
         gx_norm = float(np.linalg.norm(gx))
         local = L0 + gx_norm * L1
         dist = float(np.linalg.norm(x - y))
 
         check("gradient_lipschitz", x, y, float(np.linalg.norm(gx - gy)), local * dist)
         descent_rhs = float(gx @ (y - x)) + 0.5 * local * dist * dist
-        check("descent", x, y, problem.value(y) - problem.value(x), descent_rhs)
+        check("descent", x, y, f_y - f_x, descent_rhs)
         if f_star is not None:
-            check(
-                "gradient_domination", x, None,
-                gx_norm**2, 2.0 * local * (problem.value(x) - f_star),
-            )
+            check("gradient_domination", x, None, gx_norm**2, 2.0 * local * (f_x - f_star))
     return SmoothnessCertificate(L0, L1, n_pairs, tuple(violations))
 
 

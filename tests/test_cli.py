@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clipbench import cli, problems, theory
+from clipbench import _feed, cli, problems, theory
 from clipbench.cli import ConfigError, main, parse_config
 from clipbench.optimizers import Cells
 from clipbench.data_ingest import bundled_dataset_path
@@ -643,6 +643,126 @@ class TestCmdCertify:
                      "--out", str(out)])
         assert code == 0
         assert "violations=0" in out.read_text()
+
+    def test_logistic_certificate_evaluates_stacks(self, tmp_path, monkeypatch):
+        # the certificate, the exact gradients and the finite differences
+        # make no single-point oracle call, and the problem's scratch
+        # buffer never holds more than 16 rows of its 500 doubles
+        calls, built = [], []
+        cls = problems.LogisticRegressionProblem
+        for name in ("value", "grad", "value_and_grad"):
+            method = getattr(cls, name)
+
+            def counted(self, X, _name=name, _method=method):
+                calls.append((_name, np.shape(X)))
+                return _method(self, X)
+
+            monkeypatch.setattr(cls, name, counted)
+        build = cli.build_problem
+
+        def keep(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_problem", keep)
+        out = tmp_path / "cl.txt"
+        assert main(["certify", "--config", str(CONFIG_DIR / "certify_logistic.cfg"),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5654ec1bc02143140414472a3f6c274c30f2f73500fd6547d5d9696490496f32")
+        assert {name for name, _ in calls} == {"value_and_grad"}
+        assert all(len(shape) == 2 and 1 <= shape[0] <= 16 for _, shape in calls)
+        # 1000 pairs of two points, 20 points and 20 times 120 differences
+        assert sum(shape[0] for _, shape in calls) == 2000 + 20 + 20 * 120
+        assert max(len(b) for b in built[0]._scratch) <= 16
+
+    @pytest.mark.parametrize("make", [
+        lambda: problems.LogisticRegressionProblem(
+            cli.data_ingest.parse_libsvm(bundled_dataset_path().read_text()), lam=0.01),
+        lambda: problems.ChiSquareQuadratic(dim=12, L=0.1),
+    ], ids=["logistic", "chi_square"])
+    def test_fd_gradient_is_the_per_coordinate_loop(self, make):
+        prob = make()
+        rng = np.random.default_rng(5)
+        for scale in (1e-3, 1.0, 30.0):
+            x = scale * rng.standard_normal(prob.meta.dim)
+            expected = np.empty_like(x)
+            for i in range(x.size):
+                step = 1e-6 * max(1.0, abs(x[i]))
+                e = np.zeros_like(x)
+                e[i] = step
+                expected[i] = (prob.value(x + e) - prob.value(x - e)) / (2.0 * step)
+            assert cli._fd_gradient(prob, x).tobytes() == expected.tobytes()
+
+    # each report's sha256 with its count of violations of each kind (gradient
+    # Lipschitz, descent, gradient domination) and its witness form: listed
+    # coordinates up to dimension 10, `norm:` past it
+    @pytest.mark.parametrize("config,kinds,witness,digest", [
+        ("problem = quadratic\ndim = 2\nL = 1.5\nL0 = 0.7\nn_pairs = 200\n", (200, 200, 200),
+         " x=0.1257302210933933,-0.1321048632913019 y=0.9283054157731222,",
+         "7b714c82de2344a9590feeaf365d11f2ef74e2b1abbea6e8655eb7b022470585"),
+        ("problem = chi_square\ndim = 12\nL0 = 0.03\nn_pairs = 100\n", (100, 100, 100),
+         " x=norm:2.440530637464087 y=norm:2.470168814170586\n",
+         "2648d9d80dc86a85d5abd9eb2729201dffb171e88494b7528086ce25ed285838"),
+        (LOGISTIC + "L0 = 0.0005\nn_pairs = 60\n", (1, 0, 0),
+         " x=norm:8.275118857731474 y=norm:8.270702084038833\n",
+         "b2fdcddd0e393931329b1577d6d2b5f8651b4294cf4c88ffb90cbe7c4108e1b6"),
+    ], ids=["quadratic", "chi_square", "logistic"])
+    def test_report_bytes(self, tmp_path, config, kinds, witness, digest):
+        cfg = write(tmp_path, "c.cfg", "mode = certify\n" + config)
+        out = tmp_path / "c.txt"
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 4
+        text = out.read_text()
+        counts = tuple(text.count(f"violation kind={kind} ") for kind in
+                       ("gradient_lipschitz", "descent", "gradient_domination"))
+        assert counts == kinds and witness in text
+        assert text.count("status=pass") == 20
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestSystemErrors:
+    """An OSError while a command runs is a system error (exit 5): not a
+    config error (exit 1), which an unreadable config file stays."""
+
+    @pytest.mark.parametrize("command,text", [
+        ("fixedpoint", "mode = fixedpoint\nsigma = 1\nc = 4\n"),
+        ("sweep", "mode = sweep\nproblem = quadratic\n" + CLIPPED_GD + "seeds = 0, 1\n"),
+        # T >= 4096: the run's rows are formatted by a forked writer child
+        ("run", "mode = run\n" + BERNOULLI + "method = clipped_sgd\nc = 4\neta = 1e-3\n"
+                "T = 10000\nseeds = 0\n"),
+    ], ids=["fixedpoint", "sweep", "run"])
+    def test_full_disk(self, tmp_path, capsys, monkeypatch, command, text):
+        pids = []
+        spawn = _feed._spawn
+
+        def recorded(*args):
+            spawned = spawn(*args)
+            pids.extend(spawned[:1] if spawned else ())
+            return spawned
+
+        monkeypatch.setattr(_feed, "_spawn", recorded)
+        cfg = write(tmp_path, "c.cfg", text)
+        assert main([command, "--config", str(cfg), "--out", "/dev/full"]) == 5
+        assert capsys.readouterr().err == "system error: [Errno 28] No space left on device\n"
+        assert len(pids) == (command == "run" and _feed.can_fork())
+        for pid in pids:
+            # killed and reaped: no child is left running
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_out_in_a_missing_directory(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", "mode = fixedpoint\nsigma = 1\nc = 4\n")
+        out = tmp_path / "missing" / "fp.txt"
+        assert main(["fixedpoint", "--config", str(cfg), "--out", str(out)]) == 5
+        assert capsys.readouterr().err == (
+            f"system error: [Errno 2] No such file or directory: '{out}'\n")
+
+    def test_unreadable_config_stays_a_config_error(self, tmp_path, capsys):
+        # a directory, which no user can read as a file
+        assert main(["fixedpoint", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "fp.txt")]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config: ")
 
 
 class TestCmdBound:

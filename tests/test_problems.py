@@ -213,6 +213,26 @@ class TestLogistic:
         x = np.full(prob.meta.dim, -1e4)
         assert math.isfinite(prob.value(x))
 
+    def test_value_and_grad_are_the_halves_of_one_call(self):
+        # the checked one-point oracles are the base class's: the bits of
+        # value_and_grad's two halves, random, saturated and NaN points alike
+        prob = LogisticRegressionProblem(parse_libsvm(bundled_dataset_path().read_text()),
+                                         lam=0.01)
+        rng = np.random.default_rng(12)
+        dim = prob.meta.dim
+        points = [rng.normal(size=dim) * scale for scale in (1e-3, 1.0, 30.0)]
+        points += [1e3 * rng.choice([-1.0, 1.0], size=dim), np.full(dim, -1e3)]
+        x = rng.normal(size=dim)
+        x[7] = np.nan
+        points.append(x)
+        for x in points:
+            with np.errstate(all="ignore"):
+                f, g = prob.value_and_grad(x)
+                assert type(prob.value(x)) is float
+                assert bits(prob.value(x), prob.grad(x)) == bits(f, g)
+        assert "value" not in vars(LogisticRegressionProblem)
+        assert "grad" not in vars(LogisticRegressionProblem)
+
     def test_sample_grad_is_row_gradient(self):
         prob = small_logistic()
         rng = np.random.default_rng(5)

@@ -11,6 +11,8 @@ from clipbench.problems import (
     BernoulliShiftQuadratic,
     ChiSquareQuadratic,
     LogisticRegressionProblem,
+    Problem,
+    ProblemMeta,
     Quadratic,
 )
 from clipbench.theory import (
@@ -561,6 +563,98 @@ class TestCertifySmoothness:
         with pytest.raises(ValueError) as exc:
             certify_smoothness(Quadratic(dim=2, L=1.0), L0=1.0, L1=0.0, **kwargs)
         assert str(exc.value) == message
+
+
+class PseudoHuber(Problem):
+    """A custom problem with only the one-point oracles: ``f(x) = sum_i
+    (sqrt(1 + x_i^2) - 1)``, whose Hessian is at most the identity, with or
+    without its minimum value declared."""
+
+    def __init__(self, dim, f_star):
+        self.meta = ProblemMeta(dim=dim, L0=1.0, L1=0.0, L=1.0, mu=0.0, sigma_sq=0.0,
+                                f_star=f_star)
+
+    def value(self, x):
+        return float(np.sum(np.sqrt(1.0 + x * x) - 1.0))
+
+    def grad(self, x):
+        return x / np.sqrt(1.0 + x * x)
+
+
+def per_pair_certificate(problem, L0, L1, n_pairs, radius_scale, seed):
+    """certify_smoothness's violations ``(kind, x, y, lhs, rhs)`` from a loop
+    that evaluates each pair's points one call at a time."""
+    rng = np.random.default_rng(seed)
+    r_max = radius_scale if L1 == 0.0 else min(radius_scale, 1.0 / L1)
+    f_star = problem.meta.f_star
+    found = []
+
+    def check(kind, x, y, lhs, rhs):
+        if lhs > rhs + 1e-9 * max(1.0, abs(lhs), abs(rhs)):
+            found.append((kind, x, y, lhs, rhs))
+
+    for _ in range(n_pairs):
+        x = radius_scale * rng.standard_normal(problem.meta.dim)
+        direction = rng.standard_normal(problem.meta.dim)
+        direction /= np.linalg.norm(direction)
+        y = x + rng.uniform(1e-6, r_max) * direction
+        gx, gy = problem.grad(x), problem.grad(y)
+        gx_norm = float(np.linalg.norm(gx))
+        local = L0 + gx_norm * L1
+        dist = float(np.linalg.norm(x - y))
+        check("gradient_lipschitz", x, y, float(np.linalg.norm(gx - gy)), local * dist)
+        check("descent", x, y, problem.value(y) - problem.value(x),
+              float(gx @ (y - x)) + 0.5 * local * dist * dist)
+        if f_star is not None:
+            check("gradient_domination", x, None, gx_norm**2,
+                  2.0 * local * (problem.value(x) - f_star))
+    return found
+
+
+class TestStackedCertificate:
+    """certify_smoothness draws every pair first and evaluates the points as
+    stacks; its certificate is the pair-by-pair loop's, bit for bit."""
+
+    @pytest.mark.parametrize("dim,f_star,L0,L1,radius_scale", [
+        (3, 0.0, 0.3, 0.0, 1.0),
+        (3, None, 0.3, 0.0, 1.0),
+        (2, 0.0, 0.3, 5.0, 0.3),
+        (12, 0.0, 0.3, 0.2, 0.3),
+        (1, 0.0, 1.0, 0.0, 10.0),
+    ], ids=["violated", "no_f_star", "L1_radius", "dim_12", "holds"])
+    def test_same_certificate_as_the_per_pair_loop(self, dim, f_star, L0, L1, radius_scale):
+        prob = PseudoHuber(dim, f_star)
+        cert = certify_smoothness(prob, L0, L1, n_pairs=150, radius_scale=radius_scale,
+                                  seed=dim)
+        expected = per_pair_certificate(prob, L0, L1, 150, radius_scale, dim)
+        assert len(cert.violations) == len(expected)
+        for v, (kind, x, y, lhs, rhs) in zip(cert.violations, expected):
+            assert v.kind == kind and v.x.tobytes() == x.tobytes()
+            assert (v.y is None) == (y is None) and (y is None or v.y.tobytes() == y.tobytes())
+            assert type(v.lhs) is float and type(v.rhs) is float
+            assert (v.lhs, v.rhs) == (lhs, rhs)
+        if f_star is not None and L0 < 1.0:
+            # every kind of violation is compared
+            assert {v.kind for v in cert.violations} == {
+                "gradient_lipschitz", "descent", "gradient_domination"}
+        assert cert.ok == (L0 == 1.0)
+
+    def test_logistic_points_go_in_stacks_of_at_most_16(self, monkeypatch):
+        # no single-point oracle call: each call takes a stack within the
+        # engine's bound on a stacked call, 8192 // max(dim, n) rows
+        calls = []
+        for name in ("value", "grad", "value_and_grad"):
+            method = getattr(LogisticRegressionProblem, name)
+
+            def counted(self, X, _name=name, _method=method):
+                calls.append((_name, np.shape(X)))
+                return _method(self, X)
+
+            monkeypatch.setattr(LogisticRegressionProblem, name, counted)
+        prob = LogisticRegressionProblem(parse_libsvm(bundled_dataset_path().read_text()))
+        certify_smoothness(prob, prob.meta.L0, prob.meta.L1, n_pairs=40, seed=0)
+        assert [shape for _, shape in calls] == [(16, 60)] * 5
+        assert {name for name, _ in calls} == {"value_and_grad"}
 
 
 class TestClipProbabilityBound:
