@@ -1,4 +1,5 @@
-"""Draws computed ahead, and trace rows formatted behind, by a forked child.
+"""Draws computed ahead, trace rows formatted behind and half of a large
+batch run, by a forked child.
 
 A run's or a Monte Carlo estimate's draws never depend on its iterate, so
 a second process can compute them while the first one steps. :func:`fed`
@@ -19,15 +20,23 @@ so the bytes never depend on it. A writer forks only for 2**12 to 2**19
 recorded rows and never for a run that is fed, so a run has at most one
 child.
 
-Either child is forked only where the process can fork, may run on more
+A large lockstep batch runs half of its cells in a child instead:
+:func:`split` computes one function in a forked child while the parent
+computes another, and pickles the child's result up a pipe. The step loop
+runs each cell row by row, so the cells the child runs have the bits the
+parent would compute. A batch of cells is never fed and never written by
+a :class:`RowWriter`, so it too has at most one child.
+
+Every child is forked only where the process can fork, may run on more
 than one CPU and runs no other Python thread (:func:`can_fork`). Only
-``os`` and ``mmap`` are used: a thread would contend for the interpreter
-lock the parent steps with, and ``multiprocessing`` costs import time.
-Both share one lifecycle, :func:`_spawn` and :func:`_end`, and one
-failure policy. Where the system refuses the memory, memfd, pipe or
-fork, the parent does the child's work itself, with the same bits. A
+``os``, ``mmap`` and ``pickle`` are used: a thread would contend for the
+interpreter lock the parent steps with, and ``multiprocessing`` costs
+import time. All share one lifecycle, :func:`_spawn` and :func:`_end`,
+and one failure policy. Where the system refuses the memory, memfd, pipe
+or fork, the parent does the child's work itself, with the same bits. A
 feeder child that raises is a ``RuntimeError`` in the caller; a writer
-child that fails leaves every row to the CLI.
+child that fails leaves every row to the CLI, and a batch child that
+fails leaves every cell to the parent.
 """
 
 from __future__ import annotations
@@ -90,7 +99,8 @@ def should_feed(problem, items: int, doubles: int) -> bool:
 def _fork() -> int:
     """``os.fork()``. Python 3.12+ warns on a fork while native threads (a
     BLAS pool, say) run; can_fork ruled out Python threads, and a child
-    calls only its own code and os."""
+    runs only its own code and the BLAS, whose pool OpenBLAS shuts down
+    at a fork."""
     import warnings
 
     with warnings.catch_warnings():
@@ -100,17 +110,18 @@ def _fork() -> int:
 
 def _spawn(size: int, body):
     """Fork a child that runs ``body(shared, down, up)``: ``shared`` maps
-    ``size`` bytes that parent and child share, ``down`` reads a pipe from
-    the parent and ``up`` writes one to it. The child never returns into
-    the caller's frames: any exception, an interrupt too, is written up as
-    ``!Type: message`` and ends it. Returns the parent's ``(pid, shared,
-    down, up)``, which writes ``down`` and reads ``up``; None, with what it
-    made closed, where the system refuses the memory, a pipe or the fork."""
+    ``size`` bytes that parent and child share (None for 0), ``down``
+    reads a pipe from the parent and ``up`` writes one to it. The child
+    never returns into the caller's frames: any exception, an interrupt
+    too, is written up as ``!Type: message`` and ends it. Returns the
+    parent's ``(pid, shared, down, up)``, which writes ``down`` and reads
+    ``up``; None, with what it made closed, where the system refuses the
+    memory, a pipe or the fork."""
     import mmap  # here: only a process that forks needs it
 
     fds: list[int] = []
     try:
-        shared = mmap.mmap(-1, size)
+        shared = mmap.mmap(-1, size) if size else None
         for _ in range(2):
             fds += os.pipe()
         pid = _fork()
@@ -147,6 +158,47 @@ def _end(pid: int, *fds: int | None) -> None:
         os.waitpid(pid, 0)
     except (ProcessLookupError, ChildProcessError):
         pass  # reaped already, as where SIGCHLD is ignored
+
+
+def split(here, there):
+    """``(here(), there())``, where a forked child computes ``there()`` while
+    this process computes ``here()``.
+
+    The child pickles its result up its pipe, and the parent reads it
+    after ``here()`` returns. Warnings are errors in the child, so it
+    prints nothing. None where the system refuses a pipe or the fork, where
+    the child fails, or where ``here()`` raises an ``Exception``: the
+    caller then computes both itself, which gives its one-process outcome,
+    warnings too. However it ends, the child is killed and reaped.
+    """
+    import pickle  # numpy has imported it
+
+    def compute(shared, down: int, up: int) -> None:
+        # the child's work
+        import warnings
+
+        warnings.simplefilter("error")
+        with open(up, "wb", closefd=False) as pipe:
+            pickle.dump(there(), pipe, pickle.HIGHEST_PROTOCOL)
+
+    spawned = _spawn(0, compute)
+    if spawned is None:
+        return None
+    pid, _, down, up = spawned
+    try:
+        try:
+            mine = here()
+        except Exception:
+            return None
+        with open(up, "rb", closefd=False) as pipe:
+            data = pipe.read()
+    finally:
+        _end(pid, down, up)
+    try:
+        return mine, pickle.loads(data)
+    except Exception:
+        # a failed child's "!Type: message", or the cut-off data of one killed
+        return None
 
 
 def fed(first: tuple, produce, n: int):

@@ -669,8 +669,8 @@ def _parser() -> _ArgumentParser:
             sp.add_argument("--seed-offset", type=int, default=0,
                             help="added to every seed in the config")
             sp.add_argument("--threads", type=int, default=1,
-                            help="accepted and ignored; sweep cells run in lockstep"
-                                 " in one process")
+                            help="accepted and ignored; sweep cells run in lockstep,"
+                                 " a large batch's odd cells in a forked child")
     return parser
 
 

@@ -1543,3 +1543,179 @@ class TestChunkedGuard:
         # its values is not checked, and the exception stands
         with pytest.raises(ValueError, match=r"limits at np.float64\(2000000000000.0\)"):
             run(ExactOracleLimits(limit=1e12), config())
+
+
+def splitting(monkeypatch, work=0):
+    """Every batch of 4 or more cells whose work reaches ``work`` splits."""
+    monkeypatch.setattr(optimizers, "_SPLIT", work)
+
+
+def one_process(prob, cells):
+    """Each cell's outcome, and whether its trace holds its own config, from
+    a process that cannot fork."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_feed, "can_fork", lambda: False)
+        return split_outcome(prob, cells)
+
+
+def split_outcome(prob, cells):
+    return [(trace_digest(trace), diverged, trace.config is config)
+            for (trace, diverged), config in zip(run(prob, cells), cells.configs)]
+
+
+def odd_and_even(method, K, eta=lambda i: (0.05, 2.5, 2.2, 0.2, 2.8, 3.0, 0.1)[i]):
+    """K cells on the Bernoulli shift, from 1.0 and from -0.5 in turn: of
+    seven, cells 1, 2, 4 and 5 diverge, at different steps, two in each
+    share."""
+    return Cells([cfg(method=method, c=math.inf, eta=eta(i), T=400,
+                      x0=np.array([1.0 if i % 2 else -0.5]), seed=i) for i in range(K)])
+
+
+class ChildOnly(BernoulliShiftQuadratic):
+    """The Bernoulli shift whose exact oracle, in any process but the one
+    that made it, calls ``act`` at its tenth call, counted from its making."""
+
+    def __init__(self, act):
+        super().__init__(a=4.0, p=0.25)
+        self.act, self.pid, self.calls = act, os.getpid(), 0
+
+    def value_and_grad(self, X):
+        self.calls += 1
+        if os.getpid() != self.pid and self.calls == 10:
+            self.act()
+        return super().value_and_grad(X)
+
+
+class TestSplitBatch:
+    """A large batch runs its odd cells in a forked child, with the bits,
+    exceptions and configs of one process, and leaves no process behind
+    however it ends."""
+
+    @pytest.mark.parametrize("method", ["sgd", "gd"])
+    @pytest.mark.parametrize("K", [4, 5, 7])
+    def test_split_batch_matches_one_process(self, monkeypatch, forks, no_hang, method, K):
+        prob, cells = BernoulliShiftQuadratic(a=4.0, p=0.25), odd_and_even(method, K)
+        want = one_process(prob, cells)
+        # cells diverge in both shares, at different steps
+        assert {diverged for _, diverged, _ in want[::2]} == {False, True}
+        assert {diverged for _, diverged, _ in want[1::2]} == {False, True}
+        assert all(own for *_, own in want)
+        splitting(monkeypatch)
+        assert split_outcome(prob, cells) == want
+        assert forks == [os.getpid()]
+        assert_no_child_left()
+
+    def test_bundled_logistic_sweep_splits_at_the_shipped_threshold(self, forks, no_hang):
+        # 18 cells of 500 label-signed rows: 233 steps lie under 2**21, 234 above
+        prob = bundled_logistic()
+        for T, splits in ((233, False), (234, True)):
+            cells = Cells([cfg(method="clipped_gd", c=0.05 * (1 + i % 3), eta=0.5 * (1 + i // 3),
+                               T=T, x0=np.zeros(prob.meta.dim)) for i in range(18)])
+            want = one_process(prob, cells)
+            forks.clear()
+            assert split_outcome(prob, cells) == want
+            assert forks == [os.getpid()] * splits
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("method,K,work,splits", [
+        ("sgd", 4, 400 * 4, True), ("sgd", 4, 400 * 4 + 1, False), ("sgd", 3, 0, False),
+        ("sgd", 2, 0, False), ("gd", 7, 1, False),
+    ], ids=["at_the_work", "below_the_work", "three_cells", "two_cells",
+            "deterministic_without_point_arrays"])
+    def test_what_splits(self, monkeypatch, forks, no_hang, method, K, work, splits):
+        # T * K * dim of a stochastic batch on the one-dimensional shift. A
+        # share of one cell would be a single run, which may fork a feeder,
+        # and a deterministic step on a problem with no arrays per point
+        # (row_doubles = 0) costs each share about what it costs the batch
+        prob, cells = BernoulliShiftQuadratic(a=4.0, p=0.25), odd_and_even(method, K)
+        want = one_process(prob, cells)
+        splitting(monkeypatch, work)
+        assert split_outcome(prob, cells) == want
+        assert forks == [os.getpid()] * splits
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("share", ["child", "parent", "both"])
+    def test_oracle_raising_in_a_share_raises_as_one_process(self, monkeypatch, forks, no_hang,
+                                                            share):
+        # past 1e3 the exact oracle raises before the guard stops a cell:
+        # the child's or the parent's cells grow, or cells of both, where the
+        # child's share raises first and the parent's with another message
+        grow = {"child": lambda i: 2.5 if i % 2 else 0.05,
+                "parent": lambda i: 0.05 if i % 2 else 2.5,
+                "both": lambda i: 2.2 + 0.25 * (i % 2) + 0.05 * i}[share]
+        cells = odd_and_even("gd", 5, grow)
+
+        def raised():
+            with pytest.raises(ValueError) as info:
+                run(ExactOracleLimits(limit=1e3), cells)
+            return str(info.value)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_feed, "can_fork", lambda: False)
+            want = raised()
+        splitting(monkeypatch)
+        assert raised() == want
+        assert forks == [os.getpid()]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("act", ["raise", "warn", "kill"])
+    def test_child_that_fails_gives_the_in_process_bits(self, monkeypatch, capfd, forks,
+                                                        no_hang, act):
+        # a child that raises, warns or is killed mid-run: the parent runs
+        # every cell, and nothing is printed. A warning fails the child
+        # whatever the caller's filters, even where they ignore it
+        def fail():
+            if act == "raise":
+                raise RuntimeError("the child's oracle failed")
+            elif act == "warn":
+                warnings.warn("the child's oracle warned", RuntimeWarning)
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        cells = odd_and_even("gd", 7)
+        alone = ChildOnly(fail)
+        want = one_process(alone, cells)
+        splitting(monkeypatch)
+        prob = ChildOnly(fail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert split_outcome(prob, cells) == want
+        # the parent ran its share, then every cell
+        assert prob.calls > alone.calls
+        assert forks == [os.getpid()]
+        assert capfd.readouterr() == ("", "")
+        assert_no_child_left()
+
+    def test_refused_fork_runs_in_one_process(self, monkeypatch, forks):
+        prob, cells = BernoulliShiftQuadratic(a=4.0, p=0.25), odd_and_even("sgd", 7)
+        want = one_process(prob, cells)
+        splitting(monkeypatch)
+
+        def refused():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refused)
+        opened = len(os.listdir("/proc/self/fd"))
+        assert split_outcome(prob, cells) == want
+        assert len(os.listdir("/proc/self/fd")) == opened
+
+    def test_interrupt_reaps_the_child_and_propagates(self, monkeypatch, forks, no_hang):
+        # the parent's share is interrupted at its fifth exact call; the
+        # batch is not run again
+        class Interrupted(BernoulliShiftQuadratic):
+            calls = 0
+
+            def value_and_grad(self, X):
+                self.calls += 1
+                if self.calls == 5:
+                    raise KeyboardInterrupt
+                return super().value_and_grad(X)
+
+        prob, cells = Interrupted(a=4.0, p=0.25), odd_and_even("gd", 7)
+        splitting(monkeypatch)
+        opened = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(KeyboardInterrupt):
+            run(prob, cells)
+        assert prob.calls == 5 and forks == [os.getpid()]
+        assert len(os.listdir("/proc/self/fd")) == opened
+        assert_no_child_left()
