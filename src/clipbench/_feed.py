@@ -28,15 +28,17 @@ parent would compute. A batch of cells is never fed and never written by
 a :class:`RowWriter`, so it too has at most one child.
 
 Every child is forked only where the process can fork, may run on more
-than one CPU and runs no other Python thread (:func:`can_fork`). Only
-``os``, ``mmap`` and ``pickle`` are used: a thread would contend for the
-interpreter lock the parent steps with, and ``multiprocessing`` costs
-import time. All share one lifecycle, :func:`_spawn` and :func:`_end`,
-and one failure policy. Where the system refuses the memory, memfd, pipe
-or fork, the parent does the child's work itself, with the same bits. A
-feeder child that raises is a ``RuntimeError`` in the caller; a writer
-child that fails leaves every row to the CLI, and a batch child that
-fails leaves every cell to the parent.
+than one CPU and runs no other Python thread (:func:`can_fork`); a
+resource that one child alone needs, as the writer's memfd, that child
+asks for itself. Only ``os``, ``mmap``, ``pickle`` and ``ctypes`` are
+used: a thread would contend for the interpreter lock the parent steps
+with, and ``multiprocessing`` costs import time. All share one
+lifecycle, :func:`_spawn` and :func:`_end`, and one contract: whatever
+happens to a child, the caller gives the outputs and exceptions of one
+process. Where the system refuses a resource, or the child fails or
+dies, the child is killed and reaped and the parent does its work
+itself: the feeder's calls, the writer's rows or the batch's cells. A
+child dies with its parent.
 """
 
 from __future__ import annotations
@@ -75,17 +77,16 @@ REPORT_ROWS = 1024
 
 
 def can_fork() -> bool:
-    """Whether a helper child may be forked: the process can fork and make a
-    memfd, may run on more than one CPU and runs no other Python thread,
-    which could hold a lock the child takes."""
-    if not (hasattr(os, "fork") and hasattr(os, "memfd_create")):
-        return False
+    """Whether a helper child may be forked: the process can fork, may run
+    on more than one CPU and runs no other Python thread, which could hold
+    a lock the child takes."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     threading = sys.modules.get("threading")
-    return cpus > 1 and (threading is None or threading.active_count() == 1)
+    return (hasattr(os, "fork") and cpus > 1
+            and (threading is None or threading.active_count() == 1))
 
 
 def should_feed(problem, items: int, doubles: int) -> bool:
@@ -96,35 +97,37 @@ def should_feed(problem, items: int, doubles: int) -> bool:
             and can_fork())
 
 
-def _fork() -> int:
-    """``os.fork()``. Python 3.12+ warns on a fork while native threads (a
-    BLAS pool, say) run; can_fork ruled out Python threads, and a child
-    runs only its own code and the BLAS, whose pool OpenBLAS shuts down
-    at a fork."""
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r".*fork\(\)", DeprecationWarning)
-        return os.fork()
-
-
 def _spawn(size: int, body):
     """Fork a child that runs ``body(shared, down, up)``: ``shared`` maps
     ``size`` bytes that parent and child share (None for 0), ``down``
     reads a pipe from the parent and ``up`` writes one to it. The child
-    never returns into the caller's frames: any exception, an interrupt
-    too, is written up as ``!Type: message`` and ends it. Returns the
-    parent's ``(pid, shared, down, up)``, which writes ``down`` and reads
-    ``up``; None, with what it made closed, where the system refuses the
-    memory, a pipe or the fork."""
+    dies with the parent (on Linux), never returns into the caller's
+    frames and ends in ``os._exit(0)`` however ``body`` ends, so the
+    parent reads how it ended from what it wrote up. Returns the parent's
+    ``(pid, shared, down, up)``, which writes ``down`` and reads ``up``;
+    None, with what it made closed, where the system refuses the memory,
+    a pipe or the fork."""
+    import ctypes  # numpy has imported it
     import mmap  # here: only a process that forks needs it
+    import signal
+    import warnings
 
-    fds: list[int] = []
+    # prctl among the process's own symbols, libc's too, looked up here,
+    # where ctypes keeps it after the first child: a new child's lookup
+    # takes about 0.25 ms, its call about 20 us
+    prctl = ctypes.pythonapi.prctl if sys.platform == "linux" else None
+    parent, fds = os.getpid(), []
     try:
         shared = mmap.mmap(-1, size) if size else None
         for _ in range(2):
             fds += os.pipe()
-        pid = _fork()
+        # Python 3.12+ warns on a fork while native threads (a BLAS pool,
+        # say) run; can_fork ruled out Python threads, and a child runs
+        # only its own code and the BLAS, whose pool OpenBLAS shuts down at
+        # a fork
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r".*fork\(\)", DeprecationWarning)
+            pid = os.fork()
     except OSError:
         for fd in fds:
             os.close(fd)
@@ -132,13 +135,14 @@ def _spawn(size: int, body):
     down_r, down_w, up_r, up_w = fds
     if not pid:
         try:
-            os.close(down_w)
-            os.close(up_r)
-            body(shared, down_r, up_w)
-        except BaseException as exc:
-            os.write(up_w, f"!{type(exc).__name__}: {exc}".encode())
+            if prctl:
+                prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG: killed when the parent dies
+            # a parent that died before that call has left the child to init
+            if os.getppid() == parent:
+                os.close(down_w)
+                os.close(up_r)
+                body(shared, down_r, up_w)
         finally:
-            # the parent reads how the child ended from up, not its status
             os._exit(0)
     os.close(down_r)
     os.close(up_w)
@@ -148,7 +152,7 @@ def _spawn(size: int, body):
 def _end(pid: int, *fds: int | None) -> None:
     """Close the parent's descriptors ``fds`` (None for one it closed
     already), then kill the child ``pid`` and wait for it."""
-    import signal  # here: only a process that forked needs it
+    import signal  # _spawn has imported it
 
     for fd in fds:
         if fd is not None:
@@ -167,9 +171,10 @@ def split(here, there):
     The child pickles its result up its pipe, and the parent reads it
     after ``here()`` returns. Warnings are errors in the child, so it
     prints nothing. None where the system refuses a pipe or the fork, where
-    the child fails, or where ``here()`` raises an ``Exception``: the
-    caller then computes both itself, which gives its one-process outcome,
-    warnings too. However it ends, the child is killed and reaped.
+    the child fails or dies, or where ``here()`` raises an ``Exception``:
+    the caller then computes both itself, which gives its one-process
+    outcome, warnings too. However it ends, the child is killed and
+    reaped.
     """
     import pickle  # numpy has imported it
 
@@ -197,7 +202,7 @@ def split(here, there):
     try:
         return mine, pickle.loads(data)
     except Exception:
-        # a failed child's "!Type: message", or the cut-off data of one killed
+        # the empty or cut-off data of a child that failed or died
         return None
 
 
@@ -208,10 +213,13 @@ def fed(first: tuple, produce, n: int):
     An item is a tuple of arrays. Each array ``produce(i)`` returns fills
     the leading rows of one shaped like its counterpart in ``first``, and
     that array is what the caller is handed; it is valid until the caller
-    takes the next item. A child that fails is a ``RuntimeError`` here, and
-    however the caller stops, the child is killed and reaped. Where the
-    system refuses the ring, a pipe or the fork, the parent makes the
-    child's calls itself, so the items have the same bits.
+    takes the next item. Where the system refuses the ring, a pipe or the
+    fork, or where the child fails or dies before item ``i``, the child is
+    reaped and the parent makes the calls itself: again ``produce(1)``,
+    ..., ``produce(i - 1)``, whose items the child made, as ``produce`` may
+    draw from a stream those calls advance, then the rest. So the items,
+    and an exception a call raises, are those of one process. However the
+    caller stops, the child is killed and reaped.
     """
     import mmap  # here: only a process that forks needs it
 
@@ -242,39 +250,39 @@ def fed(first: tuple, produce, n: int):
             if j == per - 1 or i == n - 1:
                 os.write(ready_w, b"+")
 
-    spawned = _spawn(depth * block, fill)
-    if spawned is None:
-        # the system refused a resource: the child's calls, made here, give
-        # the same items
-        yield first
-        del first
-        yield from map(produce, range(1, n))
-        return
-    pid, ring, free_w, ready_r = spawned
+    pid, ring, free_w, ready_r = _spawn(depth * block, fill) or (None,) * 4
+    i = 1  # the first item the parent makes itself
     try:
-        views = ring_views(ring)
         yield first
         del first  # held here, its arrays would stay allocated all along
-        for i in range(1, n):
-            b, j = divmod((i - 1) % (depth * per), per)
-            if not j:
-                if i > 1:
-                    # drops the parent's pages of the whole ring, which a
-                    # read maps around the page it faults on as well
-                    ring.madvise(mmap.MADV_DONTNEED)
-                    try:
-                        os.write(free_w, b"-")
-                    except BrokenPipeError:
-                        pass  # the child has exited; its last tokens tell how
-                token = os.read(ready_r, 1)
-                if token != b"+":
-                    # a failed child's message follows its "!"
-                    message = b"".join(iter(lambda: os.read(ready_r, 4096), b""))
-                    raise RuntimeError("the draw feeder failed: "
-                                       + (message.decode(errors="replace") or "it exited"))
-            yield tuple(view[b, j] for view in views)
+        if pid:
+            views = ring_views(ring)
+            for i in range(1, n):
+                b, j = divmod((i - 1) % (depth * per), per)
+                if not j:
+                    if i > 1:
+                        # drops the parent's pages of the whole ring, which a
+                        # read maps around the page it faults on as well
+                        ring.madvise(mmap.MADV_DONTNEED)
+                        try:
+                            os.write(free_w, b"-")
+                        except BrokenPipeError:
+                            pass  # the child has exited; its last tokens tell how
+                    # a child that failed or died sends no "+" for its block
+                    if os.read(ready_r, 1) != b"+":
+                        break
+                yield tuple(view[b, j] for view in views)
+            else:
+                return
     finally:
-        _end(pid, ready_r, free_w)
+        if pid:
+            _end(pid, ready_r, free_w)
+    # a refused resource (i = 1), or a child that ended before item i: its
+    # calls, made again here, leave any stream produce draws from where the
+    # child left it
+    for k in range(1, i):
+        produce(k)
+    yield from map(produce, range(i, n))
 
 
 def csv_rows(iters: np.ndarray, columns) -> Iterator[str]:
@@ -306,13 +314,14 @@ class RowWriter:
         """The record array of a run that records iterations ``ts``, in
         shared memory, with a child forked to format its rows; None, with
         nothing forked, for a trace too short or too long to pay for the
-        child, where :func:`can_fork` does not hold or where the system
-        refuses the memory, memfd, pipe or process."""
+        child, where ``os`` has no memfd or :func:`can_fork` does not hold,
+        or where the system refuses the memory, memfd, pipe or process."""
         if not (ROWS_MIN <= ts.size <= ROWS_MAX and can_fork()):
             return None
         try:
             self._text = os.memfd_create("clipbench-trace-rows")
-        except OSError:
+        except (AttributeError, OSError):
+            # an os without memfd_create, or a system that refuses one
             return None
         spawned = _spawn(32 * ts.size + 8, lambda *ends: self._format(ts, *ends))
         if spawned is None:

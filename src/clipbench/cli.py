@@ -66,13 +66,6 @@ class DataError(ValueError):
     """Dataset missing or malformed."""
 
 
-def _fmt(x) -> str:
-    """Shortest round-trip decimal for floats, plain str otherwise."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -387,8 +380,7 @@ def cmd_sweep(cfg: dict, out: Path, seed_offset: int = 0) -> int:
         writer.writerow(SWEEP_HEADER)
         for r in rows:
             writer.writerow(
-                [_fmt(r.c), _fmt(r.eta), r.seed, _fmt(r.c * r.eta), _fmt(r.final_f),
-                 _fmt(r.min_grad_norm), r.iters_to_target,
+                [r.c, r.eta, r.seed, r.c * r.eta, r.final_f, r.min_grad_norm, r.iters_to_target,
                  int(r.diverged), int(r.best_eta_for_c)]
             )
     return EXIT_OK
@@ -403,7 +395,7 @@ def cmd_fixedpoint(cfg: dict, out: Path) -> int:
     failed = False
     for sigma in cfg["sigma"]:
         for c in cfg["c"]:
-            cell = f"sigma={_fmt(sigma)} c={_fmt(c)}"
+            cell = f"sigma={sigma!r} c={c!r}"
             skip = "no_noise" if sigma <= 0 else "bad_threshold" if c <= 0 else None
             if skip:
                 lines.append(f"{cell} status=skipped reason={skip}")
@@ -416,9 +408,9 @@ def cmd_fixedpoint(cfg: dict, out: Path) -> int:
             failed = failed or not ok
             lines.append(
                 f"{cell} regime={regime}"
-                f" a={_fmt(inst.a)} p={_fmt(inst.p)} x_fixed={_fmt(inst.x_fixed)}"
-                f" bias={_fmt(inst.bias)} guarantee={_fmt(inst.guarantee)}"
-                f" residual={_fmt(residual)} status={'pass' if ok else 'fail'}"
+                f" a={inst.a!r} p={inst.p!r} x_fixed={inst.x_fixed!r}"
+                f" bias={inst.bias!r} guarantee={inst.guarantee!r}"
+                f" residual={residual!r} status={'pass' if ok else 'fail'}"
             )
     out.write_text("\n".join(lines) + "\n")
     return EXIT_CHECK if failed else EXIT_OK
@@ -442,8 +434,8 @@ def _witness(v: np.ndarray | None) -> str:
     if v is None:
         return "-"
     if v.size <= 10:
-        return ",".join(_fmt(float(t)) for t in v)
-    return f"norm:{_fmt(float(np.linalg.norm(v)))}"
+        return ",".join(repr(float(t)) for t in v)
+    return f"norm:{float(np.linalg.norm(v))!r}"
 
 
 def cmd_certify(cfg: dict, out: Path) -> int:
@@ -469,15 +461,15 @@ def cmd_certify(cfg: dict, out: Path) -> int:
         rel = float(np.linalg.norm(exact - approx)) / max(float(np.linalg.norm(exact)), 1e-12)
         ok = rel <= 1e-5
         failed = failed or not ok
-        lines.append(f"gradient_check point={i} rel_err={_fmt(rel)} status={'pass' if ok else 'fail'}")
+        lines.append(f"gradient_check point={i} rel_err={rel!r} status={'pass' if ok else 'fail'}")
 
     lines.append(
-        f"smoothness L0={_fmt(L0)} L1={_fmt(L1)} pairs={cert.n_pairs}"
+        f"smoothness L0={L0!r} L1={L1!r} pairs={cert.n_pairs}"
         f" violations={len(cert.violations)} status={'pass' if cert.ok else 'fail'}"
     )
     for v in cert.violations:
         lines.append(
-            f"violation kind={v.kind} lhs={_fmt(v.lhs)} rhs={_fmt(v.rhs)}"
+            f"violation kind={v.kind} lhs={v.lhs!r} rhs={v.rhs!r}"
             f" x={_witness(v.x)} y={_witness(v.y)}"
         )
     failed = failed or not cert.ok
@@ -598,11 +590,11 @@ def cmd_bound(cfg: dict, out: Path) -> int:
 
     # a sweep row's gradient norm is its cell's minimum
     mean_name = "mean_min_grad_norm" if is_sweep else "mean_grad_norm"
-    predicted = f"predicted={_fmt(report.predicted)}"
+    predicted = f"predicted={report.predicted!r}"
     if report.constants_source == "order_of_magnitude":
         # reported whatever the step size: only paper_explicit and
         # derived_appendix constants are asserted
-        fields = [predicted, f"{mean_name}={_fmt(float(data['grad_norm'].mean()))}"]
+        fields = [predicted, f"{mean_name}={float(data['grad_norm'].mean())!r}"]
         status = f"reported constants={report.constants_source}"
     elif not report.stepsize_ok:
         fields, status = [], "vacuous reason=stepsize_above_threshold"
@@ -613,7 +605,7 @@ def cmd_bound(cfg: dict, out: Path) -> int:
                                             kwargs.get("L_override"))
         # a NaN gap or prediction is a violation, not a pass of every `>`
         violations = int(np.count_nonzero(~(gaps <= bound)))
-        fields = [f"predicted_final={_fmt(report.predicted)}", f"checked={int(checked.sum())}",
+        fields = [f"predicted_final={report.predicted!r}", f"checked={int(checked.sum())}",
                   f"violations={violations}"]
         status = "fail" if violations else "pass"
     elif theorem == "stoch_nonconvex":
@@ -623,7 +615,7 @@ def cmd_bound(cfg: dict, out: Path) -> int:
             stat_name, statistic = "min_grad_norm", float(data["grad_norm"].min())
         else:
             stat_name, statistic = mean_name, float(data["grad_norm"].mean())
-        fields = [f"regime={report.regime}", f"{stat_name}={_fmt(statistic)}", predicted]
+        fields = [f"regime={report.regime}", f"{stat_name}={statistic!r}", predicted]
         # a NaN statistic (a cell that diverged before its first record)
         # fails rather than passing every comparison
         status = "pass" if statistic <= report.predicted else "fail"

@@ -33,10 +33,11 @@ from, and every source gives the bits of the reset:
   of shared memory while the parent steps, when ``os.fork`` exists, the
   process may run on more than one CPU and no other Python thread runs.
   The child is reaped when the run ends, and killed first if it ends
-  early; a child that fails is a ``RuntimeError`` in the parent. Where the
-  system refuses the ring, a pipe or the fork, the parent makes the
-  child's calls itself. The Monte Carlo estimators in ``theory`` feed
-  their chunks the same way. Outputs never depend on the feeder.
+  early. Where the system refuses the ring, a pipe or the fork, or the
+  child fails or dies, the parent makes the child's calls itself, so
+  the draws, and an exception a draw raises, are those of one process.
+  The Monte Carlo estimators in ``theory`` feed their chunks the same
+  way. Outputs never depend on the feeder.
 - Every other draw takes the reset.
 
 The configuration and the starting point are validated once, before the
@@ -104,9 +105,9 @@ cells in the process and its odd cells in one forked child
 (``_feed.split``), where ``_feed.can_fork`` holds. Each share is a row
 stack, which forks nothing more. The child's traces come back through a
 pipe and take the caller's configs. A refused fork, a child that fails
-and a share that raises each run the whole batch in the process, which
-gives its one-process bits and exception; an interrupt reaps the child
-and propagates.
+or dies and a share that raises each run the whole batch in the
+process, which gives its one-process bits and exception; an interrupt
+reaps the child and propagates.
 """
 
 from __future__ import annotations

@@ -192,6 +192,7 @@ class Quadratic(Problem):
         return self.L * x
 
     def variance_at(self, x):
+        self.check_dim(x)
         return 0.0
 
 
@@ -255,6 +256,7 @@ class BernoulliShiftQuadratic(Problem):
         return np.where((u < self.p)[:, None], X + self.a, X)
 
     def variance_at(self, x):
+        self.check_dim(x)
         return self.meta.sigma_sq
 
 
@@ -288,6 +290,7 @@ class ChiSquareQuadratic(Problem):
         return self.L * X + Z * Z
 
     def variance_at(self, x):
+        self.check_dim(x)
         return self.meta.sigma_sq
 
 

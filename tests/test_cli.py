@@ -835,7 +835,7 @@ class TestCmdBound:
         grad_norms = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=2)
         params = theory.RateParams(c=0.25, eta=0.4, T=300, R0=1.0, L=1.0, L0=1.0, L1=0.5)
         report = theory.bound_det_convex(params, L_override=1.0 + 0.5 * float(grad_norms.max()))
-        assert f"predicted_final={cli._fmt(report.predicted)} " in out.read_text()
+        assert f"predicted_final={report.predicted!r} " in out.read_text()
 
     def test_stepsize_gate_reports_vacuous(self, tmp_path):
         trace = self.make_trace(tmp_path, eta=0.6)
@@ -1025,7 +1025,7 @@ class TestCmdBound:
         out = tmp_path / "b.txt"
         assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 0
         name = "mean_min_grad_norm" if kind == "sweep" else "mean_grad_norm"
-        mean = cli._fmt(float(columns["grad_norm"].mean()))
+        mean = repr(float(columns["grad_norm"].mean()))
         assert out.read_text().split()[2:] == [
             f"{name}={mean}", "status=reported", "constants=order_of_magnitude"]
 

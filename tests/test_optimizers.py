@@ -838,14 +838,17 @@ class TestFeeder:
         assert_no_child_left()
 
     def test_child_that_raises_fails_the_run(self, monkeypatch, forks, no_hang):
-        # the child fails after writing a few blocks of two steps each
-        feeding(monkeypatch, True)
+        # the child fails after writing a few blocks of two steps each: the
+        # parent makes its calls again, and its own step 10 raises as the
+        # unfed run's does
         config = cfg(method="dp_sgd", c=14.0, eta=0.01, T=400, B=16, sigma_dp=1.0,
                      x0=np.zeros(100))
-        prob = FailingDraws()
-        with pytest.raises(RuntimeError, match="draw feeder failed: ValueError: no more draws"):
-            run(prob, config)
-        assert prob.calls == 1 and len(forks) == 1
+        for on in (False, True):
+            feeding(monkeypatch, on)
+            prob = FailingDraws()
+            with pytest.raises(ValueError, match=r"^no more draws$"):
+                run(prob, config)
+            assert prob.calls == 11 and len(forks) == on
         assert_no_child_left()
 
     @pytest.mark.parametrize("estimator", ["expected_clipped_grad", "clip_probability_bound"])
@@ -1719,3 +1722,198 @@ class TestSplitBatch:
         assert prob.calls == 5 and forks == [os.getpid()]
         assert len(os.listdir("/proc/self/fd")) == opened
         assert_no_child_left()
+
+
+def settled(call):
+    """``call()``, or ``("raised", type, message)`` of the Exception it
+    raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+class FaultyDraws(ChiSquareQuadratic):
+    """Chi-square draws whose call ``at`` and every later one raise in every
+    process (``child_raises``) or kill any process but the one that made
+    the problem (``child_killed``)."""
+
+    def __init__(self, fault, at=11):
+        super().__init__(dim=100, L=0.1)
+        self.fault, self.at, self.pid, self.calls = fault, at, os.getpid(), 0
+
+    def draws(self, rng, k):
+        self.calls += 1
+        if self.calls >= self.at and self.fault == "child_raises":
+            raise ValueError("no more draws")
+        if self.calls >= self.at and self.fault == "child_killed" and os.getpid() != self.pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().draws(rng, k)
+
+
+def child_work(monkeypatch, tmp_path, child, fault):
+    """A call that does the work ``child`` helps with, from new objects, with
+    ``fault`` armed in that work, and returns its ``settled`` outcome and
+    what else the work leaves; the child is forced, and it forks where
+    ``_feed.can_fork`` holds."""
+    if child == "writer":
+        # the rows of a 5001-row trace; the child formats from row 0
+        writing(monkeypatch, True)
+        parent, csv_rows = os.getpid(), _feed.csv_rows
+
+        def faulty_rows(iters, columns):
+            if fault == "child_raises" and iters.size and iters[0] <= 3000 <= iters[-1]:
+                raise RuntimeError("no row 3000")
+            in_child = os.getpid() != parent
+            if fault == "child_killed" and in_child and iters.size and iters[0] >= 2048:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return csv_rows(iters, columns)
+
+        monkeypatch.setattr(_feed, "csv_rows", faulty_rows)
+        return lambda: (settled(lambda: cli_trace(tmp_path, BERNOULLI_RUN + "T = 5000\n")),
+                        (tmp_path / "trace.csv").read_bytes())
+    if child == "split":
+        splitting(monkeypatch)
+        # where the work raises, the child's cells grow past the oracle's
+        # limit and the parent's do not
+        make, cells = {
+            "fork_refused": (lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
+                             odd_and_even("sgd", 7)),
+            "child_raises": (lambda: ExactOracleLimits(limit=1e3),
+                             odd_and_even("gd", 5, lambda i: 2.5 if i % 2 else 0.05)),
+            "child_killed": (lambda: ChildOnly(lambda: os.kill(os.getpid(), signal.SIGKILL)),
+                             odd_and_even("gd", 7)),
+        }[fault]
+        return lambda: (settled(lambda: split_outcome(make(), cells)), None)
+    # a fed run, or a Monte Carlo estimate of 31 chunks; the draws fail at
+    # their eleventh call, the child's tenth
+    feeding(monkeypatch, True)
+    x = np.full(100, -9.0)
+    calls = {
+        "fed_run": lambda prob: trace_digest(run(prob, cfg(
+            method="dp_sgd", c=14.0, eta=0.01, T=400, B=16, sigma_dp=1.0, x0=np.zeros(100),
+            seed=3))),
+        "fed_expected_clipped_grad": lambda prob: expected_clipped_grad(
+            prob, x, 14.0, n_samples=5000, seed=4).value.tobytes(),
+        "fed_clip_probability_bound": lambda prob: clip_probability_bound(
+            prob, x, 14.0, n_samples=5000, seed=4)._astuple(),
+    }
+
+    def fed_work():
+        prob = FaultyDraws(fault)
+        return settled(lambda: calls[child](prob)), prob.calls
+
+    return fed_work
+
+
+class TestChildContract:
+    """Whatever happens to a forked child (the system refuses its fork, its
+    work raises, or it is killed mid-work) the caller gives the outputs and
+    exceptions of one process and leaves no child and no descriptor; and
+    no child outlives a parent that is killed."""
+
+    @pytest.mark.parametrize("fault", ["fork_refused", "child_raises", "child_killed"])
+    @pytest.mark.parametrize("child", ["fed_run", "fed_expected_clipped_grad",
+                                       "fed_clip_probability_bound", "writer", "split"])
+    def test_one_process_outcome(self, monkeypatch, tmp_path, forks, no_hang, child, fault):
+        work = child_work(monkeypatch, tmp_path, child, fault)
+        with monkeypatch.context() as patch:
+            patch.setattr(_feed, "can_fork", lambda: False)
+            want = work()
+        assert forks == []
+        # the raising work raises in one process too
+        assert (want[0][:1] == ("raised",)) == (fault == "child_raises")
+        if fault == "fork_refused":
+            def refused():
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            monkeypatch.setattr(os, "fork", refused)
+        opened = len(os.listdir("/proc/self/fd"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert work() == want
+        assert forks == ([] if fault == "fork_refused" else [os.getpid()])
+        assert len(os.listdir("/proc/self/fd")) == opened
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("child", ["split", "fed", "writer"])
+    def test_no_child_outlives_its_parent(self, tmp_path, no_hang, child):
+        # a process whose child hangs in its work, which the child announces,
+        # is SIGKILLed: the child dies with it, within a second
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        src = str(Path(_feed.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-c", ORPHAN, child, str(tmp_path)], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        try:
+            pid = int(proc.stdout.readline())
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+        def alive():
+            # a zombie has died, and waits for whichever process inherited it
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rpartition(")")[2].split()[0] not in "ZX"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 1.0
+        while alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        try:
+            assert not alive()
+        finally:
+            if alive():
+                os.kill(pid, signal.SIGKILL)
+
+
+# python -c ORPHAN {split,fed,writer} DIR: the work whose child is forced;
+# the child prints its pid and hangs as it starts its share of the work
+ORPHAN = """
+import os, sys, time
+import numpy as np
+from clipbench import _feed, cli, optimizers, problems
+
+origin = os.getpid()
+
+
+def hang():
+    if os.getpid() != origin:
+        print(os.getpid(), flush=True)
+        time.sleep(60)
+
+
+class Hanging(problems.ChiSquareQuadratic):
+    def value_and_grad(self, X):
+        hang()
+        return super().value_and_grad(X)
+
+    def draws(self, rng, k):
+        hang()
+        return super().draws(rng, k)
+
+
+child, where = sys.argv[1], sys.argv[2]
+if child == "split":
+    optimizers._SPLIT = 0
+    optimizers.run(Hanging(dim=4), optimizers.Cells([
+        optimizers.RunConfig("clipped_gd", 1.0, 0.1, 100, np.ones(4)) for _ in range(4)]))
+elif child == "fed":
+    _feed.MIN_DOUBLES = 0
+    optimizers.run(Hanging(dim=100), optimizers.RunConfig(
+        "dp_sgd", 14.0, 0.01, 400, np.zeros(100), B=16, sigma_dp=1.0))
+else:
+    rows = _feed.csv_rows
+    _feed.csv_rows = lambda iters, columns: hang() or rows(iters, columns)
+    with open(os.path.join(where, "run.cfg"), "w") as config:
+        config.write("mode = run\\nproblem = quadratic\\ndim = 1\\nmethod = clipped_gd\\nc = 1\\n"
+                     "eta = 0.1\\nT = 5000\\nx0 = 1\\nseeds = 0\\n")
+    cli.main(["run", "--config", config.name, "--out", os.path.join(where, "trace.csv")])
+"""

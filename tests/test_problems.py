@@ -631,6 +631,21 @@ def test_logistic_sigma_sq_is_origin_estimate():
     assert Quadratic(dim=2).variance_at(np.ones(2)) == 0.0
 
 
+@pytest.mark.parametrize("factory", [
+    lambda: Quadratic(dim=3), lambda: BernoulliShiftQuadratic(a=4.0, p=0.25),
+    lambda: ChiSquareQuadratic(dim=3), small_logistic,
+], ids=["quadratic", "bernoulli", "chi_square", "logistic"])
+def test_variance_at_checks_its_point(factory):
+    # a point of another dimension, or a stack of points, is the oracles'
+    # ValueError, not a variance
+    prob = factory()
+    dim = prob.meta.dim
+    for bad in (np.zeros(dim + 2), np.zeros((2, dim))):
+        with pytest.raises(ValueError, match=f"problem dimension is {dim}$"):
+            prob.variance_at(bad)
+    assert prob.variance_at(np.zeros(dim)) == prob.meta.sigma_sq
+
+
 def test_bundled_recipe_matches_generator():
     ds = synthesize_logistic_dataset(n=40, dim=12, nnz=4, seed=3)
     again = synthesize_logistic_dataset(n=40, dim=12, nnz=4, seed=3)
