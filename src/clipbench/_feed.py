@@ -27,18 +27,21 @@ runs each cell row by row, so the cells the child runs have the bits the
 parent would compute. A batch of cells is never fed and never written by
 a :class:`RowWriter`, so it too has at most one child.
 
-Every child is forked only where the process can fork, may run on more
-than one CPU and runs no other Python thread (:func:`can_fork`); a
-resource that one child alone needs, as the writer's memfd, that child
-asks for itself. Only ``os``, ``mmap``, ``pickle`` and ``ctypes`` are
-used: a thread would contend for the interpreter lock the parent steps
-with, and ``multiprocessing`` costs import time. All share one
-lifecycle, :func:`_spawn` and :func:`_end`, and one contract: whatever
-happens to a child, the caller gives the outputs and exceptions of one
-process. Where the system refuses a resource, or the child fails or
-dies, the child is killed and reaped and the parent does its work
-itself: the feeder's calls, the writer's rows or the batch's cells. A
-child dies with its parent.
+Every child is started by :func:`_spawn`, the one gate: it forks only
+where the process can fork, may run on more than one CPU and runs no
+other Python thread (:func:`can_fork`), and runs the child's work with
+warnings as errors, so no child prints. A caller states only what pays
+for a child (:func:`should_feed`, the writer's row count, the batch's
+work), and a resource that one child alone needs, as the writer's memfd,
+that child's caller asks for itself. Only ``os``, ``mmap``, ``pickle``
+and ``ctypes`` are used: a thread would contend for the interpreter lock
+the parent steps with, and ``multiprocessing`` costs import time. All
+share one lifecycle, :func:`_spawn` and :func:`_end`, and one contract:
+whatever happens to a child, the caller gives the outputs, exceptions
+and warnings of one process. Where :func:`_spawn` forks no child, or the
+child fails (a warning fails it) or dies, the child is killed and reaped
+and the parent does its work itself: the feeder's calls, the writer's
+rows or the batch's cells. A child dies with its parent.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ REPORT_ROWS = 1024
 def can_fork() -> bool:
     """Whether a helper child may be forked: the process can fork, may run
     on more than one CPU and runs no other Python thread, which could hold
-    a lock the child takes."""
+    a lock the child takes. Asked by :func:`_spawn` alone, before each
+    child."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -89,24 +93,30 @@ def can_fork() -> bool:
             and (threading is None or threading.active_count() == 1))
 
 
-def should_feed(problem, items: int, doubles: int) -> bool:
-    """Whether ``items`` draws of ``doubles`` doubles in all are computed
-    ahead: the problem has the ``draws`` hook, there is more than one item,
-    the draws pay for a fork, and :func:`can_fork`."""
-    return (problem.draws is not None and items >= 2 and doubles >= MIN_DOUBLES
-            and can_fork())
+def should_feed(items: int, doubles: int) -> bool:
+    """Whether ``items`` draws of ``doubles`` doubles in all pay for a child
+    that computes them ahead: there is more than one item, and the draws
+    reach ``MIN_DOUBLES``. Whether the process may fork, :func:`_spawn`
+    decides."""
+    return items >= 2 and doubles >= MIN_DOUBLES
 
 
 def _spawn(size: int, body):
     """Fork a child that runs ``body(shared, down, up)``: ``shared`` maps
     ``size`` bytes that parent and child share (None for 0), ``down``
-    reads a pipe from the parent and ``up`` writes one to it. The child
-    dies with the parent (on Linux), never returns into the caller's
-    frames and ends in ``os._exit(0)`` however ``body`` ends, so the
-    parent reads how it ended from what it wrote up. Returns the parent's
-    ``(pid, shared, down, up)``, which writes ``down`` and reads ``up``;
-    None, with what it made closed, where the system refuses the memory,
-    a pipe or the fork."""
+    reads a pipe from the parent and ``up`` writes one to it. The one gate
+    of every child: None, with nothing made, where :func:`can_fork` does
+    not hold, and None, with what it made closed, where the system refuses
+    the memory, a pipe or the fork. Returns the parent's ``(pid, shared,
+    down, up)`` otherwise, which writes ``down`` and reads ``up``.
+
+    The child dies with the parent (on Linux), never returns into the
+    caller's frames and ends in ``os._exit(0)`` however ``body`` ends, so
+    the parent reads how it ended from what it wrote up. It runs ``body``
+    with warnings as errors: a child that warns fails and prints nothing,
+    and the parent does its work, whose warnings reach the caller."""
+    if not can_fork():
+        return None
     import ctypes  # numpy has imported it
     import mmap  # here: only a process that forks needs it
     import signal
@@ -141,6 +151,7 @@ def _spawn(size: int, body):
             if os.getppid() == parent:
                 os.close(down_w)
                 os.close(up_r)
+                warnings.simplefilter("error")
                 body(shared, down_r, up_w)
         finally:
             os._exit(0)
@@ -169,20 +180,16 @@ def split(here, there):
     this process computes ``here()``.
 
     The child pickles its result up its pipe, and the parent reads it
-    after ``here()`` returns. Warnings are errors in the child, so it
-    prints nothing. None where the system refuses a pipe or the fork, where
-    the child fails or dies, or where ``here()`` raises an ``Exception``:
-    the caller then computes both itself, which gives its one-process
-    outcome, warnings too. However it ends, the child is killed and
-    reaped.
+    after ``here()`` returns. None where :func:`_spawn` forks no child,
+    where the child fails (a warning fails it) or dies, or where ``here()``
+    raises an ``Exception``: the caller then computes both itself, which
+    gives its one-process outcome, warnings too. However it ends, the
+    child is killed and reaped.
     """
     import pickle  # numpy has imported it
 
     def compute(shared, down: int, up: int) -> None:
         # the child's work
-        import warnings
-
-        warnings.simplefilter("error")
         with open(up, "wb", closefd=False) as pipe:
             pickle.dump(there(), pipe, pickle.HIGHEST_PROTOCOL)
 
@@ -206,23 +213,27 @@ def split(here, there):
         return None
 
 
-def fed(first: tuple, produce, n: int):
-    """Yield the item ``first``, then ``produce(1)``, ..., ``produce(n - 1)``,
-    which a forked child computes ahead.
+def fed(produce, n: int, doubles: int):
+    """Yield ``produce(0)``, ..., ``produce(n - 1)``, the items after the
+    first computed ahead by a forked child where ``should_feed(n,
+    doubles)``.
 
-    An item is a tuple of arrays. Each array ``produce(i)`` returns fills
-    the leading rows of one shaped like its counterpart in ``first``, and
-    that array is what the caller is handed; it is valid until the caller
-    takes the next item. Where the system refuses the ring, a pipe or the
-    fork, or where the child fails or dies before item ``i``, the child is
-    reaped and the parent makes the calls itself: again ``produce(1)``,
-    ..., ``produce(i - 1)``, whose items the child made, as ``produce`` may
+    The caller's process makes item 0 when the caller asks for it, so a
+    call that raises there raises where the caller asked. An item is a
+    tuple of arrays. Each array a later ``produce(i)`` returns fills the
+    leading rows of one shaped like its counterpart in item 0, and a fed
+    item's array is what the caller is handed; it is valid until the
+    caller takes the next item. Where :func:`_spawn` forks no child, or
+    where the child fails or dies before item ``i``, the child is reaped
+    and the parent makes the calls itself: again ``produce(1)``, ...,
+    ``produce(i - 1)``, whose items the child made, as ``produce`` may
     draw from a stream those calls advance, then the rest. So the items,
-    and an exception a call raises, are those of one process. However the
-    caller stops, the child is killed and reaped.
+    and an exception or warning a call raises, are those of one process.
+    However the caller stops, the child is killed and reaped.
     """
     import mmap  # here: only a process that forks needs it
 
+    first = produce(0)
     # an item's arrays start on cache lines, and a block on a page
     sizes = [-(-a.nbytes // 64) * 64 for a in first]
     item = sum(sizes)
@@ -250,7 +261,8 @@ def fed(first: tuple, produce, n: int):
             if j == per - 1 or i == n - 1:
                 os.write(ready_w, b"+")
 
-    pid, ring, free_w, ready_r = _spawn(depth * block, fill) or (None,) * 4
+    spawned = should_feed(n, doubles) and _spawn(depth * block, fill)
+    pid, ring, free_w, ready_r = spawned or (None,) * 4
     i = 1  # the first item the parent makes itself
     try:
         yield first
@@ -277,7 +289,7 @@ def fed(first: tuple, produce, n: int):
     finally:
         if pid:
             _end(pid, ready_r, free_w)
-    # a refused resource (i = 1), or a child that ended before item i: its
+    # no child (i = 1), or a child that ended before item i: its
     # calls, made again here, leave any stream produce draws from where the
     # child left it
     for k in range(1, i):
@@ -314,9 +326,9 @@ class RowWriter:
         """The record array of a run that records iterations ``ts``, in
         shared memory, with a child forked to format its rows; None, with
         nothing forked, for a trace too short or too long to pay for the
-        child, where ``os`` has no memfd or :func:`can_fork` does not hold,
-        or where the system refuses the memory, memfd, pipe or process."""
-        if not (ROWS_MIN <= ts.size <= ROWS_MAX and can_fork()):
+        child, where ``os`` has no memfd or the system refuses one, or
+        where :func:`_spawn` forks no child."""
+        if not ROWS_MIN <= ts.size <= ROWS_MAX:
             return None
         try:
             self._text = os.memfd_create("clipbench-trace-rows")

@@ -28,16 +28,17 @@ from, and every source gives the bits of the reset:
 - A draw never depends on the iterate, so another process can compute it
   ahead. A stochastic single run on arrays of any other problem with the
   ``draws`` hook, whose ``T * (B * d + d)`` draws (``+ d`` for the DP
-  noise) reach ``2**20`` doubles, forks one child (``clipbench._feed``)
-  that makes the same ``at_step(t, lane)`` and ``draws`` calls into a ring
-  of shared memory while the parent steps, when ``os.fork`` exists, the
-  process may run on more than one CPU and no other Python thread runs.
-  The child is reaped when the run ends, and killed first if it ends
-  early. Where the system refuses the ring, a pipe or the fork, or the
-  child fails or dies, the parent makes the child's calls itself, so
-  the draws, and an exception a draw raises, are those of one process.
-  The Monte Carlo estimators in ``theory`` feed their chunks the same
-  way. Outputs never depend on the feeder.
+  noise) reach ``2**20`` doubles, takes them from ``_feed.fed``: the
+  parent makes step 0's draws inside step 0, and one forked child makes
+  the same ``at_step(t, lane)`` and ``draws`` calls for the later steps
+  into a ring of shared memory while the parent steps, where
+  ``_feed._spawn``, the gate of every child, forks it. The child is
+  reaped when the run ends, and killed first if it ends early. Where no
+  child is forked, or the child fails (a warning fails it) or dies, the
+  parent makes the child's calls itself, so the draws, and an exception
+  or warning a draw raises, are those of one process. The Monte Carlo
+  estimators in ``theory`` feed their chunks the same way. Outputs never
+  depend on the feeder.
 - Every other draw takes the reset.
 
 The configuration and the starting point are validated once, before the
@@ -102,12 +103,12 @@ So a batch also runs on two CPUs: :func:`run` gives a batch of K >= 4
 cells whose work, ``T * K * row_doubles`` (``max(dim, row_doubles)`` for
 a stochastic method), reaches ``2**21`` to two step loops, its even
 cells in the process and its odd cells in one forked child
-(``_feed.split``), where ``_feed.can_fork`` holds. Each share is a row
+(``_feed.split``), where ``_feed._spawn`` forks it. Each share is a row
 stack, which forks nothing more. The child's traces come back through a
-pipe and take the caller's configs. A refused fork, a child that fails
-or dies and a share that raises each run the whole batch in the
-process, which gives its one-process bits and exception; an interrupt
-reaps the child and propagates.
+pipe and take the caller's configs. No child, a child that fails (a
+warning fails it) or dies and a share that raises each run the whole
+batch in the process, which gives its one-process bits, exception and
+warnings; an interrupt reaps the child and propagates.
 """
 
 from __future__ import annotations
@@ -427,17 +428,17 @@ def _passes(f, grad_norm, x_norm) -> np.ndarray:
     return keep
 
 
-def _exact_rows(value_and_grad, points: np.ndarray, out: np.ndarray, floats: bool,
-                stack: bool) -> None:
+def _exact_rows(value_and_grad, points: np.ndarray, out: np.ndarray, stack: bool) -> None:
     """Writes the values and exact gradient norms at an ``(m, K, dim)``
     chunk of iterates (row ``i`` the K cells' at the chunk's step ``i``)
     into the two ``(m, K)`` rows of ``out``.
 
     The oracle takes the chunk as one ``(m * K, dim)`` stack. Where that
-    raises, it takes one step's points at a time, in step order and in the
-    run's representation, without the cells that failed the guard at an
-    earlier step (their later rows are NaN), so the exception or divergence
-    that a run evaluating every step meets surfaces at the same step.
+    raises, it takes one step's points at a time, in step order, as a row
+    stack for a batch and as a 1-d point for a single run, without the
+    cells that failed the guard at an earlier step (their later rows are
+    NaN), so the exception or divergence that a run evaluating every step
+    meets surfaces at the same step.
     """
     m, K, dim = points.shape
     X = points.reshape(m * K, dim)
@@ -451,7 +452,7 @@ def _exact_rows(value_and_grad, points: np.ndarray, out: np.ndarray, floats: boo
         alive = np.arange(K)
         for i in range(m):
             X = points[i, alive]
-            f, G = value_and_grad(X.item() if floats else X if stack else X[0])
+            f, G = value_and_grad(X if stack else X[0])
             G = np.reshape(G, (-1, dim))
             F[i, alive], GN[i, alive] = f, np.sqrt(np.vecdot(G, G))
             alive = alive[_passes(F[i, alive], GN[i, alive], np.sqrt(np.vecdot(X, X)))]
@@ -489,7 +490,7 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
     rngs = (None if deterministic or served and not dp
             else [_StepRng(seed) for seed in keys])
     stack = K > 1
-    fed = floats = False
+    fed = False
     # the largest squared norm of each cell's clipped samples
     max_sample = np.zeros(K)
     active = np.arange(K)
@@ -510,16 +511,18 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
         rng = rngs[0] if rngs else None
         # floats only where every vector of the step is one; the flag is
         # looked up on the instance, like the hook
-        floats = dim == 1 and B == 1 and not dp and problem.float_oracles
-        if floats:
+        if dim == 1 and B == 1 and not dp and problem.float_oracles:
             X = first.x0.item()
             dot, sqrt, clip = operator.mul, math.sqrt, clip_float
         else:
             # ndarray.dot: the bits of the 1-d `@` at half its call cost
             X = first.x0.astype(float)
             dot, sqrt, clip = np.ndarray.dot, math.sqrt, clip_vector
-            fed = not (deterministic or served) and _feed.should_feed(
-                problem, T, T * (B + dp) * dim)
+            # fed: hooked draws, which never depend on the iterate, that pay
+            # for a child
+            doubles = T * (B + dp) * dim
+            fed = (not (deterministic or served) and problem.draws is not None
+                   and _feed.should_feed(T, doubles))
 
     if fed:
         def draw(t):
@@ -527,7 +530,7 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
             D = problem.draws(rng.at_step(t), B)
             return (D, privacy_noise(dim, sigma_dp, rng.at_step(t, lane=1))) if dp else (D,)
 
-        feed = _feed.fed(draw(0), draw, T)
+        feed = _feed.fed(draw, T, doubles)
 
     # the recorded iterations: every thin-th one, and always the last
     recorded = list(range(0, T + 1, first.thin))
@@ -647,7 +650,7 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
                 # view of its iterate, which a large one is not copied for
                 held = np.asarray(hx[0] if j == 1 else hx[:j]).reshape(j, active.size, dim)
                 if not inline:
-                    _exact_rows(value_and_grad, held, steps_held[:2, :j], floats, stack)
+                    _exact_rows(value_and_grad, held, steps_held[:2, :j], stack)
                 F = steps_held[0, :j]
                 XN = np.sqrt(np.vecdot(held, held))
                 passed = _passes(F, steps_held[1, :j], XN)
@@ -714,14 +717,14 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
 
 def _cells(problem: Problem, configs: tuple[RunConfig, ...]) -> list[tuple[Trace, str | None]]:
     """:func:`_run` on a batch, whose odd cells a forked child runs where
-    the batch is large enough (see ``_SPLIT``) and ``_feed.can_fork()``."""
+    the batch is large enough (see ``_SPLIT``) and ``_feed.split`` forks."""
     first, K = configs[0], len(configs)
     # what a share's row costs: the oracle's arrays of the point, and for a
     # stochastic step at least the cell's own sample call
     row = problem.row_doubles
     if first.method not in _DETERMINISTIC:
         row = max(first.x0.size, row)
-    if K >= 4 and first.T * K * row >= _SPLIT and _feed.can_fork():
+    if K >= 4 and first.T * K * row >= _SPLIT:
         # the child's traces come back as their fields, and take the
         # caller's own configs here
         halves = _feed.split(lambda: _run(problem, configs[::2]), lambda: [

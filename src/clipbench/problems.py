@@ -63,9 +63,11 @@ steps on Python floats and hands the step's oracles its iterate as it is:
 ``value_and_grad`` at each step of a deterministic run, which holds the
 float value and gradient norm it returns until the chunk's guard, and the
 sample oracle at each step of a stochastic one, whose ``value_and_grad``
-takes the ``(n, 1)`` stack of the iterates it holds instead (see
-``optimizers``). Every other run, and every run of a problem without the
-flag (``float_oracles = False``, the default), steps on arrays. Of the shipped
+takes the ``(n, 1)`` stack of the iterates it holds instead, or each of
+them as a 1-d point where that stacked call raises (see ``optimizers``),
+so the exact oracle sees a float only at a deterministic float step.
+Every other run, and every run of a problem without the flag
+(``float_oracles = False``, the default), steps on arrays. Of the shipped
 problems only ``BernoulliShiftQuadratic`` sets it.
 """
 
@@ -237,15 +239,14 @@ class BernoulliShiftQuadratic(Problem):
         return 0.5 * (self.p * shifted_sq + (1.0 - self.p) * v * v)
 
     def value_and_grad(self, X):
-        # a float point first: it is a single run's every step
+        # a float point first: it is a deterministic float run's every step
         if isinstance(X, float):
             f = self._value(X)
-        elif X.ndim == 1:
-            f = self._value(float(X[0]))
         else:
-            v = X[:, 0]
-            # np.float_power's float64 loop is libm's pow, the bits of
-            # float ** 2, and IEEE's inf where float ** 2 raises
+            # a point or a stack. np.float_power's float64 loop is libm's
+            # pow, the bits of float ** 2, and IEEE's inf where float ** 2
+            # raises
+            v = X[..., 0]
             with np.errstate(over="ignore"):
                 f = 0.5 * (self.p * np.float_power(v + self.a, 2.0) + (1.0 - self.p) * v * v)
         return f, X + self.p * self.a

@@ -61,6 +61,16 @@ _STEPSIZE_FACTOR = {
 }
 
 
+def _finite_nonnegative(name: str, value) -> float:
+    """``value`` as a float, where it is finite and nonnegative: a NaN,
+    infinite or negative constant would give a NaN, infinite or meaningless
+    prediction or check, which would read as a failed or passed one."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
+
+
 class RateParams(_Record):
     """Concrete rate inputs: initial gaps, smoothness, noise, run shape."""
 
@@ -79,11 +89,7 @@ class RateParams(_Record):
 
     def __post_init__(self) -> None:
         for name in ("F0", "R0", "L0", "L1", "L", "mu", "sigma", "sigma_dp"):
-            value = getattr(self, name)
-            # a NaN or infinite input would give a NaN or infinite prediction,
-            # which `bound` would report as a failed or passed check
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+            _finite_nonnegative(name, getattr(self, name))
         if not self.c > 0:
             raise ValueError(f"clipping threshold must be positive, got {self.c!r}")
         if not (self.eta > 0 and math.isfinite(self.eta)):
@@ -154,7 +160,7 @@ def max_stepsize(theorem: str, L0: float, L1: float, c: float) -> float:
     if theorem not in _STEPSIZE_FACTOR:
         names = tuple(_STEPSIZE_FACTOR)
         raise ValueError(f"unknown theorem {theorem!r}, expected one of {names}")
-    denom = _l_eff(float(L0), float(L1), float(c))
+    denom = _l_eff(_finite_nonnegative("L0", L0), _finite_nonnegative("L1", L1), float(c))
     if not denom > 0 or not math.isfinite(denom):
         raise ValueError(f"degenerate smoothness: L0 + c*L1 = {denom!r}")
     return 1.0 / (_STEPSIZE_FACTOR[theorem] * denom)
@@ -167,6 +173,7 @@ def _stepsize_ok(theorem: str, p: RateParams) -> bool:
 def max_local_smoothness(grad_norms, L0: float, L1: float) -> float:
     """``max_t (L0 + L1 * grad_norms[t])``: the largest local smoothness
     constant of an (L0, L1)-smooth function along recorded gradient norms."""
+    L0, L1 = _finite_nonnegative("L0", L0), _finite_nonnegative("L1", L1)
     return L0 + L1 * float(np.max(grad_norms))
 
 
@@ -415,18 +422,19 @@ _MC_CHUNK_ELEMS = 16_384
 def _sample_chunks(problem: Problem, x: np.ndarray, n_samples: int, seed: int):
     """``problem.sample_grads(x, rng, k)`` for chunks ``k`` of at most
     ``_MC_CHUNK_ELEMS // dim`` samples that add up to ``n_samples``, drawn
-    in order from ``default_rng(seed)``. Where the problem's draws pay for
-    a fork, a forked child draws the chunks after the first ahead, with the
-    same calls on the same stream, so the samples are the same."""
+    in order from ``default_rng(seed)``. A problem with the ``draws`` hook
+    takes its draws from ``_feed.fed``: where they pay for a fork, a forked
+    child draws the chunks after the first ahead, with the same calls on
+    the same stream, so the samples are the same. The parent maps the draws
+    to samples."""
     size = max(1, _MC_CHUNK_ELEMS // x.size)
     sizes = [min(size, n_samples - start) for start in range(0, n_samples, size)]
     rng = np.random.default_rng(seed)
-    if not _feed.should_feed(problem, len(sizes), n_samples * x.size):
+    if problem.draws is None:
         for k in sizes:
             yield problem.sample_grads(x, rng, k)
         return
-    feed = _feed.fed((problem.draws(rng, sizes[0]),),
-                     lambda i: (problem.draws(rng, sizes[i]),), len(sizes))
+    feed = _feed.fed(lambda i: (problem.draws(rng, sizes[i]),), len(sizes), n_samples * x.size)
     try:
         for k, (D,) in zip(sizes, feed):
             yield problem.sample_grad_at(x, D[:k])
@@ -535,6 +543,7 @@ def certify_smoothness(
     drawn in stacks and each stack's points evaluated together (see
     :func:`_evaluated`), with the draws and the bits of a pair-by-pair loop.
     """
+    L0, L1 = _finite_nonnegative("L0", L0), _finite_nonnegative("L1", L1)
     # no pair, or no finite radius, would check nothing and pass
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs!r}")
@@ -624,11 +633,12 @@ def dp_noise_calibration(
     ``optimizers.privacy_noise`` then draws with standard deviation
     k_dp * c * sqrt(d T ln(1/delta)) / epsilon.
     """
-    c, d, T, epsilon, delta, k_dp = map(float, (c, d, T, epsilon, delta, k_dp))
+    c, d, T, epsilon, delta = map(float, (c, d, T, epsilon, delta))
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if d < 1 or T < 1 or not c > 0 or k_dp < 0:
-        raise ValueError("need d >= 1, T >= 1, c > 0, k_dp >= 0")
+    if d < 1 or T < 1 or not c > 0:
+        raise ValueError("need d >= 1, T >= 1, c > 0")
+    k_dp = _finite_nonnegative("k_dp", k_dp)
     return k_dp * c * d * math.sqrt(T * math.log(1.0 / delta)) / epsilon

@@ -628,6 +628,18 @@ class TestCmdCertify:
         text = out.read_text()
         assert "status=fail" in text and "violation kind=" in text
 
+    @pytest.mark.parametrize("line", ["L0 = nan", "L0 = inf", "L1 = -5"])
+    def test_invalid_constant_is_config_error(self, tmp_path, capsys, line):
+        # a NaN or infinite L0 once certified with no violation, and a
+        # negative L1 failed in numpy's sampling with numpy's message
+        cfg = write(tmp_path, "c.cfg", f"mode = certify\nproblem = quadratic\n{line}\n")
+        out = tmp_path / "c.txt"
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+        name, _, value = line.partition(" = ")
+        assert capsys.readouterr().err == (
+            f"config error: {name} must be finite and nonnegative, got {float(value)!r}\n")
+        assert not out.exists()
+
     def test_frozen_logistic_certificate(self, tmp_path):
         # sha256 of the certify_logistic report; like the logistic sweep
         # digests it goes through OpenBLAS gemv (see TestShippedConfigs)

@@ -1806,11 +1806,79 @@ def child_work(monkeypatch, tmp_path, child, fault):
     return fed_work
 
 
+class RaisingDraws(ChiSquareQuadratic):
+    """Chi-square draws that raise at every call."""
+
+    def __init__(self):
+        super().__init__(dim=100, L=0.1)
+
+    def draws(self, rng, k):
+        raise ValueError("no draws")
+
+
+class WarningDraws(ChiSquareQuadratic):
+    """Chi-square draws that warn at every 50th call: never at the first,
+    which a fed run makes in its own process."""
+
+    def __init__(self):
+        super().__init__(dim=100, L=0.1)
+        self.calls = 0
+
+    def draws(self, rng, k):
+        self.calls += 1
+        if not self.calls % 50:
+            warnings.warn(f"draw call {self.calls}", RuntimeWarning)
+        return super().draws(rng, k)
+
+
 class TestChildContract:
     """Whatever happens to a forked child (the system refuses its fork, its
-    work raises, or it is killed mid-work) the caller gives the outputs and
-    exceptions of one process and leaves no child and no descriptor; and
-    no child outlives a parent that is killed."""
+    work raises or warns, or it is killed mid-work) the caller gives the
+    outputs, exceptions and warnings of one process and leaves no child and
+    no descriptor; and no child outlives a parent that is killed."""
+
+    def test_first_draw_that_raises_meets_the_guard(self, monkeypatch, forks, no_hang):
+        # the run starts past the guard, and its first draw raises: fed
+        # (1000 steps of 17 x 100 doubles pass 2**20), with the fork refused
+        # and below the feed size, step 0's divergence ends it, and no
+        # child is forked for a draw that the first step makes
+        def outcome(T):
+            with pytest.raises(DivergenceError) as info:
+                run(RaisingDraws(), cfg(method="dp_sgd", c=14.0, eta=0.01, T=T, B=16,
+                                        sigma_dp=1.0, x0=np.full(100, 1e7)))
+            return str(info.value), trace_digest(info.value.trace)
+
+        want = outcome(100)
+        assert want[0].startswith("divergence at t=0: ")
+        with monkeypatch.context() as patch:
+            patch.setattr(_feed, "can_fork", lambda: False)
+            assert outcome(1000) == want
+        assert outcome(1000) == want
+        assert forks == []
+        assert_no_child_left()
+
+    def test_warnings_of_a_fed_run(self, monkeypatch, forks, no_hang):
+        # the child fails at the draw that warns, and the parent makes the
+        # draws from its block on itself: the caller records each warning
+        # once, as from one process
+        feeding(monkeypatch, True)
+        config = cfg(method="dp_sgd", c=14.0, eta=0.01, T=300, B=16, sigma_dp=1.0,
+                     x0=np.zeros(100), seed=3)
+
+        def outcome():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                digest = trace_digest(run(WarningDraws(), config))
+            return digest, [(w.category, str(w.message)) for w in caught]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_feed, "can_fork", lambda: False)
+            want = outcome()
+        assert [message for _, message in want[1]] == [f"draw call {50 * k}" for k in range(1, 7)]
+        assert forks == []
+        assert outcome() == want
+        assert forks == [os.getpid()]
+        assert_no_child_left()
 
     @pytest.mark.parametrize("fault", ["fork_refused", "child_raises", "child_killed"])
     @pytest.mark.parametrize("child", ["fed_run", "fed_expected_clipped_grad",

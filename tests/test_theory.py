@@ -861,6 +861,31 @@ class TestRateParamsValidation:
         with pytest.raises(ValueError, match=name):
             RateParams(c=1.0, eta=0.1, T=10, **{name: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("entry,name", [
+        (lambda **k: RateParams(c=1.0, eta=0.1, T=10, **k), "L0"),
+        (lambda **k: RateParams(c=1.0, eta=0.1, T=10, **k), "L1"),
+        (lambda **k: certify_smoothness(Quadratic(dim=3, L=2.0), **({"L0": 2.0, "L1": 0.0} | k),
+                                        n_pairs=4), "L0"),
+        (lambda **k: certify_smoothness(Quadratic(dim=3, L=2.0), **({"L0": 2.0, "L1": 0.0} | k),
+                                        n_pairs=4), "L1"),
+        (lambda **k: max_stepsize("det_convex", **({"L0": 1.0, "L1": 1.0, "c": 10.0} | k)),
+         "L0"),
+        (lambda **k: max_stepsize("det_convex", **({"L0": 1.0, "L1": 1.0, "c": 10.0} | k)),
+         "L1"),
+        (lambda **k: max_local_smoothness([1.0, 2.0], **({"L0": 1.0, "L1": 0.5} | k)), "L0"),
+        (lambda **k: max_local_smoothness([1.0, 2.0], **({"L0": 1.0, "L1": 0.5} | k)), "L1"),
+        (lambda **k: dp_noise_calibration(1, 10, 100, 1.0, 1e-5, **k), "k_dp"),
+    ], ids=["RateParams-L0", "RateParams-L1", "certify_smoothness-L0", "certify_smoothness-L1",
+            "max_stepsize-L0", "max_stepsize-L1", "max_local_smoothness-L0",
+            "max_local_smoothness-L1", "dp_noise_calibration-k_dp"])
+    def test_smoothness_constants_checked_at_every_entry_point(self, entry, name, value):
+        # a NaN, infinite or negative constant once passed a certificate,
+        # gave a step size or a NaN, or failed in numpy with its own message
+        with pytest.raises(ValueError) as exc:
+            entry(**{name: value})
+        assert str(exc.value) == f"{name} must be finite and nonnegative, got {value!r}"
+
     @pytest.mark.parametrize("name,value", [("T", 2.5), ("B", 2.0), ("T", "10")])
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=name):
