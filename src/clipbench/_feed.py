@@ -11,14 +11,15 @@ compute itself.
 
 A long single run's trace CSV is formatted behind it instead: a
 :class:`RowWriter` hands the run its record array in shared memory and
-forks a child that turns the records into CSV rows, :func:`csv_rows`, as
-the run reports them, into a memfd. When the run ends, the parent formats
-about half of the rows the child has not reached while the child formats
-the rest; the CLI then copies the child's text and the parent's rows into
-the output file. Where the child fails, the CLI formats every row itself,
-so the bytes never depend on it. A writer forks only for 2**12 to 2**19
-recorded rows and never for a run that is fed, so a run has at most one
-child.
+forks a child that turns the records into CSV rows, :func:`csv_rows`, up
+to the count of records the run last stored in that memory, into a
+memfd. The CLI's copy of the finished trace sets the count where the
+child stops, about half of the rows it has not reached, and formats the
+rest while the child finishes; it then copies the child's text and its
+own rows into the output file. Where the child fails, the CLI formats
+every row itself, so the bytes never depend on it. A writer forks only
+for 2**12 to 2**19 recorded rows and never for a run that is fed, so a
+run has at most one child.
 
 A large lockstep batch runs half of its cells in a child instead:
 :func:`split` computes one function in a forked child while the parent
@@ -33,8 +34,11 @@ other Python thread (:func:`can_fork`), and runs the child's work with
 warnings as errors, so no child prints. A caller states only what pays
 for a child (:func:`should_feed`, the writer's row count, the batch's
 work), and a resource that one child alone needs, as the writer's memfd,
-that child's caller asks for itself. Only ``os``, ``mmap``, ``pickle``
-and ``ctypes`` are used: a thread would contend for the interpreter lock
+that child's caller asks for itself. The feeder and the writer share
+their data and counts with the parent in memory and send single bytes
+down and up their pipes; :func:`split` pickles its result up its pipe.
+Only ``os``, ``mmap``, ``pickle`` and ``ctypes`` are used for the
+children: a thread would contend for the interpreter lock
 the parent steps with, and ``multiprocessing`` costs import time. All
 share one lifecycle, :func:`_spawn` and :func:`_end`, and one contract:
 whatever happens to a child, the caller gives the outputs, exceptions
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import os
 import sys
+from contextlib import suppress
 from typing import Iterator
 
 import numpy as np
@@ -72,8 +77,8 @@ DEPTH = 64
 # a trace whose rows a forked writer formats has ROWS_MIN to ROWS_MAX rows:
 # forking and reaping the writer costs 2-3.5 ms, several hundred rows of
 # formatting at 4-6 us a row, and below 2**19 rows the text stays under
-# about 64 MiB, which the memfd holds in RAM. The run reports its records
-# every REPORT_ROWS
+# about 64 MiB, which the memfd holds in RAM. The run reports its count of
+# records every REPORT_ROWS, and the child formats REPORT_ROWS rows at a time
 ROWS_MIN = 1 << 12
 ROWS_MAX = 1 << 19
 REPORT_ROWS = 1024
@@ -309,18 +314,17 @@ def csv_rows(iters: np.ndarray, columns) -> Iterator[str]:
 class RowWriter:
     """A single run's trace rows, formatted by a forked child while it steps.
 
-    The run takes its ``(4, rows, 1)`` record array from :meth:`open`,
-    calls :meth:`report` with its count of records every ``REPORT_ROWS``
-    and :meth:`close` with the final count, however it ends. The child
-    formats the rows the run reports, ``REPORT_ROWS`` at a time, into a
-    memfd. At :meth:`close` the parent leaves the child about half of the
-    rows it has not formatted yet, and :meth:`copy` formats the other half
+    The run takes its ``(4, rows, 1)`` record array from :meth:`open` and
+    calls :meth:`report` with its count of records every ``REPORT_ROWS``.
+    The child formats the rows the run reports, ``REPORT_ROWS`` at a time,
+    into a memfd. :meth:`copy`, handed the run's trace, leaves the child
+    about half of the rows it has not formatted yet, formats the other half
     while the child finishes, then writes the child's text and its own.
     Used as a context manager: on exit the child is killed and reaped and
     the shared memory and memfd are released, however the caller stopped.
     """
 
-    pid = rows = split = _done = _text = _report_w = _up = None
+    pid = _counts = _text = _bell = _up = None
 
     def open(self, ts: np.ndarray) -> np.ndarray | None:
         """The record array of a run that records iterations ``ts``, in
@@ -335,71 +339,57 @@ class RowWriter:
         except (AttributeError, OSError):
             # an os without memfd_create, or a system that refuses one
             return None
-        spawned = _spawn(32 * ts.size + 8, lambda *ends: self._format(ts, *ends))
+        spawned = _spawn(32 * ts.size + 16, lambda *ends: self._format(ts, *ends))
         if spawned is None:
             os.close(self._text)
             return None
-        self.pid, shared, self._report_w, self._up = spawned
-        # the count of rows the child has formatted, after the records
-        self._done = np.ndarray((), np.int64, shared, 32 * ts.size)
+        self.pid, shared, self._bell, self._up = spawned
+        # after the records, the counts of rows reported and rows formatted
+        self._counts = np.ndarray(2, np.int64, shared, 32 * ts.size)
         return np.ndarray((4, ts.size, 1), buffer=shared)
 
-    def _format(self, ts: np.ndarray, shared, report_r: int, up: int) -> None:
-        # the child's loop. Each report is 8 bytes, written whole, and the
-        # last one read is the count to format up to; end of file follows
-        # the final one. Between blocks the child takes the reports that
-        # have come without waiting, and it waits only when it has formatted
-        # every row reported. Its "+" up tells that the memfd holds them
+    def _format(self, ts: np.ndarray, shared, bell: int, up: int) -> None:
+        # the child's loop: it formats up to the reported count, and waits at
+        # the bell where it has formatted every row reported. A report stores
+        # its count before it rings, and end of file comes after the last
+        # ring, so the loop ends with every reported row formatted. The
+        # final count may be below one the child took, so the formatted
+        # count never goes down. Its "+" up tells that the memfd holds them
         records = np.ndarray((4, ts.size, 1), buffer=shared)
-        self._done = np.ndarray((), np.int64, shared, 32 * ts.size)
-        start = target = 0
-        ended = False
+        counts = np.ndarray(2, np.int64, shared, 32 * ts.size)
+        start = 0
         with open(self._text, "w", newline="", closefd=False) as text:
-            while not ended or start < target:
-                if not ended:
-                    os.set_blocking(report_r, start >= target)
-                    try:
-                        data = os.read(report_r, 1 << 16)
-                    except BlockingIOError:
-                        data = None
-                    if data:
-                        target = int.from_bytes(data[-8:], "little")
-                    ended = data == b""
-                stop = min(target, start + REPORT_ROWS)
-                if start < stop:
-                    text.writelines(csv_rows(ts[start:stop], records[:, start:stop, 0]))
-                    self._done[()] = start = stop
+            while start < counts[0] or os.read(bell, 1 << 16):
+                stop = min(int(counts[0]), start + REPORT_ROWS)
+                text.writelines(csv_rows(ts[start:stop], records[:, start:stop, 0]))
+                counts[1] = start = max(start, stop)
         os.write(up, b"+")
 
     def report(self, k: int) -> int:
-        """Tell the child that ``k`` records are written; returns the count
-        to report next."""
-        try:
-            os.write(self._report_w, k.to_bytes(8, "little"))
-        except BrokenPipeError:
-            pass  # a child that failed; copy leaves the rows to the caller
+        """Tell the child that ``k`` records are written: one store into the
+        shared memory and one byte down the pipe. Returns the count to
+        report next."""
+        self._counts[0] = k
+        # a child that failed leaves the rows to copy's caller
+        with suppress(BrokenPipeError):
+            os.write(self._bell, b".")
         return k + REPORT_ROWS
-
-    def close(self, k: int) -> None:
-        """End the reports at the run's final count ``k`` of records: the
-        child formats about half of the rows it has not yet formatted, and
-        past its block in progress; :meth:`copy` formats the rest."""
-        done = int(self._done)
-        self.rows = k
-        self.split = min(k, max(done + REPORT_ROWS, (done + k) // 2))
-        self.report(self.split)
-        os.close(self._report_w)
-        self._report_w = None
 
     def copy(self, out, iters: np.ndarray, columns) -> bool:
         """Append to the open file ``out`` the rows ``csv_rows(iters,
-        columns)`` of the run's trace: the child's, then those it left.
-        False, with nothing written, where the child did not format its
-        share of this trace."""
-        if self.pid is None or iters.size != self.rows:
+        columns)`` of the run's trace, whose every record is written: the
+        child's, then those it left. The child takes about half of the rows
+        it has not formatted yet, and past its block in progress; the rest
+        are formatted here while it finishes. False, with nothing written,
+        where the child did not format its share of this trace."""
+        if self.pid is None:
             return False
+        k, done = iters.size, int(self._counts[1])
+        split = min(k, max(done + REPORT_ROWS, (done + k) // 2))
+        self.report(split)
+        os.close(self._bell)
+        self._bell = None
         # formatted while the child finishes; it may have gone past the split
-        split = self.split
         rows = list(csv_rows(iters[split:], [a[split:] for a in columns]))
         # a child that failed or was killed sends no "+"
         if os.read(self._up, 1) != b"+":
@@ -408,7 +398,7 @@ class RowWriter:
         size, sent = os.fstat(self._text).st_size, 0
         while sent < size:
             sent += os.sendfile(out.fileno(), self._text, sent, size - sent)
-        out.writelines(rows[int(self._done) - split:])
+        out.writelines(rows[int(self._counts[1]) - split:])
         return True
 
     def __enter__(self) -> "RowWriter":
@@ -416,7 +406,7 @@ class RowWriter:
 
     def __exit__(self, *exc) -> None:
         if self.pid is not None:
-            _end(self.pid, self._report_w, self._up, self._text)
+            _end(self.pid, self._bell, self._up, self._text)
         # the shared memory is unmapped with its last view, which a
         # traceback through the run may still hold
-        self.pid = self._done = None
+        self.pid = self._counts = None

@@ -13,8 +13,9 @@ are deterministic functions of the config bytes (plus --seed-offset for
 ``run`` and ``sweep``) and byte-identical across reruns. Exit codes: 0 ok, 1 config or usage error
 (a value the problem, run or theorem rejects, and a config file that
 cannot be read, included), 2 data error, 3 divergence, 4
-certification/bound failure, 5 system error (an ``OSError`` raised while a
-command runs, such as an ``--out`` that cannot be written).
+certification/bound failure, 5 system error (an ``OSError`` or
+``MemoryError`` raised while a command runs, such as an ``--out`` that
+cannot be written or an array larger than the system will allocate).
 """
 
 from __future__ import annotations
@@ -685,9 +686,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a ConfigError, or a value the problem, run or theorem rejects
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        # an output that cannot be written, say: the unreadable config and
-        # data files are ConfigErrors and DataErrors by now
+    except (OSError, MemoryError) as exc:
+        # an output that cannot be written, or memory the system refuses,
+        # say: the unreadable config and data files, and the dense logistic
+        # matrix that does not fit, are ConfigErrors and DataErrors by now
         print(f"system error: {exc}", file=sys.stderr)
         return EXIT_SYSTEM
 

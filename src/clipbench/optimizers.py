@@ -465,7 +465,8 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
          writer: _feed.RowWriter | None = None) -> list[tuple[Trace, str | None]]:
     """The step loop: every configuration of ``configs``, which share all
     but ``c``, ``eta``, ``seed`` and ``x0``, from its ``x0``; a single run
-    that is not fed takes its records from ``writer``, where it forks.
+    that is not fed takes its records from ``writer``, where it forks, and
+    reports them to it every ``_feed.REPORT_ROWS``.
 
     Returns one ``(trace, message)`` pair per configuration, in input
     order: ``message`` describes the divergence that stopped the run, and
@@ -537,8 +538,8 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
     if T % first.thin:
         recorded.append(T)
     ts = np.array(recorded, dtype=np.int64)
-    # one column per row of X. A writer's child formats its records every
-    # `flush` of them
+    # one column per row of X. The run reports its count of records to a
+    # writer's child every `flush` of them; the CLI's copy ends the reports
     shared = writer.open(ts) if writer is not None and not fed else None
     records = np.empty((4, ts.size, K)) if shared is None else shared
     flush = ts.size + 1 if shared is None else _feed.REPORT_ROWS
@@ -704,8 +705,6 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
         if fed:
             # stops and reaps the feeder, however the loop ended
             feed.close()
-        if shared is not None:
-            writer.close(k)
 
     for r, i in enumerate(active):
         if results[i] is None:

@@ -71,6 +71,15 @@ def _finite_nonnegative(name: str, value) -> float:
     return value
 
 
+def _positive_threshold(c) -> float:
+    """``c`` as a float, where it is a clipping threshold: positive, and
+    ``inf`` clips nothing."""
+    c = float(c)
+    if not c > 0:
+        raise ValueError(f"clipping threshold must be positive, got {c!r}")
+    return c
+
+
 class RateParams(_Record):
     """Concrete rate inputs: initial gaps, smoothness, noise, run shape."""
 
@@ -90,8 +99,7 @@ class RateParams(_Record):
     def __post_init__(self) -> None:
         for name in ("F0", "R0", "L0", "L1", "L", "mu", "sigma", "sigma_dp"):
             _finite_nonnegative(name, getattr(self, name))
-        if not self.c > 0:
-            raise ValueError(f"clipping threshold must be positive, got {self.c!r}")
+        _positive_threshold(self.c)
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError(f"step size must be positive and finite, got {self.eta!r}")
         if self.T < 1:
@@ -160,7 +168,8 @@ def max_stepsize(theorem: str, L0: float, L1: float, c: float) -> float:
     if theorem not in _STEPSIZE_FACTOR:
         names = tuple(_STEPSIZE_FACTOR)
         raise ValueError(f"unknown theorem {theorem!r}, expected one of {names}")
-    denom = _l_eff(_finite_nonnegative("L0", L0), _finite_nonnegative("L1", L1), float(c))
+    L0, L1 = _finite_nonnegative("L0", L0), _finite_nonnegative("L1", L1)
+    denom = _l_eff(L0, L1, _positive_threshold(c))
     if not denom > 0 or not math.isfinite(denom):
         raise ValueError(f"degenerate smoothness: L0 + c*L1 = {denom!r}")
     return 1.0 / (_STEPSIZE_FACTOR[theorem] * denom)
@@ -447,9 +456,7 @@ def _sampled_point(problem: Problem, x, c) -> tuple[np.ndarray, float]:
     Monte Carlo estimators: ``c`` must be positive (``inf`` clips nothing)
     and every coordinate of ``x`` finite."""
     x = problem.check_dim(np.asarray(x, dtype=float))
-    c = float(c)
-    if not c > 0:
-        raise ValueError(f"clipping threshold must be positive, got {c!r}")
+    c = _positive_threshold(c)
     if not np.isfinite(x).all():
         raise ValueError("x has non-finite coordinates")
     return x, c

@@ -777,6 +777,23 @@ class TestSystemErrors:
         assert capsys.readouterr().err.startswith("config error: cannot read config: ")
 
 
+@pytest.mark.parametrize("text,size", [
+    ("problem = quadratic\ndim = 100000000000000000\nL = 1\nmethod = gd\nc = inf\n"
+     "eta = 0.1\nT = 10\n", "711. PiB for an array with shape (100000000000000000,)"),
+    ("problem = chi_square\ndim = 10\nmethod = clipped_sgd\nc = 1\neta = 0.1\nT = 10\n"
+     "B = 100000000000000000\n", "6.94 EiB for an array with shape (100000000000000000, 10)"),
+], ids=["quadratic_dim", "chi_square_B"])
+def test_allocation_refused_is_a_system_error(tmp_path, capsys, text, size):
+    # arrays past any 64-bit address space, which no overcommit setting maps:
+    # one line and exit 5, not numpy's traceback
+    cfg = write(tmp_path, "c.cfg", "mode = run\n" + text + "seeds = 0\n")
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == (
+        f"system error: Unable to allocate {size} and data type float64\n")
+    assert not out.exists()
+
+
 class TestCmdBound:
     def make_trace(self, tmp_path, eta=0.5, c=0.25, T=300):
         run_cfg = write(tmp_path, "trace.cfg", (

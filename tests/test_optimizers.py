@@ -7,6 +7,7 @@ import mmap
 import os
 import signal
 import threading
+import time
 import warnings
 from collections import Counter
 
@@ -1238,6 +1239,62 @@ class TestRowWriter:
             cli.main(["run", "--config", str(config), "--out", str(out)])
         assert out.read_bytes() == b"an earlier trace\r\n"
         assert len(forks) == 1
+        assert_no_child_left()
+
+    @staticmethod
+    def copied(writer, tmp_path, ts, columns) -> bytes:
+        """The bytes ``writer.copy`` writes for records ``columns`` at
+        iterations ``ts``, which it must take from the child."""
+        out = tmp_path / "rows.csv"
+        with open(out, "w", newline="") as f:
+            assert writer.copy(f, ts, list(columns))
+        return out.read_bytes()
+
+    @staticmethod
+    def formatted(writer, k):
+        # the child has formatted the first k rows
+        while writer._counts[1] < k:
+            time.sleep(1e-3)
+
+    def test_child_that_waits_at_the_pipe(self, tmp_path, forks, no_hang):
+        # records stored and reported 1024 at a time, each report once the
+        # child has formatted the last, so that it waits at the pipe; copy
+        # ends the reports at the 5000 records, the last 904 unreported
+        ts = np.arange(0, 10000, 2)
+        columns = np.random.default_rng(0).standard_normal((4, ts.size))
+        with _feed.RowWriter() as writer:
+            records = writer.open(ts)
+            assert records.shape == (4, ts.size, 1)
+            for start in range(0, ts.size, _feed.REPORT_ROWS):
+                stop = min(start + _feed.REPORT_ROWS, ts.size)
+                records[:, start:stop, 0] = columns[:, start:stop]
+                if stop < ts.size:
+                    assert writer.report(stop) == stop + _feed.REPORT_ROWS
+                    self.formatted(writer, stop)
+                    time.sleep(5e-3)
+            data = self.copied(writer, tmp_path, ts, columns)
+        assert data == "".join(_feed.csv_rows(ts, columns)).encode()
+        assert forks == [os.getpid()]
+        assert_no_child_left()
+
+    def test_copy_after_the_child_formatted_every_row(self, monkeypatch, tmp_path, forks,
+                                                      no_hang):
+        # the child has formatted the final count: the split is that count,
+        # and the parent formats no row
+        ts = np.arange(5000)
+        columns = np.random.default_rng(1).standard_normal((4, ts.size))
+        sizes, csv_rows = [], _feed.csv_rows
+        with _feed.RowWriter() as writer:
+            writer.open(ts)[:, :, 0] = columns
+            writer.report(ts.size)
+            self.formatted(writer, ts.size)
+            # the parent's calls only: the child was forked before
+            monkeypatch.setattr(_feed, "csv_rows",
+                                lambda iters, cols: sizes.append(iters.size) or csv_rows(iters, cols))
+            data = self.copied(writer, tmp_path, ts, columns)
+        assert sizes == [0]
+        assert data == "".join(csv_rows(ts, columns)).encode()
+        assert forks == [os.getpid()]
         assert_no_child_left()
 
     def test_no_writer_for_a_batch(self):

@@ -71,6 +71,14 @@ class TestMaxStepsize:
         for c in (0.01, 1.0, 100.0, math.inf):
             assert max_stepsize("det_nonconvex", 2.0, 0.0, c) == pytest.approx(1.0 / 18.0)
 
+    @pytest.mark.parametrize("L1", [0.0, 1.0])
+    @pytest.mark.parametrize("c", [-5.0, 0.0, math.nan])
+    def test_threshold_checked(self, c, L1):
+        # with L1 = 0 the step size does not read c, which once let any c pass
+        with pytest.raises(ValueError) as exc:
+            max_stepsize("det_convex", 1.0, L1, c)
+        assert str(exc.value) == f"clipping threshold must be positive, got {c!r}"
+
     def test_float32_inputs_give_the_float64_threshold(self):
         args = (np.float32(0.3), np.float32(0.7), np.float32(2.5))
         step = max_stepsize("det_nonconvex", *args)
