@@ -26,11 +26,19 @@ holds such records sets ``__hash__ = None`` itself.
 
 It builds no code at class creation, unlike ``dataclasses``, whose
 ``exec`` of each generated method was most of the package's import time.
+
+The module is also the one home of the argument rules that the package's
+entry points share, each with one wording: ``_positive`` (``inf``
+allowed, as a threshold that clips nothing), ``_finite_positive``,
+``_finite_nonnegative`` and ``_count`` (an integer at least ``low``).
+The first three return the value as a float, ``_count`` the value it was
+given; each raises ``ValueError("{name} must be {rule}, got {value!r}")``.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 import numbers
 import operator
 
@@ -55,6 +63,39 @@ def _to_float(name, value):
 
 def _to_optional_float(name, value):
     return None if value is None else _to_float(name, value)
+
+
+def _rule(ok: bool, name: str, rule: str, value):
+    """``value``, where ``ok`` holds; else the one wording of every rule."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a float, where it is positive: an infinite threshold
+    clips nothing."""
+    value = float(value)
+    return _rule(value > 0, name, "positive", value)
+
+
+def _finite_positive(name: str, value) -> float:
+    value = float(value)
+    return _rule(0 < value < math.inf, name, "finite and positive", value)
+
+
+def _finite_nonnegative(name: str, value) -> float:
+    """``value`` as a float, where it is finite and nonnegative: a NaN,
+    infinite or negative constant would give a NaN, infinite or meaningless
+    prediction or check, which would read as a failed or passed one."""
+    value = float(value)
+    return _rule(0 <= value < math.inf, name, "finite and nonnegative", value)
+
+
+def _count(name: str, value, low: int = 1):
+    """``value`` as given, where it is at least ``low``: a count of
+    iterations, samples, rows or points."""
+    return _rule(value >= low, name, f">= {low}", value)
 
 
 # annotation -> (the exact type a stored value has, the conversion to it)

@@ -11,8 +11,8 @@ or theorem does not read. A left-out key that feeds a library parameter
 is not passed, so the library's signature owns its default. All outputs
 are deterministic functions of the config bytes (plus --seed-offset for
 ``run`` and ``sweep``) and byte-identical across reruns. Exit codes: 0 ok, 1 config or usage error
-(a value the problem, run or theorem rejects, and a config file that
-cannot be read, included), 2 data error, 3 divergence, 4
+(a value the problem, run or theorem rejects or that overflows a double,
+and a config file that cannot be read, included), 2 data error, 3 divergence, 4
 certification/bound failure, 5 system error (an ``OSError`` or
 ``MemoryError`` raised while a command runs, such as an ``--out`` that
 cannot be written or an array larger than the system will allocate).
@@ -32,9 +32,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _feed, data_ingest, theory
-from ._record import _Record
+from ._record import _count, _Record
 from .data_ingest import ParseError
-from .optimizers import Cells, DivergenceError, RunConfig, Trace, run
+from .optimizers import Cells, DivergenceError, RunConfig, Trace, _quiet_overflow, run
 from .problems import (
     BernoulliShiftQuadratic,
     ChiSquareQuadratic,
@@ -107,7 +107,17 @@ def _list_of(convert: Callable) -> Callable[[str], list]:
 
 
 _to_float = _converter(float, "a number")
-_to_int = _converter(int, "an integer")
+_integer = _converter(int, "an integer")
+
+
+def _to_int(s: str) -> int:
+    # a larger count or seed would overflow the first array or range it sizes
+    value = _integer(s)
+    if abs(value) >= 2**63:
+        raise ConfigError(f"expected an integer of magnitude below 2**63, got {s!r}")
+    return value
+
+
 _to_float_list = _list_of(_to_float)
 _to_int_list = _list_of(_to_int)
 
@@ -440,16 +450,20 @@ def _witness(v: np.ndarray | None) -> str:
 
 
 def cmd_certify(cfg: dict, out: Path) -> int:
-    problem = build_problem(cfg, cfg["_dir"])
+    return _certify(build_problem(cfg, cfg["_dir"]), cfg, out)
+
+
+# the certificate and the gradient checks report the values that overflowed,
+# so numpy's warnings would only repeat them
+@_quiet_overflow
+def _certify(problem: Problem, cfg: dict, out: Path) -> int:
     L0 = cfg.get("L0", problem.meta.L0)
     L1 = cfg.get("L1", problem.meta.L1)
     seed = cfg.get("certify_seed", 0)
     lines = []
     failed = False
 
-    fd_points = cfg.get("fd_points", 20)
-    if fd_points < 0:
-        raise ConfigError(f"fd_points must be >= 0, got {fd_points!r}")
+    fd_points = _count("fd_points", cfg.get("fd_points", 20), 0)
     scale = cfg.get("radius_scale", 1.0)
     # first, so that its checks of n_pairs and radius_scale run before any work
     cert = theory.certify_smoothness(
@@ -685,6 +699,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         # a ConfigError, or a value the problem, run or theorem rejects
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OverflowError as exc:
+        # a float result too large for a double, such as c**2 of a finite c
+        print(f"config error: value out of range: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, MemoryError) as exc:
         # an output that cannot be written, or memory the system refuses,

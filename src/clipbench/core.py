@@ -11,7 +11,8 @@ vectors) and ``clip_float`` (the one coordinate of a one-dimensional
 vector, as a Python float) instead, on inputs they have validated once up
 front. All four share the same arithmetic, so a row of ``clip_rows`` is
 bit-for-bit the ``clip`` of that row, and ``clip_float(u, c)`` the one
-coordinate of ``clip(np.array([u]), c)``.
+coordinate of ``clip(np.array([u]), c)``. The threshold rule the public
+entry points check is ``_record._positive``, which every module shares.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ._record import _positive
 
 __all__ = ["clip", "clip_coefficient", "clip_float", "clip_rows", "clip_vector"]
 
@@ -39,8 +42,7 @@ def clip(u, c: float) -> np.ndarray:
     includes the zero vector and the boundary ``norm(u) == c``.
     """
     u = _as_vector(u)
-    if not c > 0:
-        raise ValueError(f"clipping threshold must be positive, got {c!r}")
+    _positive("clipping threshold", c)
     return clip_vector(u, c)[0]
 
 
@@ -152,8 +154,7 @@ def clip_coefficient(u, c: float) -> float:
     Returns 1.0 for the zero vector (nothing to rescale).
     """
     u = _as_vector(u)
-    if not c > 0:
-        raise ValueError(f"clipping threshold must be positive, got {c!r}")
+    _positive("clipping threshold", c)
     norm = math.sqrt(float(u @ u))
     if norm <= c:
         return 1.0

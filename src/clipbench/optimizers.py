@@ -120,7 +120,7 @@ from bisect import bisect_left
 import numpy as np
 
 from . import _feed
-from ._record import _Record
+from ._record import _count, _finite_nonnegative, _finite_positive, _Record
 from .core import _sum_rows, clip_float, clip_rows, clip_vector
 from .problems import Problem
 
@@ -188,21 +188,14 @@ class RunConfig(_Record, eq=False):
         else:
             if not (self.c > 0 and math.isfinite(self.c)):
                 raise ValueError(f"{self.method} requires finite c > 0, got {self.c!r}")
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValueError(f"step size must be positive and finite, got {self.eta!r}")
-        if self.T < 0:
-            raise ValueError(f"iteration budget must be >= 0, got {self.T!r}")
-        if self.B < 1:
-            raise ValueError(f"minibatch size must be >= 1, got {self.B!r}")
-        if self.B != 1 and self.method in _DETERMINISTIC:
+        _finite_positive("eta", self.eta)
+        _count("T", self.T, 0)
+        if _count("B", self.B) != 1 and self.method in _DETERMINISTIC:
             raise ValueError(f"B = {self.B} is only valid for the stochastic methods;"
                              f" {self.method} steps along the exact gradient")
-        if self.sigma_dp < 0 or not math.isfinite(self.sigma_dp):
-            raise ValueError(f"DP noise scale must be finite and >= 0, got {self.sigma_dp!r}")
-        if self.sigma_dp > 0 and self.method != "dp_sgd":
+        if _finite_nonnegative("sigma_dp", self.sigma_dp) > 0 and self.method != "dp_sgd":
             raise ValueError("sigma_dp > 0 is only valid for dp_sgd")
-        if self.thin < 1:
-            raise ValueError(f"thinning stride must be >= 1, got {self.thin!r}")
+        _count("thin", self.thin)
         x0 = np.asarray(self.x0, dtype=float).copy()
         if x0.ndim != 1 or x0.size == 0 or not np.isfinite(x0).all():
             raise ValueError("x0 must be a finite non-empty 1-d vector")

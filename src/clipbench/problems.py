@@ -77,7 +77,7 @@ import math
 
 import numpy as np
 
-from ._record import _Record
+from ._record import _count, _finite_nonnegative, _finite_positive, _Record
 from .data_ingest import Dataset, spectral_norm_sq
 
 __all__ = [
@@ -179,9 +179,8 @@ class Quadratic(Problem):
     """Deterministic ``f(x) = (L/2) * norm(x)^2`` with minimizer 0."""
 
     def __init__(self, dim: int = 1, L: float = 1.0):
-        if dim < 1 or not (L > 0 and math.isfinite(L)):
-            raise ValueError("need dim >= 1 and L > 0 and finite")
-        self.L = L = float(L)
+        _count("dim", dim)
+        self.L = L = _finite_positive("L", L)
         self.meta = ProblemMeta(
             dim=dim, L0=L, L1=0.0, L=L, mu=L, sigma_sq=0.0,
             f_star=0.0, x_star=np.zeros(dim),
@@ -212,11 +211,9 @@ class BernoulliShiftQuadratic(Problem):
     draws = Problem.uniforms
 
     def __init__(self, a: float, p: float):
-        if not (a > 0 and math.isfinite(a)):
-            raise ValueError(f"shift a must be positive and finite, got {a!r}")
+        self.a = a = _finite_positive("shift a", a)
         if not 0 < p < 0.5:
             raise ValueError(f"p must lie in (0, 1/2), got {p!r}")
-        self.a = a = float(a)
         self.p = p = float(p)
         sigma_sq = p * (1.0 - p) * a * a
         if not math.isfinite(sigma_sq):
@@ -270,9 +267,8 @@ class ChiSquareQuadratic(Problem):
     """
 
     def __init__(self, dim: int = 100, L: float = 0.1):
-        if dim < 1 or not (L > 0 and math.isfinite(L)):
-            raise ValueError("need dim >= 1 and L > 0 and finite")
-        self.L = L = float(L)
+        _count("dim", dim)
+        self.L = L = _finite_positive("L", L)
         self._ones = np.ones(dim)
         self.meta = ProblemMeta(
             dim=dim, L0=L, L1=0.0, L=L, mu=L, sigma_sq=2.0 * dim,
@@ -369,8 +365,7 @@ class LogisticRegressionProblem(Problem):
         if nbytes > _DENSE_LIMIT:
             raise MemoryError(f"the dense {dataset.n} x {columns} feature matrix needs"
                               f" {nbytes} bytes, over the {_DENSE_LIMIT}-byte limit")
-        if not (lam >= 0 and math.isfinite(lam)):
-            raise ValueError(f"ridge weight must be nonnegative and finite, got {lam!r}")
+        self.lam = _finite_nonnegative("ridge weight", lam)
         Z = dataset.to_dense()
         if normalize_rows:
             norms = np.linalg.norm(Z, axis=1)
@@ -383,7 +378,6 @@ class LogisticRegressionProblem(Problem):
         self.Z = Z = _aligned(Z)
         # a stacked evaluation's intermediates are (rows, n)
         self.n = self.row_doubles = Z.shape[0]
-        self.lam = float(lam)
         L = spectral_norm_sq(Z) / (4.0 * self.n) + self.lam
         self.meta = ProblemMeta(
             dim=Z.shape[1], L0=L, L1=0.0, L=L, mu=self.lam,

@@ -7,6 +7,10 @@ Every predictor records how trustworthy its constants are: published
 exactly (``paper_explicit``), carried through a proof derivation
 (``derived_appendix``), or order-of-magnitude only; only the first two
 classes are asserted as hard bounds by the checkers.
+
+The argument rules that the entry points check (a positive threshold,
+finite nonnegative constants, counts) live in ``_record``, beside the
+field conversions, with one wording each.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from itertools import islice
 import numpy as np
 
 from . import _feed
-from ._record import _Record
+from ._record import _count, _finite_nonnegative, _finite_positive, _positive, _Record
 from .core import _sum_rows, clip_rows
 from .problems import BernoulliShiftQuadratic, Problem
-from .optimizers import _HELD, Trace
+from .optimizers import _HELD, Trace, _quiet_overflow
 
 __all__ = [
     "RateParams",
@@ -61,25 +65,6 @@ _STEPSIZE_FACTOR = {
 }
 
 
-def _finite_nonnegative(name: str, value) -> float:
-    """``value`` as a float, where it is finite and nonnegative: a NaN,
-    infinite or negative constant would give a NaN, infinite or meaningless
-    prediction or check, which would read as a failed or passed one."""
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-    return value
-
-
-def _positive_threshold(c) -> float:
-    """``c`` as a float, where it is a clipping threshold: positive, and
-    ``inf`` clips nothing."""
-    c = float(c)
-    if not c > 0:
-        raise ValueError(f"clipping threshold must be positive, got {c!r}")
-    return c
-
-
 class RateParams(_Record):
     """Concrete rate inputs: initial gaps, smoothness, noise, run shape."""
 
@@ -99,13 +84,10 @@ class RateParams(_Record):
     def __post_init__(self) -> None:
         for name in ("F0", "R0", "L0", "L1", "L", "mu", "sigma", "sigma_dp"):
             _finite_nonnegative(name, getattr(self, name))
-        _positive_threshold(self.c)
-        if not (self.eta > 0 and math.isfinite(self.eta)):
-            raise ValueError(f"step size must be positive and finite, got {self.eta!r}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T!r}")
-        if self.B < 1:
-            raise ValueError(f"B must be >= 1, got {self.B!r}")
+        _positive("clipping threshold", self.c)
+        _finite_positive("eta", self.eta)
+        _count("T", self.T)
+        _count("B", self.B)
 
 
 class BoundReport(_Record):
@@ -169,7 +151,7 @@ def max_stepsize(theorem: str, L0: float, L1: float, c: float) -> float:
         names = tuple(_STEPSIZE_FACTOR)
         raise ValueError(f"unknown theorem {theorem!r}, expected one of {names}")
     L0, L1 = _finite_nonnegative("L0", L0), _finite_nonnegative("L1", L1)
-    denom = _l_eff(L0, L1, _positive_threshold(c))
+    denom = _l_eff(L0, L1, _positive("clipping threshold", c))
     if not denom > 0 or not math.isfinite(denom):
         raise ValueError(f"degenerate smoothness: L0 + c*L1 = {denom!r}")
     return 1.0 / (_STEPSIZE_FACTOR[theorem] * denom)
@@ -231,8 +213,7 @@ def bound_det_strongly_convex(
     converges linearly at rate (1/(eta mu)) ln(R0^2/eps).
     """
     # an infinite epsilon would be reached at once, whatever the trace
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    _finite_positive("epsilon", epsilon)
     if not params.mu > 0:
         raise ValueError("strongly convex predictor needs mu > 0")
     L = params.L if L_override is None else L_override
@@ -308,11 +289,8 @@ def bound_dp_sgd(params: RateParams, L_override: float | None = None) -> BoundRe
 
 def bias_floor(sigma: float, c: float) -> float:
     """The non-vanishing gradient-norm level min(sigma, sigma^2 / c)."""
-    sigma, c = float(sigma), float(c)
-    if not sigma >= 0:
-        raise ValueError("sigma must be nonnegative")
-    if not c > 0:
-        raise ValueError("c must be positive")
+    sigma = _finite_nonnegative("sigma", sigma)
+    c = _positive("clipping threshold", c)
     if sigma == 0.0:
         return 0.0
     return min(sigma, sigma**2 / c)
@@ -394,9 +372,7 @@ def exact_fixed_point(problem: BernoulliShiftQuadratic, c: float) -> float:
     the ball, shifted branch clipped); otherwise bisection on [-a, 0],
     where the expectation is monotone nondecreasing. Residual <= 1e-12.
     """
-    c = float(c)
-    if not c > 0:
-        raise ValueError("c must be positive")
+    c = _positive("clipping threshold", c)
     a, p = problem.a, problem.p
     if a >= 2.0 * c:
         return -p * c / (1.0 - p)
@@ -451,14 +427,15 @@ def _sample_chunks(problem: Problem, x: np.ndarray, n_samples: int, seed: int):
         feed.close()
 
 
-def _sampled_point(problem: Problem, x, c) -> tuple[np.ndarray, float]:
+def _sampled_point(problem: Problem, x, c, n_samples: int) -> tuple[np.ndarray, float]:
     """``x`` as a checked point of ``problem`` and ``c`` as a float, for the
-    Monte Carlo estimators: ``c`` must be positive (``inf`` clips nothing)
-    and every coordinate of ``x`` finite."""
+    Monte Carlo estimators: ``c`` must be positive (``inf`` clips nothing),
+    every coordinate of ``x`` finite and ``n_samples`` at least 1."""
     x = problem.check_dim(np.asarray(x, dtype=float))
-    c = _positive_threshold(c)
+    c = _positive("clipping threshold", c)
     if not np.isfinite(x).all():
         raise ValueError("x has non-finite coordinates")
+    _count("n_samples", n_samples)
     return x, c
 
 
@@ -471,12 +448,10 @@ def expected_clipped_grad(
 ) -> ClippedGradEstimate:
     """E[clip_c(stochastic gradient at x)], whose zeros are the clipped-SGD
     fixed points. Exact for the two-outcome problem, Monte Carlo otherwise."""
-    x, c = _sampled_point(problem, x, c)
+    x, c = _sampled_point(problem, x, c, n_samples)
     if isinstance(problem, BernoulliShiftQuadratic):
         val = _expected_clipped_scalar(problem, float(x[0]), c)
         return ClippedGradEstimate(np.array([val]), 0.0, exact=True)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     total = np.zeros_like(x)
     total_sq = 0.0
     # closing: a feeder stops with the loop, however it ends
@@ -534,6 +509,9 @@ def _evaluated(problem: Problem, points):
 _CERT_RTOL = 1e-9  # float slack: the inequalities are exact in real arithmetic
 
 
+# the violations report the values that overflowed, so numpy's warnings
+# would only repeat them
+@_quiet_overflow
 def certify_smoothness(
     problem: Problem,
     L0: float,
@@ -552,10 +530,8 @@ def certify_smoothness(
     """
     L0, L1 = _finite_nonnegative("L0", L0), _finite_nonnegative("L1", L1)
     # no pair, or no finite radius, would check nothing and pass
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs!r}")
-    if not (radius_scale > 0 and math.isfinite(radius_scale)):
-        raise ValueError(f"radius_scale must be finite and positive, got {radius_scale!r}")
+    _count("n_pairs", n_pairs)
+    _finite_positive("radius_scale", radius_scale)
     rng = np.random.default_rng(seed)
     r_max = radius_scale if L1 == 0.0 else min(radius_scale, 1.0 / L1)
     f_star = problem.meta.f_star
@@ -563,7 +539,8 @@ def certify_smoothness(
 
     def check(kind, x, y, lhs, rhs):
         slack = _CERT_RTOL * max(1.0, abs(lhs), abs(rhs))
-        if lhs > rhs + slack:
+        # a NaN side, from a value or gradient that overflowed, fails
+        if not lhs <= rhs + slack:
             violations.append(SmoothnessViolation(kind, x, y, lhs, rhs))
 
     def points():
@@ -611,9 +588,7 @@ def clip_probability_bound(
 ) -> ClipProbabilityReport:
     """Check Pr[norm(stochastic gradient) > c] <= 4 sigma^2 / c^2 at a point
     where norm(grad) < c/2 (required regime; otherwise ValueError)."""
-    x, c = _sampled_point(problem, x, c)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    x, c = _sampled_point(problem, x, c, n_samples)
     grad_norm = float(np.linalg.norm(problem.grad(x)))
     if not grad_norm < c / 2.0:
         raise ValueError(
@@ -640,12 +615,10 @@ def dp_noise_calibration(
     ``optimizers.privacy_noise`` then draws with standard deviation
     k_dp * c * sqrt(d T ln(1/delta)) / epsilon.
     """
-    c, d, T, epsilon, delta = map(float, (c, d, T, epsilon, delta))
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    epsilon, delta = _positive("epsilon", epsilon), float(delta)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if d < 1 or T < 1 or not c > 0:
-        raise ValueError("need d >= 1, T >= 1, c > 0")
+    c = _positive("clipping threshold", c)
+    d, T = float(_count("d", d)), float(_count("T", T))
     k_dp = _finite_nonnegative("k_dp", k_dp)
     return k_dp * c * d * math.sqrt(T * math.log(1.0 / delta)) / epsilon

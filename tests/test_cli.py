@@ -149,25 +149,30 @@ class TestConfigParsing:
                    " 240000-byte limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text, message", [
-        ("run", "problem = quadratic\ndim = 0\n" + CLIPPED_GD, "need dim >= 1 and L > 0"),
+        ("run", "problem = quadratic\ndim = 0\n" + CLIPPED_GD, "dim must be >= 1, got 0"),
         ("run", "problem = bernoulli_shift\na = -1\np = 0.25\n" + CLIPPED_GD,
-         "shift a must be positive"),
+         "shift a must be finite and positive, got -1.0"),
         ("run", f"problem = logistic\ndata = {bundled_dataset_path()}\nsubsample_k = 0\n"
          + CLIPPED_GD, "k must be in [1, 500], got 0"),
         ("run", f"problem = logistic\ndata = {bundled_dataset_path()}\nlambda = -1\n"
-         + CLIPPED_GD, "ridge weight must be nonnegative"),
-        ("run", "problem = quadratic\nL = nan\n" + CLIPPED_GD, "need dim >= 1 and L > 0"),
+         + CLIPPED_GD, "ridge weight must be finite and nonnegative, got -1.0"),
+        ("run", "problem = quadratic\nL = nan\n" + CLIPPED_GD,
+         "L must be finite and positive, got nan"),
         # an infinite or NaN problem constant, not a divergence at t = 0
-        ("run", "problem = quadratic\nL = inf\n" + CLIPPED_GD, "need dim >= 1 and L > 0"),
-        ("run", "problem = chi_square\nL = inf\n" + CLIPPED_GD, "need dim >= 1 and L > 0"),
+        ("run", "problem = quadratic\nL = inf\n" + CLIPPED_GD,
+         "L must be finite and positive, got inf"),
+        ("run", "problem = chi_square\nL = inf\n" + CLIPPED_GD,
+         "L must be finite and positive, got inf"),
         ("run", "problem = bernoulli_shift\na = inf\np = 0.25\n" + CLIPPED_GD,
-         "shift a must be positive"),
+         "shift a must be finite and positive, got inf"),
         # a finite shift whose variance overflows, not a divergence at t = 0
         ("run", "problem = bernoulli_shift\na = 1e200\np = 0.25\n" + CLIPPED_GD,
          "shift a must be positive and finite with a finite variance"),
-        ("run", LOGISTIC + "lambda = nan\n" + CLIPPED_GD, "ridge weight must be nonnegative"),
+        ("run", LOGISTIC + "lambda = nan\n" + CLIPPED_GD,
+         "ridge weight must be finite and nonnegative, got nan"),
         # and not an infinite smoothness constant certified as a pass
-        ("certify", LOGISTIC + "lambda = inf\n", "ridge weight must be nonnegative"),
+        ("certify", LOGISTIC + "lambda = inf\n",
+         "ridge weight must be finite and nonnegative, got inf"),
         ("fixedpoint", "sigma = nan\nc = 4\n", "construction needs sigma > 0"),
         ("fixedpoint", "sigma = inf\nc = 4\n", "construction needs a finite sigma, got sigma=inf"),
         ("fixedpoint", "sigma = 1\nc = 2, inf\n", "construction needs a finite c, got c=inf"),
@@ -230,6 +235,35 @@ class TestConfigParsing:
                      "--out", str(tmp_path / "trace.csv")]) == 0
         cfg = write(tmp_path, "good.cfg", f"mode = {command}\n{text}")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o.txt")]) == 0
+
+    @pytest.mark.parametrize("command, text, message", [
+        # c**2 of a finite threshold, and sigma**2 of a finite noise level
+        ("bound", STOCH_BOUND.replace("c = 0.25", "c = 1e308").replace("eta = 1", "eta = 1e-9")
+         + "sigma = 1\n", "value out of range: "),
+        ("fixedpoint", "sigma = 1e308\nc = 1\n", "value out of range: "),
+        # a count no range can hold
+        ("run", "problem = quadratic\nmethod = gd\nc = inf\neta = 1\n"
+         "T = 999999999999999999999999999999\nseeds = 0\n",
+         "key 'T': expected an integer of magnitude below 2**63,"
+         " got '999999999999999999999999999999'"),
+    ], ids=["bound_c_squared", "fixedpoint_sigma_squared", "run_T"])
+    def test_overflowing_value_is_config_error(self, tmp_path, command, text, message, capsys):
+        # each once ended in an OverflowError traceback
+        assert main(["run", "--config", str(write(tmp_path, "ok.cfg", RUN_CFG)),
+                     "--out", str(tmp_path / "trace.csv")]) == 0
+        cfg = write(tmp_path, "bad.cfg", f"mode = {command}\n{text}")
+        out = tmp_path / "o.txt"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_integer_beyond_int64_is_config_error(self):
+        typed = cli._typed_config({"mode": "run", "seeds": f"{2**63 - 1}, {1 - 2**63}"}, "run")
+        assert typed["seeds"] == [2**63 - 1, 1 - 2**63]
+        for value in (2**63, -2**63):
+            with pytest.raises(ConfigError, match="key 'seeds': expected an integer of magnitude"):
+                cli._typed_config({"mode": "run", "seeds": f"0, {value}"}, "run")
 
 
 class TestInputPaths:
@@ -639,6 +673,21 @@ class TestCmdCertify:
         assert capsys.readouterr().err == (
             f"config error: {name} must be finite and nonnegative, got {float(value)!r}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("fd_points", ["fd_points = 0\n", ""], ids=["no_fd", "default_fd"])
+    def test_overflowed_points_are_violations(self, tmp_path, capsys, fd_points):
+        # every point overflows: its NaN comparisons once counted as no
+        # violation, under a RuntimeWarning per overflow
+        cfg = write(tmp_path, "c.cfg", "mode = certify\nproblem = quadratic\ndim = 2\n"
+                    f"radius_scale = 1e308\nn_pairs = 20\n{fd_points}")
+        out = tmp_path / "c.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == ""
+        text = out.read_text()
+        assert "smoothness L0=1.0 L1=0.0 pairs=20 violations=60 status=fail" in text
+        assert text.count("status=fail") == 1 + (20 if not fd_points else 0)
 
     def test_frozen_logistic_certificate(self, tmp_path):
         # sha256 of the certify_logistic report; like the logistic sweep

@@ -131,7 +131,7 @@ class TestBernoulliShiftQuadratic:
             BernoulliShiftQuadratic(a=1.0, p=0.5)
         # 1e200 is finite, but p * (1 - p) * a * a, the variance, overflows
         for a in (math.inf, math.nan, 1e200):
-            with pytest.raises(ValueError, match="^shift a must be positive and finite"):
+            with pytest.raises(ValueError, match="^shift a must be (finite and positive|positive and finite with)"):
                 BernoulliShiftQuadratic(a=a, p=0.25)
 
     def test_float32_parameters_give_float_meta(self):
@@ -168,7 +168,7 @@ class TestChiSquareQuadratic:
 class TestQuadraticCurvature:
     @pytest.mark.parametrize("L", [0.0, math.inf, math.nan])
     def test_L_must_be_positive_and_finite(self, cls, L):
-        with pytest.raises(ValueError, match="^need dim >= 1 and L > 0 and finite"):
+        with pytest.raises(ValueError, match="^L must be finite and positive"):
             cls(dim=2, L=L)
 
     def test_float32_L_gives_float_meta(self, cls):
@@ -305,7 +305,7 @@ class TestLogistic:
 
     @pytest.mark.parametrize("lam", [-1.0, math.inf, math.nan])
     def test_ridge_weight_must_be_finite_and_nonnegative(self, lam):
-        with pytest.raises(ValueError, match="^ridge weight must be nonnegative and finite"):
+        with pytest.raises(ValueError, match="^ridge weight must be finite and nonnegative"):
             LogisticRegressionProblem(parse_libsvm("+1 1:1\n-1 2:1\n"), lam=lam)
 
     def test_float32_ridge_weight_gives_float_meta(self):
