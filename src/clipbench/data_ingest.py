@@ -210,20 +210,22 @@ def spectral_norm_sq(A: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float
     """Largest eigenvalue of ``A.T @ A`` by power iteration.
 
     Deterministic: starts from the normalized all-ones vector and runs at
-    most ``iters`` Rayleigh-quotient refinements.
+    most ``iters`` Rayleigh-quotient refinements. Each takes one product
+    ``A.T @ (A @ v)``: the Rayleigh quotient's at the new ``v`` is the next
+    step's ``w``.
     """
     if A.size == 0:
         return 0.0
     d = A.shape[1]
-    v = np.full(d, 1.0 / math.sqrt(d))
+    w = A.T @ (A @ np.full(d, 1.0 / math.sqrt(d)))
     lam = 0.0
     for _ in range(iters):
-        w = A.T @ (A @ v)
         norm_w = math.sqrt(float(w @ w))
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
-        lam_new = float(v @ (A.T @ (A @ v)))
+        w = A.T @ (A @ v)
+        lam_new = float(v @ w)
         if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
             return lam_new
         lam = lam_new

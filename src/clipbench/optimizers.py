@@ -22,7 +22,7 @@ from, and every source gives the bits of the reset:
   is ``Problem.uniforms`` (a sample that is a function of one uniform),
   the method is stochastic, ``B == 1`` and the run's K cells draw at least
   ``K * T >= 128`` uniforms, the run computes the uniforms of all its
-  cells for ``4096 // K`` steps at a time (at least one) with a
+  cells for ``_HELD // K`` steps at a time (at least one) with a
   numpy-vectorized Philox and hands them to ``sample_grad_at``, with no
   reset.
 - A draw never depends on the iterate, so another process can compute it
@@ -122,7 +122,7 @@ import numpy as np
 from . import _feed
 from ._record import _count, _finite_nonnegative, _finite_positive, _Record
 from .core import _sum_rows, clip_float, clip_rows, clip_vector
-from .problems import Problem
+from .problems import _HELD, Problem
 
 __all__ = [
     "METHODS",
@@ -276,22 +276,10 @@ _PHILOX_M1 = 0xCA5A826395121157
 _PHILOX_W0 = 0x9E3779B97F4A7C15
 _PHILOX_W1 = 0xBB67AE8584CAA73B
 _MASK64 = (1 << 64) - 1
-# uniforms per block a served run computes: a block covers `_CHUNK // K`
-# steps of all K cells, so its arrays stay small (numpy's Philox throughput
-# halves once they leave the cache, at 20 cells x 4096 steps)
-_CHUNK = 4096
 # the fewest uniforms a run is served, over all its cells: a block costs
 # about as much as this many counter resets, most of it in fixed per-call
 # overhead, so a short single run (T = 1, say) takes the resets
 _WARMUP = 128
-# the most doubles a run holds per chunk of steps: a deterministic run's
-# held iterates, and the largest array of a stochastic run's one stacked
-# evaluation of the exact oracle, the gradients of its held iterates or the
-# problem's `row_doubles` of each: 64 KiB, which glibc's malloc serves from
-# its heap. Past 128 KiB it maps and unmaps each array, and the page faults
-# (280 000 in a run of fig_stoch_logistic's 18 cells, 15 steps a chunk)
-# took longer than the one call per step they replaced
-_HELD = 1 << 13
 # the least work of a batch of K >= 4 cells that runs its odd cells in a
 # forked child (see `_cells`): T * K rows of the problem's `row_doubles`,
 # or of at least dim for a stochastic method. Each share pays every step's
@@ -479,7 +467,7 @@ def _run(problem: Problem, configs: tuple[RunConfig, ...],
     sample_grad_at = problem.sample_grad_at
     served = (type(problem).draws is Problem.uniforms and not deterministic and B == 1
               and K * T >= _WARMUP)
-    chunk = max(1, _CHUNK // K)
+    chunk = max(1, _HELD // K)
     keys = [config.seed for config in configs]
     rngs = (None if deterministic or served and not dp
             else [_StepRng(seed) for seed in keys])

@@ -41,6 +41,13 @@ default) always takes the reset. Of the shipped problems
 ``BernoulliShiftQuadratic`` takes ``Problem.uniforms`` and
 ``ChiSquareQuadratic`` draws its normals.
 
+``_HELD`` (8 192 doubles, 64 KiB) bounds every stacked array of the
+package: a run's held steps, a served Philox block of ``_HELD // K`` steps
+of K cells (see ``optimizers``), a Monte Carlo chunk of ``_HELD // dim``
+samples (see ``theory``), and here the per-row gradients behind the
+logistic ``variance_at`` and ``meta.sigma_sq``, taken ``_HELD // d`` rows
+at a time.
+
 A stochastic run evaluates ``value_and_grad`` on stacks of the iterates it
 holds, whose size it bounds by the largest array one call allocates: the
 ``(rows, dim)`` gradients, or ``row_doubles`` per point where a problem
@@ -77,7 +84,7 @@ import math
 
 import numpy as np
 
-from ._record import _count, _finite_nonnegative, _finite_positive, _Record
+from ._record import _count, _finite_nonnegative, _finite_positive, _Record, _rule
 from .data_ingest import Dataset, spectral_norm_sq
 
 __all__ = [
@@ -88,6 +95,16 @@ __all__ = [
     "ChiSquareQuadratic",
     "LogisticRegressionProblem",
 ]
+
+# the most doubles any stacked array of the package holds: a run's held
+# iterates and its stacked exact-oracle call (the gradients, or
+# `row_doubles` per point), a served Philox block, a Monte Carlo chunk's
+# samples and a block of the logistic per-row gradients. 64 KiB, which
+# glibc's malloc serves from its heap. Past 128 KiB it maps and unmaps each
+# array, and the page faults (280 000 in a run of fig_stoch_logistic's 18
+# cells, 15 steps a chunk) took longer than the one call per step they
+# replaced
+_HELD = 1 << 13
 
 
 class ProblemMeta(_Record, eq=False):
@@ -269,6 +286,9 @@ class ChiSquareQuadratic(Problem):
     def __init__(self, dim: int = 100, L: float = 0.1):
         _count("dim", dim)
         self.L = L = _finite_positive("L", L)
+        # f* = -dim / (2 L) and x* = -1 / L, which a tiny L makes -inf
+        _rule(math.isfinite(dim / (2.0 * L)) and math.isfinite(1.0 / L), "L",
+              "large enough that dim / (2 L) and 1 / L are finite", L)
         self._ones = np.ones(dim)
         self.meta = ProblemMeta(
             dim=dim, L0=L, L1=0.0, L=L, mu=L, sigma_sq=2.0 * dim,
@@ -437,10 +457,27 @@ class LogisticRegressionProblem(Problem):
         return (-s)[:, None] * rows + self.lam * x
 
     def _row_variance(self, x: np.ndarray) -> float:
-        s = self._terms(x, np.empty((4, self.n)))[1]
-        G = (-s)[:, None] * self.Z  # per-row gradients minus the common ridge term
-        mean = G.mean(axis=0)
-        return float(((G - mean) ** 2).sum(axis=1).mean())
+        """``((G - G.mean(axis=0)) ** 2).sum(axis=1).mean()`` over the per-row
+        gradients ``G`` (minus the common ridge term) at ``x``, bit for bit,
+        with ``G`` computed in blocks of ``_HELD // d`` rows: no ``(n, d)``
+        temporary exists. Past d = 1 the column sum adds the rows one at a
+        time, in order, which each block's reduction continues from the sum
+        so far; at d = 1 it is pairwise, so the one block is all n rows, the
+        size of ``s``."""
+        n, d = self.Z.shape
+        s = self._terms(x, np.empty((4, n)))[1]
+        size = max(1, _HELD // d) if d > 1 else n
+        blocks = [slice(i, i + size) for i in range(0, n, size)]
+        total = None
+        for rows in blocks:
+            G = (-s[rows])[:, None] * self.Z[rows]
+            total = np.add.reduce(G if total is None else np.concatenate((total[None], G)))
+        mean = total / n
+        sq = np.empty(n)
+        for rows in blocks:
+            G = (-s[rows])[:, None] * self.Z[rows]
+            np.add.reduce((G - mean) ** 2, axis=1, out=sq[rows])
+        return float(sq.mean())
 
     def variance_at(self, x):
         x = self.check_dim(x)

@@ -24,8 +24,8 @@ import numpy as np
 from . import _feed
 from ._record import _count, _finite_nonnegative, _finite_positive, _positive, _Record
 from .core import _sum_rows, clip_rows
-from .problems import BernoulliShiftQuadratic, Problem
-from .optimizers import _HELD, Trace, _quiet_overflow
+from .problems import _HELD, BernoulliShiftQuadratic, Problem
+from .optimizers import Trace, _quiet_overflow
 
 __all__ = [
     "RateParams",
@@ -399,20 +399,15 @@ class ClippedGradEstimate(_Record):
     exact: bool
 
 
-# samples per Monte Carlo chunk are capped so that one (k, dim) array of
-# draws stays near 128 KB
-_MC_CHUNK_ELEMS = 16_384
-
-
 def _sample_chunks(problem: Problem, x: np.ndarray, n_samples: int, seed: int):
     """``problem.sample_grads(x, rng, k)`` for chunks ``k`` of at most
-    ``_MC_CHUNK_ELEMS // dim`` samples that add up to ``n_samples``, drawn
+    ``_HELD // dim`` samples that add up to ``n_samples``, drawn
     in order from ``default_rng(seed)``. A problem with the ``draws`` hook
     takes its draws from ``_feed.fed``: where they pay for a fork, a forked
     child draws the chunks after the first ahead, with the same calls on
     the same stream, so the samples are the same. The parent maps the draws
     to samples."""
-    size = max(1, _MC_CHUNK_ELEMS // x.size)
+    size = max(1, _HELD // x.size)
     sizes = [min(size, n_samples - start) for start in range(0, n_samples, size)]
     rng = np.random.default_rng(seed)
     if problem.draws is None:

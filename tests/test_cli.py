@@ -163,6 +163,9 @@ class TestConfigParsing:
          "L must be finite and positive, got inf"),
         ("run", "problem = chi_square\nL = inf\n" + CLIPPED_GD,
          "L must be finite and positive, got inf"),
+        # and not a certification of an infinite minimizer that checks nothing
+        ("certify", "problem = chi_square\ndim = 2\nL = 1e-320\nn_pairs = 5\nfd_points = 1\n",
+         "L must be large enough that dim / (2 L) and 1 / L are finite, got 1e-320"),
         ("run", "problem = bernoulli_shift\na = inf\np = 0.25\n" + CLIPPED_GD,
          "shift a must be finite and positive, got inf"),
         # a finite shift whose variance overflows, not a divergence at t = 0
@@ -208,7 +211,8 @@ class TestConfigParsing:
          "radius_scale must be finite and positive, got -1.0"),
         ("certify", "problem = quadratic\nfd_points = -1\n", "fd_points must be >= 0, got -1"),
     ], ids=["dim_0", "a_negative", "subsample_k_0", "lambda_negative", "L_nan", "L_inf",
-            "chi_square_L_inf", "a_inf", "a_variance_overflow", "lambda_nan", "certify_lambda_inf",
+            "chi_square_L_inf", "certify_chi_square_L_tiny",
+            "a_inf", "a_variance_overflow", "lambda_nan", "certify_lambda_inf",
             "sigma_nan", "sigma_inf", "c_inf", "bound_without_L0_L1", "unread_dim",
             "unread_lambda", "unread_data", "unread_subsample_seed",
             "unread_target_grad_norm", "unread_B", "subsample_seed_without_k",

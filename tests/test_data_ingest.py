@@ -249,6 +249,40 @@ class TestSpectralNormSq:
             expected = float(np.linalg.eigvalsh(A.T @ A)[-1])
             assert spectral_norm_sq(A) == pytest.approx(expected, rel=1e-6)
 
+    @staticmethod
+    def two_products(A, iters=50, tol=1e-8):
+        """The power iteration as it was, with the product ``A.T @ (A @ v)``
+        computed twice a step: the bits its one-product form must keep."""
+        if A.size == 0:
+            return 0.0
+        d = A.shape[1]
+        v = np.full(d, 1.0 / np.sqrt(d))
+        lam = 0.0
+        for _ in range(iters):
+            w = A.T @ (A @ v)
+            norm_w = float(np.sqrt(float(w @ w)))
+            if norm_w == 0.0:
+                return 0.0
+            v = w / norm_w
+            lam_new = float(v @ (A.T @ (A @ v)))
+            if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+                return lam_new
+            lam = lam_new
+        return lam
+
+    def test_one_product_a_step_keeps_the_bits(self):
+        rng = np.random.default_rng(13)
+        matrices = [rng.normal(size=(int(rng.integers(1, 90)), int(rng.integers(1, 40))))
+                    * 10.0 ** rng.uniform(-5, 5) for _ in range(40)]
+        matrices += [np.zeros((5, 3)), np.zeros((0, 4)),
+                     parse_libsvm(bundled_dataset_path().read_text()).to_dense()]
+        for A in matrices:
+            for iters in (1, 3, 50):
+                got = spectral_norm_sq(A, iters=iters)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(
+                    self.two_products(A, iters=iters)).tobytes(), (A.shape, iters)
+
 
 class TestSubsample:
     def test_full_sample_is_identity(self):

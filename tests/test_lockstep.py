@@ -160,7 +160,7 @@ def diverging_grid(problem, method, B, sigma_dp):
 # how a served run's blocks fall on its steps, as (T, steps per block):
 # below the shortest served single run, so no block for it (a lockstep
 # batch draws enough over its cells); at it, with the shipped
-# `_CHUNK` (None), one block cut to T steps; blocks that end on the last
+# `_HELD` (None), one block cut to T steps; blocks that end on the last
 # step; a short last block; one step per block
 SERVED_BLOCKS = {
     "short": (optimizers._WARMUP - 1, None),
@@ -240,10 +240,17 @@ class TestLockstepMatchesSingleRuns:
         monkeypatch.setattr(optimizers, "_WARMUP", 10**9)
         reference = [single(problem, config) for config in configs]
         monkeypatch.setattr(optimizers, "_WARMUP", 0)
-        # a block holds _CHUNK // K steps of K cells
-        monkeypatch.setattr(optimizers, "_CHUNK", 7 * len(configs) if batch == "lockstep" else 7)
+        # a block holds _HELD // K steps of K cells
+        monkeypatch.setattr(optimizers, "_HELD", 7 * len(configs) if batch == "lockstep" else 7)
+        computed = []
+        philox = optimizers._philox_uniforms
+        monkeypatch.setattr(optimizers, "_philox_uniforms", lambda keys, start, n, lane: (
+            computed.append((start, n)) or philox(keys, start, n, lane)))
         results = batched(problem, configs, batch)
         assert_diverged_spread(results)
+        # blocks of 7 steps, refilled past the first
+        assert all(start % 7 == 0 and n == min(7, 60 - start) for start, n in computed)
+        assert (7, 7) in computed
         for got, want in zip(results, reference):
             assert_same(got, want)
 
@@ -266,15 +273,15 @@ class TestLockstepMatchesSingleRuns:
         warmup = optimizers._WARMUP
         monkeypatch.setattr(optimizers, "_WARMUP", 10**9)
         reference = [single(problem, config) for config in configs]
-        # a block holds _CHUNK // K steps of K cells
+        # a block holds _HELD // K steps of K cells
         K = len(configs) if batch == "lockstep" else 1
         if steps is None:
             monkeypatch.setattr(optimizers, "_WARMUP", warmup)
             # served by the uniforms the run's cells draw in all
-            served, steps = K * T >= warmup, optimizers._CHUNK // K
+            served, steps = K * T >= warmup, optimizers._HELD // K
         else:
             monkeypatch.setattr(optimizers, "_WARMUP", 0)
-            monkeypatch.setattr(optimizers, "_CHUNK", steps * K)
+            monkeypatch.setattr(optimizers, "_HELD", steps * K)
             served = True
         computed = []
         philox = optimizers._philox_uniforms

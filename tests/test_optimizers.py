@@ -368,15 +368,15 @@ class TestDeterminism:
     def test_only_long_one_sample_runs_compute_blocks(self, monkeypatch):
         # a block costs about _WARMUP resets: a Bernoulli run whose cells
         # draw fewer uniforms than that over all their steps takes the reset,
-        # and one that draws more computes a block of _CHUNK uniforms,
-        # _CHUNK // K steps of all K cells, at a time and makes no reset at all
+        # and one that draws more computes a block of _HELD uniforms,
+        # _HELD // K steps of all K cells, at a time and makes no reset at all
         blocks, resets = [], []
         philox, at_step = optimizers._philox_uniforms, _StepRng.at_step
         monkeypatch.setattr(optimizers, "_philox_uniforms", lambda keys, start, n, lane: (
             blocks.append((list(keys), start, n, lane)) or philox(keys, start, n, lane)))
         monkeypatch.setattr(_StepRng, "at_step", lambda self, t, lane=0: (
             resets.append(t) or at_step(self, t, lane)))
-        monkeypatch.setattr(optimizers, "_CHUNK", 60)
+        monkeypatch.setattr(optimizers, "_HELD", 60)
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
 
         def configs(T, seeds, B=1):
@@ -419,7 +419,7 @@ class TestDeterminism:
         assert blocks == [0, 0]
 
     def test_frozen_golden_across_chunks(self):
-        # a Bernoulli run past two chunk boundaries under a key past 2**64,
+        # a Bernoulli run past a block boundary under a key past 2**64,
         # recorded with the per-step counter reset
         prob = BernoulliShiftQuadratic(a=4.0, p=0.25)
         config = cfg(method="clipped_sgd", c=2.0, eta=0.05, T=9000, seed=2**64 + 7)

@@ -3,6 +3,7 @@ import math
 import pickle
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -153,6 +154,23 @@ class TestChiSquareQuadratic:
     def test_variance(self):
         prob = ChiSquareQuadratic(dim=100, L=0.1)
         assert prob.variance_at(np.zeros(100)) == 200.0
+
+    @pytest.mark.parametrize("dim,L", [(2, 1e-320), (2, 5e-324), (4, 1e-308)],
+                             ids=["f_star_and_x_star", "smallest_subnormal", "f_star_only"])
+    def test_L_with_an_infinite_minimizer_is_rejected(self, dim, L):
+        # dim / (2 L) or 1 / L overflows: f* and x* would be -inf, and a
+        # certification of the problem would pass on nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^L must be large enough that dim / \\(2 L\\)"
+                                                 f" and 1 / L are finite, got {L!r}$"):
+                ChiSquareQuadratic(dim=dim, L=L)
+
+    def test_smallest_L_with_a_finite_minimizer_is_accepted(self):
+        # 1 / L and 2 / (2 L) are finite just above 1 / DBL_MAX
+        L = np.nextafter(1.0 / sys.float_info.max, 1.0)
+        meta = ChiSquareQuadratic(dim=2, L=L).meta
+        assert math.isfinite(meta.f_star) and np.isfinite(meta.x_star).all()
 
     def test_noise_is_chi_squared(self):
         # each noise coordinate is the square of one standard normal
@@ -432,6 +450,49 @@ def signed_points(dim, K, scale, rng):
     if K is not None and K >= 5:
         X[0, 0], X[1, -1], X[2, dim // 2], X[3] = np.inf, -np.inf, np.nan, 0.0
     return X
+
+
+def one_column_data():
+    return parse_libsvm("".join(f"{'+1' if i % 3 else '-1'} 1:{(i * 0.37) % 2.1 - 1}\n"
+                                for i in range(1000)))
+
+
+class TestBlockedVariance:
+    """``variance_at`` and ``meta.sigma_sq`` take the per-row gradients
+    ``_HELD // d`` rows at a time, with the bits of the one-shot formula."""
+
+    @pytest.mark.parametrize("options", SIGNED_OPTIONS, ids=["plain", "ridge", "intercept",
+                                                             "normalized"])
+    @pytest.mark.parametrize("data", list(SIGNED_DATA) + ["one_column"])
+    def test_any_block_keeps_the_one_shot_bits(self, monkeypatch, data, options):
+        ds = one_column_data() if data == "one_column" else SIGNED_DATA[data]()
+        ref = UnsignedLogistic(ds, **options)
+        n, d = ref.A.shape
+        rng = np.random.default_rng(14)
+        points = [np.zeros(d)] + [scale * rng.normal(size=d) for scale in (1e-3, 1.0, 1e3)]
+        with np.errstate(all="ignore"):
+            expected = bits([ref.variance_at(x) for x in points])
+        # blocks of 1 row, 7 rows and a count that does not divide n (at
+        # d = 1 the one block is all n rows, whatever the bound)
+        assert n % (n // 3 + 1)
+        for rows in (1, 7, n // 3 + 1):
+            monkeypatch.setattr(problems, "_HELD", rows * d)
+            prob = LogisticRegressionProblem(ds, **options)
+            with np.errstate(all="ignore"):
+                got = bits([prob.meta.sigma_sq] + [prob.variance_at(x) for x in points[1:]])
+            assert got == expected, rows
+
+    def test_construction_holds_at_most_two_dense_matrices(self):
+        # the dense matrix and _aligned's copy of it: no (n, d) temporary of
+        # the variance adds a third
+        ds = synthesize_logistic_dataset(n=4000, dim=500, nnz=20)
+        tracemalloc.start()
+        try:
+            prob = LogisticRegressionProblem(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * prob.Z.nbytes
 
 
 class TestSignedRows:
