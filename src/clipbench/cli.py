@@ -249,7 +249,7 @@ def build_problem(cfg: dict, config_dir: Path) -> Problem:
         return choice.make(**args)
     path = _input_path(config_dir, args.pop("data"), "dataset")
     try:
-        ds = data_ingest.parse_libsvm(path.read_text().splitlines())
+        ds = data_ingest.parse_libsvm(path.read_text())
     except (ParseError, OSError, UnicodeDecodeError) as exc:
         # a directory or a file that is not UTF-8 text is no dataset either
         raise DataError(f"{path}: {exc}") from None

@@ -4,7 +4,9 @@ Each problem exposes the exact expected objective ``value``, its exact
 gradient ``grad``, and a one-draw stochastic gradient ``sample_grad``
 that is unbiased for ``grad`` with variance bounded by ``meta.sigma_sq``.
 Problems are immutable; the caller owns all RNG state. Only the logistic
-problem densifies a Dataset, and it refuses a matrix past 1 GiB.
+problem densifies a Dataset: it refuses a matrix past 1 GiB, and holds one,
+the aligned buffer of ``to_dense``, which it normalizes, extends and signs
+in place.
 
 Two batch oracles serve the iteration engines and the Monte Carlo
 estimators. ``value_and_grad`` is the one exact oracle: at a point it
@@ -41,12 +43,14 @@ default) always takes the reset. Of the shipped problems
 ``BernoulliShiftQuadratic`` takes ``Problem.uniforms`` and
 ``ChiSquareQuadratic`` draws its normals.
 
-``_HELD`` (8 192 doubles, 64 KiB) bounds every stacked array of the
-package: a run's held steps, a served Philox block of ``_HELD // K`` steps
-of K cells (see ``optimizers``), a Monte Carlo chunk of ``_HELD // dim``
-samples (see ``theory``), and here the per-row gradients behind the
-logistic ``variance_at`` and ``meta.sigma_sq``, taken ``_HELD // d`` rows
-at a time.
+``_HELD`` (8 192 doubles, 64 KiB), defined in ``data_ingest``, bounds every
+stacked array of the package: a run's held steps, a served Philox block of
+``_HELD // K`` steps of K cells (see ``optimizers``), a Monte Carlo chunk
+of ``_HELD // dim`` samples (see ``theory``), a block of the parse's
+features (see ``data_ingest``), and here the rows whose norms the logistic
+``normalize_rows`` divides by and the per-row gradients behind its
+``variance_at`` and ``meta.sigma_sq``, each taken ``_HELD // d`` rows at a
+time.
 
 A stochastic run evaluates ``value_and_grad`` on stacks of the iterates it
 holds, whose size it bounds by the largest array one call allocates: the
@@ -85,7 +89,7 @@ import math
 import numpy as np
 
 from ._record import _count, _finite_nonnegative, _finite_positive, _Record, _rule
-from .data_ingest import Dataset, spectral_norm_sq
+from .data_ingest import _HELD, Dataset, spectral_norm_sq
 
 __all__ = [
     "ProblemMeta",
@@ -95,17 +99,6 @@ __all__ = [
     "ChiSquareQuadratic",
     "LogisticRegressionProblem",
 ]
-
-# the most doubles any stacked array of the package holds: a run's held
-# iterates and its stacked exact-oracle call (the gradients, or
-# `row_doubles` per point), a served Philox block, a Monte Carlo chunk's
-# samples and a block of the logistic per-row gradients. 64 KiB, which
-# glibc's malloc serves from its heap. Past 128 KiB it maps and unmaps each
-# array, and the page faults (280 000 in a run of fig_stoch_logistic's 18
-# cells, 15 steps a chunk) took longer than the one call per step they
-# replaced
-_HELD = 1 << 13
-
 
 class ProblemMeta(_Record, eq=False):
     """Analytic constants of a problem.
@@ -321,25 +314,6 @@ def _sigmoid_neg(m: float) -> float:
     return 1.0 / (1.0 + e) if m >= 0 else e / (1.0 + e)
 
 
-def _aligned(A: np.ndarray) -> np.ndarray:
-    """``A`` if it is C-ordered and starts on a 64-byte boundary, else a
-    copy that is.
-
-    Where malloc places a large array depends on what the process
-    allocated before it, and OpenBLAS's matrix-vector products are slower
-    on a feature matrix that is not 32-byte aligned, with the same bits:
-    an 18-cell lockstep logistic sweep took 0.205-0.211 s against 0.177 s
-    (OpenBLAS 0.3.31, x86-64).
-    """
-    if A.flags.c_contiguous and A.ctypes.data % 64 == 0:
-        return A
-    buf = np.empty(A.nbytes + 64, dtype=np.uint8)
-    start = -buf.ctypes.data % 64
-    out = buf[start:start + A.nbytes].view(A.dtype).reshape(A.shape)
-    out[...] = A
-    return out
-
-
 # the largest dense feature matrix LogisticRegressionProblem builds (1 GiB)
 _DENSE_LIMIT = 1 << 30
 
@@ -386,16 +360,21 @@ class LogisticRegressionProblem(Problem):
             raise MemoryError(f"the dense {dataset.n} x {columns} feature matrix needs"
                               f" {nbytes} bytes, over the {_DENSE_LIMIT}-byte limit")
         self.lam = _finite_nonnegative("ridge weight", lam)
-        Z = dataset.to_dense()
+        # the one dense matrix, normalized, extended and signed where it lies
+        self.Z = Z = dataset._dense(columns)
+        d = dataset.dim
         if normalize_rows:
-            norms = np.linalg.norm(Z, axis=1)
-            Z = Z / np.where(norms > 0, norms, 1.0)[:, None]
+            # each row's norm is reduced alone: a block's are the bits of
+            # the whole matrix's
+            size = max(1, _HELD // max(d, 1))
+            for i in range(0, dataset.n, size):
+                block = Z[i:i + size, :d]
+                norms = np.linalg.norm(block, axis=1)
+                block /= np.where(norms > 0, norms, 1.0)[:, None]
         if add_intercept:
-            Z = np.hstack([Z, np.ones((Z.shape[0], 1))])
+            Z[:, d] = 1.0
         self.y = dataset.labels.astype(float)
-        # signed in place, so that no second dense matrix ever exists
         Z *= self.y[:, None]
-        self.Z = Z = _aligned(Z)
         # a stacked evaluation's intermediates are (rows, n)
         self.n = self.row_doubles = Z.shape[0]
         L = spectral_norm_sq(Z) / (4.0 * self.n) + self.lam

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from clipbench import cli, data_ingest
 from clipbench.data_ingest import (
     Dataset,
     ParseError,
@@ -352,6 +353,14 @@ class TestValidation:
         ds = parse_libsvm("+1 2:3\n-1 1:1 3:2")
         assert_allclose(ds.to_dense(), [[0, 3, 0], [1, 0, 2]], rtol=0, atol=0)
 
+    def test_to_dense_is_c_ordered_on_a_64_byte_boundary(self):
+        # matrices of 1 to 500 rows of 1 to 60 columns, wherever malloc
+        # would have put them
+        for n, dim in [(1, 1), (3, 5), (7, 3), (40, 11), (300, 50), (500, 60)]:
+            ds = synthesize_logistic_dataset(n=n, dim=dim, nnz=1)
+            A = ds.to_dense()
+            assert A.flags.c_contiguous and A.ctypes.data % 64 == 0, (n, dim)
+
 
 def sha256(data):
     return hashlib.sha256(data).hexdigest()
@@ -378,3 +387,116 @@ def test_frozen_digests(make, digests):
     sub = subsample(ds, 137, seed=3)
     assert (sha256(ds.to_dense().tobytes()), sha256(serialize_libsvm(ds).encode()),
             sha256(serialize_libsvm(sub).encode()), sha256(sub.to_dense().tobytes())) == digests
+
+
+def mutated_copies():
+    """Seeded mutations of the bundled file, each a (name, text) pair: bad
+    tokens, labels and bytes at a random line, odd but valid spellings, and
+    the file about twice over with the tokens swapped in the line whose
+    features straddle the cut at ``_HELD``."""
+    text = bundled_dataset_path().read_text()
+    lines = text.splitlines()
+    rng = np.random.default_rng(40)
+
+    def at_token(change):
+        # change(tokens, j) edits the tokens of a random line of three or
+        # more features at feature token j (>= 1)
+        def mutate():
+            out = list(lines)
+            i = int(rng.choice([i for i, s in enumerate(out) if s.count(":") >= 3]))
+            tokens = out[i].split()
+            change(tokens, int(rng.integers(1, len(tokens) - 1)))
+            out[i] = " ".join(tokens)
+            return "\n".join(out) + "\n"
+        return mutate
+
+    def swap(t, j):
+        t[j], t[j + 1] = t[j + 1], t[j]
+
+    def relabel(t, j):
+        t[0] = "2"
+
+    def set_token(value):
+        def change(t, j):
+            t[j] = value(t[j])
+        return change
+
+    # Arabic-Indic digits, which int() reads as 0-9
+    arabic = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+    mutations = {
+        "out_of_order": at_token(swap),
+        "repeated_index": at_token(lambda t, j: t.insert(j, t[j])),
+        "overflow_value": at_token(set_token(lambda s: s.split(":")[0] + ":1e400")),
+        "nan_value": at_token(set_token(lambda s: s.split(":")[0] + ":nan")),
+        "empty_label": at_token(lambda t, j: t.pop(0)),
+        "unknown_label": at_token(relabel),
+        "double_colon": at_token(set_token(lambda s: "1:2:3")),
+        "bare_colon": at_token(set_token(lambda s: ":")),
+        "nul_byte": at_token(set_token(lambda s: s + "\x00")),
+        "nul_token": at_token(lambda t, j: t.insert(j, "\x00")),
+        "file_separator": at_token(lambda t, j: t.insert(j, "\x1c")),
+        "unicode_digits": at_token(set_token(lambda s: s.translate(arabic))),
+        "unicode_space": at_token(lambda t, j: t.insert(j, "\u3000")),
+        "zero_index": at_token(set_token(lambda s: "0" + s[s.index(":"):])),
+        "crlf": lambda: "\r\n".join(lines) + "\r\n",
+        "blank_and_comment": lambda: "# header\n\n" + "\n\n".join(lines),
+    }
+    copies = [(name, mutate()) for name, mutate in mutations.items()]
+    copies += [(name + "_again", mutate()) for name, mutate in mutations.items()
+               if name.startswith(("out_of", "repeated", "nan", "unicode"))]
+    doubled = lines + lines[1:]
+    indptr = np.cumsum([0] + [s.count(":") for s in doubled])
+    i = int(np.searchsorted(indptr, data_ingest._HELD)) - 1
+    assert indptr[i] < data_ingest._HELD < indptr[i + 1]
+    tokens = doubled[i].split()
+    cut = data_ingest._HELD - int(indptr[i])
+    copies.append(("straddle", "\n".join(doubled) + "\n"))
+    tokens[cut], tokens[cut + 1] = tokens[cut + 1], tokens[cut]
+    doubled[i] = " ".join(tokens)
+    copies.append(("straddle_out_of_order", "\n".join(doubled) + "\n"))
+    return copies
+
+
+MUTATED = mutated_copies()
+
+
+def parsed_or_message(parse, source):
+    try:
+        return parse(source)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestMutationFuzz:
+    """Every mutated copy parses to the arrays of the per-token reference or
+    raises its ParseError text, at any block size, and the CLI reports it
+    as a data error on one line."""
+
+    @pytest.mark.parametrize("name, text", MUTATED, ids=[name for name, _ in MUTATED])
+    def test_array_parse_matches_the_reference(self, monkeypatch, name, text):
+        expected = parsed_or_message(_parse_checked, text.splitlines())
+        for held in (1, 3, data_ingest._HELD):
+            monkeypatch.setattr(data_ingest, "_HELD", held)
+            got = parsed_or_message(parse_libsvm, text)
+            if isinstance(expected, str):
+                assert got == expected, held
+            else:
+                assert_same_dataset(got, expected)
+
+    def test_cli_exits_cleanly_on_every_copy(self, tmp_path, capsys):
+        seen = set()
+        for k, (name, text) in enumerate(MUTATED):
+            path = tmp_path / f"{k}.libsvm"
+            path.write_text(text)
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"mode = run\nproblem = logistic\ndata = {path.name}\n"
+                           "method = clipped_gd\nc = 1\neta = 1\nT = 3\nseeds = 0\n")
+            code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+            err = capsys.readouterr().err
+            expected = parsed_or_message(_parse_checked, path.read_text().splitlines())
+            if isinstance(expected, str):
+                assert (code, err) == (2, f"data error: {path}: {expected}\n"), name
+            else:
+                assert (code, err) == (0, ""), name
+            seen.add(code)
+        assert seen == {0, 2}

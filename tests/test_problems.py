@@ -397,7 +397,10 @@ class UnsignedLogistic:
             A = A / np.where(norms > 0, norms, 1.0)[:, None]
         if add_intercept:
             A = np.hstack([A, np.ones((A.shape[0], 1))])
-        self.A = problems._aligned(A)
+        # aligned as to_dense returns it, or where the copies land: the
+        # alignment never changes a bit
+        # (test_feature_matrix_is_aligned_and_alignment_keeps_bits)
+        self.A = A
         self.y = ds.labels.astype(float)
         self.n, self.lam = A.shape[0], float(lam)
 
@@ -482,17 +485,75 @@ class TestBlockedVariance:
                 got = bits([prob.meta.sigma_sq] + [prob.variance_at(x) for x in points[1:]])
             assert got == expected, rows
 
-    def test_construction_holds_at_most_two_dense_matrices(self):
-        # the dense matrix and _aligned's copy of it: no (n, d) temporary of
-        # the variance adds a third
+
+def whole_matrix_rows(ds, add_intercept=False, normalize_rows=False):
+    """``Z`` as the problem once built it, one whole-matrix copy a step: the
+    dense features, their normalized copy, the intercept column stacked on,
+    the signs, and a copy on a 64-byte boundary where malloc put it off one."""
+    Z = np.zeros((ds.n, ds.dim))
+    Z[np.repeat(np.arange(ds.n), np.diff(ds.indptr)), ds.indices - 1] = ds.values
+    if normalize_rows:
+        norms = np.linalg.norm(Z, axis=1)
+        Z = Z / np.where(norms > 0, norms, 1.0)[:, None]
+    if add_intercept:
+        Z = np.hstack([Z, np.ones((Z.shape[0], 1))])
+    Z *= ds.labels.astype(float)[:, None]
+    if Z.flags.c_contiguous and Z.ctypes.data % 64 == 0:
+        return Z
+    buf = np.empty(Z.nbytes + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    out = buf[start:start + Z.nbytes].view(Z.dtype).reshape(Z.shape)
+    out[...] = Z
+    return out
+
+
+class TestInPlaceConstruction:
+    """The problem builds ``Z`` in to_dense's aligned buffer, normalized by
+    blocks of rows, with the bytes and alignment of the whole-matrix
+    copies."""
+
+    @pytest.mark.parametrize("held", [None, 1])
+    @pytest.mark.parametrize("normalize_rows", [False, True])
+    @pytest.mark.parametrize("add_intercept", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("data", ["bundled", "synthetic", "dense_128"])
+    def test_rows_keep_the_whole_matrix_bytes(self, monkeypatch, data, lam, add_intercept,
+                                              normalize_rows, held):
+        if data == "dense_128":
+            # 128 random columns, whose norms a zero 129th column would
+            # change: the intercept column stays out of them
+            d = 128
+            A = np.random.default_rng(15).normal(size=(40, d))
+            ds = Dataset(np.arange(0, A.size + 1, d), np.tile(np.arange(1, d + 1), 40),
+                         A.ravel(), np.where(A[:, 0] > 0, 1, -1), d)
+        else:
+            ds = (parse_libsvm(bundled_dataset_path().read_text()) if data == "bundled"
+                  else synthesize_logistic_dataset(n=777, dim=129, nnz=17))
+        if held is not None:
+            # one row a block
+            monkeypatch.setattr(problems, "_HELD", held)
+        options = {"add_intercept": add_intercept, "normalize_rows": normalize_rows}
+        Z = whole_matrix_rows(ds, **options)
+        prob = LogisticRegressionProblem(ds, lam=lam, **options)
+        assert prob.Z.flags.c_contiguous and prob.Z.ctypes.data % 64 == Z.ctypes.data % 64 == 0
+        assert prob.Z.shape == Z.shape and bits(prob.Z) == bits(Z)
+        L = spectral_norm_sq(Z) / (4.0 * ds.n) + lam
+        assert bits(prob.meta.L) == bits(L)
+
+    @pytest.mark.parametrize("options", [{}, {"add_intercept": True}, {"normalize_rows": True},
+                                         {"add_intercept": True, "normalize_rows": True}],
+                             ids=["plain", "intercept", "normalized", "both"])
+    def test_construction_holds_one_dense_matrix(self, options):
+        # to_dense's buffer, normalized, extended and signed in place: no
+        # copy of it and no (n, d) temporary of the variance adds a second
         ds = synthesize_logistic_dataset(n=4000, dim=500, nnz=20)
         tracemalloc.start()
         try:
-            prob = LogisticRegressionProblem(ds)
+            prob = LogisticRegressionProblem(ds, **options)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * prob.Z.nbytes
+        assert peak <= 1.15 * prob.Z.nbytes
 
 
 class TestSignedRows:
